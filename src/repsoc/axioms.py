@@ -22,6 +22,7 @@ from .population import (
     MarginalPopulation,
     SaliencyDistribution,
     SubpopulationMixture,
+    _cells,
     mix,
     pair_marginal,
 )
@@ -138,23 +139,6 @@ class DecayCurve:
 
 
 # -- sampling helpers ------------------------------------------------------
-
-
-def _cells(saliency: SaliencyDistribution, population: MarginalPopulation):
-    cells = []
-    probs = []
-    for issue in sorted(saliency.issues, key=str):
-        w = saliency(issue)
-        if w == 0:
-            continue
-        dist = population.distribution(issue)
-        for order in sorted(dist, key=lambda o: o.ranking):
-            p = dist[order]
-            if p > 0:
-                cells.append((issue, order))
-                probs.append(w * p)
-    arr = np.asarray(probs, dtype=float)
-    return cells, arr / arr.sum()
 
 
 def _counts_from_row(cells, row) -> dict:

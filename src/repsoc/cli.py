@@ -86,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute an experiment config")
     run.add_argument("config")
     run.add_argument("--check", action="store_true", help="turn thresholds into exit codes")
-    run.add_argument("--jobs", type=int, default=1, help="worker count (reductions stay deterministic)")
     run.add_argument("--out", default=None, help="output directory (overrides config)")
     run.set_defaults(fn=_cmd_run)
 

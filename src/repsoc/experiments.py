@@ -40,6 +40,7 @@ from .orders import LinearOrder, Profile
 from .population import (
     MarginalPopulation,
     SaliencyDistribution,
+    _cells,
     load_population,
     sample_pairs,
 )
@@ -65,7 +66,6 @@ __all__ = [
 
 EXPERIMENT_KINDS = (
     "generalization",
-    "mechanism-regret",
     "axiom",
     "privilege-analysis",
     "synthesize-acyclic",
@@ -75,6 +75,12 @@ EXPERIMENT_KINDS = (
 )
 
 
+def _scoring_rule(rule_name: str):
+    if rule_name not in SCORING_RULES:
+        raise InvalidArgumentError(f"unknown scoring rule {rule_name!r}")
+    return SCORING_RULES[rule_name]
+
+
 def make_mechanism(name: str, space: CandidateSpace = None, plan=None):
     """Resolve a mechanism config string to a counts-based callable."""
     if name == "majority":
@@ -82,10 +88,7 @@ def make_mechanism(name: str, space: CandidateSpace = None, plan=None):
             raise InvalidArgumentError("majority mechanism needs a candidate space")
         return lambda counts, total: majority_vote_from_counts(counts, total, space).chosen
     if name.startswith("scoring:"):
-        rule_name = name.split(":", 1)[1]
-        if rule_name not in SCORING_RULES:
-            raise InvalidArgumentError(f"unknown scoring rule {rule_name!r}")
-        rule = SCORING_RULES[rule_name]
+        rule = _scoring_rule(name.split(":", 1)[1])
         if space is None:
             raise InvalidArgumentError("scoring mechanism needs a candidate space")
         return lambda counts, total: scoring_mechanism_from_counts(
@@ -133,20 +136,7 @@ def generalization_experiment(
     in the majority-vote regret chain U(f_maj) >= max U - 2 * sup-gap.
     """
     profiles = list(space.enumerate_profiles())
-    cells = []
-    probs = []
-    for issue in sorted(saliency.issues, key=str):
-        w = saliency(issue)
-        if w == 0:
-            continue
-        dist = population.distribution(issue)
-        for order in sorted(dist, key=lambda o: o.ranking):
-            p = dist[order]
-            if p > 0:
-                cells.append((issue, order))
-                probs.append(w * p)
-    probs_arr = np.asarray(probs)
-    probs_arr = probs_arr / probs_arr.sum()
+    cells, probs = _cells(saliency, population)
     match = np.array(
         [[1.0 if profile(issue) == order else 0.0 for issue, order in cells] for profile in profiles]
     )  # (|space|, |cells|)
@@ -169,7 +159,7 @@ def generalization_experiment(
         if size == 0:
             sample_util = np.zeros((trials, len(profiles)))
         else:
-            rows = rng.multinomial(size, probs_arr, size=trials)
+            rows = rng.multinomial(size, probs, size=trials)
             sample_util = rows @ match.T / size
         per_trial_gap = np.abs(sample_util - pop_util).max(axis=1)
         # majority vote = first argmax in canonical enumeration order
@@ -257,7 +247,6 @@ def run_experiment(config: dict, out_dir, check: bool = False) -> RunReport:
 
     handler = {
         "generalization": _run_generalization,
-        "mechanism-regret": _run_generalization,
         "axiom": _run_axiom,
         "privilege-analysis": _run_privilege_analysis,
         "synthesize-acyclic": _run_synthesize,
@@ -486,7 +475,7 @@ def _run_vc(config: dict, out_dir: Path, report: RunReport, check: bool) -> None
 def _run_rademacher(config: dict, out_dir: Path, report: RunReport, check: bool) -> None:
     _, saliency, population = load_population(_require(config, "population"))
     space = load_candidate_space(_require(config, "space"))
-    rule = SCORING_RULES[config.get("scoring_rule", "exact")]
+    rule = _scoring_rule(config.get("scoring_rule", "exact"))
     sample = sample_pairs(
         saliency, population, int(_require(config, "sample_size")), int(_require(config, "seed"))
     )

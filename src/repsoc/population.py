@@ -214,16 +214,8 @@ def pair_marginal(population: MarginalPopulation, issue, pair) -> float:
     return sum(p for order, p in dist.items() if order.prefers(c, cp))
 
 
-def sample_pairs(
-    saliency: SaliencyDistribution,
-    population: MarginalPopulation,
-    n: int,
-    seed: int,
-) -> SampleSet:
-    """Draw ``n`` i.i.d. (ordering, issue) pairs; bit-reproducible per seed."""
-    if n < 0:
-        raise InvalidArgumentError("sample size must be non-negative")
-    # one categorical draw over the joint (issue, ordering) cells, in canonical order
+def _cells(saliency: SaliencyDistribution, population: MarginalPopulation):
+    """Positive-mass (issue, ordering) cells in canonical order, and their probabilities."""
     cells = []
     probs = []
     for issue in sorted(saliency.issues, key=_canonical_issue_key):
@@ -234,14 +226,27 @@ def sample_pairs(
         for order in sorted(dist, key=lambda o: o.ranking):
             p = dist[order]
             if p > 0:
-                cells.append((order, issue))
+                cells.append((issue, order))
                 probs.append(w * p)
+    arr = np.asarray(probs, dtype=float)
+    return cells, arr / arr.sum()
+
+
+def sample_pairs(
+    saliency: SaliencyDistribution,
+    population: MarginalPopulation,
+    n: int,
+    seed: int,
+) -> SampleSet:
+    """Draw ``n`` i.i.d. (ordering, issue) pairs; bit-reproducible per seed."""
+    if n < 0:
+        raise InvalidArgumentError("sample size must be non-negative")
+    # one categorical draw over the joint (issue, ordering) cells
+    cells, probs = _cells(saliency, population)
     rng = derive_rng(seed)
-    probs_arr = np.asarray(probs, dtype=float)
-    probs_arr = probs_arr / probs_arr.sum()
     if n > 0:
-        draws = rng.choice(len(cells), size=n, p=probs_arr)
-        pairs = tuple(cells[j] for j in draws)
+        draws = rng.choice(len(cells), size=n, p=probs)
+        pairs = tuple((cells[j][1], cells[j][0]) for j in draws)
     else:
         pairs = ()
     return SampleSet(pairs=pairs, seed=seed)
@@ -250,10 +255,6 @@ def sample_pairs(
 def uniform_saliency(space: IssueSpace) -> SaliencyDistribution:
     w = 1.0 / len(space.issue_ids)
     return SaliencyDistribution({issue: w for issue in space.issue_ids})
-
-
-def _parse_issue_id(raw):
-    return raw
 
 
 def save_population(

@@ -2,7 +2,9 @@
 
 An ordering over a subset of an issue's outcomes is privileged when every
 candidate profile that can be re-sorted into agreement with it (by permuting
-only that subset, only on that issue) stays inside the candidate space.  The
+only that subset, only on that issue) stays inside the candidate space.
+:func:`is_privileged` decides this as a closure test: one re-sort and one
+membership lookup per member, with no limit on the outcome count.  The
 privilege graph collects the binary privileged orderings of one issue; its
 strongly connected components drive both the cyclicity test and the
 constructive synthesis of candidate spaces from acyclic graphs.
@@ -15,19 +17,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import CapacityError, CyclicityError, InvalidArgumentError
-from .orders import (
-    LinearOrder,
-    PartialOrder,
-    Permutation,
-    Profile,
-    apply_local_permutation,
-)
+from .errors import CyclicityError, InvalidArgumentError
+from .orders import LinearOrder, PartialOrder, Profile
 from .population import IssueSpace
-from .spaces import CandidateSpace, all_linear_orders
+from .spaces import CandidateSpace
 
 __all__ = [
-    "DEFAULT_PRIVILEGE_CAP",
     "PrivilegeGraph",
     "Condensation",
     "IssuePlan",
@@ -40,10 +35,6 @@ __all__ = [
     "synthesize_acyclic",
     "to_dot",
 ]
-
-DEFAULT_PRIVILEGE_CAP = 10**6
-_MAX_N = 5
-
 
 @dataclass(frozen=True)
 class PrivilegeGraph:
@@ -89,18 +80,15 @@ class Condensation:
     topo_order: tuple  # SCC indices, deterministic
 
 
-def is_privileged(
-    space: CandidateSpace,
-    issue,
-    o: PartialOrder,
-    cap: int = DEFAULT_PRIVILEGE_CAP,
-) -> bool:
-    """Exact brute-force privileged-ordering verdict.
+def is_privileged(space: CandidateSpace, issue, o: PartialOrder) -> bool:
+    """Exact privileged-ordering verdict by a closure test.
 
-    Extensions of ``o`` range over all completions on ``issue``; on the
-    remaining issues only projections of the space's members need checking,
-    since any other assignment makes both memberships in the defining
-    implication false.
+    Permuting only ``o``'s outcomes on ``issue`` moves a member within an
+    orbit that holds exactly one completion of ``o``: the member with those
+    outcomes re-sorted into ``o``'s order, in the rank slots they occupy.
+    So ``o`` is privileged iff every member's re-sorted twin is a member,
+    which takes one hash lookup per member.  For a product space only the
+    block holding ``issue`` matters, since the other blocks are untouched.
     """
     n = space.issue_space.n
     if issue not in space.issue_space:
@@ -109,62 +97,31 @@ def is_privileged(
         raise InvalidArgumentError("a privileged-ordering candidate needs >= 2 outcomes")
     if o.n != n:
         raise InvalidArgumentError(f"partial order over n={o.n}, space has n={n}")
-    if n > _MAX_N:
-        raise CapacityError(f"privilege oracle limited to n <= {_MAX_N}, got {n}", cap=_MAX_N)
     if space.variant == "full":
         return True
     if space.variant == "product":
-        block_issues, factor = space.block_of(issue)
-        sub_space = CandidateSpace.explicit(factor, IssueSpace(block_issues, n))
-        return is_privileged(sub_space, issue, o, cap=cap)
-
-    members = set(space.profiles)
-    other_issues = [j for j in space.issue_space.issue_ids if j != issue]
-    if other_issues:
-        projections = {
-            Profile({j: profile(j) for j in other_issues}) for profile in members
-        }
+        members = set(space.block_of(issue)[1])
     else:
-        projections = {None}
-    completions = [order for order in all_linear_orders(n) if o.extends(order)]
-    subset = sorted(o.subset)
-    perms = [
-        Permutation.from_subset_order(n, subset, images)
-        for images in itertools.permutations(subset)
-        if tuple(images) != tuple(subset)
-    ]
-    work = len(projections) * len(completions) * (len(perms) + 1)
-    if work > cap:
-        raise CapacityError(f"privilege check needs {work} evaluations, cap is {cap}", cap=cap)
+        members = set(space.profiles)
 
-    for projection in projections:
-        for completion in completions:
-            if projection is None:
-                extension = Profile({issue: completion})
-            else:
-                assignment = dict(projection.items())
-                assignment[issue] = completion
-                extension = Profile(assignment)
-            if extension in members:
-                continue
-            for sigma in perms:
-                if apply_local_permutation(extension, issue, sigma) in members:
-                    return False
+    for profile in members:
+        order = profile(issue)
+        ranking = list(order.ranking)
+        for slot, outcome in zip(sorted(order.position[c] for c in o.subset), o.subset):
+            ranking[slot] = outcome
+        if profile.with_issue(issue, LinearOrder(tuple(ranking))) not in members:
+            return False
     return True
 
 
-def build_privilege_graph(
-    space: CandidateSpace,
-    issue,
-    cap: int = DEFAULT_PRIVILEGE_CAP,
-) -> PrivilegeGraph:
+def build_privilege_graph(space: CandidateSpace, issue) -> PrivilegeGraph:
     """Edge (u, v) present iff the binary ordering u>v is privileged."""
     n = space.issue_space.n
     edges = {
         (u, v)
         for u in range(n)
         for v in range(n)
-        if u != v and is_privileged(space, issue, PartialOrder((u, v), n), cap=cap)
+        if u != v and is_privileged(space, issue, PartialOrder((u, v), n))
     }
     return PrivilegeGraph(issue=issue, n=n, edges=frozenset(edges))
 

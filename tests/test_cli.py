@@ -257,6 +257,17 @@ class TestPrivilegeCommand:
         )
         assert main(["privilege", str(space_path), "--issue", "zzz"]) == 2
 
+    def test_six_outcomes(self, tmp_path, capsys):
+        space_path = tmp_path / "space.json"
+        save_candidate_space(
+            space_path,
+            CandidateSpace.explicit(
+                [Profile({"i": lo("0>1>2>3>4>5")})], IssueSpace(("i",), 6)
+            ),
+        )
+        assert main(["privilege", str(space_path), "--issue", "i"]) == 0
+        assert "15 privileged pairs" in capsys.readouterr().out
+
 
 class TestOtherKinds:
     def test_vc_run(self, binary_setup):
@@ -284,6 +295,22 @@ class TestOtherKinds:
             },
         )
         assert main(["run", config, "--check", "--out", str(tmp / "out")]) == 0
+
+    def test_rademacher_unknown_scoring_rule(self, binary_setup, capsys):
+        tmp = binary_setup["tmp"]
+        config = write_config(
+            tmp,
+            {
+                "kind": "rademacher",
+                "population": binary_setup["population"],
+                "space": binary_setup["space"],
+                "sample_size": 10,
+                "scoring_rule": "bogus",
+                "seed": 21,
+            },
+        )
+        assert main(["run", config, "--out", str(tmp / "out")]) == 2
+        assert "unknown scoring rule 'bogus'" in capsys.readouterr().err
 
     def test_synthesize_run(self, tmp_path):
         graphs_path = tmp_path / "graphs.json"

@@ -1,17 +1,19 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from repsoc import (
     CandidateSpace,
-    CapacityError,
     CyclicityError,
     InvalidArgumentError,
     IssueSpace,
     LinearOrder,
     PartialOrder,
+    Permutation,
     Profile,
     all_linear_orders,
+    apply_local_permutation,
     build_privilege_graph,
     check_path_privilege,
     is_cyclically_privileged,
@@ -20,11 +22,58 @@ from repsoc import (
     synthesize_acyclic,
 )
 from repsoc.privilege import PrivilegeGraph, to_dot
-from tests.conftest import all_partial_sequences
+from tests.conftest import all_partial_sequences, random_explicit_space, random_subset_space
 
 
 def lo(text):
     return LinearOrder.from_string(text)
+
+
+def brute_force_is_privileged(space, issue, o):
+    """Reference verdict straight from the definition, by exhaustive search.
+
+    Extensions of ``o`` range over all completions on ``issue``; on the
+    remaining issues only projections of the space's members need checking,
+    since any other assignment makes both memberships in the defining
+    implication false.
+    """
+    n = space.issue_space.n
+    if space.variant == "full":
+        return True
+    if space.variant == "product":
+        block_issues, factor = space.block_of(issue)
+        sub_space = CandidateSpace.explicit(factor, IssueSpace(block_issues, n))
+        return brute_force_is_privileged(sub_space, issue, o)
+
+    members = set(space.profiles)
+    other_issues = [j for j in space.issue_space.issue_ids if j != issue]
+    if other_issues:
+        projections = {
+            Profile({j: profile(j) for j in other_issues}) for profile in members
+        }
+    else:
+        projections = {None}
+    completions = [order for order in all_linear_orders(n) if o.extends(order)]
+    subset = sorted(o.subset)
+    perms = [
+        Permutation.from_subset_order(n, subset, images)
+        for images in itertools.permutations(subset)
+        if tuple(images) != tuple(subset)
+    ]
+    for projection in projections:
+        for completion in completions:
+            if projection is None:
+                extension = Profile({issue: completion})
+            else:
+                assignment = dict(projection.items())
+                assignment[issue] = completion
+                extension = Profile(assignment)
+            if extension in members:
+                continue
+            for sigma in perms:
+                if apply_local_permutation(extension, issue, sigma) in members:
+                    return False
+    return True
 
 
 def graph(edges, n=3, issue="i"):
@@ -55,12 +104,50 @@ class TestIsPrivileged:
         with pytest.raises(InvalidArgumentError):
             is_privileged(space, "i", PartialOrder((0, 1), 4))
 
-    def test_outcome_count_cap(self):
-        space = CandidateSpace.explicit(
-            [Profile({"i": LinearOrder(tuple(range(6)))})], IssueSpace(("i",), 6)
-        )
-        with pytest.raises(CapacityError):
-            is_privileged(space, "i", PartialOrder((0, 1), 6))
+    def test_large_outcome_counts(self):
+        for n in (6, 7):
+            space = CandidateSpace.explicit(
+                [Profile({"i": LinearOrder(tuple(range(n)))})], IssueSpace(("i",), n)
+            )
+            assert is_privileged(space, "i", PartialOrder((0, 1), n))
+            assert not is_privileged(space, "i", PartialOrder((1, 0), n))
+            g = build_privilege_graph(space, "i")
+            assert g.edges == frozenset(itertools.combinations(range(n), 2))
+
+    def test_agrees_with_brute_force(self):
+        """Seeded differential check of the closure test against the
+        exhaustive reference on explicit and product spaces."""
+        rng = np.random.default_rng(20261018)
+        spaces = []
+        for n in (3, 4):
+            max_size = min(12, len(all_linear_orders(n)))
+            for _ in range(14):
+                spaces.append(random_subset_space(rng, n, max_size=max_size))
+                spaces.append(
+                    random_explicit_space(rng, ("i", "j"), n, int(rng.integers(1, 13)))
+                )
+                pair_block = random_explicit_space(rng, ("i", "j"), n, int(rng.integers(1, 7)))
+                free_block = random_subset_space(rng, n, issue="k", max_size=6)
+                spaces.append(
+                    CandidateSpace.product(
+                        (
+                            (("i", "j"), pair_block.profiles),
+                            (("k",), free_block.profiles),
+                        ),
+                        IssueSpace(("i", "j", "k"), n),
+                    )
+                )
+        checks = 0
+        for space in spaces:
+            n = space.issue_space.n
+            sequences = all_partial_sequences(n)
+            for issue in space.issue_space.issue_ids:
+                for k in rng.choice(len(sequences), size=min(len(sequences), 16), replace=False):
+                    o = PartialOrder(sequences[k], n)
+                    expected = brute_force_is_privileged(space, issue, o)
+                    assert is_privileged(space, issue, o) == expected, (space, issue, o)
+                    checks += 1
+        assert checks >= 2000
 
 
 class TestBuildGraph:
