@@ -149,6 +149,17 @@ def _counts_from_row(cells, row) -> dict:
     return counts
 
 
+def _committees(saliency, population, sizes, trials: int, seed: int, stream: int = 0):
+    """Yield ``(size, tallies)`` per size: ``trials`` seeded committee tallies of that size.
+
+    Size index ``j`` draws all its trials at once from the stream (seed, j, stream).
+    """
+    cells, probs = _cells(saliency, population)
+    for size_index, size in enumerate(sizes):
+        rows = derive_rng(seed, size_index, stream).multinomial(size, probs, size=trials)
+        yield int(size), (_counts_from_row(cells, row) for row in rows)
+
+
 # -- premise validation ----------------------------------------------------
 
 
@@ -255,29 +266,25 @@ def estimate_axiom(
         raise InvalidArgumentError("need at least one trial per size")
     _validate_scenario(scn)
     check = _failure_checker(scn)
+    mechanism = scn.mechanism
     paired = scn.axiom in {"w-piia", "s-piia"}
 
-    cells_a, probs_a = _cells(scn.saliency, scn.population)
+    committees = _committees(scn.saliency, scn.population, sizes, trials_per_size, seed)
     if paired:
-        cells_b, probs_b = _cells(scn.saliency, scn.population_b)
-
+        # PIIA quantifies over distributions, not couplings: independent streams
+        committees_b = _committees(
+            scn.saliency, scn.population_b, sizes, trials_per_size, seed, stream=1
+        )
     points = []
-    for size_index, size in enumerate(sizes):
-        rng_a = derive_rng(seed, size_index, 0)
-        rows_a = rng_a.multinomial(size, probs_a, size=trials_per_size)
+    for size, tallies in committees:
         if paired:
-            # PIIA quantifies over distributions, not couplings: independent streams
-            rng_b = derive_rng(seed, size_index, 1)
-            rows_b = rng_b.multinomial(size, probs_b, size=trials_per_size)
-        failures = 0
-        for t in range(trials_per_size):
-            chosen = scn.mechanism(_counts_from_row(cells_a, rows_a[t]), size)
-            if paired:
-                chosen_b = scn.mechanism(_counts_from_row(cells_b, rows_b[t]), size)
-                failures += check(chosen, chosen_b)
-            else:
-                failures += check(chosen)
-        points.append(DecayPoint(size=int(size), trials=trials_per_size, failures=failures))
+            _, tallies_b = next(committees_b)
+            failures = sum(
+                check(mechanism(a, size), mechanism(b, size)) for a, b in zip(tallies, tallies_b)
+            )
+        else:
+            failures = sum(check(mechanism(a, size)) for a in tallies)
+        points.append(DecayPoint(size=size, trials=trials_per_size, failures=failures))
 
     fit = fit_decay([(p.size, p.rate) for p in points])
     return DecayCurve(
@@ -370,20 +377,14 @@ def cycle_violation_demo(
     if not has_cycle:
         raise PreconditionError("pairwise marginals are not cyclic; nothing to demonstrate")
 
-    cells, probs = _cells(scn.saliency, scn.population)
     per_size = []
-    for size_index, size in enumerate(sizes):
-        rng = derive_rng(seed, size_index, 0)
-        rows = rng.multinomial(size, probs, size=trials_per_size)
+    for size, tallies in _committees(scn.saliency, scn.population, sizes, trials_per_size, seed):
         histogram: dict = {}
-        min_violations = None
-        for t in range(trials_per_size):
-            chosen = scn.mechanism(_counts_from_row(cells, rows[t]), size)
-            order = chosen(issue)
+        for tally in tallies:
+            order = scn.mechanism(tally, size)(issue)
             violated = sum(1 for a, b in majorities if order.prefers(b, a))
             histogram[violated] = histogram.get(violated, 0) + 1
-            min_violations = violated if min_violations is None else min(min_violations, violated)
-        per_size.append((int(size), trials_per_size, min_violations, histogram))
+        per_size.append((size, trials_per_size, min(histogram, default=None), histogram))
     return CycleViolationReport(majorities=majorities, per_size=tuple(per_size))
 
 
@@ -437,16 +438,14 @@ def decisiveness_probe(
             )
         )
     saliency = SaliencyDistribution({issue: 1.0})
-    cells, probs = _cells(saliency, population)
-    points = []
-    for size_index, size in enumerate(sizes):
-        rng = derive_rng(seed, size_index, 0)
-        rows = rng.multinomial(size, probs, size=trials_per_size)
-        failures = 0
-        for t in range(trials_per_size):
-            chosen = mechanism(_counts_from_row(cells, rows[t]), size)
-            failures += not chosen(issue).prefers(c, cp)
-        points.append(DecayPoint(size=int(size), trials=trials_per_size, failures=failures))
+    points = [
+        DecayPoint(
+            size=size,
+            trials=trials_per_size,
+            failures=sum(not mechanism(tally, size)(issue).prefers(c, cp) for tally in tallies),
+        )
+        for size, tallies in _committees(saliency, population, sizes, trials_per_size, seed)
+    ]
     fit = fit_decay([(p.size, p.rate) for p in points])
     return DecayCurve(points=tuple(points), fit=fit, issue_weight=1.0)
 

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import CapacityError, InvalidArgumentError, PreconditionError, UnsupportedError
-from .experiments import run_experiment, validate_config
+from .experiments import int_setting, run_experiment, validate_config
 from .privilege import build_privilege_graph, is_cyclically_privileged, to_dot
 from .spaces import load_candidate_space
 
@@ -36,7 +36,7 @@ def _load_config(path: str) -> dict:
         raise InvalidArgumentError("config must be a JSON object")
     env_seed = os.environ.get("REPSOC_SEED")
     if env_seed is not None:
-        config["seed"] = int(env_seed)
+        config["seed"] = int_setting("REPSOC_SEED", env_seed)
     return config
 
 
@@ -64,11 +64,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_privilege(args) -> int:
     space = load_candidate_space(args.space)
-    issue = next(
-        (i for i in space.issue_space.issue_ids if str(i) == str(args.issue)), None
-    )
-    if issue is None:
-        raise InvalidArgumentError(f"unknown issue {args.issue!r}")
+    issue = space.issue_space.resolve(args.issue)
     graph = build_privilege_graph(space, issue)
     print(f"issue {issue}: {len(graph.edges)} privileged pairs")
     print(graph.edge_list())

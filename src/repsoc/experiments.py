@@ -8,6 +8,7 @@ non-reproducible facts go to a separate metadata file.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import time
@@ -31,9 +32,10 @@ from .complexity import (
 )
 from .errors import InvalidArgumentError
 from .mechanisms import (
+    EXACT_MATCH,
     SCORING_RULES,
     acyclic_mechanism_from_counts,
-    majority_vote_from_counts,
+    population_utility,
     scoring_mechanism_from_counts,
 )
 from .orders import LinearOrder, Profile
@@ -83,14 +85,10 @@ def _scoring_rule(rule_name: str):
 
 def make_mechanism(name: str, space: CandidateSpace = None, plan=None):
     """Resolve a mechanism config string to a counts-based callable."""
-    if name == "majority":
+    if name == "majority" or name.startswith("scoring:"):
+        rule = EXACT_MATCH if name == "majority" else _scoring_rule(name.split(":", 1)[1])
         if space is None:
-            raise InvalidArgumentError("majority mechanism needs a candidate space")
-        return lambda counts, total: majority_vote_from_counts(counts, total, space).chosen
-    if name.startswith("scoring:"):
-        rule = _scoring_rule(name.split(":", 1)[1])
-        if space is None:
-            raise InvalidArgumentError("scoring mechanism needs a candidate space")
+            raise InvalidArgumentError(f"mechanism {name!r} needs a candidate space")
         return lambda counts, total: scoring_mechanism_from_counts(
             counts, total, space, rule
         ).chosen
@@ -141,14 +139,7 @@ def generalization_experiment(
         [[1.0 if profile(issue) == order else 0.0 for issue, order in cells] for profile in profiles]
     )  # (|space|, |cells|)
     pop_util = np.array(
-        [
-            sum(
-                saliency(issue) * population.mass(issue, profile(issue))
-                for issue in saliency.issues
-                if saliency(issue) > 0
-            )
-            for profile in profiles
-        ]
+        [population_utility(profile, saliency, population) for profile in profiles]
     )
     max_pop = pop_util.max()
 
@@ -196,6 +187,24 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+def int_setting(name: str, value) -> int:
+    """``value`` as an int: an int, an integral float or an integer string.
+
+    Anything else raises an InvalidArgumentError that names ``name``.
+    """
+    if isinstance(value, (int, str)) and not isinstance(value, bool) or (
+        isinstance(value, float) and value.is_integer()
+    ):
+        with contextlib.suppress(ValueError):
+            return int(value)
+    raise InvalidArgumentError(f"{name}: expected an integer, got {value!r}")
+
+
+def _require_int(config: dict, key: str, default: int | None = None) -> int:
+    value = _require(config, key) if default is None else config.get(key, default)
+    return int_setting(f"config key {key!r}", value)
+
+
 def _validate_common(config: dict) -> None:
     kind = _require(config, "kind")
     if kind not in EXPERIMENT_KINDS:
@@ -204,7 +213,7 @@ def _validate_common(config: dict) -> None:
         sizes = config["sizes"]
         if not sizes or list(sizes) != sorted(set(sizes)):
             raise InvalidArgumentError("config key 'sizes': must be nonempty and ascending")
-    if "trials" in config and config["trials"] < 1:
+    if "trials" in config and _require_int(config, "trials") < 1:
         raise InvalidArgumentError("config key 'trials': must be >= 1")
     for key in ("population", "space", "graphs"):
         if key in config and not Path(config[key]).exists():
@@ -283,8 +292,8 @@ def _run_generalization(config: dict, out_dir: Path, report: RunReport, check: b
     _, saliency, population = load_population(_require(config, "population"))
     space = load_candidate_space(_require(config, "space"))
     sizes = _require(config, "sizes")
-    trials = int(_require(config, "trials"))
-    seed = int(_require(config, "seed"))
+    trials = _require_int(config, "trials")
+    seed = _require_int(config, "seed")
     epsilon = config.get("epsilon")
     delta = config.get("delta", 0.05)
 
@@ -332,17 +341,14 @@ def _scenario_from_config(config: dict) -> Scenario:
     _, saliency, population = load_population(_require(config, "population"))
     space = load_candidate_space(_require(config, "space"))
     mechanism = make_mechanism(config.get("mechanism", "majority"), space=space)
-    issue_raw = _require(config, "issue")
-    issue = next(
-        (i for i in space.issue_space.issue_ids if str(i) == str(issue_raw)), issue_raw
-    )
+    issue = space.issue_space.resolve(_require(config, "issue"))
     pair = tuple(config["pair"]) if "pair" in config else None
     profile = None
     profile_against = None
     if "profile" in config:
-        by_str = {str(i): i for i in space.issue_space.issue_ids}
+        resolve = space.issue_space.resolve
         profile = Profile(
-            {by_str[k]: LinearOrder.from_string(v) for k, v in config["profile"].items()}
+            {resolve(k): LinearOrder.from_string(v) for k, v in config["profile"].items()}
         )
     population_b = None
     if "population_b" in config:
@@ -376,8 +382,8 @@ def _run_axiom(config: dict, out_dir: Path, report: RunReport, check: bool) -> N
     curve = estimate_axiom(
         scn,
         _require(config, "sizes"),
-        int(_require(config, "trials")),
-        int(_require(config, "seed")),
+        _require_int(config, "trials"),
+        _require_int(config, "seed"),
     )
     csv_path = out_dir / "decay.csv"
     curve.to_csv(csv_path)
@@ -394,9 +400,7 @@ def _run_privilege_analysis(config: dict, out_dir: Path, report: RunReport, chec
     issues = config.get("issues", list(space.issue_space.issue_ids))
     analysis = {}
     for issue_raw in issues:
-        issue = next(
-            (i for i in space.issue_space.issue_ids if str(i) == str(issue_raw)), issue_raw
-        )
+        issue = space.issue_space.resolve(issue_raw)
         graph = build_privilege_graph(space, issue)
         cond = scc_condensation(graph)
         analysis[str(issue)] = {
@@ -445,8 +449,8 @@ def _run_condorcet(config: dict, out_dir: Path, report: RunReport, check: bool) 
     demo = cycle_violation_demo(
         scn,
         _require(config, "sizes"),
-        int(_require(config, "trials")),
-        int(_require(config, "seed")),
+        _require_int(config, "trials"),
+        _require_int(config, "seed"),
     )
     rows = [
         [size, trials, min_v, json.dumps(hist, sort_keys=True)]
@@ -476,14 +480,13 @@ def _run_rademacher(config: dict, out_dir: Path, report: RunReport, check: bool)
     _, saliency, population = load_population(_require(config, "population"))
     space = load_candidate_space(_require(config, "space"))
     rule = _scoring_rule(config.get("scoring_rule", "exact"))
-    sample = sample_pairs(
-        saliency, population, int(_require(config, "sample_size")), int(_require(config, "seed"))
-    )
+    seed = _require_int(config, "seed")
+    sample = sample_pairs(saliency, population, _require_int(config, "sample_size"), seed)
     estimate, stderr = empirical_rademacher(
         InducedLossClass(space, rule),
         sample,
-        int(config.get("sign_draws", 200)),
-        int(_require(config, "seed")) + 1,
+        _require_int(config, "sign_draws", 200),
+        seed + 1,
     )
     bound = massart_bound(space.size(), len(sample))
     report.results["estimate"] = estimate

@@ -1,24 +1,24 @@
 """Sample/population utilities and the argmax aggregation mechanisms.
 
-All mechanisms here are anonymous: they consume the sample as a multiset, so
-every public entry point has a ``*_from_counts`` core operating on
-``{issue: {ordering: count}}`` tallies.  Tie-breaking is deterministic, by
-lexicographic order of the serialized profile.
+Mechanisms are anonymous: they consume ``{issue: {ordering: count}}`` tallies.
+Majority vote is exact-match scoring, and one exact kernel,
+:func:`scoring_mechanism_from_counts`, serves every rule.  Scores are integer
+points, so ties are exact.  The objective is a sum over issues, so the kernel
+maximizes each block on its own: each issue of a full space, each factor of a
+product space, all issues at once for an explicit space.  A block over the
+enumeration cap raises :class:`CapacityError` before anything is allocated.
+The winner is the first maximum in ``enumerate_profiles`` order.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import factorial
 from typing import TYPE_CHECKING, Callable
 
-from .errors import InvalidArgumentError
-from .orders import (
-    LinearOrder,
-    Profile,
-    exact_match_score,
-    kendall_score,
-)
+from .errors import CapacityError, InvalidArgumentError
+from .orders import LinearOrder, Profile, concordant_pairs, exact_match_score
 from .population import MarginalPopulation, SaliencyDistribution, SampleSet
 from .spaces import DEFAULT_ENUMERATION_CAP, CandidateSpace, all_linear_orders
 
@@ -36,7 +36,6 @@ __all__ = [
     "sample_score",
     "population_score",
     "majority_vote",
-    "majority_vote_from_counts",
     "scoring_mechanism",
     "scoring_mechanism_from_counts",
     "acyclic_mechanism",
@@ -46,32 +45,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScoringRule:
-    """A bounded comparison of two linear orders; higher means closer."""
+    """Integer agreement points of two linear orders, in ``[0, top(n)]``; higher means closer."""
 
     name: str
-    evaluate: Callable[[LinearOrder, LinearOrder], float]
-    lo: float
-    hi: float
+    points: Callable[[LinearOrder, LinearOrder], int]
+    top: Callable[[int], int]
 
-    def __post_init__(self):
-        if not self.lo < self.hi or self.lo != self.lo or self.hi != self.hi:
-            raise InvalidArgumentError("scoring rule needs finite bounds lo < hi")
+    def evaluate(self, a: LinearOrder, b: LinearOrder) -> float:
+        """The points as a score in [0, 1]: 1 on full agreement."""
+        top = self.top(a.n)
+        return 1.0 - (top - self.points(a, b)) / top
 
     def spot_check(self, n: int, rng, probes: int = 32) -> None:
-        """Random probe of the declared bounds; raises on a violation."""
+        """Random probe of the declared range; raises on a violation."""
         orders = all_linear_orders(n)
+        top = self.top(n)
         for _ in range(probes):
             a = orders[rng.integers(len(orders))]
             b = orders[rng.integers(len(orders))]
-            value = self.evaluate(a, b)
-            if not (self.lo - 1e-12 <= value <= self.hi + 1e-12):
+            value = self.points(a, b)
+            if not 0 <= value <= top:
                 raise InvalidArgumentError(
-                    f"rule {self.name!r} returned {value} outside [{self.lo}, {self.hi}]"
+                    f"rule {self.name!r} returned {value} outside [0, {top}]"
                 )
 
 
-KENDALL = ScoringRule("kendall", kendall_score, 0.0, 1.0)
-EXACT_MATCH = ScoringRule("exact", exact_match_score, 0.0, 1.0)
+KENDALL = ScoringRule("kendall", concordant_pairs, lambda n: n * (n - 1) // 2)
+EXACT_MATCH = ScoringRule("exact", lambda o, other: int(exact_match_score(o, other)), lambda n: 1)
 
 SCORING_RULES = {rule.name: rule for rule in (KENDALL, EXACT_MATCH)}
 
@@ -84,20 +84,21 @@ class MechanismResult:
     tie_broken: bool
 
 
-def _counts_of(sample: SampleSet) -> tuple[dict, int]:
-    return sample.counts(), len(sample)
+def _weighted_points(rule: ScoringRule, weights: dict, target: LinearOrder):
+    """``sum(weight * rule.points(order, target))`` over ``{order: weight}``.
+
+    Exact match scores only the target itself, so it reads the target's own
+    weight.  Other rules sum sorted terms, so that weights equal up to a
+    relabeling give bitwise-equal float sums.
+    """
+    if rule is EXACT_MATCH:
+        return weights.get(target, 0)
+    return sum(sorted(weight * rule.points(order, target) for order, weight in weights.items()))
 
 
 def sample_utility(profile: Profile, sample: SampleSet) -> float:
     """Mean exact-match indicator of ``profile`` over the sample; 0 when empty."""
-    if len(sample) == 0:
-        warnings.warn("sample utility of an empty sample is defined as 0", stacklevel=2)
-        return 0.0
-    hits = 0
-    for order, issue in sample:
-        if profile(issue) == order:
-            hits += 1
-    return hits / len(sample)
+    return sample_score(profile, sample, EXACT_MATCH)
 
 
 def population_utility(
@@ -106,13 +107,7 @@ def population_utility(
     population: MarginalPopulation,
 ) -> float:
     """Expected exact-match mass: sum of saliency(i) * marginal mass on profile(i)."""
-    total = 0.0
-    for issue in saliency.issues:
-        w = saliency(issue)
-        if w == 0:
-            continue
-        total += w * population.mass(issue, profile(issue))
-    return total
+    return population_score(profile, saliency, population, EXACT_MATCH)
 
 
 def sample_score(profile: Profile, sample: SampleSet, rule: ScoringRule) -> float:
@@ -120,8 +115,10 @@ def sample_score(profile: Profile, sample: SampleSet, rule: ScoringRule) -> floa
     if len(sample) == 0:
         warnings.warn("sample score of an empty sample is defined as 0", stacklevel=2)
         return 0.0
-    counts, total = _counts_of(sample)
-    return _objective_from_counts(profile, counts, rule) / total
+    points = sum(
+        _weighted_points(rule, dist, profile(issue)) for issue, dist in sample.counts().items()
+    )
+    return points / (rule.top(sample.pairs[0][0].n) * len(sample))
 
 
 def population_score(
@@ -136,102 +133,53 @@ def population_score(
         w = saliency(issue)
         if w == 0:
             continue
-        dist = population.distribution(issue)
         target = profile(issue)
-        # sorted terms so symmetric profiles produce bitwise-identical sums
-        terms = sorted(p * rule.evaluate(order, target) for order, p in dist.items())
-        total += w * sum(terms)
+        points = _weighted_points(rule, population.distribution(issue), target)
+        total += w * points / rule.top(target.n)
     return total
 
 
-def _objective_from_counts(profile: Profile, counts: dict, rule: ScoringRule) -> float:
-    terms = []
-    for issue, dist in counts.items():
-        target = profile(issue)
-        for order, count in dist.items():
-            terms.append(count * rule.evaluate(order, target))
-    terms.sort()
-    return sum(terms)
-
-
-# -- majority vote ---------------------------------------------------------
+# -- the argmax kernel -----------------------------------------------------
 
 
 def majority_vote(sample: SampleSet, space: CandidateSpace) -> MechanismResult:
     """Argmax of sample utility over the space (the sample-level majority vote)."""
-    counts, total = _counts_of(sample)
-    return majority_vote_from_counts(counts, total, space)
-
-
-def majority_vote_from_counts(counts: dict, total: int, space: CandidateSpace) -> MechanismResult:
-    for issue in counts:
-        if issue not in space.issue_space:
-            raise InvalidArgumentError(f"sample references unknown issue {issue!r}")
-    if total == 0:
-        warnings.warn("majority vote over an empty sample: canonical output", stacklevel=2)
-    if space.variant == "full":
-        return _majority_full(counts, total, space)
-    if space.variant == "product":
-        return _majority_product(counts, total, space)
-    return _argmax_enumerated(counts, total, space, EXACT_MATCH)
-
-
-def _majority_full(counts: dict, total: int, space: CandidateSpace) -> MechanismResult:
-    orders = all_linear_orders(space.issue_space.n)
-    assignment = {}
-    tie_set_size = 1
-    objective = 0
-    for issue in space.issue_space.sorted_ids():
-        dist = counts.get(issue, {})
-        per_order = [dist.get(order, 0) for order in orders]
-        best = max(per_order)
-        ties = [order for order, c in zip(orders, per_order) if c == best]
-        assignment[issue] = ties[0]
-        tie_set_size *= len(ties)
-        objective += best
-    return MechanismResult(
-        chosen=Profile(assignment),
-        sample_objective=objective / total if total else 0.0,
-        tie_set_size=tie_set_size,
-        tie_broken=tie_set_size > 1,
-    )
-
-
-def _majority_product(counts: dict, total: int, space: CandidateSpace) -> MechanismResult:
-    assignment = {}
-    tie_set_size = 1
-    objective = 0
-    for issues, factor in space.blocks:
-        scores = [
-            sum(counts.get(issue, {}).get(partial(issue), 0) for issue in issues)
-            for partial in factor
-        ]
-        best = max(scores)
-        ties = [partial for partial, s in zip(factor, scores) if s == best]
-        for issue, order in ties[0].items():
-            assignment[issue] = order
-        tie_set_size *= len(ties)
-        objective += best
-    return MechanismResult(
-        chosen=Profile(assignment),
-        sample_objective=objective / total if total else 0.0,
-        tie_set_size=tie_set_size,
-        tie_broken=tie_set_size > 1,
-    )
-
-
-# -- scoring mechanism -----------------------------------------------------
+    return scoring_mechanism(sample, space, EXACT_MATCH)
 
 
 def scoring_mechanism(
-    sample: SampleSet,
-    space: CandidateSpace,
-    rule: ScoringRule,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    sample: SampleSet, space: CandidateSpace, rule: ScoringRule
 ) -> MechanismResult:
-    """Argmax of the average rule score over the (enumerable) space."""
-    counts, total = _counts_of(sample)
-    return scoring_mechanism_from_counts(counts, total, space, rule, cap=cap)
+    """Argmax of the average rule score over the space."""
+    return scoring_mechanism_from_counts(sample.counts(), len(sample), space, rule)
+
+
+def _check_block(size: int) -> None:
+    if size > DEFAULT_ENUMERATION_CAP:
+        raise CapacityError(
+            f"candidate-space block has {size} members, over the cap of "
+            f"{DEFAULT_ENUMERATION_CAP}",
+            cap=DEFAULT_ENUMERATION_CAP,
+        )
+
+
+def _blocks(space: CandidateSpace):
+    """Yield the space as independent blocks ``(issues, rows)``, one order per issue in a row."""
+    issue_space = space.issue_space
+    if space.variant == "full":
+        _check_block(factorial(issue_space.n))
+        orders = all_linear_orders(issue_space.n)
+        for issue in issue_space.sorted_ids():
+            yield (issue,), zip(orders)
+        return
+    if space.variant == "product":
+        blocks = space.blocks
+    else:
+        blocks = ((tuple(issue_space.sorted_ids()), space.profiles),)
+    for _, members in blocks:
+        _check_block(len(members))
+    for issues, members in blocks:
+        yield issues, [tuple(member(issue) for issue in issues) for member in members]
 
 
 def scoring_mechanism_from_counts(
@@ -239,37 +187,42 @@ def scoring_mechanism_from_counts(
     total: int,
     space: CandidateSpace,
     rule: ScoringRule,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> MechanismResult:
+    """Argmax over the space of the summed points ``count * rule.points(order, C(issue))``.
+
+    Each block is maximized on its own; the tie set is the product of the
+    per-block tie sets, and the winner is the first maximum of each block.
+    """
     for issue in counts:
         if issue not in space.issue_space:
             raise InvalidArgumentError(f"sample references unknown issue {issue!r}")
     if total == 0:
         warnings.warn("scoring mechanism over an empty sample: canonical output", stacklevel=2)
-    return _argmax_enumerated(counts, total, space, rule, cap=cap)
-
-
-def _argmax_enumerated(
-    counts: dict,
-    total: int,
-    space: CandidateSpace,
-    rule: ScoringRule,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> MechanismResult:
-    best_profile = None
-    best_objective = None
-    tie_set_size = 0
-    for profile in space.enumerate_profiles(cap=cap):
-        objective = _objective_from_counts(profile, counts, rule)
-        if best_objective is None or objective > best_objective:
-            best_profile = profile
-            best_objective = objective
-            tie_set_size = 1
-        elif objective == best_objective:
-            tie_set_size += 1
+    assignment = {}
+    points = 0
+    tie_set_size = 1
+    for issues, rows in _blocks(space):
+        tallies = [counts.get(issue, {}) for issue in issues]
+        memos = [{} for _ in issues]  # per issue: target order -> points
+        best = None
+        for row in rows:
+            score = 0
+            for tally, memo, target in zip(tallies, memos, row):
+                value = memo.get(target)
+                if value is None:
+                    value = memo[target] = _weighted_points(rule, tally, target)
+                score += value
+            if best is None or score > best:
+                best, ties, winner = score, 1, row
+            elif score == best:
+                ties += 1
+        assignment.update(zip(issues, winner))
+        points += best
+        tie_set_size *= ties
+    top = rule.top(space.issue_space.n)
     return MechanismResult(
-        chosen=best_profile,
-        sample_objective=best_objective / total if total else 0.0,
+        chosen=Profile(assignment),
+        sample_objective=points / (top * total) if total else 0.0,
         tie_set_size=tie_set_size,
         tie_broken=tie_set_size > 1,
     )
@@ -280,8 +233,7 @@ def _argmax_enumerated(
 
 def acyclic_mechanism(plan: "AcyclicPlan", sample: SampleSet) -> Profile:
     """Resolve each size-2 SCC by pairwise sample majority; the rest is fixed."""
-    counts, _ = _counts_of(sample)
-    return acyclic_mechanism_from_counts(plan, counts)
+    return acyclic_mechanism_from_counts(plan, sample.counts())
 
 
 def acyclic_mechanism_from_counts(plan: "AcyclicPlan", counts: dict) -> Profile:

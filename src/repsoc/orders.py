@@ -22,6 +22,7 @@ __all__ = [
     "apply_local_permutation",
     "restrict",
     "inversions",
+    "concordant_pairs",
     "kendall_score",
     "exact_match_score",
 ]
@@ -262,15 +263,21 @@ def inversions(o: LinearOrder, ref: PartialOrder) -> int:
     )
 
 
-def kendall_score(o: LinearOrder, other: LinearOrder) -> float:
-    """Fraction of concordant pairs: 1 on equality, 0 on full reversal."""
+def concordant_pairs(o: LinearOrder, other: LinearOrder) -> int:
+    """Number of outcome pairs that both orders rank the same way."""
     if o.n != other.n:
         raise InvalidArgumentError(f"order sizes differ: {o.n} vs {other.n}")
+    ranks = [o.position[c] for c in other.ranking]
+    n = len(ranks)
+    return sum(ranks[x] < ranks[y] for x in range(n) for y in range(x + 1, n))
+
+
+def kendall_score(o: LinearOrder, other: LinearOrder) -> float:
+    """Fraction of concordant pairs: 1 on equality, 0 on full reversal."""
     if o.n < 2:
         raise InvalidArgumentError("kendall score needs at least 2 outcomes")
     total = o.n * (o.n - 1) // 2
-    ref = PartialOrder(other.ranking, other.n)
-    return 1.0 - inversions(o, ref) / total
+    return 1.0 - (total - concordant_pairs(o, other)) / total
 
 
 def exact_match_score(o: LinearOrder, other: LinearOrder) -> float:

@@ -12,6 +12,7 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -64,6 +65,17 @@ class IssueSpace:
 
     def sorted_ids(self) -> list:
         return sorted(self.issue_ids, key=_canonical_issue_key)
+
+    @cached_property
+    def _by_key(self) -> dict:
+        return {_canonical_issue_key(issue): issue for issue in self.issue_ids}
+
+    def resolve(self, raw):
+        """The issue id whose text form is ``str(raw)``, as files and configs name it."""
+        try:
+            return self._by_key[_canonical_issue_key(raw)]
+        except KeyError:
+            raise InvalidArgumentError(f"unknown issue {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -293,18 +305,15 @@ def load_population(path):
     except KeyError as exc:
         raise InvalidArgumentError(f"population file missing key {exc}") from exc
     space = IssueSpace(tuple(issues), n)
-    by_str = {str(issue): issue for issue in issues}
     saliency = SaliencyDistribution(
-        {by_str[key]: float(w) for key, w in saliency_raw.items()}
+        {space.resolve(key): float(w) for key, w in saliency_raw.items()}
     )
-    per_issue = {}
-    for key, dist in marginals_raw.items():
-        issue = by_str.get(key)
-        if issue is None:
-            raise InvalidArgumentError(f"marginals reference unknown issue {key!r}")
-        per_issue[issue] = {
+    per_issue = {
+        space.resolve(key): {
             LinearOrder.from_string(text): float(p) for text, p in dist.items()
         }
+        for key, dist in marginals_raw.items()
+    }
     for order_dist in per_issue.values():
         for order in order_dist:
             if order.n != n:

@@ -196,13 +196,10 @@ def _profile_to_doc(profile: Profile) -> dict:
     return {str(issue): str(order) for issue, order in profile.items()}
 
 
-def _profile_from_doc(doc: dict, by_str: dict) -> Profile:
-    assignment = {}
-    for key, text in doc.items():
-        if key not in by_str:
-            raise InvalidArgumentError(f"profile references unknown issue {key!r}")
-        assignment[by_str[key]] = LinearOrder.from_string(text)
-    return Profile(assignment)
+def _profile_from_doc(doc: dict, issue_space: IssueSpace) -> Profile:
+    return Profile(
+        {issue_space.resolve(key): LinearOrder.from_string(text) for key, text in doc.items()}
+    )
 
 
 def save_candidate_space(path, space: CandidateSpace) -> None:
@@ -232,17 +229,16 @@ def load_candidate_space(path) -> CandidateSpace:
     except KeyError as exc:
         raise InvalidArgumentError(f"candidate-space file missing key {exc}") from exc
     issue_space = IssueSpace(tuple(issues), n)
-    by_str = {str(issue): issue for issue in issues}
     if variant == "full":
         return CandidateSpace.full(issue_space)
     if variant == "explicit":
-        profiles = [_profile_from_doc(p, by_str) for p in doc.get("profiles", [])]
+        profiles = [_profile_from_doc(p, issue_space) for p in doc.get("profiles", [])]
         return CandidateSpace.explicit(profiles, issue_space)
     if variant == "product":
         blocks = []
         for block in doc.get("blocks", []):
-            block_issues = tuple(by_str[str(i)] for i in block["issues"])
-            factor = [_profile_from_doc(p, by_str) for p in block["profiles"]]
+            block_issues = tuple(issue_space.resolve(i) for i in block["issues"])
+            factor = [_profile_from_doc(p, issue_space) for p in block["profiles"]]
             blocks.append((block_issues, factor))
         return CandidateSpace.product(blocks, issue_space)
     raise InvalidArgumentError(f"unknown variant {variant!r}")

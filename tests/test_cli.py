@@ -339,3 +339,83 @@ class TestOtherKinds:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["results"]["privilege"]["i"]["cyclically_privileged"] is True
         assert (out / "privilege_i.dot").exists()
+
+
+def _axiom(setup, **extra):
+    return {
+        "kind": "axiom", "population": setup["population"], "space": setup["space"],
+        "axiom": "w-pc", "issue": "i0", "pair": [0, 1], "sizes": [5], "trials": 3,
+        "seed": 1, **extra,
+    }
+
+
+def _generalization(setup, **extra):
+    return {
+        "kind": "generalization", "population": setup["population"], "space": setup["space"],
+        "sizes": [8], "trials": 3, "seed": 1, **extra,
+    }
+
+
+def _rademacher(setup, **extra):
+    return {
+        "kind": "rademacher", "population": setup["population"], "space": setup["space"],
+        "sample_size": 10, "seed": 1, **extra,
+    }
+
+
+def _bad_saliency(setup):
+    path = setup["tmp"] / "bad_population.json"
+    doc = json.loads(open(setup["population"]).read())
+    doc["saliency"] = {"i0": 0.5, "zz": 0.5}
+    path.write_text(json.dumps(doc))
+    return _generalization(setup, population=str(path))
+
+
+# (config builder, REPSOC_SEED or None, text the error must contain)
+BAD_INPUTS = {
+    "profile-issue": (lambda s: _axiom(s, profile={"zz": "0>1", "i1": "0>1"}), None, "'zz'"),
+    "axiom-issue": (lambda s: _axiom(s, issue="zz"), None, "'zz'"),
+    "analysed-issue": (
+        lambda s: {"kind": "privilege-analysis", "space": s["space"], "issues": ["zz"]},
+        None,
+        "'zz'",
+    ),
+    "saliency-issue": (_bad_saliency, None, "'zz'"),
+    "seed-text": (lambda s: _generalization(s, seed="x"), None, "'seed'"),
+    "trials-text": (lambda s: _axiom(s, trials="many"), None, "'trials'"),
+    "trials-fraction": (lambda s: _generalization(s, trials=2.5), None, "'trials'"),
+    "sample-size-text": (lambda s: _rademacher(s, sample_size="ten"), None, "'sample_size'"),
+    "sign-draws-text": (lambda s: _rademacher(s, sign_draws=[200]), None, "'sign_draws'"),
+    "env-seed-text": (_generalization, "abc", "REPSOC_SEED"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_naming_it(case, binary_setup, monkeypatch, capsys):
+    build, env_seed, named = BAD_INPUTS[case]
+    if env_seed is not None:
+        monkeypatch.setenv("REPSOC_SEED", env_seed)
+    config = write_config(binary_setup["tmp"], build(binary_setup))
+    assert main(["run", config, "--out", str(binary_setup["tmp"] / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+def test_majority_over_too_big_full_space_exits_3(tmp_path, capsys):
+    issues = IssueSpace(("i",), 10)
+    top = LinearOrder(tuple(range(10)))
+    swapped = LinearOrder((1, 0) + tuple(range(2, 10)))
+    pop_path = tmp_path / "population.json"
+    save_population(
+        pop_path, issues, SaliencyDistribution({"i": 1.0}),
+        MarginalPopulation({"i": {top: 0.7, swapped: 0.3}}),
+    )
+    space_path = tmp_path / "space.json"
+    save_candidate_space(space_path, CandidateSpace.full(issues))
+    config = write_config(
+        tmp_path,
+        {"kind": "axiom", "population": str(pop_path), "space": str(space_path),
+         "axiom": "w-pc", "issue": "i", "pair": [0, 1], "sizes": [5], "trials": 2, "seed": 0},
+    )
+    assert main(["run", config, "--out", str(tmp_path / "out")]) == 3
+    assert "capacity error" in capsys.readouterr().err

@@ -1,20 +1,29 @@
+import itertools
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 import pytest
 
 from repsoc import (
     CandidateSpace,
+    CapacityError,
     EXACT_MATCH,
     InvalidArgumentError,
     IssueSpace,
     KENDALL,
     LinearOrder,
     MarginalPopulation,
+    PartialOrder,
     Profile,
     SaliencyDistribution,
     SampleSet,
     ScoringRule,
     acyclic_mechanism,
     all_linear_orders,
+    exact_match_score,
+    inversions,
+    kendall_score,
     majority_vote,
     population_score,
     population_utility,
@@ -82,6 +91,24 @@ class TestPopulationUtility:
         )
         saliency = SaliencyDistribution({"i": 0.5, "j": 0.5})
         assert population_utility(profile, saliency, pop) == pytest.approx(0.4)
+
+    def test_saliency_weighted_mass_bit_for_bit(self, rng):
+        issues = ("a", "b", "c")
+        saliency = SaliencyDistribution({"a": 0.5, "b": 0.3, "c": 0.2})
+        orders = all_linear_orders(3)
+        for _ in range(20):
+            masses = rng.dirichlet(np.ones(4), size=3)
+            pop = MarginalPopulation(
+                {
+                    issue: {orders[j]: float(m) for j, m in zip(rng.permutation(6)[:4], row)}
+                    for issue, row in zip(issues, masses)
+                }
+            )
+            for profile in random_explicit_space(rng, issues, 3, 10).profiles:
+                expected = 0.0
+                for issue in saliency.issues:
+                    expected += saliency(issue) * pop.mass(issue, profile(issue))
+                assert population_utility(profile, saliency, pop) == expected
 
 
 class TestScores:
@@ -228,13 +255,121 @@ class TestAcyclicMechanism:
 
 class TestScoringRule:
     def test_bounds_validated(self):
+        rule = ScoringRule("negative", lambda a, b: -1, lambda n: 1)
         with pytest.raises(InvalidArgumentError):
-            ScoringRule("bad", lambda a, b: 0.0, 1.0, 0.0)
+            rule.spot_check(3, np.random.default_rng(0))
 
     def test_spot_check_catches_violation(self):
-        rule = ScoringRule("lying", lambda a, b: 2.0, 0.0, 1.0)
+        rule = ScoringRule("lying", lambda a, b: 2, lambda n: 1)
         with pytest.raises(InvalidArgumentError):
             rule.spot_check(3, np.random.default_rng(0))
 
     def test_spot_check_passes_honest_rule(self):
         KENDALL.spot_check(4, np.random.default_rng(0))
+        EXACT_MATCH.spot_check(4, np.random.default_rng(0))
+
+    def test_evaluate_matches_float_scores(self):
+        orders = all_linear_orders(4)
+        for a in orders:
+            for b in orders:
+                assert KENDALL.evaluate(a, b) == kendall_score(a, b)
+                assert EXACT_MATCH.evaluate(a, b) == exact_match_score(a, b)
+
+
+# -- exact argmax against a brute force ------------------------------------
+
+
+def reference_score(rule, order, target):
+    """The rule's score as an exact fraction, computed independently of the kernel."""
+    if rule is EXACT_MATCH:
+        return Fraction(int(order == target))
+    n = order.n
+    return 1 - Fraction(inversions(order, PartialOrder(target.ranking, n)), n * (n - 1) // 2)
+
+
+def brute_force_argmax(sample, space, rule):
+    """(first maximizer in enumeration order, tie count, objective) by full enumeration."""
+    counts = sample.counts()
+    best, winner, ties = None, None, 0
+    for profile in space.enumerate_profiles():
+        value = sum(
+            (
+                count * reference_score(rule, order, profile(issue))
+                for issue, dist in counts.items()
+                for order, count in dist.items()
+            ),
+            Fraction(0),
+        ) / len(sample)
+        if best is None or value > best:
+            best, winner, ties = value, profile, 1
+        elif value == best:
+            ties += 1
+    return winner, ties, best
+
+
+def random_product_space(rng, issues, n):
+    """Product of random factors over a random partition of the issues into blocks."""
+    orders = all_linear_orders(n)
+    shuffled = [issues[j] for j in rng.permutation(len(issues))]
+    cuts = sorted(rng.choice(range(1, len(issues)), size=int(rng.integers(0, len(issues))), replace=False))
+    blocks = []
+    for block in np.split(np.array(shuffled, dtype=object), cuts):
+        block = tuple(block)
+        combos = list(itertools.product(orders, repeat=len(block)))
+        size = int(rng.integers(1, min(len(combos), 6) + 1))
+        picked = rng.choice(len(combos), size=size, replace=False)
+        blocks.append((block, [Profile(dict(zip(block, combos[j]))) for j in picked]))
+    return CandidateSpace.product(blocks, IssueSpace(tuple(issues), n))
+
+
+def test_kendall_two_issue_full_space_is_exact():
+    # float sums over issues once made 1>0>2 win here with 2 ties
+    space = CandidateSpace.full(IssueSpace(("a", "b"), 3))
+    pairs = [(lo(t), "a") for t in ("0>1>2", "0>2>1", "1>2>0", "2>1>0")]
+    pairs += [(lo(t), "b") for t in ("0>1>2", "1>2>0")]
+    result = scoring_mechanism(SampleSet(tuple(pairs)), space, KENDALL)
+    assert result.chosen.serialize() == "a:0>1>2;b:0>1>2"
+    assert result.tie_set_size == 18
+
+
+def test_argmax_matches_fraction_brute_force():
+    rng = np.random.default_rng(4242)
+    disagreements = []
+    checked = 0
+    for variant, n, k in itertools.product(("explicit", "product", "full"), (2, 3, 4), (1, 2, 3)):
+        issues = ("a", "b", "c")[:k]
+        # the full N=4 space over 3 issues has 13,824 profiles: enumerate it once
+        for _ in range(1 if (variant, n, k) == ("full", 4, 3) else 6):
+            if variant == "explicit":
+                most = min(8, factorial(n) ** k)
+                space = random_explicit_space(rng, issues, n, int(rng.integers(1, most + 1)))
+            elif variant == "product":
+                space = random_product_space(rng, issues, n)
+            else:
+                space = CandidateSpace.full(IssueSpace(issues, n))
+            # few distinct orders, so that ties occur
+            orders = all_linear_orders(n)
+            pool = rng.choice(len(orders), size=int(rng.integers(1, min(3, len(orders)) + 1)), replace=False)
+            sample = SampleSet(
+                tuple(
+                    (orders[pool[rng.integers(len(pool))]], issues[rng.integers(k)])
+                    for _ in range(int(rng.integers(1, 10)))
+                )
+            )
+            for rule in (EXACT_MATCH, KENDALL):
+                result = scoring_mechanism(sample, space, rule)
+                winner, ties, best = brute_force_argmax(sample, space, rule)
+                checked += 1
+                if (result.chosen, result.tie_set_size, result.sample_objective) != (
+                    winner, ties, float(best)
+                ):
+                    disagreements.append((variant, n, k, rule.name, sample.pairs))
+    assert checked == 2 * (26 * 6 + 1)
+    assert disagreements == []
+
+
+def test_block_over_cap_raises_before_allocating():
+    space = CandidateSpace.full(IssueSpace(("i",), 10))
+    sample = SampleSet(((LinearOrder(tuple(range(10))), "i"),))
+    with pytest.raises(CapacityError):
+        majority_vote(sample, space)
