@@ -205,14 +205,23 @@ def _require_int(config: dict, key: str, default: int | None = None) -> int:
     return int_setting(f"config key {key!r}", value)
 
 
+def _require_sizes(config: dict) -> list:
+    """The ``"sizes"`` list as ints; it must be nonempty and strictly ascending."""
+    sizes = _require(config, "sizes")
+    if not isinstance(sizes, list):
+        raise InvalidArgumentError(f"config key 'sizes': expected a list, got {sizes!r}")
+    sizes = [int_setting("config key 'sizes'", size) for size in sizes]
+    if not sizes or sizes != sorted(set(sizes)):
+        raise InvalidArgumentError("config key 'sizes': must be nonempty and ascending")
+    return sizes
+
+
 def _validate_common(config: dict) -> None:
     kind = _require(config, "kind")
     if kind not in EXPERIMENT_KINDS:
         raise InvalidArgumentError(f"config key 'kind': unknown experiment {kind!r}")
     if "sizes" in config:
-        sizes = config["sizes"]
-        if not sizes or list(sizes) != sorted(set(sizes)):
-            raise InvalidArgumentError("config key 'sizes': must be nonempty and ascending")
+        _require_sizes(config)
     if "trials" in config and _require_int(config, "trials") < 1:
         raise InvalidArgumentError("config key 'trials': must be >= 1")
     for key in ("population", "space", "graphs"):
@@ -291,7 +300,7 @@ def run_experiment(config: dict, out_dir, check: bool = False) -> RunReport:
 def _run_generalization(config: dict, out_dir: Path, report: RunReport, check: bool) -> None:
     _, saliency, population = load_population(_require(config, "population"))
     space = load_candidate_space(_require(config, "space"))
-    sizes = _require(config, "sizes")
+    sizes = _require_sizes(config)
     trials = _require_int(config, "trials")
     seed = _require_int(config, "seed")
     epsilon = config.get("epsilon")
@@ -381,7 +390,7 @@ def _run_axiom(config: dict, out_dir: Path, report: RunReport, check: bool) -> N
     scn = _scenario_from_config(config)
     curve = estimate_axiom(
         scn,
-        _require(config, "sizes"),
+        _require_sizes(config),
         _require_int(config, "trials"),
         _require_int(config, "seed"),
     )
@@ -448,7 +457,7 @@ def _run_condorcet(config: dict, out_dir: Path, report: RunReport, check: bool) 
     )
     demo = cycle_violation_demo(
         scn,
-        _require(config, "sizes"),
+        _require_sizes(config),
         _require_int(config, "trials"),
         _require_int(config, "seed"),
     )

@@ -61,7 +61,11 @@ class IssueSpace:
             raise InvalidArgumentError("issues need at least 2 outcomes")
 
     def __contains__(self, issue) -> bool:
-        return issue in set(self.issue_ids)
+        return issue in self.id_set
+
+    @cached_property
+    def id_set(self) -> frozenset:
+        return frozenset(self.issue_ids)
 
     def sorted_ids(self) -> list:
         return sorted(self.issue_ids, key=_canonical_issue_key)

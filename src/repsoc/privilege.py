@@ -4,7 +4,12 @@ An ordering over a subset of an issue's outcomes is privileged when every
 candidate profile that can be re-sorted into agreement with it (by permuting
 only that subset, only on that issue) stays inside the candidate space.
 :func:`is_privileged` decides this as a closure test: one re-sort and one
-membership lookup per member, with no limit on the outcome count.  The
+membership lookup per member, with no limit on the outcome count.  The test
+runs on a member table of plain tuples, ``(rest, ranking)`` per member: its
+ranking on the issue and its rankings on the other issues of the issue's
+block.  Re-sorted twins are probed as tuples, so no order or profile is
+built, and :func:`build_privilege_graph` builds the table once per issue for
+all of its n(n-1) pair checks.  The
 privilege graph collects the binary privileged orderings of one issue; its
 strongly connected components drive both the cyclicity test and the
 constructive synthesis of candidate spaces from acyclic graphs.
@@ -80,15 +85,51 @@ class Condensation:
     topo_order: tuple  # SCC indices, deterministic
 
 
+def _member_table(space: CandidateSpace, issue) -> set:
+    """The members that matter for ``issue``, as ``(rest, ranking)`` tuples.
+
+    ``ranking`` is a member's ranking tuple on ``issue`` and ``rest`` holds
+    its rankings on the other issues of ``issue``'s block: its product
+    factor, or every issue of an explicit space.  Only existing rankings are
+    read, so no order or profile is built.
+    """
+    if space.variant == "product":
+        issues, members = space.block_of(issue)
+    else:
+        issues, members = space.issue_space.issue_ids, space.profiles
+    others = [j for j in issues if j != issue]
+    return {
+        (tuple(member(j).ranking for j in others), member(issue).ranking)
+        for member in members
+    }
+
+
+def _closed(table: set, subset: tuple) -> bool:
+    """True iff re-sorting ``subset``'s outcomes into its order, in the rank
+    slots they hold, maps every key of ``table`` to a key of ``table``."""
+    for rest, ranking in table:
+        slots = list(map(ranking.index, subset))
+        ordered = sorted(slots)
+        if slots != ordered:  # a key that already agrees with subset is its own twin
+            twin = list(ranking)
+            for slot, outcome in zip(ordered, subset):
+                twin[slot] = outcome
+            if (rest, tuple(twin)) not in table:
+                return False
+    return True
+
+
 def is_privileged(space: CandidateSpace, issue, o: PartialOrder) -> bool:
     """Exact privileged-ordering verdict by a closure test.
 
     Permuting only ``o``'s outcomes on ``issue`` moves a member within an
     orbit that holds exactly one completion of ``o``: the member with those
     outcomes re-sorted into ``o``'s order, in the rank slots they occupy.
-    So ``o`` is privileged iff every member's re-sorted twin is a member,
-    which takes one hash lookup per member.  For a product space only the
-    block holding ``issue`` matters, since the other blocks are untouched.
+    So ``o`` is privileged iff every member's re-sorted twin is a member.
+    The test runs on the member table of :func:`_member_table`, one
+    ``(rest, ranking)`` tuple per member, and costs one set lookup per
+    member that disagrees with ``o``.  For a product space only the block
+    holding ``issue`` matters, since the other blocks are untouched.
     """
     n = space.issue_space.n
     if issue not in space.issue_space:
@@ -99,31 +140,22 @@ def is_privileged(space: CandidateSpace, issue, o: PartialOrder) -> bool:
         raise InvalidArgumentError(f"partial order over n={o.n}, space has n={n}")
     if space.variant == "full":
         return True
-    if space.variant == "product":
-        members = set(space.block_of(issue)[1])
-    else:
-        members = set(space.profiles)
-
-    for profile in members:
-        order = profile(issue)
-        ranking = list(order.ranking)
-        for slot, outcome in zip(sorted(order.position[c] for c in o.subset), o.subset):
-            ranking[slot] = outcome
-        if profile.with_issue(issue, LinearOrder(tuple(ranking))) not in members:
-            return False
-    return True
+    return _closed(_member_table(space, issue), o.subset)
 
 
 def build_privilege_graph(space: CandidateSpace, issue) -> PrivilegeGraph:
-    """Edge (u, v) present iff the binary ordering u>v is privileged."""
+    """Edge (u, v) present iff the binary ordering u>v is privileged.
+
+    The member table is built once and every ordered pair is tested on it.
+    """
     n = space.issue_space.n
-    edges = {
-        (u, v)
-        for u in range(n)
-        for v in range(n)
-        if u != v and is_privileged(space, issue, PartialOrder((u, v), n))
-    }
-    return PrivilegeGraph(issue=issue, n=n, edges=frozenset(edges))
+    if issue not in space.issue_space:
+        raise InvalidArgumentError(f"unknown issue {issue!r}")
+    pairs = itertools.permutations(range(n), 2)
+    if space.variant != "full":
+        table = _member_table(space, issue)
+        pairs = (pair for pair in pairs if _closed(table, pair))
+    return PrivilegeGraph(issue=issue, n=n, edges=frozenset(pairs))
 
 
 def _reachable(graph: PrivilegeGraph) -> list:

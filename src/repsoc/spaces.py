@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -62,9 +62,8 @@ class CandidateSpace:
             profiles = tuple(self.profiles)
             if len(set(profiles)) != len(profiles):
                 raise InvalidArgumentError("explicit profiles must be distinct")
-            expected = set(self.issue_space.issue_ids)
             for profile in profiles:
-                if set(profile.issues) != expected:
+                if profile.issues != self.issue_space.id_set:
                     raise InvalidArgumentError(
                         "explicit profile does not cover the issue space"
                     )
@@ -100,7 +99,7 @@ class CandidateSpace:
                     raise InvalidArgumentError("product blocks must be disjoint")
                 seen.update(issues)
                 blocks.append((issues, factor))
-            if seen != set(self.issue_space.issue_ids):
+            if seen != self.issue_space.id_set:
                 raise InvalidArgumentError("product blocks must partition the issue set")
             object.__setattr__(self, "blocks", tuple(blocks))
         else:
@@ -129,8 +128,15 @@ class CandidateSpace:
             return factorial(self.issue_space.n) ** len(self.issue_space.issue_ids)
         return _product_size(self.blocks)
 
+    @cached_property
+    def _member_sets(self) -> tuple:
+        """Hashed members: one set per product block, or one of all profiles."""
+        if self.variant == "explicit":
+            return (frozenset(self.profiles),)
+        return tuple(frozenset(factor) for _, factor in self.blocks)
+
     def contains(self, profile: Profile) -> bool:
-        if set(profile.issues) != set(self.issue_space.issue_ids):
+        if profile.issues != self.issue_space.id_set:
             raise InvalidArgumentError("profile does not cover this issue space")
         for _, order in profile.items():
             if order.n != self.issue_space.n:
@@ -138,10 +144,10 @@ class CandidateSpace:
         if self.variant == "full":
             return True
         if self.variant == "explicit":
-            return profile in set(self.profiles)
-        for issues, factor in self.blocks:
+            return profile in self._member_sets[0]
+        for (issues, _), members in zip(self.blocks, self._member_sets):
             partial = Profile({issue: profile(issue) for issue in issues})
-            if partial not in set(factor):
+            if partial not in members:
                 return False
         return True
 

@@ -221,6 +221,13 @@ class TestValidateCommand:
         assert main(["validate", config]) == 2
         assert "sizes" in capsys.readouterr().err
 
+    def test_sizes_mixed_types(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, {"kind": "generalization", "sizes": ["a", 1], "trials": 5}
+        )
+        assert main(["validate", config]) == 2
+        assert "'sizes'" in capsys.readouterr().err
+
     def test_unknown_kind(self, tmp_path):
         config = write_config(tmp_path, {"kind": "nope"})
         assert main(["validate", config]) == 2
@@ -387,6 +394,8 @@ BAD_INPUTS = {
     "sample-size-text": (lambda s: _rademacher(s, sample_size="ten"), None, "'sample_size'"),
     "sign-draws-text": (lambda s: _rademacher(s, sign_draws=[200]), None, "'sign_draws'"),
     "env-seed-text": (_generalization, "abc", "REPSOC_SEED"),
+    "sizes-mixed-types": (lambda s: _generalization(s, sizes=["a", 1]), None, "'sizes'"),
+    "sizes-not-a-list": (lambda s: _axiom(s, sizes=5), None, "'sizes'"),
 }
 
 

@@ -76,6 +76,38 @@ def brute_force_is_privileged(space, issue, o):
     return True
 
 
+def differential_spaces(rng, repeats):
+    """Random spaces for the differential tests, N = 3 and 4: per repeat a
+    one-issue and a two-issue explicit space and a product space with a
+    two-issue block; per N one explicit space with integer issue ids that
+    is closed under every swap on issue 0, so each pair check scans it all."""
+    spaces = []
+    for n in (3, 4):
+        orders = all_linear_orders(n)
+        for _ in range(repeats):
+            spaces.append(random_subset_space(rng, n, max_size=min(12, len(orders))))
+            spaces.append(random_explicit_space(rng, ("i", "j"), n, int(rng.integers(1, 13))))
+            pair_block = random_explicit_space(rng, ("i", "j"), n, int(rng.integers(1, 7)))
+            free_block = random_subset_space(rng, n, issue="k", max_size=6)
+            spaces.append(
+                CandidateSpace.product(
+                    (
+                        (("i", "j"), pair_block.profiles),
+                        (("k",), free_block.profiles),
+                    ),
+                    IssueSpace(("i", "j", "k"), n),
+                )
+            )
+        picked = rng.choice(len(orders), size=3, replace=False)
+        spaces.append(
+            CandidateSpace.explicit(
+                [Profile({0: a, 1: orders[k]}) for a in orders for k in picked],
+                IssueSpace((0, 1), n),
+            )
+        )
+    return spaces
+
+
 def graph(edges, n=3, issue="i"):
     return PrivilegeGraph(issue=issue, n=n, edges=frozenset(edges))
 
@@ -118,27 +150,8 @@ class TestIsPrivileged:
         """Seeded differential check of the closure test against the
         exhaustive reference on explicit and product spaces."""
         rng = np.random.default_rng(20261018)
-        spaces = []
-        for n in (3, 4):
-            max_size = min(12, len(all_linear_orders(n)))
-            for _ in range(14):
-                spaces.append(random_subset_space(rng, n, max_size=max_size))
-                spaces.append(
-                    random_explicit_space(rng, ("i", "j"), n, int(rng.integers(1, 13)))
-                )
-                pair_block = random_explicit_space(rng, ("i", "j"), n, int(rng.integers(1, 7)))
-                free_block = random_subset_space(rng, n, issue="k", max_size=6)
-                spaces.append(
-                    CandidateSpace.product(
-                        (
-                            (("i", "j"), pair_block.profiles),
-                            (("k",), free_block.profiles),
-                        ),
-                        IssueSpace(("i", "j", "k"), n),
-                    )
-                )
         checks = 0
-        for space in spaces:
+        for space in differential_spaces(rng, 14):
             n = space.issue_space.n
             sequences = all_partial_sequences(n)
             for issue in space.issue_space.issue_ids:
@@ -148,6 +161,39 @@ class TestIsPrivileged:
                     assert is_privileged(space, issue, o) == expected, (space, issue, o)
                     checks += 1
         assert checks >= 2000
+
+
+def test_oracle_builds_no_orders_or_profiles(monkeypatch):
+    """The oracle probes its member table with plain tuples: on a prebuilt
+    space it constructs no LinearOrder and no Profile, however many
+    members each check scans."""
+    orders = all_linear_orders(3)
+    space = CandidateSpace.explicit(
+        [Profile({"i": a, "j": b}) for a in orders for b in orders[:2]],
+        IssueSpace(("i", "j"), 3),
+    )
+    built = []
+    profile_init = Profile.__init__
+    order_post_init = LinearOrder.__post_init__
+
+    def counting_profile_init(self, assignment):
+        built.append("Profile")
+        profile_init(self, assignment)
+
+    def counting_order_post_init(self):
+        built.append("LinearOrder")
+        order_post_init(self)
+
+    monkeypatch.setattr(Profile, "__init__", counting_profile_init)
+    monkeypatch.setattr(LinearOrder, "__post_init__", counting_order_post_init)
+    for issue in ("i", "j"):
+        build_privilege_graph(space, issue)
+        for seq in all_partial_sequences(3):
+            is_privileged(space, issue, PartialOrder(seq, 3))
+    assert len(build_privilege_graph(space, "i").edges) == 6
+    assert built == []
+    Profile({"i": LinearOrder((1, 0, 2))})
+    assert built == ["LinearOrder", "Profile"]
 
 
 class TestBuildGraph:
@@ -182,6 +228,43 @@ class TestBuildGraph:
         # ...and every longer ordering on the free issue is privileged too
         for seq in all_partial_sequences(3):
             assert is_privileged(space, "C", PartialOrder(seq, 3))
+
+    def test_agrees_with_brute_force(self):
+        """Seeded differential check of the graph, which tests pairs on its
+        own member table, against the exhaustive reference verdict per pair."""
+        rng = np.random.default_rng(20261019)
+        edges = 0
+        for space in differential_spaces(rng, 8):
+            n = space.issue_space.n
+            for issue in space.issue_space.issue_ids:
+                expected = {
+                    (u, v)
+                    for u, v in itertools.permutations(range(n), 2)
+                    if brute_force_is_privileged(space, issue, PartialOrder((u, v), n))
+                }
+                assert build_privilege_graph(space, issue).edges == expected, (space, issue)
+                edges += len(expected)
+        assert edges >= 100
+
+    def test_unknown_issue(self):
+        product = CandidateSpace.product(
+            (
+                (("i", "j"), [Profile({"i": lo("0>1>2"), "j": lo("2>1>0")})]),
+                (("k",), [Profile({"k": lo("1>0>2")})]),
+            ),
+            IssueSpace(("i", "j", "k"), 3),
+        )
+        integer_ids = CandidateSpace.explicit(
+            [Profile({0: lo("0>1>2"), 1: lo("1>0>2")})], IssueSpace((0, 1), 3)
+        )
+        for space, unknown in (
+            (CandidateSpace.full(IssueSpace(("i",), 3)), "missing"),
+            (product, "missing"),
+            (integer_ids, "missing"),
+            (integer_ids, "0"),
+        ):
+            with pytest.raises(InvalidArgumentError):
+                build_privilege_graph(space, unknown)
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
