@@ -4,12 +4,14 @@ Axiom events are estimated by repeated seeded trials of
 (sample -> mechanism -> check).  Mechanisms are anonymous, so each trial
 draws a multinomial tally over the population's (issue, ordering) cells
 rather than an ordered pair list; the two are identical in distribution.
+For the same reason the mechanism's choice depends only on the tally, so
+``_committees`` decides each distinct tally of a size once and hands every
+trial the profile chosen for its tally.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from math import log, sqrt
 from typing import Callable, Sequence
@@ -17,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError, PreconditionError, VacuityError
-from .orders import LinearOrder, PartialOrder, Permutation, Profile, apply_local_permutation, restrict
+from .orders import LinearOrder, PartialOrder, Permutation, Profile, apply_local_permutation
 from .population import (
     MarginalPopulation,
     SaliencyDistribution,
@@ -100,14 +102,6 @@ class DecayCurve:
     issue_weight: float = 1.0  # saliency of the target issue (per-issue effective size)
     notes: tuple = ()
 
-    @property
-    def fitted_rate(self):
-        return self.fit.alpha
-
-    @property
-    def fit_r2(self):
-        return self.fit.r2
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -133,10 +127,6 @@ class DecayCurve:
             "notes": list(self.notes),
         }
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2)
-
 
 # -- sampling helpers ------------------------------------------------------
 
@@ -149,15 +139,24 @@ def _counts_from_row(cells, row) -> dict:
     return counts
 
 
-def _committees(saliency, population, sizes, trials: int, seed: int, stream: int = 0):
-    """Yield ``(size, tallies)`` per size: ``trials`` seeded committee tallies of that size.
+def _committees(
+    mechanism: MechanismFn, saliency, population, sizes, trials: int, seed: int, stream: int = 0
+):
+    """Yield ``(size, chosen)`` per size: the mechanism's profile for each of ``trials`` committees.
 
     Size index ``j`` draws all its trials at once from the stream (seed, j, stream).
+    The mechanism is anonymous, so it is called once per distinct tally.
     """
+    if any(size < 0 for size in sizes):
+        raise InvalidArgumentError(f"committee sizes must be >= 0, got {list(sizes)}")
     cells, probs = _cells(saliency, population)
     for size_index, size in enumerate(sizes):
+        size = int(size)
         rows = derive_rng(seed, size_index, stream).multinomial(size, probs, size=trials)
-        yield int(size), (_counts_from_row(cells, row) for row in rows)
+        distinct, which = np.unique(rows, axis=0, return_inverse=True)
+        decided = [mechanism(_counts_from_row(cells, row), size) for row in distinct]
+        # ravel: numpy 2.0.0 returns the inverse as a column when an axis is given
+        yield size, [decided[k] for k in which.ravel().tolist()]
 
 
 # -- premise validation ----------------------------------------------------
@@ -230,22 +229,22 @@ def _failure_checker(scn: Scenario) -> Callable:
     if axiom == "ppe":
         against = scn.profile_against
 
-        def check(chosen: Profile, chosen_b=None) -> bool:
+        def check(chosen: Profile) -> bool:
             return chosen == against
 
         return check
-    pair = tuple(scn.pair)
+    c, cp = scn.pair
     if axiom in {"w-pc", "s-pc"}:
-        pm = pair_marginal(scn.population, issue, pair)
-        target = pair if pm > 0.5 else (pair[1], pair[0])
+        if pair_marginal(scn.population, issue, (c, cp)) <= 0.5:
+            c, cp = cp, c  # the check reads the population's majority direction
 
-        def check(chosen: Profile, chosen_b=None) -> bool:
-            return tuple(restrict(chosen(issue), pair).subset) != target
+        def check(chosen: Profile) -> bool:
+            return not chosen(issue).prefers(c, cp)
 
         return check
 
-    def check(chosen: Profile, chosen_b=None) -> bool:
-        return restrict(chosen(issue), pair) != restrict(chosen_b(issue), pair)
+    def check(chosen: Profile, chosen_b: Profile) -> bool:
+        return chosen(issue).prefers(c, cp) != chosen_b(issue).prefers(c, cp)
 
     return check
 
@@ -266,24 +265,20 @@ def estimate_axiom(
         raise InvalidArgumentError("need at least one trial per size")
     _validate_scenario(scn)
     check = _failure_checker(scn)
-    mechanism = scn.mechanism
     paired = scn.axiom in {"w-piia", "s-piia"}
 
-    committees = _committees(scn.saliency, scn.population, sizes, trials_per_size, seed)
+    committees = _committees(
+        scn.mechanism, scn.saliency, scn.population, sizes, trials_per_size, seed
+    )
     if paired:
         # PIIA quantifies over distributions, not couplings: independent streams
         committees_b = _committees(
-            scn.saliency, scn.population_b, sizes, trials_per_size, seed, stream=1
+            scn.mechanism, scn.saliency, scn.population_b, sizes, trials_per_size, seed, stream=1
         )
     points = []
-    for size, tallies in committees:
-        if paired:
-            _, tallies_b = next(committees_b)
-            failures = sum(
-                check(mechanism(a, size), mechanism(b, size)) for a, b in zip(tallies, tallies_b)
-            )
-        else:
-            failures = sum(check(mechanism(a, size)) for a in tallies)
+    for size, chosen in committees:
+        runs = (chosen, next(committees_b)[1]) if paired else (chosen,)
+        failures = sum(map(check, *runs))
         points.append(DecayPoint(size=size, trials=trials_per_size, failures=failures))
 
     fit = fit_decay([(p.size, p.rate) for p in points])
@@ -378,10 +373,13 @@ def cycle_violation_demo(
         raise PreconditionError("pairwise marginals are not cyclic; nothing to demonstrate")
 
     per_size = []
-    for size, tallies in _committees(scn.saliency, scn.population, sizes, trials_per_size, seed):
+    committees = _committees(
+        scn.mechanism, scn.saliency, scn.population, sizes, trials_per_size, seed
+    )
+    for size, chosen in committees:
         histogram: dict = {}
-        for tally in tallies:
-            order = scn.mechanism(tally, size)(issue)
+        for profile in chosen:
+            order = profile(issue)
             violated = sum(1 for a, b in majorities if order.prefers(b, a))
             histogram[violated] = histogram.get(violated, 0) + 1
         per_size.append((size, trials_per_size, min(histogram, default=None), histogram))
@@ -442,9 +440,11 @@ def decisiveness_probe(
         DecayPoint(
             size=size,
             trials=trials_per_size,
-            failures=sum(not mechanism(tally, size)(issue).prefers(c, cp) for tally in tallies),
+            failures=sum(not profile(issue).prefers(c, cp) for profile in chosen),
         )
-        for size, tallies in _committees(saliency, population, sizes, trials_per_size, seed)
+        for size, chosen in _committees(
+            mechanism, saliency, population, sizes, trials_per_size, seed
+        )
     ]
     fit = fit_decay([(p.size, p.rate) for p in points])
     return DecayCurve(points=tuple(points), fit=fit, issue_weight=1.0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import sqrt
+from math import log, sqrt
 
 import numpy as np
 
@@ -12,7 +12,7 @@ from .errors import CapacityError, InvalidArgumentError, UnsupportedError
 from .mechanisms import ScoringRule
 from .population import SampleSet
 from .rng import derive_rng
-from .spaces import DEFAULT_ENUMERATION_CAP, CandidateSpace
+from .spaces import CandidateSpace
 
 __all__ = [
     "InducedLossClass",
@@ -33,7 +33,7 @@ class InducedLossClass:
     rule: ScoringRule
 
 
-def _binary_patterns(space: CandidateSpace, cap: int) -> tuple[list, set]:
+def _binary_patterns(space: CandidateSpace) -> tuple[list, set]:
     """Realized yes/no patterns of a binary space over its sorted issues."""
     if space.issue_space.n != 2:
         raise UnsupportedError("VC dimension is defined only for binary (N=2) spaces")
@@ -44,21 +44,18 @@ def _binary_patterns(space: CandidateSpace, cap: int) -> tuple[list, set]:
             cap=_MAX_VC_ISSUES,
         )
     patterns = set()
-    for profile in space.enumerate_profiles(cap=cap):
+    for profile in space.enumerate_profiles():
         patterns.add(tuple(profile(issue).ranking[0] for issue in issues))
     return issues, patterns
 
 
-def vc_dimension_with_witness(
-    space: CandidateSpace,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> tuple[int, tuple]:
+def vc_dimension_with_witness(space: CandidateSpace) -> tuple[int, tuple]:
     """Exact VC dimension of a binary space, plus a shattered witness set.
 
     Searches issue subsets in ascending size; stops at the first size with no
     shattered subset, which is valid since shattering is downward closed.
     """
-    issues, patterns = _binary_patterns(space, cap)
+    issues, patterns = _binary_patterns(space)
     dimension = 0
     witness: tuple = ()
     for d in range(1, len(issues) + 1):
@@ -74,13 +71,13 @@ def vc_dimension_with_witness(
     return dimension, witness
 
 
-def vc_dimension(space: CandidateSpace, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-    return vc_dimension_with_witness(space, cap=cap)[0]
+def vc_dimension(space: CandidateSpace) -> int:
+    return vc_dimension_with_witness(space)[0]
 
 
-def is_shattered(space: CandidateSpace, issue_subset, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
+def is_shattered(space: CandidateSpace, issue_subset) -> bool:
     """Independent check that every binary assignment over the subset is realized."""
-    issues, patterns = _binary_patterns(space, cap)
+    issues, patterns = _binary_patterns(space)
     index = {issue: k for k, issue in enumerate(issues)}
     try:
         cols = [index[issue] for issue in issue_subset]
@@ -95,7 +92,6 @@ def empirical_rademacher(
     sample: SampleSet,
     num_sign_draws: int,
     seed: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the empirical Rademacher complexity.
 
@@ -107,7 +103,7 @@ def empirical_rademacher(
     if num_sign_draws < 1:
         raise InvalidArgumentError("need at least one sign draw")
     rule = loss_class.rule
-    profiles = list(loss_class.space.enumerate_profiles(cap=cap))
+    profiles = list(loss_class.space.enumerate_profiles())
     scores = np.array(
         [
             [rule.evaluate(order, profile(issue)) for order, issue in sample]
@@ -126,5 +122,5 @@ def empirical_rademacher(
 
 
 def massart_bound(space_size: int, sample_size: int) -> float:
-    """Finite-class bound sqrt(2 log M / n) for scores in [0, 1]."""
-    return sqrt(2.0 * np.log(space_size) / sample_size)
+    """Finite-class bound sqrt(2 log M / n) for scores in [0, 1]; M may exceed 2**64."""
+    return sqrt(2.0 * log(space_size) / sample_size)

@@ -38,7 +38,7 @@ from .mechanisms import (
     population_utility,
     scoring_mechanism_from_counts,
 )
-from .orders import LinearOrder, Profile
+from .orders import LinearOrder, Permutation, Profile, apply_local_permutation
 from .population import (
     MarginalPopulation,
     SaliencyDistribution,
@@ -206,13 +206,15 @@ def _require_int(config: dict, key: str, default: int | None = None) -> int:
 
 
 def _require_sizes(config: dict) -> list:
-    """The ``"sizes"`` list as ints; it must be nonempty and strictly ascending."""
+    """The ``"sizes"`` list as ints; it must be nonempty, strictly ascending and >= 0."""
     sizes = _require(config, "sizes")
     if not isinstance(sizes, list):
         raise InvalidArgumentError(f"config key 'sizes': expected a list, got {sizes!r}")
     sizes = [int_setting("config key 'sizes'", size) for size in sizes]
     if not sizes or sizes != sorted(set(sizes)):
         raise InvalidArgumentError("config key 'sizes': must be nonempty and ascending")
+    if sizes[0] < 0:
+        raise InvalidArgumentError(f"config key 'sizes': must be >= 0, got {sizes[0]}")
     return sizes
 
 
@@ -359,10 +361,14 @@ def _scenario_from_config(config: dict) -> Scenario:
         profile = Profile(
             {resolve(k): LinearOrder.from_string(v) for k, v in config["profile"].items()}
         )
+        if pair is not None:
+            profile_against = apply_local_permutation(
+                profile, issue, Permutation.transposition(space.issue_space.n, *pair)
+            )
     population_b = None
     if "population_b" in config:
         _, _, population_b = load_population(config["population_b"])
-    scn = Scenario(
+    return Scenario(
         saliency=saliency,
         population=population,
         space=space,
@@ -374,16 +380,6 @@ def _scenario_from_config(config: dict) -> Scenario:
         profile_against=profile_against,
         population_b=population_b,
     )
-    if profile is not None and pair is not None:
-        from dataclasses import replace
-
-        from .orders import Permutation, apply_local_permutation
-
-        swapped = apply_local_permutation(
-            profile, issue, Permutation.transposition(space.issue_space.n, *pair)
-        )
-        scn = replace(scn, profile_against=swapped)
-    return scn
 
 
 def _run_axiom(config: dict, out_dir: Path, report: RunReport, check: bool) -> None:

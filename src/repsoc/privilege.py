@@ -218,7 +218,11 @@ def is_cyclically_privileged(graph: PrivilegeGraph) -> bool:
 
 
 def check_path_privilege(graph: PrivilegeGraph, o: PartialOrder) -> bool:
-    """Sufficient path condition: consecutive outcomes of ``o`` connected in order."""
+    """Path heuristic: consecutive outcomes of ``o`` joined by graph paths, in order.
+
+    Neither necessary nor sufficient for privilege on arbitrary spaces, since
+    pair privilege is not transitive; use :func:`is_privileged` for the answer.
+    """
     reach = _reachable(graph)
     return all(
         o.subset[k + 1] in reach[o.subset[k]] for k in range(len(o.subset) - 1)

@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from scipy.stats import binom
 
@@ -9,21 +11,32 @@ from repsoc import (
     IssueSpace,
     LinearOrder,
     MarginalPopulation,
+    Permutation,
     PreconditionError,
+    PrivilegeGraph,
     Profile,
     SaliencyDistribution,
     Scenario,
+    SubpopulationMixture,
     VacuityError,
+    all_linear_orders,
+    apply_local_permutation,
+    apply_permutation,
     condorcet_scenario,
     cycle_violation_demo,
     decay_verdict,
     decisiveness_probe,
+    derive_rng,
     estimate_axiom,
     fit_decay,
     make_mechanism,
+    mix,
     pair_marginal,
+    restrict,
+    synthesize_acyclic,
 )
-from repsoc.axioms import DecayCurve, DecayPoint
+from repsoc.axioms import DecayCurve, DecayPoint, _committees
+from repsoc.population import _cells
 
 
 def lo(text):
@@ -342,3 +355,318 @@ class TestDecayVerdict:
 
     def test_sparse_tail_dies_out(self):
         assert decay_verdict(self._curve([0.3, 0.01, 0.0, 0.0])) == "pass-saturated"
+
+
+# -- the per-trial reference ------------------------------------------------
+# The lab as it ran before it decided each distinct tally once: one tally
+# dict, one mechanism call and one restrict-based check per trial.
+
+
+def reference_chosen(mechanism, saliency, population, sizes, trials, seed, stream=0):
+    """Per size, ``(size, [the mechanism's profile for each trial])``."""
+    cells, probs = _cells(saliency, population)
+    out = []
+    for size_index, size in enumerate(sizes):
+        rows = derive_rng(seed, size_index, stream).multinomial(size, probs, size=trials)
+        chosen = []
+        for row in rows:
+            counts: dict = {}
+            for j in np.nonzero(row)[0]:
+                issue, order = cells[j]
+                counts.setdefault(issue, {})[order] = int(row[j])
+            chosen.append(mechanism(counts, int(size)))
+        out.append((int(size), chosen))
+    return out
+
+
+def reference_failures(scn, sizes, trials, seed):
+    """Per-size failure counts of the scenario's axiom event."""
+    issue, pair = scn.issue, tuple(scn.pair)
+    runs = reference_chosen(scn.mechanism, scn.saliency, scn.population, sizes, trials, seed)
+    if scn.axiom == "ppe":
+        return [sum(chosen == scn.profile_against for chosen in c) for _, c in runs]
+    if scn.axiom in {"w-pc", "s-pc"}:
+        pm = pair_marginal(scn.population, issue, pair)
+        target = pair if pm > 0.5 else (pair[1], pair[0])
+        return [
+            sum(tuple(restrict(chosen(issue), pair).subset) != target for chosen in c)
+            for _, c in runs
+        ]
+    runs_b = reference_chosen(
+        scn.mechanism, scn.saliency, scn.population_b, sizes, trials, seed, stream=1
+    )
+    return [
+        sum(restrict(a(issue), pair) != restrict(b(issue), pair) for a, b in zip(ca, cb))
+        for (_, ca), (_, cb) in zip(runs, runs_b)
+    ]
+
+
+def reference_histograms(scn, majorities, sizes, trials, seed):
+    out = []
+    for _, chosen in reference_chosen(
+        scn.mechanism, scn.saliency, scn.population, sizes, trials, seed
+    ):
+        histogram: dict = {}
+        for profile in chosen:
+            violated = sum(1 for a, b in majorities if profile(scn.issue).prefers(b, a))
+            histogram[violated] = histogram.get(violated, 0) + 1
+        out.append(histogram)
+    return out
+
+
+def reference_decisiveness(mass, pair, coalition, complement, mechanism, sizes, trials, seed):
+    """Per-size counts of trials where the coalition's pair does not prevail."""
+    unanimous = MarginalPopulation({"i": {coalition: 1.0}})
+    if mass == 1.0:
+        population = unanimous
+    else:
+        rest = MarginalPopulation({"i": {complement: 1.0}})
+        population = mix(SubpopulationMixture(((mass, unanimous), (1.0 - mass, rest))))
+    c, cp = pair
+    runs = reference_chosen(
+        mechanism, SaliencyDistribution({"i": 1.0}), population, sizes, trials, seed
+    )
+    return [sum(not chosen("i").prefers(c, cp) for chosen in run) for _, run in runs]
+
+
+def _random_marginal(rng, orders, k):
+    """Random masses on ``k`` distinct orders drawn from ``orders``."""
+    picked = rng.choice(len(orders), size=min(k, len(orders)), replace=False)
+    weights = rng.random(len(picked)) + 0.1
+    return {orders[j]: float(w / weights.sum()) for j, w in zip(picked, weights)}
+
+
+def _same_pair_marginal(rng, dist, pair, orders):
+    """A new marginal over ``orders`` with ``dist``'s mass on each side of the pair."""
+    out: dict = {}
+    for side in (True, False):
+        mass = sum(p for o, p in dist.items() if o.prefers(*pair) == side)
+        if mass > 0:
+            pool = [o for o in orders if o.prefers(*pair) == side]
+            for o, p in _random_marginal(rng, pool, 3).items():
+                out[o] = mass * p
+    return out
+
+
+def _axiom_scenarios(rng, space, mechanism, issue, pair, profile, orders):
+    """ppe, w-pc, s-pc, w-piia and s-piia on ``pair``; the weak ones on a full space only."""
+    issues = space.issue_space.issue_ids
+    weights = rng.random(len(issues)) + 0.2
+    saliency = SaliencyDistribution(
+        {i: float(w / weights.sum()) for i, w in zip(issues, weights)}
+    )
+    population = MarginalPopulation({i: _random_marginal(rng, orders, 4) for i in issues})
+    population_b = MarginalPopulation(
+        {i: _same_pair_marginal(rng, population.distribution(i), pair, orders) for i in issues}
+    )
+    above = [o for o in orders if o.prefers(*pair)]
+    unanimous = MarginalPopulation(
+        {i: _random_marginal(rng, above if i == issue else orders, 2) for i in issues}
+    )
+    base = dict(saliency=saliency, space=space, mechanism=mechanism, issue=issue, pair=pair)
+    swapped = apply_local_permutation(
+        profile, issue, Permutation.transposition(space.issue_space.n, *pair)
+    )
+    yield Scenario(
+        population=unanimous, axiom="ppe", profile=profile, profile_against=swapped, **base
+    )
+    kinds = ("w", "s") if space.variant == "full" else ("s",)
+    for kind in kinds:
+        yield Scenario(population=population, axiom=f"{kind}-pc", **base)
+        yield Scenario(
+            population=population, population_b=population_b, axiom=f"{kind}-piia", **base
+        )
+
+
+def differential_scenarios(rng):
+    """Seeded scenarios of every axiom: majority and Kendall scoring on full one- and
+    two-issue N = 3 spaces, and the acyclic mechanism on each flip pair of three plans."""
+    orders = all_linear_orders(3)
+    for issues in (("i",), ("i", "j")):
+        space = CandidateSpace.full(IssueSpace(issues, 3))
+        for name in ("majority", "scoring:kendall"):
+            mechanism = make_mechanism(name, space=space)
+            for _ in range(2):
+                c, cp = (int(x) for x in rng.choice(3, size=2, replace=False))
+                above = [o for o in orders if o.prefers(c, cp)]
+                profile = Profile(
+                    {i: (above if i == "i" else orders)[rng.integers(3)] for i in issues}
+                )
+                yield from _axiom_scenarios(
+                    rng, space, mechanism, "i", (c, cp), profile, orders
+                )
+    orders = all_linear_orders(4)
+    for edges in (
+        {(0, 1), (1, 0), (2, 3), (3, 2)},
+        {(0, 1), (1, 0), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)},
+        {(2, 3), (3, 2), (0, 2), (0, 3)},
+    ):
+        plan = synthesize_acyclic({"q": PrivilegeGraph(issue="q", n=4, edges=frozenset(edges))})
+        mechanism = make_mechanism("acyclic", plan=plan)
+        for u, v in plan.issue_plans["q"].orientations.values():
+            member = next(o for o in plan.issue_plans["q"].factor if o.prefers(u, v))
+            yield from _axiom_scenarios(
+                rng, plan.space, mechanism, "q", (u, v), Profile({"q": member}), orders
+            )
+
+
+def test_committee_path_matches_per_trial_reference():
+    rng = np.random.default_rng(20261018)
+    sizes, trials = [1, 4, 9, 30], 40
+    axioms = set()
+    checks = disagreements = 0
+    for k, scn in enumerate(differential_scenarios(rng)):
+        seed = 100 + k
+        failures = [p.failures for p in estimate_axiom(scn, sizes, trials, seed).points]
+        expected = reference_failures(scn, sizes, trials, seed)
+        disagreements += sum(a != b for a, b in zip(failures, expected))
+        # every trial gets its own tally's choice, in trial order
+        chosen = list(_committees(scn.mechanism, scn.saliency, scn.population, sizes, trials, seed))
+        reference = reference_chosen(
+            scn.mechanism, scn.saliency, scn.population, sizes, trials, seed
+        )
+        disagreements += chosen != reference
+        checks += len(sizes) + 1
+        axioms.add(scn.axiom)
+    assert axioms == {"ppe", "w-pc", "s-pc", "w-piia", "s-piia"}
+    assert checks >= 250
+    assert disagreements == 0
+
+
+def test_cycle_histograms_match_per_trial_reference():
+    rng = np.random.default_rng(20261019)
+    space = CandidateSpace.full(IssueSpace(("i",), 3))
+    cyclic = [lo("0>1>2"), lo("1>2>0"), lo("2>0>1")]
+    sizes, trials = [3, 10, 31], 60
+    compared = 0
+    for name in ("majority", "scoring:kendall"):
+        for k in range(3):
+            weights = 1.0 + rng.random(3)  # each share below 1/2: a majority cycle
+            scn = Scenario(
+                saliency=SaliencyDistribution({"i": 1.0}),
+                population=MarginalPopulation(
+                    {"i": {o: float(w / weights.sum()) for o, w in zip(cyclic, weights)}}
+                ),
+                space=space,
+                mechanism=make_mechanism(name, space=space),
+                issue="i",
+            )
+            report = cycle_violation_demo(scn, sizes, trials, seed=k)
+            expected = reference_histograms(scn, report.majorities, sizes, trials, seed=k)
+            assert [hist for _, _, _, hist in report.per_size] == expected
+            compared += len(sizes)
+    assert compared == 18
+
+
+@pytest.mark.parametrize("setup", ["weak", "field-expansion"])
+def test_decisiveness_matches_per_trial_reference(setup):
+    rng = np.random.default_rng(20261020)
+    space = CandidateSpace.full(IssueSpace(("i",), 3))
+    sizes, trials = [2, 7, 20], 60
+    for name in ("majority", "scoring:kendall"):
+        mechanism = make_mechanism(name, space=space)
+        for mass in (1.0, float(rng.uniform(0.3, 0.9)), float(rng.uniform(0.3, 0.9))):
+            c, cp, third = (int(x) for x in rng.permutation(3))
+            if setup == "weak":
+                coalition, complement = LinearOrder((c, cp, third)), LinearOrder((cp, c, third))
+            else:
+                coalition, complement = LinearOrder((c, third, cp)), LinearOrder((third, cp, c))
+            curve = decisiveness_probe(
+                mass, (c, cp), space, mechanism, sizes, trials, seed=3, setup=setup, third=third
+            )
+            expected = reference_decisiveness(
+                mass, (c, cp), coalition, complement, mechanism, sizes, trials, seed=3
+            )
+            assert [p.failures for p in curve.points] == expected
+
+
+def counting(mechanism):
+    """The mechanism, and the list of the totals it is called with."""
+    totals = []
+
+    def counted(counts, total):
+        totals.append(total)
+        return mechanism(counts, total)
+
+    return counted, totals
+
+
+def _distinct_tallies(scn, population, sizes, trials, seed, stream=0):
+    """Per size, the size repeated once per distinct tally among its draws."""
+    _, probs = _cells(scn.saliency, population)
+    out = []
+    for j, size in enumerate(sizes):
+        rows = derive_rng(seed, j, stream).multinomial(size, probs, size=trials)
+        out.append([size] * len({tuple(row) for row in rows}))
+    return out
+
+
+class TestMechanismCalls:
+    sizes, trials, seed = [10, 50, 100, 200], 50, 1
+
+    def test_unanimous_population_one_call_per_size(self):
+        base = binary_majority_setup(1.0)
+        mechanism, totals = counting(base.mechanism)
+        scn = replace(
+            base,
+            mechanism=mechanism,
+            axiom="ppe",
+            pair=(0, 1),
+            profile=Profile({"i": lo("0>1")}),
+            profile_against=Profile({"i": lo("1>0")}),
+        )
+        estimate_axiom(scn, self.sizes, self.trials, self.seed)
+        assert totals == self.sizes
+        totals.clear()
+        decisiveness_probe(1.0, (0, 1), scn.space, mechanism, self.sizes, self.trials, self.seed)
+        assert totals == self.sizes
+
+    def test_one_call_per_distinct_tally(self):
+        base = binary_majority_setup(0.75)
+        mechanism, totals = counting(base.mechanism)
+        scn = replace(base, mechanism=mechanism, axiom="w-pc", pair=(0, 1))
+        estimate_axiom(scn, self.sizes, self.trials, self.seed)
+        expected = _distinct_tallies(scn, scn.population, self.sizes, self.trials, self.seed)
+        assert totals == [size for per_size in expected for size in per_size]
+        assert len(totals) < len(self.sizes) * self.trials
+
+    def test_paired_streams_one_call_per_distinct_tally(self):
+        base = binary_majority_setup(0.75)
+        mechanism, totals = counting(base.mechanism)
+        population_b = MarginalPopulation({"i": {lo("0>1"): 0.75, lo("1>0"): 0.25}})
+        scn = replace(
+            base, mechanism=mechanism, axiom="w-piia", pair=(0, 1), population_b=population_b
+        )
+        estimate_axiom(scn, self.sizes, self.trials, self.seed)
+        a = _distinct_tallies(scn, scn.population, self.sizes, self.trials, self.seed)
+        b = _distinct_tallies(scn, population_b, self.sizes, self.trials, self.seed, stream=1)
+        assert sorted(totals) == sorted(sum(a, []) + sum(b, []))
+
+    def test_cycle_demo_one_call_per_distinct_tally(self):
+        space = CandidateSpace.full(IssueSpace(("i",), 3))
+        mechanism, totals = counting(make_mechanism("majority", space=space))
+        scn = Scenario(
+            saliency=SaliencyDistribution({"i": 1.0}),
+            population=MarginalPopulation(
+                {"i": {lo("0>1>2"): 1 / 3, lo("1>2>0"): 1 / 3, lo("2>0>1"): 1 / 3}}
+            ),
+            space=space,
+            mechanism=mechanism,
+            issue="i",
+        )
+        cycle_violation_demo(scn, self.sizes, self.trials, self.seed)
+        expected = _distinct_tallies(scn, scn.population, self.sizes, self.trials, self.seed)
+        assert totals == [size for per_size in expected for size in per_size]
+
+
+class TestNegativeSizes:
+    def test_estimate_axiom_rejects_a_negative_size(self):
+        scn = replace(binary_majority_setup(0.75), axiom="w-pc", pair=(0, 1))
+        with pytest.raises(InvalidArgumentError, match="sizes"):
+            estimate_axiom(scn, [-5, 3], 5, seed=0)
+
+    def test_decisiveness_probe_rejects_a_negative_size(self):
+        space = CandidateSpace.full(IssueSpace(("i",), 2))
+        mechanism = make_mechanism("majority", space=space)
+        with pytest.raises(InvalidArgumentError, match="sizes"):
+            decisiveness_probe(0.7, (0, 1), space, mechanism, [-1, 4], 5, seed=0)

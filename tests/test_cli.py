@@ -396,6 +396,10 @@ BAD_INPUTS = {
     "env-seed-text": (_generalization, "abc", "REPSOC_SEED"),
     "sizes-mixed-types": (lambda s: _generalization(s, sizes=["a", 1]), None, "'sizes'"),
     "sizes-not-a-list": (lambda s: _axiom(s, sizes=5), None, "'sizes'"),
+    "sizes-negative-generalization": (
+        lambda s: _generalization(s, sizes=[-5, 3]), None, "'sizes'"
+    ),
+    "sizes-negative-axiom": (lambda s: _axiom(s, sizes=[-5, 3]), None, "'sizes'"),
 }
 
 

@@ -126,3 +126,9 @@ class TestRademacher:
 
 def test_massart_bound_formula():
     assert massart_bound(32, 128) == pytest.approx(math.sqrt(2 * math.log(32) / 128))
+
+
+def test_massart_bound_beyond_64_bit_space_sizes():
+    # a full 50-issue N = 4 space has 24**50 profiles, past numpy's 64-bit integers
+    assert massart_bound(24**50, 100) == pytest.approx(math.sqrt(100 * math.log(24) / 100))
+    assert massart_bound(2**64, 2) == pytest.approx(math.sqrt(64 * math.log(2)))
