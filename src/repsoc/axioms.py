@@ -139,6 +139,16 @@ def _counts_from_row(cells, row) -> dict:
     return counts
 
 
+def check_committee_plan(sizes, trials: int) -> None:
+    """Raise unless ``sizes`` is nonempty, strictly increasing and >= 0, with ``trials`` >= 1."""
+    if not sizes or list(sizes) != sorted(set(sizes)):
+        raise InvalidArgumentError("sizes must be nonempty and strictly increasing")
+    if sizes[0] < 0:
+        raise InvalidArgumentError(f"committee sizes must be >= 0, got {list(sizes)}")
+    if trials < 1:
+        raise InvalidArgumentError("need at least one trial per size")
+
+
 def _committees(
     mechanism: MechanismFn, saliency, population, sizes, trials: int, seed: int, stream: int = 0
 ):
@@ -146,14 +156,9 @@ def _committees(
 
     Size index ``j`` draws all its trials at once from the stream (seed, j, stream).
     The mechanism is anonymous, so it is called once per distinct tally.
-    Sizes must be nonempty, strictly increasing and >= 0, with at least one trial.
+    The plan must pass :func:`check_committee_plan`.
     """
-    if not sizes or list(sizes) != sorted(set(sizes)):
-        raise InvalidArgumentError("sizes must be nonempty and strictly increasing")
-    if sizes[0] < 0:
-        raise InvalidArgumentError(f"committee sizes must be >= 0, got {list(sizes)}")
-    if trials < 1:
-        raise InvalidArgumentError("need at least one trial per size")
+    check_committee_plan(sizes, trials)
     cells, probs = _cells(saliency, population)
     for size_index, size in enumerate(sizes):
         size = int(size)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .axioms import (
     Scenario,
+    check_committee_plan,
     cycle_violation_demo,
     decay_verdict,
     estimate_axiom,
@@ -34,7 +35,6 @@ from .errors import CapacityError, InvalidArgumentError
 from .mechanisms import (
     EXACT_MATCH,
     SCORING_RULES,
-    _blocks,
     acyclic_mechanism_from_counts,
     scoring_mechanism_from_counts,
 )
@@ -134,7 +134,7 @@ class _Block:
 
 
 def _space_blocks(space: CandidateSpace, saliency, population, cells):
-    """The blocks of ``mechanisms._blocks`` with each member's cells and population terms.
+    """The blocks of ``space.rows()`` with each member's cells and population terms.
 
     Also returns the weighted issues in saliency order, as (block, column) pairs.
     """
@@ -150,7 +150,7 @@ def _space_blocks(space: CandidateSpace, saliency, population, cells):
             entry_of[issue][order] = (cell_of.get((issue, order), len(cells)), w * mass)
     place = {}
     blocks = []
-    for issues, rows in _blocks(space):
+    for issues, rows in space.rows():
         place.update((issue, (len(blocks), j)) for j, issue in enumerate(issues))
         tables = [entry_of[issue] for issue in issues]
         entries = np.array(
@@ -291,8 +291,8 @@ def generalization_experiment(
     the committee's integer count of the profile's (issue, ordering) cells and
     ``p`` is the population utility, ``total += w * mass`` issue by issue in
     saliency order.  Both utilities are sums over issues, so the sup is found
-    block by block (each issue of a full space, each factor of a product
-    space, all members of an explicit space) without enumerating the space.
+    block by block, over the blocks of :meth:`CandidateSpace.rows`, without
+    enumerating the space.
     For each sign of the gap, a block keeps the members within a rounding
     guard ``delta = 4 * (k + 3) * 2**-52`` (``k`` issues) of its extreme.
     The float error of the expression, and of a block's part of it, is at
@@ -306,8 +306,10 @@ def generalization_experiment(
     Also records, per trial, the slack in the majority-vote regret chain
     U(f_maj) >= max U - 2 * sup-gap.  The majority vote takes each block's
     first count argmax, which is the first argmax in ``enumerate_profiles``
-    order; max U is found by the same candidate search.
+    order; max U is found by the same candidate search.  The sizes and
+    trials must pass :func:`check_committee_plan`.
     """
+    check_committee_plan(sizes, trials)
     cells, probs = _cells(saliency, population)
     blocks, sequence = _space_blocks(space, saliency, population, cells)
     delta = 4 * (len(space.issue_space.issue_ids) + 3) * 2.0**-52
@@ -382,7 +384,8 @@ def _require_sizes(config: dict) -> list:
     return sizes
 
 
-def _validate_common(config: dict) -> None:
+def validate_config(config: dict) -> None:
+    """Check a config's kind, sizes, trials and file paths, naming the bad key."""
     kind = _require(config, "kind")
     if kind not in EXPERIMENT_KINDS:
         raise InvalidArgumentError(f"config key 'kind': unknown experiment {kind!r}")
@@ -393,10 +396,6 @@ def _validate_common(config: dict) -> None:
     for key in ("population", "space", "graphs"):
         if key in config and not Path(config[key]).exists():
             raise InvalidArgumentError(f"config key {key!r}: file {config[key]} not found")
-
-
-def validate_config(config: dict) -> None:
-    _validate_common(config)
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -422,7 +421,7 @@ def _load_graphs(path) -> dict:
 
 def run_experiment(config: dict, out_dir, check: bool = False) -> RunReport:
     """Execute one experiment config; writes result files into ``out_dir``."""
-    _validate_common(config)
+    validate_config(config)
     kind = config["kind"]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

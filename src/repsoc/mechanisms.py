@@ -4,23 +4,22 @@ Mechanisms are anonymous: they consume ``{issue: {ordering: count}}`` tallies.
 Majority vote is exact-match scoring, and one exact kernel,
 :func:`scoring_mechanism_from_counts`, serves every rule.  Scores are integer
 points, so ties are exact.  The objective is a sum over issues, so the kernel
-maximizes each block on its own: each issue of a full space, each factor of a
-product space, all issues at once for an explicit space.  A block over the
-enumeration cap raises :class:`CapacityError` before anything is allocated.
-The winner is the first maximum in ``enumerate_profiles`` order.
+maximizes each block of :meth:`CandidateSpace.rows` on its own, which raises
+:class:`CapacityError` for a block over the enumeration cap before anything
+is allocated.  The winner is the first maximum of each block, which is the
+first maximum in ``enumerate_profiles`` (rank-tuple) order.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import factorial
 from typing import TYPE_CHECKING, Callable
 
-from .errors import CapacityError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .orders import LinearOrder, Profile, concordant_pairs, exact_match_score
 from .population import MarginalPopulation, SaliencyDistribution, SampleSet
-from .spaces import DEFAULT_ENUMERATION_CAP, CandidateSpace, all_linear_orders
+from .spaces import CandidateSpace, all_linear_orders
 
 if TYPE_CHECKING:
     from .privilege import AcyclicPlan
@@ -154,34 +153,6 @@ def scoring_mechanism(
     return scoring_mechanism_from_counts(sample.counts(), len(sample), space, rule)
 
 
-def _check_block(size: int) -> None:
-    if size > DEFAULT_ENUMERATION_CAP:
-        raise CapacityError(
-            f"candidate-space block has {size} members, over the cap of "
-            f"{DEFAULT_ENUMERATION_CAP}",
-            cap=DEFAULT_ENUMERATION_CAP,
-        )
-
-
-def _blocks(space: CandidateSpace):
-    """Yield the space as independent blocks ``(issues, rows)``, one order per issue in a row."""
-    issue_space = space.issue_space
-    if space.variant == "full":
-        _check_block(factorial(issue_space.n))
-        orders = all_linear_orders(issue_space.n)
-        for issue in issue_space.sorted_ids():
-            yield (issue,), zip(orders)
-        return
-    if space.variant == "product":
-        blocks = space.blocks
-    else:
-        blocks = ((tuple(issue_space.sorted_ids()), space.profiles),)
-    for _, members in blocks:
-        _check_block(len(members))
-    for issues, members in blocks:
-        yield issues, [tuple(member(issue) for issue in issues) for member in members]
-
-
 def scoring_mechanism_from_counts(
     counts: dict,
     total: int,
@@ -201,7 +172,7 @@ def scoring_mechanism_from_counts(
     assignment = {}
     points = 0
     tie_set_size = 1
-    for issues, rows in _blocks(space):
+    for issues, rows in space.rows():
         tallies = [counts.get(issue, {}) for issue in issues]
         memos = [{} for _ in issues]  # per issue: target order -> points
         best = None

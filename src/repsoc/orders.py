@@ -204,7 +204,7 @@ class Profile:
         return Profile(updated)
 
     def serialize(self) -> str:
-        """Canonical text form; also the tie-break sort key for mechanisms."""
+        """Canonical text form: ``issue:order`` pairs joined by ``;``, in sorted-issue order."""
         return ";".join(
             f"{issue}:{order}" for issue, order in
             sorted(self._assignment.items(), key=lambda kv: str(kv[0]))

@@ -89,14 +89,11 @@ def _member_table(space: CandidateSpace, issue) -> set:
     """The members that matter for ``issue``, as ``(rest, ranking)`` tuples.
 
     ``ranking`` is a member's ranking tuple on ``issue`` and ``rest`` holds
-    its rankings on the other issues of ``issue``'s block: its product
-    factor, or every issue of an explicit space.  Only existing rankings are
-    read, so no order or profile is built.
+    its rankings on the other issues of ``issue``'s block (every issue, for
+    an explicit space).  Only existing rankings are read, so no order or
+    profile is built.
     """
-    if space.variant == "product":
-        issues, members = space.block_of(issue)
-    else:
-        issues, members = space.issue_space.issue_ids, space.profiles
+    issues, members = space.block_of(issue)
     others = [j for j in issues if j != issue]
     return {
         (tuple(member(j).ranking for j in others), member(issue).ranking)

@@ -1,8 +1,11 @@
 """Candidate spaces: explicit lists, the full space, and products of factors.
 
 A candidate space is the set of preference profiles a mechanism may output.
-Enumeration is deterministic (see :meth:`CandidateSpace.enumerate_profiles`),
-so argmax tie-breaking is reproducible everywhere.
+An explicit or product space is stored as the product of independent blocks
+(an explicit space is one block); the full space has closed forms instead.
+Members come in one order, inside each block and across the space: by their
+rank tuples, issue by issue in sorted-id order.  So every argmax tie-break is
+reproducible and the same everywhere.
 """
 
 from __future__ import annotations
@@ -10,8 +13,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from math import factorial
+from functools import lru_cache
+from math import factorial, prod
 from typing import Iterator, Sequence
 
 from .errors import CapacityError, InvalidArgumentError
@@ -37,73 +40,71 @@ def all_linear_orders(n: int) -> tuple[LinearOrder, ...]:
     )
 
 
-def _profile_sort_key(profile: Profile) -> str:
-    return profile.serialize()
+def _rank_key(profile: Profile, issues) -> tuple:
+    """The rankings of ``profile`` on ``issues``, in that order: the member sort key."""
+    return tuple(profile(issue).ranking for issue in issues)
+
+
+def _check_profile(profile: Profile, issues, n: int) -> None:
+    """Raise unless ``profile`` orders exactly ``issues``, each over ``n`` outcomes."""
+    if profile.issues != issues:
+        raise InvalidArgumentError("profile does not cover the issues of its space or block")
+    for _, order in profile.items():
+        if order.n != n:
+            raise InvalidArgumentError(f"ordering {order} has wrong outcome count")
 
 
 @dataclass(frozen=True)
 class CandidateSpace:
     """One of Explicit(profiles), Full(LO(n)^issues), or Product(block factors).
 
-    Product blocks partition the issue set; each block carries an explicit
-    list of partial profiles over its issues, and the space is their
-    Cartesian product.
+    ``blocks`` holds ``(issues, members)`` pairs that partition the issue
+    set, and the space is the Cartesian product of their members.  A
+    product space lists its blocks; an explicit space is the one block over
+    every issue and keeps its members as ``profiles`` too.  A full space
+    stores neither.
     """
 
     variant: str
     issue_space: IssueSpace
     profiles: tuple[Profile, ...] | None = None
-    blocks: tuple | None = None  # tuple of (issue_tuple, factor_profile_tuple)
+    blocks: tuple | None = None  # tuple of (issue_tuple, member_profile_tuple)
 
     def __post_init__(self):
-        if self.variant == "explicit":
-            if not self.profiles:
-                raise InvalidArgumentError("explicit space must be nonempty")
-            profiles = tuple(self.profiles)
-            if len(set(profiles)) != len(profiles):
-                raise InvalidArgumentError("explicit profiles must be distinct")
-            for profile in profiles:
-                if profile.issues != self.issue_space.id_set:
-                    raise InvalidArgumentError(
-                        "explicit profile does not cover the issue space"
-                    )
-                for _, order in profile.items():
-                    if order.n != self.issue_space.n:
-                        raise InvalidArgumentError(
-                            f"ordering {order} has wrong outcome count"
-                        )
-            object.__setattr__(
-                self, "profiles", tuple(sorted(profiles, key=_profile_sort_key))
-            )
-        elif self.variant == "full":
+        if self.variant == "full":
             if self.profiles is not None or self.blocks is not None:
                 raise InvalidArgumentError("full space takes no profiles or blocks")
+            return
+        if self.variant == "explicit":
+            given = ((self.issue_space.issue_ids, self.profiles or ()),)
         elif self.variant == "product":
-            if not self.blocks:
-                raise InvalidArgumentError("product space needs at least one block")
-            blocks = []
-            seen: set = set()
-            for issues, factor in self.blocks:
-                issues = tuple(issues)
-                factor = tuple(sorted(factor, key=_profile_sort_key))
-                if not factor:
-                    raise InvalidArgumentError("product factors must be nonempty")
-                if len(set(factor)) != len(factor):
-                    raise InvalidArgumentError("factor profiles must be distinct")
-                for partial in factor:
-                    if set(partial.issues) != set(issues):
-                        raise InvalidArgumentError(
-                            f"factor profile does not cover block {issues}"
-                        )
-                if seen & set(issues):
-                    raise InvalidArgumentError("product blocks must be disjoint")
-                seen.update(issues)
-                blocks.append((issues, factor))
-            if seen != self.issue_space.id_set:
-                raise InvalidArgumentError("product blocks must partition the issue set")
-            object.__setattr__(self, "blocks", tuple(blocks))
+            given = self.blocks or ()
         else:
             raise InvalidArgumentError(f"unknown variant {self.variant!r}")
+        rank = {issue: k for k, issue in enumerate(self.issue_space.sorted_ids())}
+        blocks, member_keys, seen = [], [], set()
+        for issues, members in given:
+            block = set(issues)
+            if seen & block or not block <= self.issue_space.id_set:
+                raise InvalidArgumentError("blocks must partition the issue set")
+            seen |= block
+            issues = tuple(sorted(block, key=rank.__getitem__))
+            members = tuple(members)
+            for member in members:
+                _check_profile(member, block, self.issue_space.n)
+            keyed = {_rank_key(member, issues): member for member in members}
+            if not keyed:
+                raise InvalidArgumentError(f"block {issues} needs at least one member")
+            if len(keyed) != len(members):
+                raise InvalidArgumentError(f"members of block {issues} must be distinct")
+            blocks.append((issues, tuple(keyed[key] for key in sorted(keyed))))
+            member_keys.append(frozenset(keyed))
+        if seen != self.issue_space.id_set:
+            raise InvalidArgumentError("blocks must partition the issue set")
+        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "_member_keys", tuple(member_keys))  # for contains
+        if self.variant == "explicit":
+            object.__setattr__(self, "profiles", blocks[0][1])
 
     # -- constructors -------------------------------------------------------
 
@@ -122,86 +123,81 @@ class CandidateSpace:
     # -- basic queries ------------------------------------------------------
 
     def size(self) -> int:
-        if self.variant == "explicit":
-            return len(self.profiles)
         if self.variant == "full":
             return factorial(self.issue_space.n) ** len(self.issue_space.issue_ids)
-        return _product_size(self.blocks)
-
-    @cached_property
-    def _member_sets(self) -> tuple:
-        """Hashed members: one set per product block, or one of all profiles."""
-        if self.variant == "explicit":
-            return (frozenset(self.profiles),)
-        return tuple(frozenset(factor) for _, factor in self.blocks)
+        return prod(len(members) for _, members in self.blocks)
 
     def contains(self, profile: Profile) -> bool:
-        if profile.issues != self.issue_space.id_set:
-            raise InvalidArgumentError("profile does not cover this issue space")
-        for _, order in profile.items():
-            if order.n != self.issue_space.n:
-                raise InvalidArgumentError(f"ordering {order} has wrong outcome count")
-        if self.variant == "full":
-            return True
-        if self.variant == "explicit":
-            return profile in self._member_sets[0]
-        for (issues, _), members in zip(self.blocks, self._member_sets):
-            partial = Profile({issue: profile(issue) for issue in issues})
-            if partial not in members:
-                return False
-        return True
+        _check_profile(profile, self.issue_space.id_set, self.issue_space.n)
+        return self.variant == "full" or all(
+            _rank_key(profile, issues) in keys
+            for (issues, _), keys in zip(self.blocks, self._member_keys)
+        )
+
+    def rows(self) -> Iterator[tuple]:
+        """Yield the space as independent blocks ``(issues, rows)``.
+
+        ``issues`` are in sorted-id order, a row holds one member's orders on
+        them, and the rows come in member order.  A full space yields each issue alone with all of
+        ``all_linear_orders(n)``.  A block of more than
+        ``DEFAULT_ENUMERATION_CAP`` members raises ``CapacityError`` before
+        any block is yielded.
+        """
+        n = self.issue_space.n
+        full = self.variant == "full"
+        largest = factorial(n) if full else max(len(members) for _, members in self.blocks)
+        if largest > DEFAULT_ENUMERATION_CAP:
+            raise CapacityError(
+                f"candidate-space block has {largest} members, over the cap of "
+                f"{DEFAULT_ENUMERATION_CAP}",
+                cap=DEFAULT_ENUMERATION_CAP,
+            )
+        if full:
+            orders = all_linear_orders(n)
+            for issue in self.issue_space.sorted_ids():
+                yield (issue,), zip(orders)
+            return
+        for issues, members in self.blocks:
+            yield issues, [tuple(member(issue) for issue in issues) for member in members]
 
     def enumerate_profiles(self, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Profile]:
-        """Yield every member once, in a fixed order.
+        """Yield every member once, in rank-tuple order.
 
-        Explicit spaces yield their profiles sorted by ``Profile.serialize``;
-        product spaces build every combination of factor members and sort
-        it the same way.  Full spaces yield in rank-tuple order: issues in
-        sorted-id order, the last one varying fastest, each over
-        ``all_linear_orders(n)``.  That equals serialized order only for
-        N <= 10, where every outcome label is one digit.  A space with more
-        than ``cap`` members raises ``CapacityError`` before yielding.
+        Members are ordered by their rankings issue by issue in sorted-id
+        order.  A full space yields them lazily, the last issue varying
+        fastest, each over ``all_linear_orders(n)``; other spaces combine
+        their blocks' members and sort the result.  A space with more than
+        ``cap`` members raises ``CapacityError`` before yielding.
         """
         size = self.size()
         if size > cap:
             raise CapacityError(
                 f"candidate space has {size} profiles, over the cap of {cap}", cap=cap
             )
-        if self.variant == "explicit":
-            yield from self.profiles
-            return
+        issues = self.issue_space.sorted_ids()
         if self.variant == "full":
-            issues = self.issue_space.sorted_ids()
             orders = all_linear_orders(self.issue_space.n)
             for combo in itertools.product(orders, repeat=len(issues)):
                 yield Profile(dict(zip(issues, combo)))
             return
-        # product: materialize and sort, since serialization interleaves blocks
-        members = []
-        for combo in itertools.product(*(factor for _, factor in self.blocks)):
-            assignment = {}
-            for partial in combo:
-                for issue, order in partial.items():
-                    assignment[issue] = order
-            members.append(Profile(assignment))
-        members.sort(key=_profile_sort_key)
+        if len(self.blocks) == 1:  # its members are whole profiles, already sorted
+            yield from self.blocks[0][1]
+            return
+        members = [
+            Profile({issue: order for part in combo for issue, order in part.items()})
+            for combo in itertools.product(*(block for _, block in self.blocks))
+        ]
+        members.sort(key=lambda member: _rank_key(member, issues))
         yield from members
 
     def block_of(self, issue) -> tuple:
-        """For product spaces, the (issues, factor) block containing ``issue``."""
-        if self.variant != "product":
-            raise InvalidArgumentError("block_of is only defined for product spaces")
-        for issues, factor in self.blocks:
+        """The ``(issues, members)`` block holding ``issue``; a full space stores none."""
+        if self.variant == "full":
+            raise InvalidArgumentError("a full space stores no blocks")
+        for issues, members in self.blocks:
             if issue in issues:
-                return issues, factor
+                return issues, members
         raise InvalidArgumentError(f"unknown issue {issue!r}")
-
-
-def _product_size(blocks) -> int:
-    size = 1
-    for _, factor in blocks:
-        size *= len(factor)
-    return size
 
 
 # -- file format -----------------------------------------------------------

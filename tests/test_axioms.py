@@ -29,6 +29,7 @@ from repsoc import (
     derive_rng,
     estimate_axiom,
     fit_decay,
+    generalization_experiment,
     make_mechanism,
     mix,
     pair_marginal,
@@ -677,11 +678,12 @@ BAD_COMMITTEE_PLANS = [
     pytest.param([8, 4], 5, "sizes", id="decreasing"),
     pytest.param([4, 4], 5, "sizes", id="repeated"),
     pytest.param([5], 0, "trial", id="no-trials"),
+    pytest.param([-5], 5, "sizes", id="negative"),
 ]
 
 
 class TestCommitteePlanChecks:
-    """Every lab rejects a bad size list or trial count through ``_committees``."""
+    """Every lab rejects a bad size list or trial count through ``check_committee_plan``."""
 
     @pytest.mark.parametrize("sizes, trials, named", BAD_COMMITTEE_PLANS)
     def test_estimate_axiom(self, sizes, trials, named):
@@ -702,3 +704,9 @@ class TestCommitteePlanChecks:
         mechanism = make_mechanism("majority", space=space)
         with pytest.raises(InvalidArgumentError, match=named):
             decisiveness_probe(0.7, (0, 1), space, mechanism, sizes, trials, seed=0)
+
+    @pytest.mark.parametrize("sizes, trials, named", BAD_COMMITTEE_PLANS)
+    def test_generalization_experiment(self, sizes, trials, named):
+        scn = binary_majority_setup(0.75)
+        with pytest.raises(InvalidArgumentError, match=named):
+            generalization_experiment(scn.space, scn.saliency, scn.population, sizes, trials, seed=0)

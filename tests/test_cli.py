@@ -265,6 +265,15 @@ class TestPrivilegeCommand:
         )
         assert main(["privilege", str(space_path), "--issue", "zzz"]) == 2
 
+    def test_factor_with_wrong_outcome_count(self, tmp_path, capsys):
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps({
+            "variant": "product", "issues": ["i"], "N": 3,
+            "blocks": [{"issues": ["i"], "profiles": [{"i": "0>1"}]}],
+        }))
+        assert main(["privilege", str(space_path), "--issue", "i"]) == 2
+        assert "outcome count" in capsys.readouterr().err
+
     def test_six_outcomes(self, tmp_path, capsys):
         space_path = tmp_path / "space.json"
         save_candidate_space(

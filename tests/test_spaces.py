@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repsoc import (
     CandidateSpace,
@@ -7,8 +11,10 @@ from repsoc import (
     IssueSpace,
     LinearOrder,
     Profile,
+    SampleSet,
     all_linear_orders,
     load_candidate_space,
+    majority_vote,
     save_candidate_space,
 )
 
@@ -116,6 +122,11 @@ class TestValidation:
                 ((("i",), f), (("i",), f)), IssueSpace(("i",), 2)
             )
 
+    def test_product_factor_with_wrong_outcome_count(self):
+        factor = [Profile({"i": lo("0>1")})]
+        with pytest.raises(InvalidArgumentError, match="outcome count"):
+            CandidateSpace.product(((("i",), factor),), IssueSpace(("i",), 3))
+
     def test_unknown_variant(self):
         with pytest.raises(InvalidArgumentError):
             CandidateSpace("weird", IssueSpace(("i",), 2))
@@ -158,3 +169,70 @@ class TestFileFormat:
         path.write_text('{"variant": "full", "issues": ["i"]}')
         with pytest.raises(InvalidArgumentError):
             load_candidate_space(path)
+
+
+def test_rank_tuple_order_with_eleven_outcomes():
+    """Members sort by rank tuples, so outcome 2 leads before outcome 10 (text puts "10" first)."""
+    tail = tuple(range(3, 10))
+    two_first, ten_first = LinearOrder((2, 0, 1, *tail, 10)), LinearOrder((10, 0, 1, 2, *tail))
+    c = Profile({"a": two_first, "b": two_first})
+    a = Profile({"a": two_first, "b": ten_first})
+    b = Profile({"a": ten_first, "b": two_first})
+    space = CandidateSpace.explicit([b, a, c], IssueSpace(("a", "b"), 11))
+    assert list(space.enumerate_profiles()) == [c, a, b]
+    # one vote for each ordering on "a": all three members tie
+    result = majority_vote(SampleSet(((two_first, "a"), (ten_first, "a"))), space)
+    assert result.tie_set_size == 3
+    assert result.chosen == c
+
+
+@st.composite
+def candidate_spaces(draw):
+    """Random explicit, product and full spaces: N = 2..4, 1..3 issues."""
+    n = draw(st.integers(2, 4))
+    issues = tuple(f"i{j}" for j in range(draw(st.integers(1, 3))))
+    issue_space = IssueSpace(issues, n)
+    orders = all_linear_orders(n)
+    variant = draw(st.sampled_from(("full", "product", "explicit")))
+    if variant == "full":
+        return CandidateSpace.full(issue_space)
+
+    def members(block, most):
+        picked = draw(
+            st.lists(st.tuples(*(st.sampled_from(orders) for _ in block)), min_size=1, max_size=most, unique=True)
+        )
+        return [Profile(dict(zip(block, row))) for row in picked]
+
+    if variant == "explicit":
+        return CandidateSpace.explicit(members(issues, 12), issue_space)
+    # blocks list their issues in a drawn order, not sorted
+    shuffled = draw(st.permutations(issues))
+    cuts = sorted(draw(st.sets(st.integers(1, len(issues) - 1)))) if len(issues) > 1 else []
+    bounds = [0, *cuts, len(issues)]
+    blocks = [(shuffled[x:y], members(shuffled[x:y], 5)) for x, y in zip(bounds, bounds[1:])]
+    return CandidateSpace.product(blocks, issue_space)
+
+
+@settings(max_examples=150, deadline=None)
+@given(candidate_spaces(), st.data())
+def test_rows_recombine_to_the_enumeration(space, data):
+    ids = space.issue_space.sorted_ids()
+    rank_key = lambda profile: [profile(issue).ranking for issue in ids]  # noqa: E731
+    blocks = [(issues, list(rows)) for issues, rows in space.rows()]
+    for issues, rows in blocks:
+        assert list(issues) == [issue for issue in ids if issue in issues]
+        keys = [[order.ranking for order in row] for row in rows]
+        assert keys == sorted(keys)
+    issues = [issue for block, _ in blocks for issue in block]
+    recombined = [
+        Profile(dict(zip(issues, itertools.chain.from_iterable(combo))))
+        for combo in itertools.product(*(rows for _, rows in blocks))
+    ]
+    enumerated = list(space.enumerate_profiles())
+    assert sorted(recombined, key=rank_key) == enumerated
+    assert len(enumerated) == space.size()
+    members = set(enumerated)
+    orders = all_linear_orders(space.issue_space.n)
+    probes = data.draw(st.lists(st.tuples(*(st.sampled_from(orders) for _ in ids)), max_size=10))
+    for profile in enumerated[:10] + [Profile(dict(zip(ids, row))) for row in probes]:
+        assert space.contains(profile) == (profile in members)
