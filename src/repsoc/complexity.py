@@ -1,4 +1,7 @@
-"""Statistical complexity of candidate spaces: VC dimension and Rademacher estimates."""
+"""Statistical complexity of candidate spaces: VC dimension and Rademacher estimates.
+
+Both read a space block by block through ``CandidateSpace.rows()``, never enumerating it.
+"""
 
 from __future__ import annotations
 
@@ -33,42 +36,54 @@ class InducedLossClass:
     rule: ScoringRule
 
 
-def _binary_patterns(space: CandidateSpace) -> tuple[list, set]:
-    """Realized yes/no patterns of a binary space over its sorted issues."""
+def _block_patterns(space: CandidateSpace):
+    """Yield each block of a binary space: its issues and its realized yes/no patterns."""
     if space.issue_space.n != 2:
         raise UnsupportedError("VC dimension is defined only for binary (N=2) spaces")
-    issues = space.issue_space.sorted_ids()
-    if len(issues) > _MAX_VC_ISSUES:
-        raise CapacityError(
-            f"VC search limited to {_MAX_VC_ISSUES} issues, got {len(issues)}",
-            cap=_MAX_VC_ISSUES,
-        )
-    patterns = set()
-    for profile in space.enumerate_profiles():
-        patterns.add(tuple(profile(issue).ranking[0] for issue in issues))
-    return issues, patterns
+    for issues, rows in space.rows():
+        if len(issues) > _MAX_VC_ISSUES:
+            raise CapacityError(
+                f"VC search limited to {_MAX_VC_ISSUES} issues per block, got {len(issues)}",
+                cap=_MAX_VC_ISSUES,
+            )
+        yield issues, {tuple(order.ranking[0] for order in row) for row in rows}
+
+
+def _shattered(patterns: set, cols) -> bool:
+    return len({tuple(p[k] for k in cols) for p in patterns}) == 2 ** len(cols)
+
+
+def _by_block(blocks: list, issues) -> list:
+    """Group ``issues`` by block: per block, (position in ``issues``, column in the block)."""
+    where = {issue: (b, k) for b, (ids, _) in enumerate(blocks) for k, issue in enumerate(ids)}
+    parts: list = [[] for _ in blocks]
+    for j, issue in enumerate(issues):
+        if issue not in where:
+            raise InvalidArgumentError(f"unknown issue {issue!r}")
+        parts[where[issue][0]].append((j, where[issue][1]))
+    return parts
 
 
 def vc_dimension_with_witness(space: CandidateSpace) -> tuple[int, tuple]:
     """Exact VC dimension of a binary space, plus a shattered witness set.
 
-    Searches issue subsets in ascending size; stops at the first size with no
-    shattered subset, which is valid since shattering is downward closed.
+    A subset is shattered iff each block's part of it is, so the dimension
+    adds up over blocks.  Each block searches its issue subsets in ascending
+    size and stops at the first size with none shattered, since shattering
+    is downward closed.  The union of the blocks' first witnesses is the
+    space's first largest shattered subset in sorted-id order.
     """
-    issues, patterns = _binary_patterns(space)
-    dimension = 0
-    witness: tuple = ()
-    for d in range(1, len(issues) + 1):
-        found = None
-        for subset in itertools.combinations(range(len(issues)), d):
-            projected = {tuple(p[k] for k in subset) for p in patterns}
-            if len(projected) == 2**d:
-                found = tuple(issues[k] for k in subset)
+    witness: list = []
+    for issues, patterns in _block_patterns(space):
+        found: tuple = ()
+        for d in range(1, len(issues) + 1):
+            subsets = itertools.combinations(range(len(issues)), d)
+            if not (subset := next((c for c in subsets if _shattered(patterns, c)), ())):
                 break
-        if found is None:
-            break
-        dimension, witness = d, found
-    return dimension, witness
+            found = subset
+        witness.extend(issues[k] for k in found)
+    rank = {issue: k for k, issue in enumerate(space.issue_space.sorted_ids())}
+    return len(witness), tuple(sorted(witness, key=rank.__getitem__))
 
 
 def vc_dimension(space: CandidateSpace) -> int:
@@ -76,15 +91,10 @@ def vc_dimension(space: CandidateSpace) -> int:
 
 
 def is_shattered(space: CandidateSpace, issue_subset) -> bool:
-    """Independent check that every binary assignment over the subset is realized."""
-    issues, patterns = _binary_patterns(space)
-    index = {issue: k for k, issue in enumerate(issues)}
-    try:
-        cols = [index[issue] for issue in issue_subset]
-    except KeyError as exc:
-        raise InvalidArgumentError(f"unknown issue {exc}") from exc
-    projected = {tuple(p[k] for k in cols) for p in patterns}
-    return len(projected) == 2 ** len(cols)
+    """Independent check, block by block, that every assignment over the subset is realized."""
+    blocks = list(_block_patterns(space))
+    parts = _by_block(blocks, issue_subset)
+    return all(_shattered(p, [k for _, k in part]) for (_, p), part in zip(blocks, parts))
 
 
 def empirical_rademacher(
@@ -95,24 +105,28 @@ def empirical_rademacher(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the empirical Rademacher complexity.
 
-    The inner maximization over the space is exact (full enumeration); only
-    the expectation over sign vectors is sampled.  Returns (estimate, stderr).
+    The inner maximization over the space is exact, block by block: the
+    maximum of a sum over blocks is the sum of the blocks' maxima (Bartlett
+    and Mendelson, 2002).  Only the expectation over sign vectors is
+    sampled.  Returns (estimate, stderr).
     """
     if len(sample) == 0:
         raise InvalidArgumentError("empirical Rademacher complexity needs a nonempty sample")
     if num_sign_draws < 1:
         raise InvalidArgumentError("need at least one sign draw")
     rule = loss_class.rule
-    profiles = list(loss_class.space.enumerate_profiles())
-    scores = np.array(
-        [
-            [rule.evaluate(order, profile(issue)) for order, issue in sample]
-            for profile in profiles
-        ]
-    )  # shape (|space|, |sample|)
+    blocks = list(loss_class.space.rows())
+    parts = _by_block(blocks, [issue for _, issue in sample])
     rng = derive_rng(seed)
     signs = rng.integers(0, 2, size=(num_sign_draws, len(sample))) * 2 - 1
-    per_draw = (signs @ scores.T).max(axis=1) / len(sample)
+    maxima = []
+    for (_, rows), part in zip(blocks, parts):
+        if part:
+            scores = np.array(
+                [[rule.evaluate(sample.pairs[j][0], row[k]) for j, k in part] for row in rows]
+            )  # shape (block members, sample pairs on the block)
+            maxima.append((signs[:, [j for j, _ in part]] @ scores.T).max(axis=1))
+    per_draw = sum(maxima) / len(sample)
     estimate = float(per_draw.mean())
     if num_sign_draws > 1:
         stderr = float(per_draw.std(ddof=1) / sqrt(num_sign_draws))

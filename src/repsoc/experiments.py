@@ -113,7 +113,6 @@ class GeneralizationResult:
     trials: int
     gaps: dict  # size -> np.ndarray of per-trial sup-gaps
     regret_slack: dict  # size -> per-trial U(f_maj) - (max U - 2*gap), >= 0 by the chain
-    epsilon: float | None = None
 
     def exceed_fraction(self, size: int, epsilon: float) -> float:
         gaps = self.gaps[size]
@@ -283,7 +282,6 @@ def generalization_experiment(
     sizes,
     trials: int,
     seed: int,
-    epsilon: float | None = None,
 ) -> GeneralizationResult:
     """Per-trial sup over the space of |sample utility - population utility|.
 
@@ -330,7 +328,6 @@ def generalization_experiment(
         trials=trials,
         gaps=gaps,
         regret_slack=regret_slack,
-        epsilon=epsilon,
     )
 
 
@@ -385,14 +382,18 @@ def _require_sizes(config: dict) -> list:
 
 
 def validate_config(config: dict) -> None:
-    """Check a config's kind, sizes, trials and file paths, naming the bad key."""
+    """Check a config's kind, sizes, counts, numbers and file paths, naming the bad key."""
     kind = _require(config, "kind")
     if kind not in EXPERIMENT_KINDS:
         raise InvalidArgumentError(f"config key 'kind': unknown experiment {kind!r}")
     if "sizes" in config:
         _require_sizes(config)
-    if "trials" in config and _require_int(config, "trials") < 1:
-        raise InvalidArgumentError("config key 'trials': must be >= 1")
+    for key in ("trials", "sample_size", "sign_draws"):
+        if key in config and _require_int(config, key) < 1:
+            raise InvalidArgumentError(f"config key {key!r}: must be >= 1")
+    for key in ("epsilon", "delta"):  # a bool is not a number here, nor is NaN
+        if type(value := config.get(key, 0.0)) not in (int, float) or np.isnan(value):
+            raise InvalidArgumentError(f"config key {key!r}: expected a number, got {value!r}")
     for key in ("population", "space", "graphs"):
         if key in config and not Path(config[key]).exists():
             raise InvalidArgumentError(f"config key {key!r}: file {config[key]} not found")
@@ -471,9 +472,7 @@ def _run_generalization(config: dict, out_dir: Path, report: RunReport, check: b
     epsilon = config.get("epsilon")
     delta = config.get("delta", 0.05)
 
-    result = generalization_experiment(
-        space, saliency, population, sizes, trials, seed, epsilon=epsilon
-    )
+    result = generalization_experiment(space, saliency, population, sizes, trials, seed)
     rows = []
     for size in result.sizes:
         gaps = result.gaps[size]

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable
 from .errors import InvalidArgumentError
 from .orders import LinearOrder, Profile, concordant_pairs, exact_match_score
 from .population import MarginalPopulation, SaliencyDistribution, SampleSet
-from .spaces import CandidateSpace, all_linear_orders
+from .spaces import CandidateSpace
 
 if TYPE_CHECKING:
     from .privilege import AcyclicPlan
@@ -54,19 +54,6 @@ class ScoringRule:
         """The points as a score in [0, 1]: 1 on full agreement."""
         top = self.top(a.n)
         return 1.0 - (top - self.points(a, b)) / top
-
-    def spot_check(self, n: int, rng, probes: int = 32) -> None:
-        """Random probe of the declared range; raises on a violation."""
-        orders = all_linear_orders(n)
-        top = self.top(n)
-        for _ in range(probes):
-            a = orders[rng.integers(len(orders))]
-            b = orders[rng.integers(len(orders))]
-            value = self.points(a, b)
-            if not 0 <= value <= top:
-                raise InvalidArgumentError(
-                    f"rule {self.name!r} returned {value} outside [0, {top}]"
-                )
 
 
 KENDALL = ScoringRule("kendall", concordant_pairs, lambda n: n * (n - 1) // 2)

@@ -58,9 +58,6 @@ class PrivilegeGraph:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise InvalidArgumentError(f"edge ({u},{v}) out of range for n={self.n}")
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges
-
     def successors(self, u: int) -> set:
         return {v for (a, v) in self.edges if a == u}
 

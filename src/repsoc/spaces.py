@@ -160,19 +160,21 @@ class CandidateSpace:
         for issues, members in self.blocks:
             yield issues, [tuple(member(issue) for issue in issues) for member in members]
 
-    def enumerate_profiles(self, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Profile]:
+    def enumerate_profiles(self) -> Iterator[Profile]:
         """Yield every member once, in rank-tuple order.
 
         Members are ordered by their rankings issue by issue in sorted-id
         order.  A full space yields them lazily, the last issue varying
         fastest, each over ``all_linear_orders(n)``; other spaces combine
         their blocks' members and sort the result.  A space with more than
-        ``cap`` members raises ``CapacityError`` before yielding.
+        ``DEFAULT_ENUMERATION_CAP`` members raises ``CapacityError`` before
+        yielding.  The library reads spaces through :meth:`rows`; only
+        tests, demos and the benchmark enumerate a whole space.
         """
-        size = self.size()
-        if size > cap:
+        cap = DEFAULT_ENUMERATION_CAP
+        if self.size() > cap:
             raise CapacityError(
-                f"candidate space has {size} profiles, over the cap of {cap}", cap=cap
+                f"candidate space has {self.size()} profiles, over the cap of {cap}", cap=cap
             )
         issues = self.issue_space.sorted_ids()
         if self.variant == "full":

@@ -403,6 +403,12 @@ BAD_INPUTS = {
     "trials-fraction": (lambda s: _generalization(s, trials=2.5), None, "'trials'"),
     "sample-size-text": (lambda s: _rademacher(s, sample_size="ten"), None, "'sample_size'"),
     "sign-draws-text": (lambda s: _rademacher(s, sign_draws=[200]), None, "'sign_draws'"),
+    "sample-size-zero": (lambda s: _rademacher(s, sample_size=0), None, "'sample_size'"),
+    "sample-size-negative": (lambda s: _rademacher(s, sample_size=-3), None, "'sample_size'"),
+    "sign-draws-zero": (lambda s: _rademacher(s, sign_draws=0), None, "'sign_draws'"),
+    "epsilon-text": (lambda s: _generalization(s, epsilon="x"), None, "'epsilon'"),
+    "epsilon-nan": (lambda s: _generalization(s, epsilon=float("nan")), None, "'epsilon'"),
+    "delta-text": (lambda s: _generalization(s, epsilon=0.2, delta="x"), None, "'delta'"),
     "env-seed-text": (_generalization, "abc", "REPSOC_SEED"),
     "sizes-mixed-types": (lambda s: _generalization(s, sizes=["a", 1]), None, "'sizes'"),
     "sizes-not-a-list": (lambda s: _axiom(s, sizes=5), None, "'sizes'"),
@@ -444,8 +450,8 @@ def test_majority_over_too_big_full_space_exits_3(tmp_path, capsys):
     assert "capacity error" in capsys.readouterr().err
 
 
-def test_generalization_over_a_five_issue_full_space(tmp_path):
-    """24**5 profiles, over the enumeration cap: the block sup needs no enumeration."""
+def _five_issue_full_setup(tmp_path):
+    """A population and a full space over five issues at N = 4: 24**5 profiles, over the cap."""
     issues = IssueSpace(tuple(f"g{k}" for k in range(5)), 4)
     orders = all_linear_orders(4)
     pop_path = tmp_path / "population.json"
@@ -458,12 +464,43 @@ def test_generalization_over_a_five_issue_full_space(tmp_path):
     )
     space_path = tmp_path / "space.json"
     save_candidate_space(space_path, CandidateSpace.full(issues))
+    return str(pop_path), str(space_path)
+
+
+def test_generalization_over_a_five_issue_full_space(tmp_path):
+    """The block sup needs no enumeration."""
+    pop_path, space_path = _five_issue_full_setup(tmp_path)
     config = write_config(
         tmp_path,
-        {"kind": "generalization", "population": str(pop_path), "space": str(space_path),
+        {"kind": "generalization", "population": pop_path, "space": space_path,
          "sizes": [8, 64, 512], "trials": 20, "seed": 5, "epsilon": 0.9},
     )
     out = tmp_path / "out"
     assert main(["run", config, "--check", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["results"]["regret_violations"] == 0
+
+
+def test_rademacher_over_a_five_issue_full_space(tmp_path):
+    """The inner maximum is a sum of per-issue maxima: no enumeration."""
+    pop_path, space_path = _five_issue_full_setup(tmp_path)
+    config = write_config(
+        tmp_path,
+        {"kind": "rademacher", "population": pop_path, "space": space_path,
+         "scoring_rule": "kendall", "sample_size": 40, "sign_draws": 100, "seed": 3},
+    )
+    assert main(["run", config, "--check", "--out", str(tmp_path / "out")]) == 0
+
+
+def test_vc_over_a_25_issue_full_binary_space(tmp_path):
+    """The issue cap applies per block, and each issue of a full space is a block."""
+    space_path = tmp_path / "space.json"
+    save_candidate_space(
+        space_path, CandidateSpace.full(IssueSpace(tuple(f"b{k}" for k in range(25)), 2))
+    )
+    config = write_config(tmp_path, {"kind": "vc", "space": str(space_path), "seed": 0})
+    out = tmp_path / "out"
+    assert main(["run", config, "--check", "--out", str(out)]) == 0
+    results = json.loads((out / "summary.json").read_text())["results"]
+    assert results["vc_dimension"] == 25
+    assert results["witness_verified"] is True

@@ -1,3 +1,6 @@
+"""VC dimension, shattering and Rademacher estimates, against whole-space enumeration."""
+
+import itertools
 import math
 
 import numpy as np
@@ -21,11 +24,137 @@ from repsoc import (
     vc_dimension,
     vc_dimension_with_witness,
 )
+from repsoc.rng import derive_rng
 from tests.conftest import random_explicit_space, random_sample
 
 
 def lo(text):
     return LinearOrder.from_string(text)
+
+
+# -- the enumerated references ---------------------------------------------
+# The implementations the block routines replaced: each turns the space into
+# one flat list of profiles.
+
+
+def enumerated_patterns(space):
+    """Realized yes/no patterns of a binary space over its sorted issues."""
+    issues = space.issue_space.sorted_ids()
+    patterns = {
+        tuple(profile(issue).ranking[0] for issue in issues) for profile in space.enumerate_profiles()
+    }
+    return issues, patterns
+
+
+def enumerated_vc_dimension_with_witness(space):
+    issues, patterns = enumerated_patterns(space)
+    dimension = 0
+    witness = ()
+    for d in range(1, len(issues) + 1):
+        found = None
+        for subset in itertools.combinations(range(len(issues)), d):
+            projected = {tuple(p[k] for k in subset) for p in patterns}
+            if len(projected) == 2**d:
+                found = tuple(issues[k] for k in subset)
+                break
+        if found is None:
+            break
+        dimension, witness = d, found
+    return dimension, witness
+
+
+def enumerated_is_shattered(space, issue_subset):
+    issues, patterns = enumerated_patterns(space)
+    index = {issue: k for k, issue in enumerate(issues)}
+    cols = [index[issue] for issue in issue_subset]
+    projected = {tuple(p[k] for k in cols) for p in patterns}
+    return len(projected) == 2 ** len(cols)
+
+
+def enumerated_rademacher(loss_class, sample, num_sign_draws, seed):
+    rule = loss_class.rule
+    profiles = list(loss_class.space.enumerate_profiles())
+    scores = np.array(
+        [[rule.evaluate(order, profile(issue)) for order, issue in sample] for profile in profiles]
+    )  # shape (|space|, |sample|)
+    rng = derive_rng(seed)
+    signs = rng.integers(0, 2, size=(num_sign_draws, len(sample))) * 2 - 1
+    per_draw = (signs @ scores.T).max(axis=1) / len(sample)
+    estimate = float(per_draw.mean())
+    if num_sign_draws > 1:
+        stderr = float(per_draw.std(ddof=1) / math.sqrt(num_sign_draws))
+    else:
+        stderr = float("inf")
+    return estimate, stderr
+
+
+def random_space(rng, n, issue_count, most_members=12):
+    """A random explicit, product (random issue partition) or full space."""
+    issues = tuple(f"i{k}" for k in range(issue_count))
+    variant = ("explicit", "product", "full")[rng.integers(3)]
+    if variant == "full":
+        return CandidateSpace.full(IssueSpace(issues, n))
+
+    def members(block):
+        most = min(most_members, math.factorial(n) ** len(block))
+        return random_explicit_space(rng, block, n, int(rng.integers(1, most + 1))).profiles
+
+    if variant == "explicit":
+        return CandidateSpace.explicit(members(issues), IssueSpace(issues, n))
+    shuffled = tuple(issues[k] for k in rng.permutation(issue_count))
+    cuts = sorted({int(c) for c in rng.integers(1, issue_count, size=rng.integers(issue_count))})
+    bounds = [0, *cuts, issue_count]
+    blocks = [(shuffled[a:b], members(shuffled[a:b])) for a, b in zip(bounds, bounds[1:])]
+    return CandidateSpace.product(blocks, IssueSpace(issues, n))
+
+
+def test_vc_and_shattering_match_enumeration():
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        space = random_space(rng, 2, int(rng.integers(1, 5)))
+        assert vc_dimension_with_witness(space) == enumerated_vc_dimension_with_witness(space)
+        issues = space.issue_space.sorted_ids()
+        for size in range(len(issues) + 1):
+            for subset in itertools.combinations(issues, size):
+                assert is_shattered(space, subset) == enumerated_is_shattered(space, subset)
+        # a subset that repeats an issue is never shattered
+        assert not is_shattered(space, (issues[0], issues[0]))
+        assert not enumerated_is_shattered(space, (issues[0], issues[0]))
+
+
+def test_rademacher_matches_enumeration():
+    rng = np.random.default_rng(10)
+    checked = {"one block": 0, "several blocks": 0}
+    for trial in range(120):
+        n = 2 + trial % 3
+        issue_count = int(rng.integers(1, (5, 5, 3)[n - 2]))  # keeps full spaces small
+        space = random_space(rng, n, issue_count, most_members=6)
+        issues = space.issue_space.issue_ids
+        sample = random_sample(rng, issues, n, int(rng.integers(1, 30)))
+        for rule in (EXACT_MATCH, KENDALL):
+            loss_class = InducedLossClass(space, rule)
+            draws = int(rng.integers(1, 60))
+            got = empirical_rademacher(loss_class, sample, draws, seed=trial)
+            expected = enumerated_rademacher(loss_class, sample, draws, seed=trial)
+            if len(list(space.rows())) == 1:
+                checked["one block"] += 1
+                assert got == expected
+            else:
+                checked["several blocks"] += 1
+                assert got == pytest.approx(expected, rel=0, abs=1e-12)
+    assert min(checked.values()) > 20
+
+
+def test_rademacher_sample_issue_outside_the_space():
+    issues = IssueSpace(("a", "b", "c"), 2)
+    space = CandidateSpace.product(
+        [(("a",), [Profile({"a": lo("0>1")})]), (("b", "c"), [Profile({"b": lo("1>0"), "c": lo("0>1")})])],
+        issues,
+    )
+    sample = SampleSet(pairs=((lo("0>1"), "a"), (lo("1>0"), "c"), (lo("0>1"), "zz")))
+    for rule in (EXACT_MATCH, KENDALL):
+        with pytest.raises(InvalidArgumentError, match="'zz'"):
+            empirical_rademacher(InducedLossClass(space, rule), sample, 10, seed=0)
 
 
 class TestVCDimension:
@@ -61,8 +190,18 @@ class TestVCDimension:
         with pytest.raises(UnsupportedError):
             vc_dimension(space)
 
-    def test_issue_cap(self):
+    def test_full_space_past_the_block_issue_cap(self):
+        # 21 blocks of one issue each: the issue cap applies per block
         space = CandidateSpace.full(IssueSpace(tuple(range(21)), 2))
+        dimension, witness = vc_dimension_with_witness(space)
+        assert dimension == 21 and witness == tuple(space.issue_space.sorted_ids())
+        assert is_shattered(space, witness)
+
+    def test_block_issue_cap(self):
+        issues = tuple(range(21))
+        space = CandidateSpace.explicit(
+            [Profile({issue: lo("0>1") for issue in issues})], IssueSpace(issues, 2)
+        )
         with pytest.raises(CapacityError):
             vc_dimension(space)
 
@@ -132,3 +271,17 @@ def test_massart_bound_beyond_64_bit_space_sizes():
     # a full 50-issue N = 4 space has 24**50 profiles, past numpy's 64-bit integers
     assert massart_bound(24**50, 100) == pytest.approx(math.sqrt(100 * math.log(24) / 100))
     assert massart_bound(2**64, 2) == pytest.approx(math.sqrt(64 * math.log(2)))
+
+
+def test_enumerates_nothing(monkeypatch):
+    def no_enumeration(self):
+        raise AssertionError("the space was enumerated")
+
+    monkeypatch.setattr(CandidateSpace, "enumerate_profiles", no_enumeration)
+    rng = np.random.default_rng(11)
+    binary = CandidateSpace.full(IssueSpace(("a", "b", "c"), 2))
+    assert vc_dimension_with_witness(binary) == (3, ("a", "b", "c"))
+    assert is_shattered(binary, ("a", "c"))
+    space = random_explicit_space(rng, ("a", "b"), 3, 5)
+    sample = random_sample(rng, ("a", "b"), 3, 20)
+    empirical_rademacher(InducedLossClass(space, KENDALL), sample, 10, seed=0)

@@ -18,7 +18,6 @@ from repsoc import (
     Profile,
     SaliencyDistribution,
     SampleSet,
-    ScoringRule,
     acyclic_mechanism,
     all_linear_orders,
     exact_match_score,
@@ -254,20 +253,6 @@ class TestAcyclicMechanism:
 
 
 class TestScoringRule:
-    def test_bounds_validated(self):
-        rule = ScoringRule("negative", lambda a, b: -1, lambda n: 1)
-        with pytest.raises(InvalidArgumentError):
-            rule.spot_check(3, np.random.default_rng(0))
-
-    def test_spot_check_catches_violation(self):
-        rule = ScoringRule("lying", lambda a, b: 2, lambda n: 1)
-        with pytest.raises(InvalidArgumentError):
-            rule.spot_check(3, np.random.default_rng(0))
-
-    def test_spot_check_passes_honest_rule(self):
-        KENDALL.spot_check(4, np.random.default_rng(0))
-        EXACT_MATCH.spot_check(4, np.random.default_rng(0))
-
     def test_evaluate_matches_float_scores(self):
         orders = all_linear_orders(4)
         for a in orders:

@@ -17,6 +17,7 @@ from repsoc import (
     majority_vote,
     save_candidate_space,
 )
+from repsoc.spaces import DEFAULT_ENUMERATION_CAP
 
 
 def lo(text):
@@ -91,11 +92,11 @@ class TestEnumerate:
         assert keys == sorted(keys)
 
     def test_cap(self):
-        space = CandidateSpace.full(IssueSpace(tuple(range(10)), 3))
+        space = CandidateSpace.full(IssueSpace(tuple(range(5)), 4))  # 24**5 profiles
         with pytest.raises(CapacityError) as err:
-            list(space.enumerate_profiles(cap=1000))
-        assert err.value.cap == 1000
-        assert "1000" in str(err.value)
+            list(space.enumerate_profiles())
+        assert err.value.cap == DEFAULT_ENUMERATION_CAP
+        assert str(DEFAULT_ENUMERATION_CAP) in str(err.value)
 
 
 class TestValidation:
