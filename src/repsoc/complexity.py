@@ -1,6 +1,7 @@
 """Statistical complexity of candidate spaces: VC dimension and Rademacher estimates.
 
-Both read a space block by block through ``CandidateSpace.rows()``, never enumerating it.
+Both read a space block by block, never enumerating it, through integer column codes: each
+distinct ordering of a block column is scored once, and a member's yes/no pattern is its codes.
 """
 
 from __future__ import annotations
@@ -37,25 +38,27 @@ class InducedLossClass:
 
 
 def _block_patterns(space: CandidateSpace):
-    """Yield each block of a binary space: its issues and its realized yes/no patterns."""
+    """Yield each block of a binary space: its issues and its members' 0/1 codes, one row each."""
     if space.issue_space.n != 2:
         raise UnsupportedError("VC dimension is defined only for binary (N=2) spaces")
-    for issues, rows in space.rows():
+    for issues, _, codes in space._codes():
         if len(issues) > _MAX_VC_ISSUES:
             raise CapacityError(
                 f"VC search limited to {_MAX_VC_ISSUES} issues per block, got {len(issues)}",
                 cap=_MAX_VC_ISSUES,
             )
-        yield issues, {tuple(order.ranking[0] for order in row) for row in rows}
+        yield issues, codes
 
 
-def _shattered(patterns: set, cols) -> bool:
-    return len({tuple(p[k] for k in cols) for p in patterns}) == 2 ** len(cols)
+def _shattered(codes: np.ndarray, cols) -> bool:
+    """Whether the members' codes on ``cols``, read as binary numbers, take all 2^|cols| values."""
+    values = codes[:, list(cols)] @ (1 << np.arange(len(cols)))
+    return bool(np.bincount(values, minlength=2 ** len(cols)).all())
 
 
 def _by_block(blocks: list, issues) -> list:
     """Group ``issues`` by block: per block, (position in ``issues``, column in the block)."""
-    where = {issue: (b, k) for b, (ids, _) in enumerate(blocks) for k, issue in enumerate(ids)}
+    where = {issue: (b, k) for b, (ids, *_) in enumerate(blocks) for k, issue in enumerate(ids)}
     parts: list = [[] for _ in blocks]
     for j, issue in enumerate(issues):
         if issue not in where:
@@ -74,11 +77,11 @@ def vc_dimension_with_witness(space: CandidateSpace) -> tuple[int, tuple]:
     space's first largest shattered subset in sorted-id order.
     """
     witness: list = []
-    for issues, patterns in _block_patterns(space):
+    for issues, codes in _block_patterns(space):
         found: tuple = ()
         for d in range(1, len(issues) + 1):
             subsets = itertools.combinations(range(len(issues)), d)
-            if not (subset := next((c for c in subsets if _shattered(patterns, c)), ())):
+            if not (subset := next((c for c in subsets if _shattered(codes, c)), ())):
                 break
             found = subset
         witness.extend(issues[k] for k in found)
@@ -94,7 +97,7 @@ def is_shattered(space: CandidateSpace, issue_subset) -> bool:
     """Independent check, block by block, that every assignment over the subset is realized."""
     blocks = list(_block_patterns(space))
     parts = _by_block(blocks, issue_subset)
-    return all(_shattered(p, [k for _, k in part]) for (_, p), part in zip(blocks, parts))
+    return all(_shattered(codes, [k for _, k in part]) for (_, codes), part in zip(blocks, parts))
 
 
 def empirical_rademacher(
@@ -108,23 +111,25 @@ def empirical_rademacher(
     The inner maximization over the space is exact, block by block: the
     maximum of a sum over blocks is the sum of the blocks' maxima (Bartlett
     and Mendelson, 2002).  Only the expectation over sign vectors is
-    sampled.  Returns (estimate, stderr).
+    sampled.  Each sample pair scores each distinct ordering of its block
+    column once; the members' scores are gathered by code.  Returns (estimate, stderr).
     """
     if len(sample) == 0:
         raise InvalidArgumentError("empirical Rademacher complexity needs a nonempty sample")
     if num_sign_draws < 1:
         raise InvalidArgumentError("need at least one sign draw")
     rule = loss_class.rule
-    blocks = list(loss_class.space.rows())
+    blocks = list(loss_class.space._codes())
     parts = _by_block(blocks, [issue for _, issue in sample])
     rng = derive_rng(seed)
     signs = rng.integers(0, 2, size=(num_sign_draws, len(sample))) * 2 - 1
     maxima = []
-    for (_, rows), part in zip(blocks, parts):
+    for (_, columns, codes), part in zip(blocks, parts):
         if part:
-            scores = np.array(
-                [[rule.evaluate(sample.pairs[j][0], row[k]) for j, k in part] for row in rows]
-            )  # shape (block members, sample pairs on the block)
+            scored = [[rule.evaluate(sample.pairs[j][0], o) for o in columns[k]] for j, k in part]
+            scores = np.stack(  # shape (block members, sample pairs on the block)
+                [np.array(row)[codes[:, k]] for row, (_, k) in zip(scored, part)], axis=1
+            )
             maxima.append((signs[:, [j for j, _ in part]] @ scores.T).max(axis=1))
     per_draw = sum(maxima) / len(sample)
     estimate = float(per_draw.mean())

@@ -71,15 +71,17 @@ __all__ = [
     "RunReport",
 ]
 
-EXPERIMENT_KINDS = (
-    "generalization",
-    "axiom",
-    "privilege-analysis",
-    "synthesize-acyclic",
-    "condorcet-demo",
-    "vc",
-    "rademacher",
-)
+# per experiment kind, the config keys its handler reads with _require
+_REQUIRED_KEYS = {
+    "generalization": ("population", "space", "sizes", "trials", "seed"),
+    "axiom": ("population", "space", "issue", "axiom", "sizes", "trials", "seed"),
+    "privilege-analysis": ("space",),
+    "synthesize-acyclic": ("graphs",),
+    "condorcet-demo": ("space", "sizes", "trials", "seed"),
+    "vc": ("space",),
+    "rademacher": ("population", "space", "seed", "sample_size"),
+}
+EXPERIMENT_KINDS = tuple(_REQUIRED_KEYS)
 
 
 def _scoring_rule(rule_name: str):
@@ -133,7 +135,8 @@ class _Block:
 
 
 def _space_blocks(space: CandidateSpace, saliency, population, cells):
-    """The blocks of ``space.rows()`` with each member's cells and population terms.
+    """The blocks of ``space.rows()`` with each member's cells and population terms, looked up
+    once per distinct ordering of a column and gathered by the column codes.
 
     Also returns the weighted issues in saliency order, as (block, column) pairs.
     """
@@ -147,14 +150,12 @@ def _space_blocks(space: CandidateSpace, saliency, population, cells):
         w = saliency(issue)
         for order, mass in population.distribution(issue).items():
             entry_of[issue][order] = (cell_of.get((issue, order), len(cells)), w * mass)
-    place = {}
-    blocks = []
-    for issues, rows in space.rows():
+    place, blocks, no_entry = {}, [], (len(cells), 0.0)
+    for issues, columns, codes in space._codes():
         place.update((issue, (len(blocks), j)) for j, issue in enumerate(issues))
-        tables = [entry_of[issue] for issue in issues]
-        entries = np.array(
-            [[table.get(order, (len(cells), 0.0)) for table, order in zip(tables, row)] for row in rows]
-        )  # (members, issues, 2)
+        tables = [[entry_of[i].get(o, no_entry) for o in c] for i, c in zip(issues, columns)]
+        entries = np.stack([np.array(t)[code] for t, code in zip(tables, codes.T)], axis=1)
+        # entries: (members, issues, 2)
         terms = entries[:, :, 1]
         _, term_ids = np.unique(terms, axis=0, return_inverse=True)
         blocks.append(
@@ -382,7 +383,7 @@ def _require_sizes(config: dict) -> list:
 
 
 def validate_config(config: dict) -> None:
-    """Check a config's kind, sizes, counts, numbers and file paths, naming the bad key."""
+    """Check a config's kind, required keys, sizes, counts, numbers and paths, naming a bad key."""
     kind = _require(config, "kind")
     if kind not in EXPERIMENT_KINDS:
         raise InvalidArgumentError(f"config key 'kind': unknown experiment {kind!r}")
@@ -397,6 +398,8 @@ def validate_config(config: dict) -> None:
     for key in ("population", "space", "graphs"):
         if key in config and not Path(config[key]).exists():
             raise InvalidArgumentError(f"config key {key!r}: file {config[key]} not found")
+    for key in _REQUIRED_KEYS[kind]:
+        _require(config, key)
 
 
 def _write_csv(path: Path, header, rows) -> None:

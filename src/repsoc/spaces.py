@@ -5,7 +5,8 @@ An explicit or product space is stored as the product of independent blocks
 (an explicit space is one block); the full space has closed forms instead.
 Members come in one order, inside each block and across the space: by their
 rank tuples, issue by issue in sorted-id order.  So every argmax tie-break is
-reproducible and the same everywhere.
+reproducible and the same everywhere.  A block column holds at most N! distinct
+orderings, so the labs work on each one once, through integer column codes.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import CapacityError, InvalidArgumentError
 from .orders import LinearOrder, Profile
@@ -160,6 +163,16 @@ class CandidateSpace:
         for issues, members in self.blocks:
             yield issues, [tuple(member(issue) for issue in issues) for member in members]
 
+    def _codes(self) -> Iterator[tuple]:
+        """Yield each block of :meth:`rows` as ``(issues, columns, codes)``: ``columns[k]`` lists
+        the distinct orders on ``issues[k]``, and member ``m`` has ``columns[k][codes[m, k]]``."""
+        dtype = np.min_scalar_type(min(factorial(self.issue_space.n), DEFAULT_ENUMERATION_CAP))
+        for issues, rows in self.rows():
+            seen = [{} for _ in issues]  # per column: order -> code
+            flat = (col.setdefault(o, len(col)) for row in rows for col, o in zip(seen, row))
+            codes = np.fromiter(flat, dtype=dtype).reshape(-1, len(issues))
+            yield issues, [list(col) for col in seen], codes
+
     def enumerate_profiles(self) -> Iterator[Profile]:
         """Yield every member once, in rank-tuple order.
 
@@ -209,12 +222,6 @@ def _profile_to_doc(profile: Profile) -> dict:
     return {str(issue): str(order) for issue, order in profile.items()}
 
 
-def _profile_from_doc(doc: dict, issue_space: IssueSpace) -> Profile:
-    return Profile(
-        {issue_space.resolve(key): LinearOrder.from_string(text) for key, text in doc.items()}
-    )
-
-
 def save_candidate_space(path, space: CandidateSpace) -> None:
     doc: dict = {
         "variant": space.variant,
@@ -232,26 +239,51 @@ def save_candidate_space(path, space: CandidateSpace) -> None:
         json.dump(doc, fh, indent=2)
 
 
+def _expect(value, kind: type, key):
+    """``value``, read from ``key`` of a space file, if it is a ``kind``."""
+    if isinstance(value, kind):
+        return value
+    raise InvalidArgumentError(
+        f"candidate-space file key {key!r}: expected {kind.__name__}, got {value!r}"
+    )
+
+
 def load_candidate_space(path) -> CandidateSpace:
+    """Read a space file; a malformed entry raises an error that names its key.  Each distinct
+    ordering text is parsed once, in file order, and shared by every member listing it."""
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        variant = doc["variant"]
-        issues = list(doc["issues"])
-        n = int(doc["N"])
+        variant, issues, n = doc["variant"], doc["issues"], doc["N"]
+        if variant == "product":
+            blocks = [
+                (_expect(block, dict, "blocks")["issues"], block["profiles"])
+                for block in _expect(doc.get("blocks", []), list, "blocks")
+            ]
     except KeyError as exc:
         raise InvalidArgumentError(f"candidate-space file missing key {exc}") from exc
-    issue_space = IssueSpace(tuple(issues), n)
+    issue_space = IssueSpace(tuple(_expect(issues, list, "issues")), _expect(n, int, "N"))
+    issue_of, order_of = {}, {}  # issue key -> issue id, ordering text -> LinearOrder
+
+    def members(profiles):
+        for entry in _expect(profiles, list, "profiles"):
+            assignment = {}
+            for key, text in _expect(entry, dict, "profiles").items():
+                if key not in issue_of:
+                    issue_of[key] = issue_space.resolve(key)
+                if _expect(text, str, key) not in order_of:
+                    order_of[text] = LinearOrder.from_string(text)
+                assignment[issue_of[key]] = order_of[text]
+            yield Profile(assignment)
+
     if variant == "full":
         return CandidateSpace.full(issue_space)
     if variant == "explicit":
-        profiles = [_profile_from_doc(p, issue_space) for p in doc.get("profiles", [])]
-        return CandidateSpace.explicit(profiles, issue_space)
+        return CandidateSpace.explicit(members(doc.get("profiles", [])), issue_space)
     if variant == "product":
-        blocks = []
-        for block in doc.get("blocks", []):
-            block_issues = tuple(issue_space.resolve(i) for i in block["issues"])
-            factor = [_profile_from_doc(p, issue_space) for p in block["profiles"]]
-            blocks.append((block_issues, factor))
+        blocks = [
+            ([issue_space.resolve(i) for i in _expect(ids, list, "issues")], list(members(entries)))
+            for ids, entries in blocks
+        ]
         return CandidateSpace.product(blocks, issue_space)
     raise InvalidArgumentError(f"unknown variant {variant!r}")

@@ -388,6 +388,17 @@ def _bad_saliency(setup):
     return _generalization(setup, population=str(path))
 
 
+def _vc_over_space_file(doc):
+    """A builder of a ``vc`` config over a space file that holds ``doc``."""
+
+    def build(setup):
+        path = setup["tmp"] / "bad_space.json"
+        path.write_text(json.dumps(doc))
+        return {"kind": "vc", "space": str(path), "seed": 1}
+
+    return build
+
+
 # (config builder, REPSOC_SEED or None, text the error must contain)
 BAD_INPUTS = {
     "profile-issue": (lambda s: _axiom(s, profile={"zz": "0>1", "i1": "0>1"}), None, "'zz'"),
@@ -416,6 +427,29 @@ BAD_INPUTS = {
         lambda s: _generalization(s, sizes=[-5, 3]), None, "'sizes'"
     ),
     "sizes-negative-axiom": (lambda s: _axiom(s, sizes=[-5, 3]), None, "'sizes'"),
+    "space-ordering-not-text": (
+        _vc_over_space_file({"variant": "explicit", "issues": ["a"], "N": 2, "profiles": [{"a": 5}]}),
+        None,
+        "'a'",
+    ),
+    "space-profile-not-object": (
+        _vc_over_space_file({"variant": "explicit", "issues": ["a"], "N": 3, "profiles": ["0>1>2"]}),
+        None,
+        "'profiles'",
+    ),
+    "space-n-text": (
+        _vc_over_space_file({"variant": "full", "issues": ["a"], "N": "abc"}), None, "'N'"
+    ),
+    "space-issues-not-list": (
+        _vc_over_space_file({"variant": "full", "issues": 5, "N": 2}), None, "'issues'"
+    ),
+    "space-block-without-profiles": (
+        _vc_over_space_file(
+            {"variant": "product", "issues": ["a"], "N": 2, "blocks": [{"issues": ["a"]}]}
+        ),
+        None,
+        "'profiles'",
+    ),
 }
 
 
@@ -428,6 +462,44 @@ def test_bad_input_exits_2_naming_it(case, binary_setup, monkeypatch, capsys):
     assert main(["run", config, "--out", str(binary_setup["tmp"] / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+# per experiment kind, the keys its handler reads with _require
+REQUIRED_KEYS = {
+    "generalization": ("population", "space", "sizes", "trials", "seed"),
+    "axiom": ("population", "space", "issue", "axiom", "sizes", "trials", "seed"),
+    "privilege-analysis": ("space",),
+    "synthesize-acyclic": ("graphs",),
+    "condorcet-demo": ("space", "sizes", "trials", "seed"),
+    "vc": ("space",),
+    "rademacher": ("population", "space", "seed", "sample_size"),
+}
+
+
+def _complete_config(setup, kind):
+    graphs_path = setup["tmp"] / "graphs.json"
+    graphs_path.write_text(json.dumps({"N": 3, "graphs": {"i": [[0, 1]]}}))
+    return {
+        "generalization": _generalization(setup),
+        "axiom": _axiom(setup),
+        "privilege-analysis": {"kind": kind, "space": setup["space"]},
+        "synthesize-acyclic": {"kind": kind, "graphs": str(graphs_path)},
+        "condorcet-demo": {"kind": kind, "space": setup["space"], "sizes": [5], "trials": 2, "seed": 0},
+        "vc": {"kind": kind, "space": setup["space"]},
+        "rademacher": _rademacher(setup),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(REQUIRED_KEYS))
+def test_validate_and_run_name_each_missing_required_key(kind, binary_setup, capsys):
+    tmp = binary_setup["tmp"]
+    config = _complete_config(binary_setup, kind)
+    assert main(["validate", write_config(tmp, config)]) == 0
+    for key in REQUIRED_KEYS[kind]:
+        path = write_config(tmp, {k: v for k, v in config.items() if k != key})
+        for command in (["validate", path], ["run", path, "--out", str(tmp / "out")]):
+            assert main(command) == 2
+            assert f"config missing key {key!r}" in capsys.readouterr().err
 
 
 def test_majority_over_too_big_full_space_exits_3(tmp_path, capsys):

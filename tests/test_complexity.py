@@ -88,6 +88,74 @@ def enumerated_rademacher(loss_class, sample, num_sign_draws, seed):
     return estimate, stderr
 
 
+# -- the per-member references ----------------------------------------------
+# The block routines as they were before column codes: they read every
+# member's orders one by one, scoring and projecting each (member, issue) cell.
+
+
+def member_block_patterns(space):
+    """Per block of a binary space: its issues and the set of its members' yes/no patterns."""
+    return [
+        (issues, {tuple(order.ranking[0] for order in row) for row in rows})
+        for issues, rows in space.rows()
+    ]
+
+
+def member_shattered(patterns, cols):
+    return len({tuple(p[k] for k in cols) for p in patterns}) == 2 ** len(cols)
+
+
+def member_vc_dimension_with_witness(space):
+    witness = []
+    for issues, patterns in member_block_patterns(space):
+        found = ()
+        for d in range(1, len(issues) + 1):
+            subsets = itertools.combinations(range(len(issues)), d)
+            subset = next((c for c in subsets if member_shattered(patterns, c)), ())
+            if not subset:
+                break
+            found = subset
+        witness.extend(issues[k] for k in found)
+    rank = {issue: k for k, issue in enumerate(space.issue_space.sorted_ids())}
+    return len(witness), tuple(sorted(witness, key=rank.__getitem__))
+
+
+def member_is_shattered(space, issue_subset):
+    blocks = member_block_patterns(space)
+    column = {issue: (b, k) for b, (ids, _) in enumerate(blocks) for k, issue in enumerate(ids)}
+    return all(
+        member_shattered(patterns, [column[i][1] for i in issue_subset if column[i][0] == b])
+        for b, (_, patterns) in enumerate(blocks)
+    )
+
+
+def member_rademacher(loss_class, sample, num_sign_draws, seed):
+    rule = loss_class.rule
+    blocks = list(loss_class.space.rows())
+    column = {issue: (b, k) for b, (ids, _) in enumerate(blocks) for k, issue in enumerate(ids)}
+    parts = [[] for _ in blocks]
+    for j, (_, issue) in enumerate(sample):
+        parts[column[issue][0]].append((j, column[issue][1]))
+    signs = derive_rng(seed).integers(0, 2, size=(num_sign_draws, len(sample))) * 2 - 1
+    maxima = []
+    for (_, rows), part in zip(blocks, parts):
+        if part:
+            scores = np.array(
+                [[rule.evaluate(sample.pairs[j][0], row[k]) for j, k in part] for row in rows]
+            )  # shape (block members, sample pairs on the block)
+            maxima.append((signs[:, [j for j, _ in part]] @ scores.T).max(axis=1))
+    per_draw = sum(maxima) / len(sample)
+    stderr = per_draw.std(ddof=1) / math.sqrt(num_sign_draws) if num_sign_draws > 1 else math.inf
+    return float(per_draw.mean()), float(stderr)
+
+
+def repeats_orderings(space):
+    """Whether some block column lists one ordering for two members."""
+    return space.variant != "full" and any(
+        len({row[k] for row in rows}) < len(rows) for issues, rows in space.rows() for k in range(len(issues))
+    )
+
+
 def random_space(rng, n, issue_count, most_members=12):
     """A random explicit, product (random issue partition) or full space."""
     issues = tuple(f"i{k}" for k in range(issue_count))
@@ -143,6 +211,36 @@ def test_rademacher_matches_enumeration():
                 checked["several blocks"] += 1
                 assert got == pytest.approx(expected, rel=0, abs=1e-12)
     assert min(checked.values()) > 20
+
+
+def test_vc_and_shattering_match_the_per_member_reference():
+    rng = np.random.default_rng(12)
+    repeated = 0
+    for _ in range(150):
+        space = random_space(rng, 2, int(rng.integers(1, 7)), most_members=40)
+        repeated += repeats_orderings(space)
+        assert vc_dimension_with_witness(space) == member_vc_dimension_with_witness(space)
+        issues = space.issue_space.sorted_ids()
+        for size in range(len(issues) + 1):
+            for subset in itertools.combinations(issues, size):
+                assert is_shattered(space, subset) == member_is_shattered(space, subset)
+    assert repeated > 50
+
+
+def test_rademacher_matches_the_per_member_reference_bit_for_bit():
+    rng = np.random.default_rng(13)
+    repeated = 0
+    for trial in range(150):
+        n = 2 + trial % 3
+        space = random_space(rng, n, int(rng.integers(1, 5)), most_members=60)
+        repeated += repeats_orderings(space)
+        sample = random_sample(rng, space.issue_space.issue_ids, n, int(rng.integers(1, 40)))
+        for rule in (EXACT_MATCH, KENDALL):
+            loss_class = InducedLossClass(space, rule)
+            draws = int(rng.integers(1, 60))
+            expected = member_rademacher(loss_class, sample, draws, seed=trial)
+            assert empirical_rademacher(loss_class, sample, draws, seed=trial) == expected
+    assert repeated > 50
 
 
 def test_rademacher_sample_issue_outside_the_space():

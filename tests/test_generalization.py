@@ -76,8 +76,8 @@ def _grid_distribution(draw, keys, keep_zeros):
 
 
 @st.composite
-def generalization_inputs(draw):
-    n = draw(st.integers(2, 3))
+def generalization_inputs(draw, most_outcomes=3):
+    n = draw(st.integers(2, most_outcomes))
     issues = tuple(f"i{j}" for j in range(draw(st.integers(1, 3))))
     issue_space = IssueSpace(issues, n)
     orders = all_linear_orders(n)
@@ -116,6 +116,43 @@ def test_block_sup_matches_enumeration_bit_for_bit(inputs):
     for size in sizes:
         assert np.array_equal(result.gaps[size], gaps[size])
         assert np.array_equal(result.regret_slack[size], regret_slack[size])
+
+
+def member_space_blocks(space, saliency, population, cells):
+    """``experiments._space_blocks`` as it was: each member's (cell, term) looked up one by one."""
+    cell_of = {cell: j for j, cell in enumerate(cells)}
+    weighted = [issue for issue in saliency.issues if saliency(issue) != 0]
+    entry_of = {issue: {} for issue in space.issue_space.issue_ids}
+    for issue in weighted:
+        w = saliency(issue)
+        for order, mass in population.distribution(issue).items():
+            entry_of[issue][order] = (cell_of.get((issue, order), len(cells)), w * mass)
+    place, blocks = {}, []
+    for issues, rows in space.rows():
+        place.update((issue, (len(blocks), j)) for j, issue in enumerate(issues))
+        tables = [entry_of[issue] for issue in issues]
+        entries = np.array(
+            [[table.get(order, (len(cells), 0.0)) for table, order in zip(tables, row)] for row in rows]
+        )  # (members, issues, 2)
+        terms = entries[:, :, 1]
+        _, term_ids = np.unique(terms, axis=0, return_inverse=True)
+        blocks.append((entries[:, :, 0].astype(np.intp), terms, term_ids.ravel(), terms.sum(axis=1)))
+    return blocks, [place[issue] for issue in weighted]
+
+
+@settings(max_examples=200, deadline=None)
+@given(generalization_inputs(most_outcomes=4))
+def test_space_blocks_match_the_per_member_reference(inputs):
+    space, saliency, population = inputs[:3]
+    cells, _ = _cells(saliency, population)
+    blocks, sequence = experiments._space_blocks(space, saliency, population, cells)
+    expected_blocks, expected_sequence = member_space_blocks(space, saliency, population, cells)
+    assert sequence == expected_sequence
+    assert len(blocks) == len(expected_blocks)
+    for block, expected in zip(blocks, expected_blocks):
+        got = (block.cells, block.terms, block.term_ids, block.totals)
+        for array, reference in zip(got, expected):
+            assert array.dtype == reference.dtype and np.array_equal(array, reference)
 
 
 def _tied_setup():

@@ -1,5 +1,9 @@
 import itertools
+import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -237,3 +241,74 @@ def test_rows_recombine_to_the_enumeration(space, data):
     probes = data.draw(st.lists(st.tuples(*(st.sampled_from(orders) for _ in ids)), max_size=10))
     for profile in enumerated[:10] + [Profile(dict(zip(ids, row))) for row in probes]:
         assert space.contains(profile) == (profile in members)
+
+
+# -- the per-member reference loader ----------------------------------------
+
+
+def member_profile_from_doc(doc, issue_space):
+    """The loader's profile parse as it was: every (member, issue) cell parsed on its own."""
+    return Profile(
+        {issue_space.resolve(key): LinearOrder.from_string(text) for key, text in doc.items()}
+    )
+
+
+def member_load_candidate_space(path):
+    with open(path) as fh:
+        doc = json.load(fh)
+    issue_space = IssueSpace(tuple(doc["issues"]), int(doc["N"]))
+    if doc["variant"] == "full":
+        return CandidateSpace.full(issue_space)
+    if doc["variant"] == "explicit":
+        profiles = [member_profile_from_doc(p, issue_space) for p in doc["profiles"]]
+        return CandidateSpace.explicit(profiles, issue_space)
+    blocks = [
+        (
+            tuple(issue_space.resolve(i) for i in block["issues"]),
+            [member_profile_from_doc(p, issue_space) for p in block["profiles"]],
+        )
+        for block in doc["blocks"]
+    ]
+    return CandidateSpace.product(blocks, issue_space)
+
+
+@settings(max_examples=150, deadline=None)
+@given(candidate_spaces(), st.data())
+def test_load_round_trip_matches_the_per_member_loader(space, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "space.json"
+        save_candidate_space(path, space)
+        loaded = load_candidate_space(path)
+        reference = member_load_candidate_space(path)
+    for other in (space, reference):
+        assert (loaded.variant, loaded.issue_space) == (other.variant, other.issue_space)
+        assert loaded.blocks == other.blocks  # equal members, in the same order
+        assert loaded.profiles == other.profiles
+    ids = space.issue_space.sorted_ids()
+    orders = all_linear_orders(space.issue_space.n)
+    probes = data.draw(st.lists(st.tuples(*(st.sampled_from(orders) for _ in ids)), max_size=10))
+    for profile in [Profile(dict(zip(ids, row))) for row in probes]:
+        assert loaded.contains(profile) == space.contains(profile)
+
+
+def test_loading_builds_one_order_per_distinct_text(tmp_path, monkeypatch):
+    rng = np.random.default_rng(14)
+    orders = all_linear_orders(4)
+    issues = ("a", "b", "c")
+    rows = {tuple(int(k) for k in rng.integers(0, 24, size=3)) for _ in range(2600)}
+    profiles = [Profile({i: orders[k] for i, k in zip(issues, row)}) for row in sorted(rows)[:2000]]
+    path = tmp_path / "space.json"
+    save_candidate_space(path, CandidateSpace.explicit(profiles, IssueSpace(issues, 4)))
+    texts = {text for entry in json.loads(path.read_text())["profiles"] for text in entry.values()}
+    built = []
+    order_post_init = LinearOrder.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        order_post_init(self)
+
+    monkeypatch.setattr(LinearOrder, "__post_init__", counting_post_init)
+    space = load_candidate_space(path)
+    assert space.size() == 2000
+    assert len(built) <= len(texts) == 24
+    assert {str(order) for order in built} == texts
