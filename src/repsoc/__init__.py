@@ -64,9 +64,6 @@ from .orders import (
     apply_local_permutation,
     apply_permutation,
     exact_match_score,
-    inversions,
-    kendall_score,
-    restrict,
 )
 from .population import (
     IssueSpace,

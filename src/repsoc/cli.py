@@ -8,13 +8,13 @@ overrides the config's master seed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from .errors import CapacityError, InvalidArgumentError, PreconditionError, UnsupportedError
 from .experiments import int_setting, run_experiment, validate_config
+from .population import read_json
 from .privilege import build_privilege_graph, is_cyclically_privileged, to_dot
 from .spaces import load_candidate_space
 
@@ -25,15 +25,7 @@ EXIT_CHECK = 4
 
 
 def _load_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            config = json.load(fh)
-    except FileNotFoundError:
-        raise InvalidArgumentError(f"config file {path} not found") from None
-    except json.JSONDecodeError as exc:
-        raise InvalidArgumentError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise InvalidArgumentError("config must be a JSON object")
+    config = read_json(path, "config")
     env_seed = os.environ.get("REPSOC_SEED")
     if env_seed is not None:
         config["seed"] = int_setting("REPSOC_SEED", env_seed)

@@ -13,6 +13,7 @@ import csv
 import json
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,9 @@ from .population import (
     MarginalPopulation,
     SaliencyDistribution,
     _cells,
+    expect,
     load_population,
+    read_json,
     sample_pairs,
 )
 from .privilege import (
@@ -135,7 +138,7 @@ class _Block:
 
 
 def _space_blocks(space: CandidateSpace, saliency, population, cells):
-    """The blocks of ``space.rows()`` with each member's cells and population terms, looked up
+    """The blocks of ``space`` with each member's cells and population terms, looked up
     once per distinct ordering of a column and gathered by the column codes.
 
     Also returns the weighted issues in saliency order, as (block, column) pairs.
@@ -414,13 +417,23 @@ def _fmt(x: float) -> str:
 
 
 def _load_graphs(path) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh)
-    n = int(doc["N"])
-    return {
-        issue: PrivilegeGraph(issue=issue, n=n, edges=frozenset(tuple(e) for e in edges))
-        for issue, edges in doc["graphs"].items()
-    }
+    """Read a graphs file; a malformed entry raises an error that names its key."""
+    doc = read_json(path, "graphs")
+    _expect = partial(expect, what="graphs")
+    try:
+        n, graphs = _expect(doc["N"], int, "N"), _expect(doc["graphs"], dict, "graphs")
+    except KeyError as exc:
+        raise InvalidArgumentError(f"graphs file missing key {exc}") from exc
+    out = {}
+    for issue, edges in graphs.items():
+        pairs = [
+            tuple(_expect(u, int, issue) for u in _expect(edge, list, issue))
+            for edge in _expect(edges, list, issue)
+        ]
+        if any(len(pair) != 2 for pair in pairs):
+            raise InvalidArgumentError(f"graphs file key {issue!r}: each edge must be a pair [u, v]")
+        out[issue] = PrivilegeGraph(issue=issue, n=n, edges=frozenset(pairs))
+    return out
 
 
 def run_experiment(config: dict, out_dir, check: bool = False) -> RunReport:

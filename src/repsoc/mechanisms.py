@@ -4,10 +4,12 @@ Mechanisms are anonymous: they consume ``{issue: {ordering: count}}`` tallies.
 Majority vote is exact-match scoring, and one exact kernel,
 :func:`scoring_mechanism_from_counts`, serves every rule.  Scores are integer
 points, so ties are exact.  The objective is a sum over issues, so the kernel
-maximizes each block of :meth:`CandidateSpace.rows` on its own, which raises
-:class:`CapacityError` for a block over the enumeration cap before anything
-is allocated.  The winner is the first maximum of each block, which is the
-first maximum in ``enumerate_profiles`` (rank-tuple) order.
+maximizes each block of the space on its own.  It scores each distinct
+ordering of a block column once and sums the members' points through the
+column codes that the space builds on first use and keeps; a block over the
+enumeration cap raises :class:`CapacityError` before anything is allocated.
+The winner is the first maximum of each block, which is the first maximum in
+``enumerate_profiles`` (rank-tuple) order.
 """
 
 from __future__ import annotations
@@ -159,24 +161,18 @@ def scoring_mechanism_from_counts(
     assignment = {}
     points = 0
     tie_set_size = 1
-    for issues, rows in space.rows():
-        tallies = [counts.get(issue, {}) for issue in issues]
-        memos = [{} for _ in issues]  # per issue: target order -> points
-        best = None
-        for row in rows:
-            score = 0
-            for tally, memo, target in zip(tallies, memos, row):
-                value = memo.get(target)
-                if value is None:
-                    value = memo[target] = _weighted_points(rule, tally, target)
-                score += value
-            if best is None or score > best:
-                best, ties, winner = score, 1, row
-            elif score == best:
-                ties += 1
-        assignment.update(zip(issues, winner))
+    for issues, columns, codes in space._codes():
+        tables = [
+            [_weighted_points(rule, counts.get(issue, {}), o) for o in column]
+            for issue, column in zip(issues, columns)
+        ]
+        gathered = [map(table.__getitem__, col) for table, col in zip(tables, codes.T.tolist())]
+        scores = list(map(sum, zip(*gathered)))  # per member, its columns' points in order
+        best = max(scores)
+        winner = codes[scores.index(best)].tolist()
+        assignment.update((issue, column[c]) for issue, column, c in zip(issues, columns, winner))
         points += best
-        tie_set_size *= ties
+        tie_set_size *= scores.count(best)
     top = rule.top(space.issue_space.n)
     return MechanismResult(
         chosen=Profile(assignment),

@@ -20,10 +20,7 @@ __all__ = [
     "Profile",
     "apply_permutation",
     "apply_local_permutation",
-    "restrict",
-    "inversions",
     "concordant_pairs",
-    "kendall_score",
     "exact_match_score",
 ]
 
@@ -58,9 +55,6 @@ class LinearOrder:
     def prefers(self, a: int, b: int) -> bool:
         """True iff outcome ``a`` is ranked above outcome ``b``."""
         return self.position[a] < self.position[b]
-
-    def reversed(self) -> "LinearOrder":
-        return LinearOrder(self.ranking[::-1])
 
     def __str__(self) -> str:
         return ">".join(str(c) for c in self.ranking)
@@ -134,10 +128,6 @@ class Permutation:
         return Permutation(tuple(inv))
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @classmethod
     def transposition(cls, n: int, a: int, b: int) -> "Permutation":
         if a == b:
             raise InvalidArgumentError("transposition needs two distinct outcomes")
@@ -152,18 +142,6 @@ class Permutation:
         mapping = list(range(n))
         for i, x in enumerate(elems):
             mapping[x] = elems[(i + 1) % len(elems)]
-        return cls(tuple(mapping))
-
-    @classmethod
-    def from_subset_order(cls, n: int, subset: Iterable[int], target: Iterable[int]) -> "Permutation":
-        """Permutation of ``subset`` sending its i-th listed element to ``target``'s i-th."""
-        subset = list(subset)
-        target = list(target)
-        if sorted(subset) != sorted(target):
-            raise InvalidArgumentError("subset and target must contain the same outcomes")
-        mapping = list(range(n))
-        for a, b in zip(subset, target):
-            mapping[a] = b
         return cls(tuple(mapping))
 
 
@@ -238,31 +216,6 @@ def apply_local_permutation(profile: Profile, issue, sigma: Permutation) -> Prof
     return profile.with_issue(issue, apply_permutation(profile(issue), sigma))
 
 
-def restrict(o: LinearOrder, pair: Iterable[int]) -> PartialOrder:
-    """The 2-element partial order over ``pair`` induced by ``o``."""
-    c, cp = tuple(pair)
-    if c == cp:
-        raise InvalidArgumentError("pair must contain two distinct outcomes")
-    if not (0 <= c < o.n and 0 <= cp < o.n):
-        raise InvalidArgumentError(f"pair ({c},{cp}) out of range for n={o.n}")
-    if o.prefers(c, cp):
-        return PartialOrder((c, cp), o.n)
-    return PartialOrder((cp, c), o.n)
-
-
-def inversions(o: LinearOrder, ref: PartialOrder) -> int:
-    """Number of ref-pairs that ``o`` ranks oppositely; 0 iff ``o`` extends ``ref``."""
-    if any(c >= o.n for c in ref.subset):
-        raise InvalidArgumentError(f"reference {ref} out of range for n={o.n}")
-    subset = ref.subset
-    return sum(
-        1
-        for x in range(len(subset))
-        for y in range(x + 1, len(subset))
-        if o.prefers(subset[y], subset[x])
-    )
-
-
 def concordant_pairs(o: LinearOrder, other: LinearOrder) -> int:
     """Number of outcome pairs that both orders rank the same way."""
     if o.n != other.n:
@@ -270,14 +223,6 @@ def concordant_pairs(o: LinearOrder, other: LinearOrder) -> int:
     ranks = [o.position[c] for c in other.ranking]
     n = len(ranks)
     return sum(ranks[x] < ranks[y] for x in range(n) for y in range(x + 1, n))
-
-
-def kendall_score(o: LinearOrder, other: LinearOrder) -> float:
-    """Fraction of concordant pairs: 1 on equality, 0 on full reversal."""
-    if o.n < 2:
-        raise InvalidArgumentError("kendall score needs at least 2 outcomes")
-    total = o.n * (o.n - 1) // 2
-    return 1.0 - (total - concordant_pairs(o, other)) / total
 
 
 def exact_match_score(o: LinearOrder, other: LinearOrder) -> float:

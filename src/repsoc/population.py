@@ -12,7 +12,8 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from numbers import Real
 from typing import Mapping
 
 import numpy as np
@@ -297,26 +298,54 @@ def save_population(
         json.dump(doc, fh, indent=2)
 
 
-def load_population(path):
-    """Read a population file; returns (IssueSpace, SaliencyDistribution, MarginalPopulation)."""
-    with open(path) as fh:
-        doc = json.load(fh)
+def read_json(path, what: str) -> dict:
+    """The JSON object in the ``what`` file at ``path``; a missing file, bad JSON or another
+    top-level value raises an error that names the file."""
     try:
-        issues = list(doc["issues"])
-        n = int(doc["N"])
-        saliency_raw = doc["saliency"]
-        marginals_raw = doc["marginals"]
+        with open(path) as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        raise InvalidArgumentError(f"{what} file {path} not found") from None
+    except json.JSONDecodeError as exc:
+        raise InvalidArgumentError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidArgumentError(f"{what} file {path} must hold a JSON object")
+    return doc
+
+
+def expect(value, kind: type, key, what: str):
+    """``value``, read from ``key`` of a ``what`` file, if it is a ``kind``."""
+    if isinstance(value, kind):
+        return value
+    raise InvalidArgumentError(
+        f"{what} file key {key!r}: expected {kind.__name__}, got {value!r}"
+    )
+
+
+def load_population(path):
+    """Read a population file; returns (IssueSpace, SaliencyDistribution, MarginalPopulation).
+
+    A malformed entry raises an error that names its key."""
+    doc = read_json(path, "population")
+    _expect = partial(expect, what="population")
+    try:
+        issues, n = doc["issues"], doc["N"]
+        saliency_raw, marginals_raw = doc["saliency"], doc["marginals"]
     except KeyError as exc:
         raise InvalidArgumentError(f"population file missing key {exc}") from exc
-    space = IssueSpace(tuple(issues), n)
+    space = IssueSpace(tuple(_expect(issues, list, "issues")), _expect(n, int, "N"))
     saliency = SaliencyDistribution(
-        {space.resolve(key): float(w) for key, w in saliency_raw.items()}
+        {
+            space.resolve(key): float(_expect(w, Real, key))
+            for key, w in _expect(saliency_raw, dict, "saliency").items()
+        }
     )
     per_issue = {
         space.resolve(key): {
-            LinearOrder.from_string(text): float(p) for text, p in dist.items()
+            LinearOrder.from_string(text): float(_expect(p, Real, text))
+            for text, p in _expect(dist, dict, key).items()
         }
-        for key, dist in marginals_raw.items()
+        for key, dist in _expect(marginals_raw, dict, "marginals").items()
     }
     for order_dist in per_issue.values():
         for order in order_dist:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial, prod
 from typing import Iterator, Sequence
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CapacityError, InvalidArgumentError
 from .orders import LinearOrder, Profile
-from .population import IssueSpace
+from .population import IssueSpace, expect, read_json
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -163,15 +163,22 @@ class CandidateSpace:
         for issues, members in self.blocks:
             yield issues, [tuple(member(issue) for issue in issues) for member in members]
 
-    def _codes(self) -> Iterator[tuple]:
-        """Yield each block of :meth:`rows` as ``(issues, columns, codes)``: ``columns[k]`` lists
-        the distinct orders on ``issues[k]``, and member ``m`` has ``columns[k][codes[m, k]]``."""
-        dtype = np.min_scalar_type(min(factorial(self.issue_space.n), DEFAULT_ENUMERATION_CAP))
-        for issues, rows in self.rows():
-            seen = [{} for _ in issues]  # per column: order -> code
-            flat = (col.setdefault(o, len(col)) for row in rows for col, o in zip(seen, row))
-            codes = np.fromiter(flat, dtype=dtype).reshape(-1, len(issues))
-            yield issues, [list(col) for col in seen], codes
+    def _codes(self) -> tuple:
+        """Each block of :meth:`rows` as ``(issues, columns, codes)``: ``columns[k]`` lists the
+        distinct orders on ``issues[k]``, and member ``m`` has ``columns[k][codes[m, k]]``.
+
+        Built on first use and kept, read-only; a block over the cap raises on every call."""
+        if "_code_blocks" not in self.__dict__:
+            dtype = np.min_scalar_type(min(factorial(self.issue_space.n), DEFAULT_ENUMERATION_CAP))
+            blocks = []
+            for issues, rows in self.rows():
+                seen = [{} for _ in issues]  # per column: order -> code
+                flat = (col.setdefault(o, len(col)) for row in rows for col, o in zip(seen, row))
+                codes = np.fromiter(flat, dtype=dtype).reshape(-1, len(issues))
+                codes.flags.writeable = False
+                blocks.append((issues, [tuple(col) for col in seen], codes))
+            object.__setattr__(self, "_code_blocks", tuple(blocks))
+        return self._code_blocks
 
     def enumerate_profiles(self) -> Iterator[Profile]:
         """Yield every member once, in rank-tuple order.
@@ -239,20 +246,13 @@ def save_candidate_space(path, space: CandidateSpace) -> None:
         json.dump(doc, fh, indent=2)
 
 
-def _expect(value, kind: type, key):
-    """``value``, read from ``key`` of a space file, if it is a ``kind``."""
-    if isinstance(value, kind):
-        return value
-    raise InvalidArgumentError(
-        f"candidate-space file key {key!r}: expected {kind.__name__}, got {value!r}"
-    )
+_expect = partial(expect, what="candidate-space")
 
 
 def load_candidate_space(path) -> CandidateSpace:
     """Read a space file; a malformed entry raises an error that names its key.  Each distinct
     ordering text is parsed once, in file order, and shared by every member listing it."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path, "candidate-space")
     try:
         variant, issues, n = doc["variant"], doc["issues"], doc["N"]
         if variant == "product":

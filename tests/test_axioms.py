@@ -33,7 +33,6 @@ from repsoc import (
     make_mechanism,
     mix,
     pair_marginal,
-    restrict,
     synthesize_acyclic,
 )
 from repsoc.axioms import DecayCurve, DecayPoint, _committees
@@ -360,7 +359,7 @@ class TestDecayVerdict:
 
 # -- the per-trial reference ------------------------------------------------
 # The lab as it ran before it decided each distinct tally once: one tally
-# dict, one mechanism call and one restrict-based check per trial.
+# dict, one mechanism call and one pairwise check per trial.
 
 
 def reference_chosen(mechanism, saliency, population, sizes, trials, seed, stream=0):
@@ -390,14 +389,14 @@ def reference_failures(scn, sizes, trials, seed):
         pm = pair_marginal(scn.population, issue, pair)
         target = pair if pm > 0.5 else (pair[1], pair[0])
         return [
-            sum(tuple(restrict(chosen(issue), pair).subset) != target for chosen in c)
+            sum(not chosen(issue).prefers(*target) for chosen in c)
             for _, c in runs
         ]
     runs_b = reference_chosen(
         scn.mechanism, scn.saliency, scn.population_b, sizes, trials, seed, stream=1
     )
     return [
-        sum(restrict(a(issue), pair) != restrict(b(issue), pair) for a, b in zip(ca, cb))
+        sum(a(issue).prefers(*pair) != b(issue).prefers(*pair) for a, b in zip(ca, cb))
         for (_, ca), (_, cb) in zip(runs, runs_b)
     ]
 

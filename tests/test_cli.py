@@ -388,15 +388,29 @@ def _bad_saliency(setup):
     return _generalization(setup, population=str(path))
 
 
-def _vc_over_space_file(doc):
-    """A builder of a ``vc`` config over a space file that holds ``doc``."""
+def _over_file(name, content, config):
+    """A builder of ``config(setup, path)`` over a file ``name`` that holds ``content``: text as
+    it is, anything else as JSON."""
 
     def build(setup):
-        path = setup["tmp"] / "bad_space.json"
-        path.write_text(json.dumps(doc))
-        return {"kind": "vc", "space": str(path), "seed": 1}
+        path = setup["tmp"] / name
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        return config(setup, str(path))
 
     return build
+
+
+def _vc_over_space_file(content):
+    return _over_file("bad_space.json", content, lambda s, path: {"kind": "vc", "space": path, "seed": 1})
+
+
+def _generalization_over_marginals(marginals):
+    doc = {"issues": ["i0", "i1"], "N": 2, "saliency": {"i0": 0.5, "i1": 0.5}, "marginals": marginals}
+    return _over_file("bad_population.json", doc, lambda s, path: _generalization(s, population=path))
+
+
+def _synthesis_over_graphs_file(doc):
+    return _over_file("bad_graphs.json", doc, lambda s, path: {"kind": "synthesize-acyclic", "graphs": path})
 
 
 # (config builder, REPSOC_SEED or None, text the error must contain)
@@ -449,6 +463,19 @@ BAD_INPUTS = {
         ),
         None,
         "'profiles'",
+    ),
+    "space-not-json": (_vc_over_space_file("{nope"), None, "bad_space.json"),
+    "space-not-object": (_vc_over_space_file([]), None, "bad_space.json"),
+    "population-list-marginal": (
+        _generalization_over_marginals({"i0": [["0>1", 1.0]], "i1": {"0>1": 1.0}}), None, "'i0'"
+    ),
+    "population-text-mass": (
+        _generalization_over_marginals({"i0": {"0>1": "most"}, "i1": {"0>1": 1.0}}), None, "'0>1'"
+    ),
+    "graphs-without-n": (_synthesis_over_graphs_file({"graphs": {"i": [[0, 1]]}}), None, "'N'"),
+    "graphs-not-object": (_synthesis_over_graphs_file({"N": 3, "graphs": [[0, 1]]}), None, "'graphs'"),
+    "graphs-edge-of-length-1": (
+        _synthesis_over_graphs_file({"N": 3, "graphs": {"i": [[0]]}}), None, "'i'"
     ),
 }
 

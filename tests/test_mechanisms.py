@@ -14,21 +14,20 @@ from repsoc import (
     KENDALL,
     LinearOrder,
     MarginalPopulation,
-    PartialOrder,
     Profile,
     SaliencyDistribution,
     SampleSet,
     acyclic_mechanism,
     all_linear_orders,
     exact_match_score,
-    inversions,
-    kendall_score,
+    load_candidate_space,
     majority_vote,
     population_score,
     population_utility,
     sample_score,
     sample_utility,
     scoring_mechanism,
+    save_candidate_space,
     synthesize_acyclic,
 )
 from repsoc.privilege import PrivilegeGraph
@@ -257,7 +256,8 @@ class TestScoringRule:
         orders = all_linear_orders(4)
         for a in orders:
             for b in orders:
-                assert KENDALL.evaluate(a, b) == kendall_score(a, b)
+                inverted = sum(a.prefers(y, x) for x, y in itertools.combinations(b.ranking, 2))
+                assert KENDALL.evaluate(a, b) == 1.0 - inverted / 6
                 assert EXACT_MATCH.evaluate(a, b) == exact_match_score(a, b)
 
 
@@ -269,7 +269,8 @@ def reference_score(rule, order, target):
     if rule is EXACT_MATCH:
         return Fraction(int(order == target))
     n = order.n
-    return 1 - Fraction(inversions(order, PartialOrder(target.ranking, n)), n * (n - 1) // 2)
+    inverted = sum(order.prefers(y, x) for x, y in itertools.combinations(target.ranking, 2))
+    return 1 - Fraction(inverted, n * (n - 1) // 2)
 
 
 def brute_force_argmax(sample, space, rule):
@@ -358,3 +359,23 @@ def test_block_over_cap_raises_before_allocating():
     sample = SampleSet(((LinearOrder(tuple(range(10))), "i"),))
     with pytest.raises(CapacityError):
         majority_vote(sample, space)
+
+
+def test_kernel_reads_a_space_once_and_loading_reads_none(monkeypatch, tmp_path):
+    reads = []
+    rows = CandidateSpace.rows
+    monkeypatch.setattr(CandidateSpace, "rows", lambda space: reads.append(space) or rows(space))
+    rng = np.random.default_rng(11)
+    path = tmp_path / "space.json"
+    save_candidate_space(path, random_explicit_space(rng, ("a", "b"), 3, 12))
+    space = load_candidate_space(path)
+    assert reads == []
+    for rule in (EXACT_MATCH, KENDALL):
+        for _ in range(50):
+            scoring_mechanism(random_sample(rng, ("a", "b"), 3, 7), space, rule)
+    assert reads == [space]
+    too_big = CandidateSpace.full(IssueSpace(("i",), 10))
+    sample = SampleSet(((LinearOrder(tuple(range(10))), "i"),))
+    for _ in range(2):
+        with pytest.raises(CapacityError):
+            majority_vote(sample, too_big)

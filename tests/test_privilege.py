@@ -55,11 +55,13 @@ def brute_force_is_privileged(space, issue, o):
         projections = {None}
     completions = [order for order in all_linear_orders(n) if o.extends(order)]
     subset = sorted(o.subset)
-    perms = [
-        Permutation.from_subset_order(n, subset, images)
-        for images in itertools.permutations(subset)
-        if tuple(images) != tuple(subset)
-    ]
+    perms = []
+    for images in itertools.permutations(subset):
+        if tuple(images) != tuple(subset):
+            mapping = list(range(n))
+            for a, b in zip(subset, images):
+                mapping[a] = b
+            perms.append(Permutation(tuple(mapping)))
     for projection in projections:
         for completion in completions:
             if projection is None:
