@@ -9,14 +9,15 @@ construction.  Run:
 """
 
 from repsoc import (
+    KENDALL,
     LinearOrder,
     PartialOrder,
     Profile,
-    acyclic_mechanism,
     build_privilege_graph,
     is_cyclically_privileged,
     is_privileged,
     scc_condensation,
+    scoring_mechanism,
     synthesize_acyclic,
 )
 from repsoc.privilege import PrivilegeGraph, to_dot
@@ -69,7 +70,9 @@ def main():
     print("\n== acyclic synthesis from edges {(0,1),(0,2),(1,2),(2,1)}")
     print(f"   factor orderings : {[str(o) for o in plan.issue_plans['i'].factor]}")
     sample = SampleSet(((lo("0>2>1"), "i"),) * 3 + ((lo("0>1>2"), "i"),))
-    print(f"   mechanism on a 3-1 sample for the pair block: {acyclic_mechanism(plan, sample)('i')}")
+    # the plan's mechanism is Kendall scoring over its synthesized space
+    chosen = scoring_mechanism(sample, plan.space, KENDALL).chosen
+    print(f"   mechanism on a 3-1 sample for the pair block: {chosen('i')}")
     print("\nDOT for the synthesized space's graph:")
     print(to_dot(build_privilege_graph(plan.space, "i")))
 

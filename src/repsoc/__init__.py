@@ -48,7 +48,6 @@ from .mechanisms import (
     SCORING_RULES,
     MechanismResult,
     ScoringRule,
-    acyclic_mechanism,
     majority_vote,
     population_score,
     population_utility,

@@ -36,7 +36,6 @@ from .errors import CapacityError, InvalidArgumentError
 from .mechanisms import (
     EXACT_MATCH,
     SCORING_RULES,
-    acyclic_mechanism_from_counts,
     scoring_mechanism_from_counts,
 )
 from .orders import LinearOrder, Permutation, Profile, apply_local_permutation
@@ -94,7 +93,13 @@ def _scoring_rule(rule_name: str):
 
 
 def make_mechanism(name: str, space: CandidateSpace = None, plan=None):
-    """Resolve a mechanism config string to a counts-based callable."""
+    """Resolve a mechanism config string to a counts-based callable.
+
+    ``"acyclic"`` is Kendall scoring over the plan's synthesized space."""
+    if name == "acyclic":
+        if plan is None:
+            raise InvalidArgumentError("acyclic mechanism needs a synthesis plan")
+        name, space = "scoring:kendall", plan.space
     if name == "majority" or name.startswith("scoring:"):
         rule = EXACT_MATCH if name == "majority" else _scoring_rule(name.split(":", 1)[1])
         if space is None:
@@ -102,10 +107,6 @@ def make_mechanism(name: str, space: CandidateSpace = None, plan=None):
         return lambda counts, total: scoring_mechanism_from_counts(
             counts, total, space, rule
         ).chosen
-    if name == "acyclic":
-        if plan is None:
-            raise InvalidArgumentError("acyclic mechanism needs a synthesis plan")
-        return lambda counts, total: acyclic_mechanism_from_counts(plan, counts)
     raise InvalidArgumentError(f"unknown mechanism {name!r}")
 
 
@@ -382,11 +383,44 @@ def _require_sizes(config: dict) -> list:
         raise InvalidArgumentError("config key 'sizes': must be nonempty and ascending")
     if sizes[0] < 0:
         raise InvalidArgumentError(f"config key 'sizes': must be >= 0, got {sizes[0]}")
+    if sizes[-1] > _INT64_MAX:  # committees are drawn by numpy, in int64
+        raise InvalidArgumentError(
+            f"config key 'sizes': must be <= 2**63 - 1, got {sizes[-1]:.4g}"
+        )
     return sizes
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_PATH_KEYS = ("population", "population_b", "space", "graphs")
+
+
+def _is_text(value) -> bool:
+    return isinstance(value, str)
+
+
+# optional config keys: per key, a test of its value and what the test expects
+_SHAPES = {
+    **dict.fromkeys(_PATH_KEYS, (_is_text, "a file path")),
+    **dict.fromkeys(("axiom", "mechanism", "scoring_rule"), (_is_text, "a name")),
+    # a bool is not a number here, nor is NaN
+    **dict.fromkeys(
+        ("epsilon", "delta"), (lambda v: type(v) in (int, float) and not np.isnan(v), "a number")
+    ),
+    "issues": (lambda v: isinstance(v, list), "a list of issues"),
+    "profile": (
+        lambda v: isinstance(v, dict) and all(map(_is_text, v.values())),
+        "an object of ordering strings",
+    ),
+    "pair": (
+        lambda v: isinstance(v, list) and len(v) == 2 and v[0] != v[1]
+        and all(type(x) is int for x in v),
+        "a list of two distinct integers",
+    ),
+}
+
+
 def validate_config(config: dict) -> None:
-    """Check a config's kind, required keys, sizes, counts, numbers and paths, naming a bad key."""
+    """Check a config's kind, required keys, sizes, counts, key types and paths; name a bad key."""
     kind = _require(config, "kind")
     if kind not in EXPERIMENT_KINDS:
         raise InvalidArgumentError(f"config key 'kind': unknown experiment {kind!r}")
@@ -395,10 +429,10 @@ def validate_config(config: dict) -> None:
     for key in ("trials", "sample_size", "sign_draws"):
         if key in config and _require_int(config, key) < 1:
             raise InvalidArgumentError(f"config key {key!r}: must be >= 1")
-    for key in ("epsilon", "delta"):  # a bool is not a number here, nor is NaN
-        if type(value := config.get(key, 0.0)) not in (int, float) or np.isnan(value):
-            raise InvalidArgumentError(f"config key {key!r}: expected a number, got {value!r}")
-    for key in ("population", "space", "graphs"):
+    for key, (valid, expected) in _SHAPES.items():
+        if key in config and not valid(value := config[key]):
+            raise InvalidArgumentError(f"config key {key!r}: expected {expected}, got {value!r}")
+    for key in _PATH_KEYS:
         if key in config and not Path(config[key]).exists():
             raise InvalidArgumentError(f"config key {key!r}: file {config[key]} not found")
     for key in _REQUIRED_KEYS[kind]:

@@ -10,21 +10,25 @@ column codes that the space builds on first use and keeps; a block over the
 enumeration cap raises :class:`CapacityError` before anything is allocated.
 The winner is the first maximum of each block, which is the first maximum in
 ``enumerate_profiles`` (rank-tuple) order.
+
+The acyclic-plan mechanism is Kendall scoring over the synthesized space
+(``make_mechanism("acyclic", plan=plan)``).  The members of a synthesized
+factor differ only on their flip pairs, so a member's Kendall score is a
+constant plus, per flip pair, the votes for its orientation: the argmax is the
+pairwise majority of each flip pair, and a tie keeps the canonical
+``(min, max)`` orientation, which comes first in rank-tuple order.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .errors import InvalidArgumentError
 from .orders import LinearOrder, Profile, concordant_pairs, exact_match_score
 from .population import MarginalPopulation, SaliencyDistribution, SampleSet
 from .spaces import CandidateSpace
-
-if TYPE_CHECKING:
-    from .privilege import AcyclicPlan
 
 __all__ = [
     "ScoringRule",
@@ -39,8 +43,6 @@ __all__ = [
     "majority_vote",
     "scoring_mechanism",
     "scoring_mechanism_from_counts",
-    "acyclic_mechanism",
-    "acyclic_mechanism_from_counts",
 ]
 
 
@@ -180,33 +182,3 @@ def scoring_mechanism_from_counts(
         tie_set_size=tie_set_size,
         tie_broken=tie_set_size > 1,
     )
-
-
-# -- acyclic-plan mechanism ------------------------------------------------
-
-
-def acyclic_mechanism(plan: "AcyclicPlan", sample: SampleSet) -> Profile:
-    """Resolve each size-2 SCC by pairwise sample majority; the rest is fixed."""
-    return acyclic_mechanism_from_counts(plan, sample.counts())
-
-
-def acyclic_mechanism_from_counts(plan: "AcyclicPlan", counts: dict) -> Profile:
-    plan_issues = set(plan.issue_plans)
-    for issue in counts:
-        if issue not in plan_issues:
-            raise InvalidArgumentError(f"sample references issue {issue!r} outside the plan")
-    assignment = {}
-    for issue, issue_plan in plan.issue_plans.items():
-        dist = counts.get(issue, {})
-        ranking: list[int] = []
-        for scc in issue_plan.topo_sccs:
-            if len(scc) == 1:
-                ranking.append(scc[0])
-                continue
-            u, v = issue_plan.orientations[frozenset(scc)]
-            above = sum(c for order, c in dist.items() if order.prefers(u, v))
-            below = sum(c for order, c in dist.items() if order.prefers(v, u))
-            # ties fall back to the plan's canonical orientation (u, v)
-            ranking.extend((v, u) if below > above else (u, v))
-        assignment[issue] = LinearOrder(tuple(ranking))
-    return Profile(assignment)

@@ -231,7 +231,7 @@ class IssuePlan:
     """Per-issue synthesis data: SCC blocks in topo order plus orientations."""
 
     topo_sccs: tuple  # SCC member tuples, in topological order
-    orientations: Mapping  # frozenset({u,v}) -> canonical (u, v)
+    orientations: Mapping  # frozenset({u, v}) -> canonical (min, max)
     factor: tuple  # the 2^l synthesized LinearOrders
 
 
@@ -244,14 +244,14 @@ class AcyclicPlan:
         return len(self.issue_plans[issue].factor)
 
 
-def synthesize_acyclic(
-    phi: Mapping[object, PrivilegeGraph],
-    orientations: Mapping | None = None,
-) -> AcyclicPlan:
+def synthesize_acyclic(phi: Mapping[object, PrivilegeGraph]) -> AcyclicPlan:
     """Candidate space and mechanism plan realizing acyclic privilege graphs.
 
     Each issue's factor holds the 2^l orderings obtained by laying out SCC
-    blocks in topological order and flipping each size-2 block both ways.
+    blocks in topological order and flipping each size-2 block both ways from
+    its canonical orientation ``(min, max)``.  The plan's mechanism is Kendall
+    scoring over ``plan.space``: it sets each flip pair by pairwise majority,
+    and a tie keeps the canonical orientation, the first in rank-tuple order.
     """
     if not phi:
         raise InvalidArgumentError("need at least one issue graph")
@@ -273,23 +273,11 @@ def synthesize_acyclic(
             )
         topo_sccs = tuple(cond.scc_members[idx] for idx in cond.topo_order)
         pair_sccs = [scc for scc in topo_sccs if len(scc) == 2]
-        scc_orientations = {}
-        for scc in pair_sccs:
-            key = frozenset(scc)
-            if orientations and issue in orientations and key in orientations[issue]:
-                scc_orientations[key] = tuple(orientations[issue][key])
-            else:
-                scc_orientations[key] = (min(scc), max(scc))
+        scc_orientations = {frozenset(scc): (min(scc), max(scc)) for scc in pair_sccs}
         factor = []
         for flips in itertools.product((False, True), repeat=len(pair_sccs)):
-            flip_of = dict(zip(pair_sccs, flips))
-            ranking: list[int] = []
-            for scc in topo_sccs:
-                if len(scc) == 1:
-                    ranking.append(scc[0])
-                else:
-                    u, v = scc_orientations[frozenset(scc)]
-                    ranking.extend((v, u) if flip_of[scc] else (u, v))
+            flip_of = dict(zip(pair_sccs, flips))  # a flipped pair is laid out (max, min)
+            ranking = (o for scc in topo_sccs for o in sorted(scc, reverse=flip_of.get(scc, False)))
             factor.append(LinearOrder(tuple(ranking)))
         issue_plans[issue] = IssuePlan(
             topo_sccs=topo_sccs,

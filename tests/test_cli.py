@@ -477,7 +477,37 @@ BAD_INPUTS = {
     "graphs-edge-of-length-1": (
         _synthesis_over_graphs_file({"N": 3, "graphs": {"i": [[0]]}}), None, "'i'"
     ),
+    "population-b-missing": (
+        lambda s: _axiom(s, population_b=str(s["tmp"] / "nope.json")), None, "'population_b'"
+    ),
+    "population-b-not-a-path": (lambda s: _axiom(s, population_b=7), None, "'population_b'"),
+    "space-not-a-path": (lambda s: _generalization(s, space=7), None, "'space'"),
+    "pair-of-one": (lambda s: _axiom(s, pair=[0]), None, "'pair'"),
+    "pair-of-text": (lambda s: _axiom(s, pair=["a", "b"]), None, "'pair'"),
+    "pair-not-a-list": (lambda s: _axiom(s, pair=5), None, "'pair'"),
+    "pair-repeated": (lambda s: _axiom(s, pair=[1, 1]), None, "'pair'"),
+    "mechanism-not-text": (lambda s: _axiom(s, mechanism=5), None, "'mechanism'"),
+    "axiom-not-text": (lambda s: _axiom(s, axiom=["w-pc"]), None, "'axiom'"),
+    "profile-not-object": (lambda s: _axiom(s, profile=[1]), None, "'profile'"),
+    "profile-ordering-not-text": (
+        lambda s: _axiom(s, profile={"i0": 5, "i1": "0>1"}), None, "'profile'"
+    ),
+    "scoring-rule-not-text": (
+        lambda s: _rademacher(s, scoring_rule=["exact"]), None, "'scoring_rule'"
+    ),
+    "analysed-issues-not-list": (
+        lambda s: {"kind": "privilege-analysis", "space": s["space"], "issues": 5}, None, "'issues'"
+    ),
+    "sizes-over-int64": (lambda s: _axiom(s, sizes=[3, 1e300]), None, "'sizes'"),
+    "sizes-at-2-to-the-63": (lambda s: _generalization(s, sizes=[3, 2**63]), None, "'sizes'"),
 }
+# the rows that ``validate`` rejects as well, from the config alone
+CONFIG_KEY_CASES = (
+    "population-b-missing", "population-b-not-a-path", "space-not-a-path", "pair-of-one",
+    "pair-of-text", "pair-not-a-list", "pair-repeated", "mechanism-not-text", "axiom-not-text",
+    "profile-not-object", "profile-ordering-not-text", "scoring-rule-not-text",
+    "analysed-issues-not-list", "sizes-over-int64", "sizes-at-2-to-the-63",
+)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -487,6 +517,14 @@ def test_bad_input_exits_2_naming_it(case, binary_setup, monkeypatch, capsys):
         monkeypatch.setenv("REPSOC_SEED", env_seed)
     config = write_config(binary_setup["tmp"], build(binary_setup))
     assert main(["run", config, "--out", str(binary_setup["tmp"] / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("case", CONFIG_KEY_CASES)
+def test_validate_names_a_bad_config_key(case, binary_setup, capsys):
+    build, _, named = BAD_INPUTS[case]
+    assert main(["validate", write_config(binary_setup["tmp"], build(binary_setup))]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
 

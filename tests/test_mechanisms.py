@@ -1,9 +1,13 @@
 import itertools
+import warnings
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repsoc import (
     CandidateSpace,
@@ -17,11 +21,11 @@ from repsoc import (
     Profile,
     SaliencyDistribution,
     SampleSet,
-    acyclic_mechanism,
     all_linear_orders,
     exact_match_score,
     load_candidate_space,
     majority_vote,
+    make_mechanism,
     population_score,
     population_utility,
     sample_score,
@@ -30,6 +34,7 @@ from repsoc import (
     save_candidate_space,
     synthesize_acyclic,
 )
+from repsoc.mechanisms import scoring_mechanism_from_counts
 from repsoc.privilege import PrivilegeGraph
 from tests.conftest import random_explicit_space, random_sample, uniform_population
 
@@ -225,30 +230,111 @@ class TestScoringMechanism:
 
 
 class TestAcyclicMechanism:
+    """The acyclic plan's mechanism: Kendall scoring over the synthesized space."""
+
     def _plan(self, edges, n=3, issue="i"):
         return synthesize_acyclic({issue: PrivilegeGraph(issue=issue, n=n, edges=frozenset(edges))})
+
+    def _chosen(self, plan, sample):
+        return scoring_mechanism(sample, plan.space, KENDALL).chosen("i")
 
     def test_total_order_ignores_sample(self, rng):
         plan = self._plan({(0, 1), (1, 2), (0, 2)})
         sample = random_sample(rng, ("i",), 3, 20)
-        assert acyclic_mechanism(plan, sample)("i") == lo("0>1>2")
+        assert self._chosen(plan, sample) == lo("0>1>2")
 
     def test_pair_scc_follows_majority(self):
         # SCC {1,2} below the fixed top outcome 0
         plan = self._plan({(0, 1), (0, 2), (1, 2), (2, 1)})
         sample = SampleSet(((lo("0>1>2"), "i"),) * 3 + ((lo("0>2>1"), "i"),))
-        assert acyclic_mechanism(plan, sample)("i") == lo("0>1>2")
+        assert self._chosen(plan, sample) == lo("0>1>2")
         flipped = SampleSet(((lo("0>2>1"), "i"),) * 3 + ((lo("0>1>2"), "i"),))
-        assert acyclic_mechanism(plan, flipped)("i") == lo("0>2>1")
+        assert self._chosen(plan, flipped) == lo("0>2>1")
 
     def test_empty_sample_canonical_orientation(self):
         plan = self._plan({(0, 1), (0, 2), (1, 2), (2, 1)})
-        assert acyclic_mechanism(plan, SampleSet(()))("i") == lo("0>1>2")
+        with pytest.warns(UserWarning, match="empty sample"):
+            assert self._chosen(plan, SampleSet(())) == lo("0>1>2")
 
     def test_issue_outside_plan(self):
         plan = self._plan({(0, 1), (1, 2), (0, 2)})
         with pytest.raises(InvalidArgumentError):
-            acyclic_mechanism(plan, SampleSet(((lo("0>1>2"), "other"),)))
+            self._chosen(plan, SampleSet(((lo("0>1>2"), "other"),)))
+
+
+def acyclic_reference(plan, counts: dict) -> Profile:
+    """The acyclic-plan mechanism written out: each size-2 SCC by pairwise majority of the
+    tally, a tie keeping the plan's canonical orientation; the rest is fixed by the plan."""
+    assignment = {}
+    for issue, issue_plan in plan.issue_plans.items():
+        dist = counts.get(issue, {})
+        ranking: list[int] = []
+        for scc in issue_plan.topo_sccs:
+            if len(scc) == 1:
+                ranking.append(scc[0])
+                continue
+            u, v = issue_plan.orientations[frozenset(scc)]
+            above = sum(c for order, c in dist.items() if order.prefers(u, v))
+            below = sum(c for order, c in dist.items() if order.prefers(v, u))
+            ranking.extend((v, u) if below > above else (u, v))
+        assignment[issue] = LinearOrder(tuple(ranking))
+    return Profile(assignment)
+
+
+@st.composite
+def small_scc_graphs(draw, issue, n):
+    """A transitive graph whose SCCs have at most two outcomes: a shuffled row of blocks of one
+    or two outcomes, a random transitive order among the blocks, and both edges in each pair."""
+    outcomes = draw(st.permutations(range(n)))
+    blocks = []
+    while len(outcomes) > 0:
+        size = 2 if len(outcomes) > 1 and draw(st.booleans()) else 1
+        blocks.append(outcomes[:size])
+        outcomes = outcomes[size:]
+    pairs = itertools.combinations(range(len(blocks)), 2)
+    above = {(a, b) for a, b in pairs if draw(st.booleans())}
+    for m, a, b in itertools.product(range(len(blocks)), repeat=3):  # Warshall's closure
+        if (a, m) in above and (m, b) in above:
+            above.add((a, b))
+    edges = {(u, v) for a, b in above for u in blocks[a] for v in blocks[b]}
+    edges |= {pair for block in blocks for pair in itertools.permutations(block, 2)}
+    graph = PrivilegeGraph(issue=issue, n=n, edges=frozenset(edges))
+    assert graph.is_transitive()
+    return graph
+
+
+@st.composite
+def acyclic_inputs(draw):
+    """A plan synthesized from 1-3 such graphs over N = 2-6 outcomes, and a tally over a random
+    subset of its issues.  An issue's tally may be empty, and a mirrored one (each ordering
+    with its reverse, at equal counts) ties every pair exactly."""
+    n = draw(st.integers(2, 6))
+    issues = [f"q{k}" for k in range(draw(st.integers(1, 3)))]
+    plan = synthesize_acyclic({issue: draw(small_scc_graphs(issue, n)) for issue in issues})
+    orders = all_linear_orders(n)
+    counts = {}
+    for issue in draw(st.lists(st.sampled_from(issues), unique=True)):
+        tally = draw(st.dictionaries(st.sampled_from(orders), st.integers(1, 3), max_size=4))
+        if draw(st.booleans()):
+            mirrored = Counter()
+            for order, c in tally.items():
+                mirrored[order] += c
+                mirrored[LinearOrder(order.ranking[::-1])] += c
+            tally = dict(mirrored)
+        counts[issue] = tally
+    return plan, counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(acyclic_inputs())
+def test_kendall_over_synthesized_space_is_the_acyclic_mechanism(inputs):
+    plan, counts = inputs
+    total = sum(c for tally in counts.values() for c in tally.values())
+    expected = acyclic_reference(plan, counts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the empty-sample warning
+        assert scoring_mechanism_from_counts(counts, total, plan.space, KENDALL).chosen == expected
+        assert make_mechanism("acyclic", plan=plan)(counts, total) == expected
 
 
 class TestScoringRule:

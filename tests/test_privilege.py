@@ -359,14 +359,6 @@ class TestSynthesize:
             produced = build_privilege_graph(plan.space, "i")
             assert g.edges <= produced.edges
 
-    def test_custom_orientation(self):
-        plan = synthesize_acyclic(
-            {"i": graph({(1, 2), (2, 1)})},
-            orientations={"i": {frozenset({1, 2}): (2, 1)}},
-        )
-        # the canonical (no-flip) first factor ordering uses the override
-        assert plan.issue_plans["i"].factor[0] == lo("0>2>1")
-
 
 def every_small_space():
     issue_space = IssueSpace(("i",), 3)
