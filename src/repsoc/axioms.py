@@ -33,6 +33,7 @@ from .rng import derive_rng
 from .spaces import CandidateSpace
 
 __all__ = [
+    "AXIOMS",
     "Scenario",
     "DecayPoint",
     "DecayCurve",
@@ -49,6 +50,8 @@ __all__ = [
 # chosen(counts, total) -> Profile
 MechanismFn = Callable[[dict, int], Profile]
 
+AXIOMS = ("ppe", "w-piia", "s-piia", "w-pc", "s-pc")
+
 _CI_Z = 1.96
 _MARGINAL_TOL = 1e-9
 
@@ -61,7 +64,7 @@ class Scenario:
     population: MarginalPopulation
     space: CandidateSpace
     mechanism: MechanismFn
-    axiom: str | None = None  # ppe | w-piia | s-piia | w-pc | s-pc
+    axiom: str | None = None  # one of AXIOMS
     issue: object = None
     pair: tuple | None = None
     profile: Profile | None = None  # the C of PPE
@@ -139,12 +142,17 @@ def _counts_from_row(cells, row) -> dict:
     return counts
 
 
-def check_committee_plan(sizes, trials: int) -> None:
-    """Raise unless ``sizes`` is nonempty, strictly increasing and >= 0, with ``trials`` >= 1."""
+def check_sizes(sizes) -> None:
+    """Raise unless the committee ``sizes`` are nonempty, strictly increasing and >= 0."""
     if not sizes or list(sizes) != sorted(set(sizes)):
         raise InvalidArgumentError("sizes must be nonempty and strictly increasing")
     if sizes[0] < 0:
         raise InvalidArgumentError(f"committee sizes must be >= 0, got {list(sizes)}")
+
+
+def check_committee_plan(sizes, trials: int) -> None:
+    """Raise unless the ``sizes`` pass :func:`check_sizes` and ``trials`` is >= 1."""
+    check_sizes(sizes)
     if trials < 1:
         raise InvalidArgumentError("need at least one trial per size")
 
@@ -174,7 +182,7 @@ def _committees(
 
 def _validate_scenario(scn: Scenario) -> None:
     axiom = scn.axiom
-    if axiom not in {"ppe", "w-piia", "s-piia", "w-pc", "s-pc"}:
+    if axiom not in AXIOMS:
         raise InvalidArgumentError(f"unknown axiom {axiom!r}")
     if scn.issue is None:
         raise InvalidArgumentError("scenario needs a target issue")

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .errors import CapacityError, InvalidArgumentError, PreconditionError, UnsupportedError
-from .experiments import int_setting, run_experiment, validate_config
+from .experiments import run_experiment, setting, validate_config
 from .population import read_json
 from .privilege import build_privilege_graph, is_cyclically_privileged, to_dot
 from .spaces import load_candidate_space
@@ -28,13 +28,13 @@ def _load_config(path: str) -> dict:
     config = read_json(path, "config")
     env_seed = os.environ.get("REPSOC_SEED")
     if env_seed is not None:
-        config["seed"] = int_setting("REPSOC_SEED", env_seed)
+        config["seed"] = setting("seed", env_seed, "REPSOC_SEED")
     return config
 
 
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
-    out_dir = args.out or config.get("out", "repsoc-out")
+    out_dir = args.out or validate_config(config)["out"]
     report = run_experiment(config, out_dir, check=args.check)
     print(f"[{report.kind}] wrote {len(report.outputs)} files to {out_dir}")
     for warning in report.warnings:

@@ -1,9 +1,12 @@
-"""Config-driven experiments: generalization runs, reports, and file output.
+"""Config-driven experiments: the config schema, generalization runs, reports, and file output.
 
-Everything here is deterministic given the config's master seed: trial t of
-size index j draws from the derived stream (seed, j, t-block), and result
-CSV bodies are byte-identical across re-runs.  Wall-clock and other
-non-reproducible facts go to a separate metadata file.
+Everything here is deterministic given the config's master seed.  The
+generalization lab draws all trials of size index j from the derived stream
+(seed, j); the axiom lab draws them from (seed, j, population), where
+population 1 is PIIA's second population; the Rademacher kind samples from
+(seed) and draws its signs from (seed + 1).  Result CSV bodies are
+byte-identical across re-runs.  Wall-clock and other non-reproducible facts
+go to a separate metadata file.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .axioms import (
+    AXIOMS,
     Scenario,
     check_committee_plan,
+    check_sizes,
     cycle_violation_demo,
     decay_verdict,
     estimate_axiom,
@@ -65,7 +70,6 @@ from .spaces import (
 )
 
 __all__ = [
-    "EXPERIMENT_KINDS",
     "make_mechanism",
     "GeneralizationResult",
     "generalization_experiment",
@@ -73,23 +77,119 @@ __all__ = [
     "RunReport",
 ]
 
-# per experiment kind, the config keys its handler reads with _require
-_REQUIRED_KEYS = {
-    "generalization": ("population", "space", "sizes", "trials", "seed"),
-    "axiom": ("population", "space", "issue", "axiom", "sizes", "trials", "seed"),
-    "privilege-analysis": ("space",),
-    "synthesize-acyclic": ("graphs",),
-    "condorcet-demo": ("space", "sizes", "trials", "seed"),
-    "vc": ("space",),
-    "rademacher": ("population", "space", "seed", "sample_size"),
+
+# -- config schema: a parser checks and normalizes a value; ``setting`` names its key
+
+
+def _integer(value, least: int | None = None) -> int:
+    """An int, an integral float or an integer string, as an int no less than ``least``."""
+    number = None
+    if type(value) in (int, str) or type(value) is float and value.is_integer():
+        with contextlib.suppress(ValueError):
+            number = int(value)
+    if number is None:
+        raise InvalidArgumentError(f"expected an integer, got {value!r}")
+    if least is not None and number < least:
+        raise InvalidArgumentError(f"must be >= {least}, got {number}")
+    return number
+
+
+def _shape(test, what: str):
+    """A parser of the values that pass ``test``; ``what`` describes them."""
+
+    def parse(value):
+        if test(value):
+            return value
+        raise InvalidArgumentError(f"expected {what}, got {value!r}")
+
+    return parse
+
+
+def _one_of(what: str, names):
+    names = tuple(names)  # a tuple, so that an unhashable value is merely not in it
+
+    def parse(value):
+        if value in names:
+            return value
+        raise InvalidArgumentError(f"unknown {what} {value!r}; expected one of {', '.join(names)}")
+
+    return parse
+
+
+def _sizes(value) -> list:
+    """Committee sizes: a list of integers that passes :func:`check_sizes`."""
+    sizes = [_integer(size) for size in _shape(lambda v: isinstance(v, list), "a list")(value)]
+    check_sizes(sizes)
+    if sizes[-1] >= 2**63:  # committees are drawn by numpy, in int64
+        raise InvalidArgumentError(f"must be <= 2**63 - 1, got {sizes[-1]:.4g}")
+    return sizes
+
+
+def _file(value) -> str:
+    if not Path(_shape(lambda v: isinstance(v, str), "a file path")(value)).is_file():
+        raise InvalidArgumentError(f"file {value} not found")
+    return value
+
+
+def _is_pair(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and v[0] != v[1] and all(type(x) is int for x in v)
+
+
+# a bool is not a number here, nor is NaN, the one value unequal to itself
+_number = _shape(lambda v: type(v) in (int, float) and v == v, "a number")
+_MECHANISM = _one_of("mechanism", ("majority", *(f"scoring:{rule}" for rule in SCORING_RULES)))
+
+# config key -> (parser, default); _KINDS lists the keys each kind needs
+_KEYS = {
+    **dict.fromkeys(("population", "population_b", "space", "graphs"), (_file, None)),
+    "out": (_shape(lambda v: isinstance(v, str), "a directory path"), "repsoc-out"),
+    "sizes": (_sizes, None),
+    "trials": (partial(_integer, least=1), None),
+    "seed": (partial(_integer, least=0), None),
+    "sample_size": (partial(_integer, least=1), None),
+    "sign_draws": (partial(_integer, least=1), 200),
+    "epsilon": (_number, None),
+    "delta": (_number, 0.05),
+    "issue": (_shape(lambda v: type(v) in (str, int), "an issue id: text or an integer"), None),
+    "issues": (_shape(lambda v: isinstance(v, list), "a list of issues"), None),  # None: all issues
+    "pair": (_shape(_is_pair, "a list of two distinct integers"), None),
+    "profile": (
+        _shape(lambda v: isinstance(v, dict) and all(isinstance(o, str) for o in v.values()),
+               "an object of ordering strings"),
+        None,
+    ),
+    "axiom": (_one_of("axiom", AXIOMS), None),
+    "mechanism": (_MECHANISM, "majority"),
+    "scoring_rule": (_one_of("scoring rule", SCORING_RULES), "exact"),
 }
-EXPERIMENT_KINDS = tuple(_REQUIRED_KEYS)
 
 
-def _scoring_rule(rule_name: str):
-    if rule_name not in SCORING_RULES:
-        raise InvalidArgumentError(f"unknown scoring rule {rule_name!r}")
-    return SCORING_RULES[rule_name]
+def setting(key: str, value, name: str | None = None):
+    """``value`` parsed as config key ``key``; an error names ``name``, by default the key."""
+    parse, _ = _KEYS[key]
+    try:
+        return parse(value)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{name or f'config key {key!r}'}: {exc}") from None
+
+
+def validate_config(config: dict) -> dict:
+    """The settings of ``config``: its kind, and each schema key parsed or defaulted.
+
+    Checks the config alone, and that its file paths exist; what a file holds
+    is checked when a run reads it.  A bad value, or a key that the kind needs
+    and the config lacks, raises an InvalidArgumentError that names the key.
+    """
+    if "kind" not in config:
+        raise InvalidArgumentError("config missing key 'kind'")
+    if (kind := config["kind"]) not in tuple(_KINDS):  # a tuple: an unhashable kind is not in it
+        raise InvalidArgumentError(f"config key 'kind': unknown experiment {kind!r}")
+    settings = {key: setting(key, config[key]) for key in _KEYS if key in config}
+    _, required = _KINDS[kind]
+    for key in required:
+        if key not in settings:
+            raise InvalidArgumentError(f"config missing key {key!r}")
+    return {"kind": kind, **{key: default for key, (_, default) in _KEYS.items()}, **settings}
 
 
 def make_mechanism(name: str, space: CandidateSpace = None, plan=None):
@@ -100,14 +200,10 @@ def make_mechanism(name: str, space: CandidateSpace = None, plan=None):
         if plan is None:
             raise InvalidArgumentError("acyclic mechanism needs a synthesis plan")
         name, space = "scoring:kendall", plan.space
-    if name == "majority" or name.startswith("scoring:"):
-        rule = EXACT_MATCH if name == "majority" else _scoring_rule(name.split(":", 1)[1])
-        if space is None:
-            raise InvalidArgumentError(f"mechanism {name!r} needs a candidate space")
-        return lambda counts, total: scoring_mechanism_from_counts(
-            counts, total, space, rule
-        ).chosen
-    raise InvalidArgumentError(f"unknown mechanism {name!r}")
+    rule = EXACT_MATCH if _MECHANISM(name) == "majority" else SCORING_RULES[name.removeprefix("scoring:")]
+    if space is None:
+        raise InvalidArgumentError(f"mechanism {name!r} needs a candidate space")
+    return lambda counts, total: scoring_mechanism_from_counts(counts, total, space, rule).chosen
 
 
 # -- generalization lab ----------------------------------------------------
@@ -342,101 +438,10 @@ def generalization_experiment(
 @dataclass
 class RunReport:
     kind: str
-    config: dict
     results: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
     check_passed: bool = True
     outputs: list = field(default_factory=list)
-
-
-def _require(config: dict, key: str):
-    if key not in config:
-        raise InvalidArgumentError(f"config missing key {key!r}")
-    return config[key]
-
-
-def int_setting(name: str, value) -> int:
-    """``value`` as an int: an int, an integral float or an integer string.
-
-    Anything else raises an InvalidArgumentError that names ``name``.
-    """
-    if isinstance(value, (int, str)) and not isinstance(value, bool) or (
-        isinstance(value, float) and value.is_integer()
-    ):
-        with contextlib.suppress(ValueError):
-            return int(value)
-    raise InvalidArgumentError(f"{name}: expected an integer, got {value!r}")
-
-
-def _require_int(config: dict, key: str, default: int | None = None) -> int:
-    value = _require(config, key) if default is None else config.get(key, default)
-    return int_setting(f"config key {key!r}", value)
-
-
-def _require_sizes(config: dict) -> list:
-    """The ``"sizes"`` list as ints; it must be nonempty, strictly ascending and >= 0."""
-    sizes = _require(config, "sizes")
-    if not isinstance(sizes, list):
-        raise InvalidArgumentError(f"config key 'sizes': expected a list, got {sizes!r}")
-    sizes = [int_setting("config key 'sizes'", size) for size in sizes]
-    if not sizes or sizes != sorted(set(sizes)):
-        raise InvalidArgumentError("config key 'sizes': must be nonempty and ascending")
-    if sizes[0] < 0:
-        raise InvalidArgumentError(f"config key 'sizes': must be >= 0, got {sizes[0]}")
-    if sizes[-1] > _INT64_MAX:  # committees are drawn by numpy, in int64
-        raise InvalidArgumentError(
-            f"config key 'sizes': must be <= 2**63 - 1, got {sizes[-1]:.4g}"
-        )
-    return sizes
-
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
-_PATH_KEYS = ("population", "population_b", "space", "graphs")
-
-
-def _is_text(value) -> bool:
-    return isinstance(value, str)
-
-
-# optional config keys: per key, a test of its value and what the test expects
-_SHAPES = {
-    **dict.fromkeys(_PATH_KEYS, (_is_text, "a file path")),
-    **dict.fromkeys(("axiom", "mechanism", "scoring_rule"), (_is_text, "a name")),
-    # a bool is not a number here, nor is NaN
-    **dict.fromkeys(
-        ("epsilon", "delta"), (lambda v: type(v) in (int, float) and not np.isnan(v), "a number")
-    ),
-    "issues": (lambda v: isinstance(v, list), "a list of issues"),
-    "profile": (
-        lambda v: isinstance(v, dict) and all(map(_is_text, v.values())),
-        "an object of ordering strings",
-    ),
-    "pair": (
-        lambda v: isinstance(v, list) and len(v) == 2 and v[0] != v[1]
-        and all(type(x) is int for x in v),
-        "a list of two distinct integers",
-    ),
-}
-
-
-def validate_config(config: dict) -> None:
-    """Check a config's kind, required keys, sizes, counts, key types and paths; name a bad key."""
-    kind = _require(config, "kind")
-    if kind not in EXPERIMENT_KINDS:
-        raise InvalidArgumentError(f"config key 'kind': unknown experiment {kind!r}")
-    if "sizes" in config:
-        _require_sizes(config)
-    for key in ("trials", "sample_size", "sign_draws"):
-        if key in config and _require_int(config, key) < 1:
-            raise InvalidArgumentError(f"config key {key!r}: must be >= 1")
-    for key, (valid, expected) in _SHAPES.items():
-        if key in config and not valid(value := config[key]):
-            raise InvalidArgumentError(f"config key {key!r}: expected {expected}, got {value!r}")
-    for key in _PATH_KEYS:
-        if key in config and not Path(config[key]).exists():
-            raise InvalidArgumentError(f"config key {key!r}: file {config[key]} not found")
-    for key in _REQUIRED_KEYS[kind]:
-        _require(config, key)
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -472,27 +477,19 @@ def _load_graphs(path) -> dict:
 
 def run_experiment(config: dict, out_dir, check: bool = False) -> RunReport:
     """Execute one experiment config; writes result files into ``out_dir``."""
-    validate_config(config)
-    kind = config["kind"]
+    settings = validate_config(config)
+    kind = settings["kind"]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = RunReport(kind=kind, config=dict(config))
+    report = RunReport(kind=kind)
     started = time.time()
 
-    handler = {
-        "generalization": _run_generalization,
-        "axiom": _run_axiom,
-        "privilege-analysis": _run_privilege_analysis,
-        "synthesize-acyclic": _run_synthesize,
-        "condorcet-demo": _run_condorcet,
-        "vc": _run_vc,
-        "rademacher": _run_rademacher,
-    }[kind]
-    handler(config, out_dir, report, check)
+    handler, _ = _KINDS[kind]
+    handler(settings, out_dir, report, check)
 
     meta = {
         "wall_clock_seconds": time.time() - started,
-        "seed": config.get("seed"),
+        "seed": settings["seed"],
         "kind": kind,
     }
     with open(out_dir / "metadata.json", "w") as fh:
@@ -513,16 +510,14 @@ def run_experiment(config: dict, out_dir, check: bool = False) -> RunReport:
     return report
 
 
-def _run_generalization(config: dict, out_dir: Path, report: RunReport, check: bool) -> None:
-    _, saliency, population = load_population(_require(config, "population"))
-    space = load_candidate_space(_require(config, "space"))
-    sizes = _require_sizes(config)
-    trials = _require_int(config, "trials")
-    seed = _require_int(config, "seed")
-    epsilon = config.get("epsilon")
-    delta = config.get("delta", 0.05)
+def _run_generalization(settings: dict, out_dir: Path, report: RunReport, check: bool) -> None:
+    _, saliency, population = load_population(settings["population"])
+    space = load_candidate_space(settings["space"])
+    trials, epsilon, delta = settings["trials"], settings["epsilon"], settings["delta"]
 
-    result = generalization_experiment(space, saliency, population, sizes, trials, seed)
+    result = generalization_experiment(
+        space, saliency, population, settings["sizes"], trials, settings["seed"]
+    )
     rows = []
     for size in result.sizes:
         gaps = result.gaps[size]
@@ -560,48 +555,38 @@ def _run_generalization(config: dict, out_dir: Path, report: RunReport, check: b
         report.check_passed = ok
 
 
-def _scenario_from_config(config: dict) -> Scenario:
-    _, saliency, population = load_population(_require(config, "population"))
-    space = load_candidate_space(_require(config, "space"))
-    mechanism = make_mechanism(config.get("mechanism", "majority"), space=space)
-    issue = space.issue_space.resolve(_require(config, "issue"))
-    pair = tuple(config["pair"]) if "pair" in config else None
-    profile = None
-    profile_against = None
-    if "profile" in config:
+def _run_axiom(settings: dict, out_dir: Path, report: RunReport, check: bool) -> None:
+    _, saliency, population = load_population(settings["population"])
+    space = load_candidate_space(settings["space"])
+    mechanism = make_mechanism(settings["mechanism"], space=space)
+    issue = space.issue_space.resolve(settings["issue"])
+    pair = None if settings["pair"] is None else tuple(settings["pair"])
+    profile = profile_against = None
+    if settings["profile"] is not None:
         resolve = space.issue_space.resolve
         profile = Profile(
-            {resolve(k): LinearOrder.from_string(v) for k, v in config["profile"].items()}
+            {resolve(k): LinearOrder.from_string(v) for k, v in settings["profile"].items()}
         )
         if pair is not None:
             profile_against = apply_local_permutation(
                 profile, issue, Permutation.transposition(space.issue_space.n, *pair)
             )
     population_b = None
-    if "population_b" in config:
-        _, _, population_b = load_population(config["population_b"])
-    return Scenario(
+    if settings["population_b"] is not None:
+        _, _, population_b = load_population(settings["population_b"])
+    scn = Scenario(
         saliency=saliency,
         population=population,
         space=space,
         mechanism=mechanism,
-        axiom=_require(config, "axiom"),
+        axiom=settings["axiom"],
         issue=issue,
         pair=pair,
         profile=profile,
         profile_against=profile_against,
         population_b=population_b,
     )
-
-
-def _run_axiom(config: dict, out_dir: Path, report: RunReport, check: bool) -> None:
-    scn = _scenario_from_config(config)
-    curve = estimate_axiom(
-        scn,
-        _require_sizes(config),
-        _require_int(config, "trials"),
-        _require_int(config, "seed"),
-    )
+    curve = estimate_axiom(scn, settings["sizes"], settings["trials"], settings["seed"])
     csv_path = out_dir / "decay.csv"
     curve.to_csv(csv_path)
     report.outputs.append(str(csv_path))
@@ -612,11 +597,11 @@ def _run_axiom(config: dict, out_dir: Path, report: RunReport, check: bool) -> N
         report.check_passed = verdict != "fail"
 
 
-def _run_privilege_analysis(config: dict, out_dir: Path, report: RunReport, check: bool) -> None:
-    space = load_candidate_space(_require(config, "space"))
-    issues = config.get("issues", list(space.issue_space.issue_ids))
+def _run_privilege_analysis(settings: dict, out_dir: Path, report: RunReport, check: bool) -> None:
+    space = load_candidate_space(settings["space"])
+    issues = settings["issues"]
     analysis = {}
-    for issue_raw in issues:
+    for issue_raw in space.issue_space.issue_ids if issues is None else issues:
         issue = space.issue_space.resolve(issue_raw)
         graph = build_privilege_graph(space, issue)
         cond = scc_condensation(graph)
@@ -631,8 +616,8 @@ def _run_privilege_analysis(config: dict, out_dir: Path, report: RunReport, chec
     report.results["privilege"] = analysis
 
 
-def _run_synthesize(config: dict, out_dir: Path, report: RunReport, check: bool) -> None:
-    graphs = _load_graphs(_require(config, "graphs"))
+def _run_synthesize(settings: dict, out_dir: Path, report: RunReport, check: bool) -> None:
+    graphs = _load_graphs(settings["graphs"])
     plan = synthesize_acyclic(graphs)
     space_path = out_dir / "synthesized_space.json"
     save_candidate_space(space_path, plan.space)
@@ -650,9 +635,9 @@ def _run_synthesize(config: dict, out_dir: Path, report: RunReport, check: bool)
         report.check_passed = supergraph_ok
 
 
-def _run_condorcet(config: dict, out_dir: Path, report: RunReport, check: bool) -> None:
-    space = load_candidate_space(_require(config, "space"))
-    mechanism = make_mechanism(config.get("mechanism", "majority"), space=space)
+def _run_condorcet(settings: dict, out_dir: Path, report: RunReport, check: bool) -> None:
+    space = load_candidate_space(settings["space"])
+    mechanism = make_mechanism(settings["mechanism"], space=space)
     issue = space.issue_space.issue_ids[0]
     # the classic symmetric mixture: every pairwise majority is 2/3
     orders = [LinearOrder((0, 1, 2)), LinearOrder((1, 2, 0)), LinearOrder((2, 0, 1))]
@@ -663,12 +648,7 @@ def _run_condorcet(config: dict, out_dir: Path, report: RunReport, check: bool) 
     scn = Scenario(
         saliency=saliency, population=population, space=space, mechanism=mechanism, issue=issue
     )
-    demo = cycle_violation_demo(
-        scn,
-        _require_sizes(config),
-        _require_int(config, "trials"),
-        _require_int(config, "seed"),
-    )
+    demo = cycle_violation_demo(scn, settings["sizes"], settings["trials"], settings["seed"])
     rows = [
         [size, trials, min_v, json.dumps(hist, sort_keys=True)]
         for size, trials, min_v, hist in demo.per_size
@@ -682,8 +662,8 @@ def _run_condorcet(config: dict, out_dir: Path, report: RunReport, check: bool) 
         report.check_passed = demo.always_violates()
 
 
-def _run_vc(config: dict, out_dir: Path, report: RunReport, check: bool) -> None:
-    space = load_candidate_space(_require(config, "space"))
+def _run_vc(settings: dict, out_dir: Path, report: RunReport, check: bool) -> None:
+    space = load_candidate_space(settings["space"])
     dimension, witness = vc_dimension_with_witness(space)
     verified = dimension == 0 or is_shattered(space, witness)
     report.results["vc_dimension"] = dimension
@@ -693,16 +673,15 @@ def _run_vc(config: dict, out_dir: Path, report: RunReport, check: bool) -> None
         report.check_passed = verified
 
 
-def _run_rademacher(config: dict, out_dir: Path, report: RunReport, check: bool) -> None:
-    _, saliency, population = load_population(_require(config, "population"))
-    space = load_candidate_space(_require(config, "space"))
-    rule = _scoring_rule(config.get("scoring_rule", "exact"))
-    seed = _require_int(config, "seed")
-    sample = sample_pairs(saliency, population, _require_int(config, "sample_size"), seed)
+def _run_rademacher(settings: dict, out_dir: Path, report: RunReport, check: bool) -> None:
+    _, saliency, population = load_population(settings["population"])
+    space = load_candidate_space(settings["space"])
+    seed = settings["seed"]
+    sample = sample_pairs(saliency, population, settings["sample_size"], seed)
     estimate, stderr = empirical_rademacher(
-        InducedLossClass(space, rule),
+        InducedLossClass(space, SCORING_RULES[settings["scoring_rule"]]),
         sample,
-        _require_int(config, "sign_draws", 200),
+        settings["sign_draws"],
         seed + 1,
     )
     bound = massart_bound(space.size(), len(sample))
@@ -711,3 +690,15 @@ def _run_rademacher(config: dict, out_dir: Path, report: RunReport, check: bool)
     report.results["massart_bound"] = bound
     if check:
         report.check_passed = estimate <= bound + 3 * stderr
+
+
+# experiment kind -> (handler, the config keys it needs)
+_KINDS = {
+    "generalization": (_run_generalization, ("population", "space", "sizes", "trials", "seed")),
+    "axiom": (_run_axiom, ("population", "space", "issue", "axiom", "sizes", "trials", "seed")),
+    "privilege-analysis": (_run_privilege_analysis, ("space",)),
+    "synthesize-acyclic": (_run_synthesize, ("graphs",)),
+    "condorcet-demo": (_run_condorcet, ("space", "sizes", "trials", "seed")),
+    "vc": (_run_vc, ("space",)),
+    "rademacher": (_run_rademacher, ("population", "space", "seed", "sample_size")),
+}

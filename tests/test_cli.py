@@ -16,6 +16,7 @@ from repsoc import (
     save_candidate_space,
     save_population,
 )
+from repsoc import experiments
 from repsoc.cli import main
 
 
@@ -500,6 +501,32 @@ BAD_INPUTS = {
     ),
     "sizes-over-int64": (lambda s: _axiom(s, sizes=[3, 1e300]), None, "'sizes'"),
     "sizes-at-2-to-the-63": (lambda s: _generalization(s, sizes=[3, 2**63]), None, "'sizes'"),
+    "seed-negative-generalization": (lambda s: _generalization(s, seed=-1), None, "'seed'"),
+    "seed-negative-axiom": (lambda s: _axiom(s, seed=-1), None, "'seed'"),
+    "seed-negative-rademacher": (lambda s: _rademacher(s, seed=-1), None, "'seed'"),
+    "seed-negative-condorcet": (
+        _over_file(
+            "space3.json", {"variant": "full", "issues": ["i"], "N": 3},
+            lambda s, path: {"kind": "condorcet-demo", "space": path, "sizes": [5], "trials": 2,
+                             "seed": -1},
+        ),
+        None,
+        "'seed'",
+    ),
+    "env-seed-negative": (_generalization, "-1", "REPSOC_SEED"),
+    "out-not-text": (lambda s: _generalization(s, out=5), None, "'out'"),
+    "out-a-list": (lambda s: _generalization(s, out=["x"]), None, "'out'"),
+    "axiom-unknown": (lambda s: _axiom(s, axiom="nope"), None, "'axiom'"),
+    "mechanism-unknown": (lambda s: _axiom(s, mechanism="bogus"), None, "'mechanism'"),
+    "mechanism-acyclic": (lambda s: _axiom(s, mechanism="acyclic"), None, "'mechanism'"),
+    "scoring-rule-unknown": (lambda s: _rademacher(s, scoring_rule="bogus"), None, "'scoring_rule'"),
+    "issue-not-text": (lambda s: _axiom(s, issue=["i0"]), None, "'issue'"),
+    "population-a-directory": (
+        lambda s: _generalization(s, population=str(s["tmp"])), None, "'population'"
+    ),
+    "graphs-a-directory": (
+        lambda s: {"kind": "synthesize-acyclic", "graphs": str(s["tmp"])}, None, "'graphs'"
+    ),
 }
 # the rows that ``validate`` rejects as well, from the config alone
 CONFIG_KEY_CASES = (
@@ -507,7 +534,17 @@ CONFIG_KEY_CASES = (
     "pair-of-text", "pair-not-a-list", "pair-repeated", "mechanism-not-text", "axiom-not-text",
     "profile-not-object", "profile-ordering-not-text", "scoring-rule-not-text",
     "analysed-issues-not-list", "sizes-over-int64", "sizes-at-2-to-the-63",
+    "seed-negative-generalization", "seed-negative-axiom", "seed-negative-rademacher",
+    "seed-negative-condorcet", "out-not-text", "out-a-list", "axiom-unknown",
+    "mechanism-unknown", "mechanism-acyclic", "scoring-rule-unknown", "issue-not-text",
+    "population-a-directory", "graphs-a-directory",
 )
+
+
+def test_every_config_key_has_a_bad_input_row():
+    """A config key without a row here could go unchecked at the boundary."""
+    named = {text for _, _, text in BAD_INPUTS.values()}
+    assert [key for key in experiments._KEYS if repr(key) not in named] == []
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -529,7 +566,16 @@ def test_validate_names_a_bad_config_key(case, binary_setup, capsys):
     assert err.startswith("error: ") and named in err
 
 
-# per experiment kind, the keys its handler reads with _require
+@pytest.mark.parametrize("case", ("env-seed-text", "env-seed-negative"))
+def test_validate_names_a_bad_env_seed(case, binary_setup, monkeypatch, capsys):
+    build, env_seed, named = BAD_INPUTS[case]
+    monkeypatch.setenv("REPSOC_SEED", env_seed)
+    assert main(["validate", write_config(binary_setup["tmp"], build(binary_setup))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+# per experiment kind, the config keys it requires
 REQUIRED_KEYS = {
     "generalization": ("population", "space", "sizes", "trials", "seed"),
     "axiom": ("population", "space", "issue", "axiom", "sizes", "trials", "seed"),
