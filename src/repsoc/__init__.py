@@ -15,7 +15,6 @@ from .axioms import (
     condorcet_scenario,
     cycle_violation_demo,
     decay_verdict,
-    decisiveness_probe,
     estimate_axiom,
     fit_decay,
 )

@@ -1,5 +1,13 @@
 """Monte Carlo estimation of the probabilistic axioms and decay-rate fitting.
 
+Each axiom is a failure event of a mechanism's sampled choice, defined once
+in ``_axiom_event``: its premises, the populations to draw committees from
+and the test of their chosen profiles.  ``estimate_axiom`` is the one
+estimator of a failure curve.  The Arrow-like decisiveness and
+field-expansion arguments are PC scenarios of it: a coalition unanimous on
+c over c' (through a third outcome, for field expansion) mixed with a
+complement unanimous on the reverse.
+
 Axiom events are estimated by repeated seeded trials of
 (sample -> mechanism -> check).  Mechanisms are anonymous, so each trial
 draws a multinomial tally over the population's (issue, ordering) cells
@@ -18,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError, PreconditionError, VacuityError
+from .errors import CapacityError, InvalidArgumentError, PreconditionError, VacuityError
 from .orders import LinearOrder, PartialOrder, Permutation, Profile, apply_local_permutation
 from .population import (
     MarginalPopulation,
@@ -30,7 +38,7 @@ from .population import (
 )
 from .privilege import is_privileged
 from .rng import derive_rng
-from .spaces import CandidateSpace
+from .spaces import DEFAULT_ENUMERATION_CAP, CandidateSpace
 
 __all__ = [
     "AXIOMS",
@@ -42,7 +50,6 @@ __all__ = [
     "condorcet_scenario",
     "cycle_violation_demo",
     "CycleViolationReport",
-    "decisiveness_probe",
     "fit_decay",
     "decay_verdict",
 ]
@@ -95,7 +102,6 @@ class FitResult:
     r2: float | None = None
     n_used: int = 0
     n_zero: int = 0
-    n_one: int = 0
 
 
 @dataclass(frozen=True)
@@ -150,121 +156,113 @@ def check_sizes(sizes) -> None:
         raise InvalidArgumentError(f"committee sizes must be >= 0, got {list(sizes)}")
 
 
-def check_committee_plan(sizes, trials: int) -> None:
-    """Raise unless the ``sizes`` pass :func:`check_sizes` and ``trials`` is >= 1."""
+def check_committee_plan(sizes, trials: int, cells: int) -> None:
+    """Raise unless the ``sizes`` pass :func:`check_sizes`, ``trials`` is >= 1 and the
+    (trials x cells) tally matrix of one size is within ``DEFAULT_ENUMERATION_CAP``."""
     check_sizes(sizes)
     if trials < 1:
         raise InvalidArgumentError("need at least one trial per size")
+    if trials * cells > DEFAULT_ENUMERATION_CAP:
+        raise CapacityError(
+            f"trials = {trials} over {cells} cells is {trials * cells} tally entries per size, "
+            f"over the cap of {DEFAULT_ENUMERATION_CAP}",
+            cap=DEFAULT_ENUMERATION_CAP,
+        )
 
 
 def _committees(
     mechanism: MechanismFn, saliency, population, sizes, trials: int, seed: int, stream: int = 0
 ):
-    """Yield ``(size, chosen)`` per size: the mechanism's profile for each of ``trials`` committees.
+    """Per size, ``(size, chosen)``: the mechanism's profile for each of ``trials`` committees.
 
-    Size index ``j`` draws all its trials at once from the stream (seed, j, stream).
-    The mechanism is anonymous, so it is called once per distinct tally.
-    The plan must pass :func:`check_committee_plan`.
+    Checks the plan with :func:`check_committee_plan` at once, and returns a
+    generator that draws size index ``j``'s trials from the stream
+    (seed, j, stream) when it reaches that size.  The mechanism is anonymous,
+    so it is called once per distinct tally.
     """
-    check_committee_plan(sizes, trials)
     cells, probs = _cells(saliency, population)
-    for size_index, size in enumerate(sizes):
-        size = int(size)
+    check_committee_plan(sizes, trials, len(cells))
+
+    def decide(size_index: int, size: int):
         rows = derive_rng(seed, size_index, stream).multinomial(size, probs, size=trials)
         distinct, which = np.unique(rows, axis=0, return_inverse=True)
         decided = [mechanism(_counts_from_row(cells, row), size) for row in distinct]
         # ravel: numpy 2.0.0 returns the inverse as a column when an axis is given
-        yield size, [decided[k] for k in which.ravel().tolist()]
+        return size, [decided[k] for k in which.ravel().tolist()]
+
+    return (decide(j, int(size)) for j, size in enumerate(sizes))
 
 
-# -- premise validation ----------------------------------------------------
+# -- the axioms -------------------------------------------------------------
 
 
-def _validate_scenario(scn: Scenario) -> None:
-    axiom = scn.axiom
+def _axiom_event(scn: Scenario):
+    """The scenario's axiom as a failure event: the populations to draw committees from,
+    one stream each, and the test that fails on their chosen profiles.
+
+    Raises unless the scenario meets the axiom's premises.
+    """
+    axiom, issue, pair = scn.axiom, scn.issue, scn.pair
     if axiom not in AXIOMS:
         raise InvalidArgumentError(f"unknown axiom {axiom!r}")
-    if scn.issue is None:
+    if issue is None:
         raise InvalidArgumentError("scenario needs a target issue")
-    if axiom != "ppe" and scn.pair is None:
+    if axiom != "ppe" and pair is None:
         raise InvalidArgumentError("scenario needs a target pair")
+    n = scn.space.issue_space.n
 
     if axiom in {"w-piia", "w-pc"} and scn.space.variant != "full":
         raise PreconditionError("weak axioms are stated for the full candidate space only")
 
     if axiom in {"s-piia", "s-pc"}:
-        c, cp = scn.pair
-        n = scn.space.issue_space.n
-        forward = is_privileged(scn.space, scn.issue, PartialOrder((c, cp), n))
-        backward = is_privileged(scn.space, scn.issue, PartialOrder((cp, c), n))
+        c, cp = pair
+        forward = is_privileged(scn.space, issue, PartialOrder((c, cp), n))
+        backward = is_privileged(scn.space, issue, PartialOrder((cp, c), n))
         if not (forward and backward):
             raise PreconditionError(
-                f"pair ({c},{cp}) is not bidirectionally privileged on issue {scn.issue!r}"
+                f"pair ({c},{cp}) is not bidirectionally privileged on issue {issue!r}"
             )
 
     if axiom == "ppe":
-        if scn.profile is None or scn.profile_against is None or scn.pair is None:
+        # fails when the mechanism picks C' although everyone ranks c above c'
+        if scn.profile is None or scn.profile_against is None or pair is None:
             raise InvalidArgumentError("PPE needs the neighbor profiles C, C' and the pair")
-        c, cp = scn.pair
-        n = scn.space.issue_space.n
-        if not scn.profile(scn.issue).prefers(c, cp):
+        c, cp = pair
+        if not scn.profile(issue).prefers(c, cp):
             raise InvalidArgumentError("PPE expects C to rank c above c'")
-        swapped = apply_local_permutation(
-            scn.profile, scn.issue, Permutation.transposition(n, c, cp)
-        )
+        swapped = apply_local_permutation(scn.profile, issue, Permutation.transposition(n, c, cp))
         if swapped != scn.profile_against:
             raise InvalidArgumentError("C' must equal C with the pair transposed on the issue")
         if not (scn.space.contains(scn.profile) and scn.space.contains(scn.profile_against)):
             raise PreconditionError("both PPE profiles must lie in the candidate space")
-        if pair_marginal(scn.population, scn.issue, (c, cp)) < 1.0 - _MARGINAL_TOL:
+        if pair_marginal(scn.population, issue, (c, cp)) < 1.0 - _MARGINAL_TOL:
             raise PreconditionError("PPE requires a population unanimous on c over c'")
+        against = scn.profile_against
+        return (scn.population,), lambda chosen: chosen == against
 
+    pm = pair_marginal(scn.population, issue, pair)
     if axiom in {"w-pc", "s-pc"}:
-        pm = pair_marginal(scn.population, scn.issue, scn.pair)
+        # fails when the choice does not rank the pair the population's majority way
         if abs(pm - 0.5) <= _MARGINAL_TOL:
             raise VacuityError(
                 "population is exactly uniform on the pair; the convergence premise is unmet"
             )
+        c, cp = pair if pm > 0.5 else pair[::-1]
+        return (scn.population,), lambda chosen: not chosen(issue).prefers(c, cp)
 
-    if axiom in {"w-piia", "s-piia"}:
-        if scn.population_b is None:
-            raise InvalidArgumentError("PIIA needs a second population")
-        pm_a = pair_marginal(scn.population, scn.issue, scn.pair)
-        pm_b = pair_marginal(scn.population_b, scn.issue, scn.pair)
-        if abs(pm_a - pm_b) > _MARGINAL_TOL:
-            raise PreconditionError(
-                f"pair marginals differ between populations ({pm_a} vs {pm_b})"
-            )
-        if abs(pm_a - 0.5) <= _MARGINAL_TOL:
-            raise VacuityError(
-                "shared pair marginal is exactly 0.5; tie behavior is undefined"
-            )
-
-
-def _failure_checker(scn: Scenario) -> Callable:
-    axiom = scn.axiom
-    issue = scn.issue
-    if axiom == "ppe":
-        against = scn.profile_against
-
-        def check(chosen: Profile) -> bool:
-            return chosen == against
-
-        return check
-    c, cp = scn.pair
-    if axiom in {"w-pc", "s-pc"}:
-        if pair_marginal(scn.population, issue, (c, cp)) <= 0.5:
-            c, cp = cp, c  # the check reads the population's majority direction
-
-        def check(chosen: Profile) -> bool:
-            return not chosen(issue).prefers(c, cp)
-
-        return check
-
-    def check(chosen: Profile, chosen_b: Profile) -> bool:
-        return chosen(issue).prefers(c, cp) != chosen_b(issue).prefers(c, cp)
-
-    return check
+    # PIIA fails when two independent committees, one from each population, rank the
+    # pair apart: it quantifies over distributions, not couplings
+    if scn.population_b is None:
+        raise InvalidArgumentError("PIIA needs a second population")
+    pm_b = pair_marginal(scn.population_b, issue, pair)
+    if abs(pm - pm_b) > _MARGINAL_TOL:
+        raise PreconditionError(f"pair marginals differ between populations ({pm} vs {pm_b})")
+    if abs(pm - 0.5) <= _MARGINAL_TOL:
+        raise VacuityError("shared pair marginal is exactly 0.5; tie behavior is undefined")
+    c, cp = pair
+    return (scn.population, scn.population_b), (
+        lambda a, b: a(issue).prefers(c, cp) != b(issue).prefers(c, cp)
+    )
 
 
 # -- the estimator ---------------------------------------------------------
@@ -276,25 +274,23 @@ def estimate_axiom(
     trials_per_size: int,
     seed: int,
 ) -> DecayCurve:
-    """Failure-rate curve of the scenario's axiom event over sample sizes."""
-    _validate_scenario(scn)
-    check = _failure_checker(scn)
-    paired = scn.axiom in {"w-piia", "s-piia"}
+    """Failure-rate curve of the scenario's axiom event over sample sizes.
 
-    committees = _committees(
-        scn.mechanism, scn.saliency, scn.population, sizes, trials_per_size, seed
-    )
-    if paired:
-        # PIIA quantifies over distributions, not couplings: independent streams
-        committees_b = _committees(
-            scn.mechanism, scn.saliency, scn.population_b, sizes, trials_per_size, seed, stream=1
+    The committees of the event's k-th population are drawn from stream k.
+    """
+    populations, fails = _axiom_event(scn)
+    streams = [
+        _committees(scn.mechanism, scn.saliency, population, sizes, trials_per_size, seed, k)
+        for k, population in enumerate(populations)
+    ]
+    points = [
+        DecayPoint(
+            size=runs[0][0],
+            trials=trials_per_size,
+            failures=sum(map(fails, *(chosen for _, chosen in runs))),
         )
-    points = []
-    for size, chosen in committees:
-        runs = (chosen, next(committees_b)[1]) if paired else (chosen,)
-        failures = sum(map(check, *runs))
-        points.append(DecayPoint(size=size, trials=trials_per_size, failures=failures))
-
+        for runs in zip(*streams)
+    ]
     fit = fit_decay([(p.size, p.rate) for p in points])
     return DecayCurve(
         points=tuple(points),
@@ -400,85 +396,20 @@ def cycle_violation_demo(
     return CycleViolationReport(majorities=majorities, per_size=tuple(per_size))
 
 
-def decisiveness_probe(
-    coalition_mass: float,
-    pair: tuple,
-    space: CandidateSpace,
-    mechanism: MechanismFn,
-    sizes: Sequence[int],
-    trials_per_size: int,
-    seed: int,
-    setup: str = "weak",
-    third: int | None = None,
-) -> DecayCurve:
-    """Failure curve of the coalition's pair prevailing against its complement.
-
-    ``setup="weak"`` pits the coalition (unanimous on c over c') against a
-    complement unanimous on the swapped order.  ``setup="field-expansion"``
-    uses the three-outcome configuration: coalition unanimous on c > third > c',
-    complement on third > c' > c.
-    """
-    if not (0 < coalition_mass <= 1):
-        raise InvalidArgumentError("coalition mass must lie in (0, 1]")
-    if len(space.issue_space.issue_ids) != 1:
-        raise InvalidArgumentError("decisiveness probes are single-issue scenarios")
-    issue = space.issue_space.issue_ids[0]
-    n = space.issue_space.n
-    c, cp = pair
-    rest = [x for x in range(n) if x not in (c, cp)]
-    if setup == "weak":
-        coalition_order = LinearOrder(tuple([c, cp] + rest))
-        complement_order = LinearOrder(tuple([cp, c] + rest))
-    elif setup == "field-expansion":
-        if third is None or third in (c, cp):
-            raise InvalidArgumentError("field-expansion setup needs a distinct third outcome")
-        others = [x for x in range(n) if x not in (c, cp, third)]
-        coalition_order = LinearOrder(tuple([c, third, cp] + others))
-        complement_order = LinearOrder(tuple([third, cp, c] + others))
-    else:
-        raise InvalidArgumentError(f"unknown setup {setup!r}")
-
-    if coalition_mass == 1.0:
-        population = MarginalPopulation({issue: {coalition_order: 1.0}})
-    else:
-        population = mix(
-            SubpopulationMixture(
-                (
-                    (coalition_mass, MarginalPopulation({issue: {coalition_order: 1.0}})),
-                    (1.0 - coalition_mass, MarginalPopulation({issue: {complement_order: 1.0}})),
-                )
-            )
-        )
-    saliency = SaliencyDistribution({issue: 1.0})
-    points = [
-        DecayPoint(
-            size=size,
-            trials=trials_per_size,
-            failures=sum(not profile(issue).prefers(c, cp) for profile in chosen),
-        )
-        for size, chosen in _committees(
-            mechanism, saliency, population, sizes, trials_per_size, seed
-        )
-    ]
-    fit = fit_decay([(p.size, p.rate) for p in points])
-    return DecayCurve(points=tuple(points), fit=fit, issue_weight=1.0)
-
-
 # -- decay fitting ---------------------------------------------------------
 
 
 def fit_decay(points: Sequence[tuple]) -> FitResult:
     """Least-squares fit of log(failure rate) against sample size.
 
-    Points with rate 0 or 1 carry no log information and are excluded but
-    counted in the diagnostics; fewer than 3 usable points yields the
-    "saturated" verdict instead of a fit.
+    Points with rate 0 or 1 carry no log information and are excluded; those
+    at rate 0 are counted in ``n_zero``.  Fewer than 3 usable points yields
+    the "saturated" verdict instead of a fit.
     """
     usable = [(size, rate) for size, rate in points if 0.0 < rate < 1.0]
     n_zero = sum(1 for _, rate in points if rate == 0.0)
-    n_one = sum(1 for _, rate in points if rate == 1.0)
     if len(usable) < 3:
-        return FitResult(verdict="saturated", n_used=len(usable), n_zero=n_zero, n_one=n_one)
+        return FitResult(verdict="saturated", n_used=len(usable), n_zero=n_zero)
     xs = np.array([size for size, _ in usable], dtype=float)
     ys = np.array([log(rate) for _, rate in usable])
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -492,7 +423,6 @@ def fit_decay(points: Sequence[tuple]) -> FitResult:
         r2=r2,
         n_used=len(usable),
         n_zero=n_zero,
-        n_one=n_one,
     )
 
 

@@ -405,11 +405,12 @@ def generalization_experiment(
     Also records, per trial, the slack in the majority-vote regret chain
     U(f_maj) >= max U - 2 * sup-gap.  The majority vote takes each block's
     first count argmax, which is the first argmax in ``enumerate_profiles``
-    order; max U is found by the same candidate search.  The sizes and
-    trials must pass :func:`check_committee_plan`.
+    order; max U is found by the same candidate search.  The sizes, and
+    the trials over the population's cells, must pass
+    :func:`check_committee_plan`.
     """
-    check_committee_plan(sizes, trials)
     cells, probs = _cells(saliency, population)
+    check_committee_plan(sizes, trials, len(cells))
     blocks, sequence = _space_blocks(space, saliency, population, cells)
     delta = 4 * (len(space.issue_space.issue_ids) + 3) * 2.0**-52
     max_pop = _max_population(blocks, sequence, delta)
@@ -637,6 +638,10 @@ def _run_synthesize(settings: dict, out_dir: Path, report: RunReport, check: boo
 
 def _run_condorcet(settings: dict, out_dir: Path, report: RunReport, check: bool) -> None:
     space = load_candidate_space(settings["space"])
+    if space.issue_space.n != 3:
+        raise InvalidArgumentError(
+            f"config key 'space': the Condorcet demo needs N = 3, got N = {space.issue_space.n}"
+        )
     mechanism = make_mechanism(settings["mechanism"], space=space)
     issue = space.issue_space.issue_ids[0]
     # the classic symmetric mixture: every pairwise majority is 2/3

@@ -299,13 +299,15 @@ def save_population(
 
 
 def read_json(path, what: str) -> dict:
-    """The JSON object in the ``what`` file at ``path``; a missing file, bad JSON or another
-    top-level value raises an error that names the file."""
+    """The JSON object in the ``what`` file at ``path``; a missing or unreadable file, bad
+    JSON or another top-level value raises an error that names the file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise InvalidArgumentError(f"{what} file {path} not found") from None
+    except OSError as exc:
+        raise InvalidArgumentError(f"{what} file {path} cannot be read: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"{what} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

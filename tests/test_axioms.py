@@ -7,6 +7,7 @@ from scipy.stats import binom
 
 from repsoc import (
     CandidateSpace,
+    CapacityError,
     InvalidArgumentError,
     IssueSpace,
     LinearOrder,
@@ -25,7 +26,6 @@ from repsoc import (
     condorcet_scenario,
     cycle_violation_demo,
     decay_verdict,
-    decisiveness_probe,
     derive_rng,
     estimate_axiom,
     fit_decay,
@@ -37,6 +37,7 @@ from repsoc import (
 )
 from repsoc.axioms import DecayCurve, DecayPoint, _committees
 from repsoc.population import _cells
+from repsoc.spaces import DEFAULT_ENUMERATION_CAP
 
 
 def lo(text):
@@ -56,6 +57,31 @@ def binary_majority_setup(mass_01):
         space=space,
         mechanism=make_mechanism("majority", space=space),
         issue="i",
+    )
+
+
+def coalition_population(mass, coalition, complement):
+    """On issue "i", a coalition of ``mass`` unanimous on ``coalition`` mixed with a
+    complement unanimous on ``complement``; the coalition alone when ``mass`` is 1."""
+    unanimous = MarginalPopulation({"i": {coalition: 1.0}})
+    if mass == 1.0:
+        return unanimous
+    rest = MarginalPopulation({"i": {complement: 1.0}})
+    return mix(SubpopulationMixture(((mass, unanimous), (1.0 - mass, rest))))
+
+
+def decisiveness_scenario(mass, coalition, complement, pair, mechanism="majority"):
+    """Whether the coalition's ranking of ``pair`` prevails against its complement, as the
+    w-pc scenario of their population on the full single-issue space."""
+    space = CandidateSpace.full(IssueSpace(("i",), coalition.n))
+    return Scenario(
+        saliency=SaliencyDistribution({"i": 1.0}),
+        population=coalition_population(mass, coalition, complement),
+        space=space,
+        mechanism=make_mechanism(mechanism, space=space),
+        axiom="w-pc",
+        issue="i",
+        pair=pair,
     )
 
 
@@ -276,41 +302,43 @@ class TestCondorcet:
 
 
 class TestDecisiveness:
-    def _probe(self, mass, sizes, trials=1500, setup="weak", seed=8, **kw):
-        space = CandidateSpace.full(IssueSpace(("i",), 2 if "third" not in kw else 3))
-        mechanism = make_mechanism("majority", space=space)
-        return decisiveness_probe(
-            mass, (0, 1), space, mechanism, sizes, trials, seed=seed, setup=setup, **kw
-        )
+    """A coalition unanimous on 0 over 1 against a complement unanimous on 1 over 0 (through
+    the third outcome 2, for field expansion): PC on their population."""
+
+    def _curve(self, mass, sizes, trials=1500, field_expansion=False):
+        orders = (lo("0>2>1"), lo("2>1>0")) if field_expansion else (lo("0>1"), lo("1>0"))
+        return estimate_axiom(decisiveness_scenario(mass, *orders, (0, 1)), sizes, trials, seed=8)
 
     def test_whole_population_never_fails(self):
-        curve = self._probe(1.0, [10, 20, 40])
+        curve = self._curve(1.0, [10, 20, 40])
         assert all(p.failures == 0 for p in curve.points)
 
     def test_two_thirds_matches_binomial_tail(self):
         sizes = [11, 21, 41]
         trials = 3000
-        curve = self._probe(2 / 3, sizes, trials=trials)
+        curve = self._curve(2 / 3, sizes, trials=trials)
         for point in curve.points:
             exact = float(binom.cdf(point.size // 2, point.size, 2 / 3))
             se = math.sqrt(exact * (1 - exact) / trials)
             assert abs(point.rate - exact) <= 4 * se
 
     def test_minority_coalition_loses(self):
-        curve = self._probe(4 / 9, [11, 41, 161], trials=800)
-        rates = [p.rate for p in curve.points]
+        # PC reads the majority's direction, 1 over 0: the coalition loses where PC holds
+        curve = self._curve(4 / 9, [11, 41, 161], trials=800)
+        rates = [(p.trials - p.failures) / p.trials for p in curve.points]
         assert rates[-1] > 0.9
         assert rates == sorted(rates)
 
     def test_field_expansion_setup(self):
-        curve = self._probe(2 / 3, [11, 21, 41], setup="field-expansion", third=2)
+        curve = self._curve(2 / 3, [11, 21, 41], field_expansion=True)
         assert curve.points[-1].rate < curve.points[0].rate + 0.05
 
     def test_invalid_mass(self):
+        # a coalition mass outside (0, 1] leaves one side a mass <= 0, which no mixture takes
         with pytest.raises(InvalidArgumentError):
-            self._probe(0.0, [10])
+            coalition_population(0.0, lo("0>1"), lo("1>0"))
         with pytest.raises(InvalidArgumentError):
-            self._probe(1.5, [10])
+            coalition_population(1.5, lo("0>1"), lo("1>0"))
 
 
 class TestFitDecay:
@@ -414,21 +442,6 @@ def reference_histograms(scn, majorities, sizes, trials, seed):
     return out
 
 
-def reference_decisiveness(mass, pair, coalition, complement, mechanism, sizes, trials, seed):
-    """Per-size counts of trials where the coalition's pair does not prevail."""
-    unanimous = MarginalPopulation({"i": {coalition: 1.0}})
-    if mass == 1.0:
-        population = unanimous
-    else:
-        rest = MarginalPopulation({"i": {complement: 1.0}})
-        population = mix(SubpopulationMixture(((mass, unanimous), (1.0 - mass, rest))))
-    c, cp = pair
-    runs = reference_chosen(
-        mechanism, SaliencyDistribution({"i": 1.0}), population, sizes, trials, seed
-    )
-    return [sum(not chosen("i").prefers(c, cp) for chosen in run) for _, run in runs]
-
-
 def _random_marginal(rng, orders, k):
     """Random masses on ``k`` distinct orders drawn from ``orders``."""
     picked = rng.choice(len(orders), size=min(k, len(orders)), replace=False)
@@ -480,7 +493,8 @@ def _axiom_scenarios(rng, space, mechanism, issue, pair, profile, orders):
 
 def differential_scenarios(rng):
     """Seeded scenarios of every axiom: majority and Kendall scoring on full one- and
-    two-issue N = 3 spaces, and the acyclic mechanism on each flip pair of three plans."""
+    two-issue N = 3 spaces, the acyclic mechanism on each flip pair of three plans, and
+    the decisiveness and field-expansion populations as w-pc scenarios."""
     orders = all_linear_orders(3)
     for issues in (("i",), ("i", "j")):
         space = CandidateSpace.full(IssueSpace(issues, 3))
@@ -508,6 +522,15 @@ def differential_scenarios(rng):
             yield from _axiom_scenarios(
                 rng, plan.space, mechanism, "q", (u, v), Profile({"q": member}), orders
             )
+    # decisiveness and field expansion: coalition masses on both sides of 1/2
+    for name in ("majority", "scoring:kendall"):
+        for mass in (1.0, float(rng.uniform(0.5, 0.9)), float(rng.uniform(0.1, 0.5))):
+            c, cp, third = (int(x) for x in rng.permutation(3))
+            for coalition, complement in (
+                (LinearOrder((c, cp, third)), LinearOrder((cp, c, third))),
+                (LinearOrder((c, third, cp)), LinearOrder((third, cp, c))),
+            ):
+                yield decisiveness_scenario(mass, coalition, complement, (c, cp), name)
 
 
 def test_committee_path_matches_per_trial_reference():
@@ -558,28 +581,6 @@ def test_cycle_histograms_match_per_trial_reference():
     assert compared == 18
 
 
-@pytest.mark.parametrize("setup", ["weak", "field-expansion"])
-def test_decisiveness_matches_per_trial_reference(setup):
-    rng = np.random.default_rng(20261020)
-    space = CandidateSpace.full(IssueSpace(("i",), 3))
-    sizes, trials = [2, 7, 20], 60
-    for name in ("majority", "scoring:kendall"):
-        mechanism = make_mechanism(name, space=space)
-        for mass in (1.0, float(rng.uniform(0.3, 0.9)), float(rng.uniform(0.3, 0.9))):
-            c, cp, third = (int(x) for x in rng.permutation(3))
-            if setup == "weak":
-                coalition, complement = LinearOrder((c, cp, third)), LinearOrder((cp, c, third))
-            else:
-                coalition, complement = LinearOrder((c, third, cp)), LinearOrder((third, cp, c))
-            curve = decisiveness_probe(
-                mass, (c, cp), space, mechanism, sizes, trials, seed=3, setup=setup, third=third
-            )
-            expected = reference_decisiveness(
-                mass, (c, cp), coalition, complement, mechanism, sizes, trials, seed=3
-            )
-            assert [p.failures for p in curve.points] == expected
-
-
 def counting(mechanism):
     """The mechanism, and the list of the totals it is called with."""
     totals = []
@@ -618,7 +619,7 @@ class TestMechanismCalls:
         estimate_axiom(scn, self.sizes, self.trials, self.seed)
         assert totals == self.sizes
         totals.clear()
-        decisiveness_probe(1.0, (0, 1), scn.space, mechanism, self.sizes, self.trials, self.seed)
+        estimate_axiom(replace(scn, axiom="w-pc"), self.sizes, self.trials, self.seed)
         assert totals == self.sizes
 
     def test_one_call_per_distinct_tally(self):
@@ -665,12 +666,6 @@ class TestNegativeSizes:
         with pytest.raises(InvalidArgumentError, match="sizes"):
             estimate_axiom(scn, [-5, 3], 5, seed=0)
 
-    def test_decisiveness_probe_rejects_a_negative_size(self):
-        space = CandidateSpace.full(IssueSpace(("i",), 2))
-        mechanism = make_mechanism("majority", space=space)
-        with pytest.raises(InvalidArgumentError, match="sizes"):
-            decisiveness_probe(0.7, (0, 1), space, mechanism, [-1, 4], 5, seed=0)
-
 
 BAD_COMMITTEE_PLANS = [
     pytest.param([], 5, "sizes", id="no-sizes"),
@@ -698,14 +693,37 @@ class TestCommitteePlanChecks:
             cycle_violation_demo(scn, sizes, trials, seed=0)
 
     @pytest.mark.parametrize("sizes, trials, named", BAD_COMMITTEE_PLANS)
-    def test_decisiveness_probe(self, sizes, trials, named):
-        space = CandidateSpace.full(IssueSpace(("i",), 2))
-        mechanism = make_mechanism("majority", space=space)
-        with pytest.raises(InvalidArgumentError, match=named):
-            decisiveness_probe(0.7, (0, 1), space, mechanism, sizes, trials, seed=0)
-
-    @pytest.mark.parametrize("sizes, trials, named", BAD_COMMITTEE_PLANS)
     def test_generalization_experiment(self, sizes, trials, named):
         scn = binary_majority_setup(0.75)
         with pytest.raises(InvalidArgumentError, match=named):
             generalization_experiment(scn.space, scn.saliency, scn.population, sizes, trials, seed=0)
+
+    def test_trials_times_cells_over_the_cap(self):
+        """Each lab refuses a (trials x cells) tally matrix over the cap before it draws a
+        committee: PIIA's second population has 4 cells where its first has 2."""
+        space = CandidateSpace.full(IssueSpace(("i",), 3))
+        mechanism, totals = counting(make_mechanism("majority", space=space))
+        piia = Scenario(
+            saliency=SaliencyDistribution({"i": 1.0}),
+            population=MarginalPopulation({"i": {lo("0>1>2"): 0.7, lo("1>0>2"): 0.3}}),
+            population_b=MarginalPopulation(
+                {"i": {lo("0>1>2"): 0.4, lo("0>2>1"): 0.3, lo("1>0>2"): 0.2, lo("2>1>0"): 0.1}}
+            ),
+            space=space,
+            mechanism=mechanism,
+            axiom="w-piia",
+            issue="i",
+            pair=(0, 1),
+        )
+        trials = DEFAULT_ENUMERATION_CAP // 3 + 1  # 2 cells fit under the cap, 3 do not
+        runs = (
+            lambda: estimate_axiom(piia, [5], trials, seed=0),
+            lambda: cycle_violation_demo(condorcet_scenario(space, mechanism), [5], trials, seed=0),
+            lambda: generalization_experiment(
+                space, piia.saliency, piia.population_b, [5], trials, seed=0
+            ),
+        )
+        for run in runs:
+            with pytest.raises(CapacityError, match="trials"):
+                run()
+        assert totals == []

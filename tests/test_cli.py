@@ -275,6 +275,11 @@ class TestPrivilegeCommand:
         assert main(["privilege", str(space_path), "--issue", "i"]) == 2
         assert "outcome count" in capsys.readouterr().err
 
+    def test_a_directory_as_the_space(self, tmp_path, capsys):
+        assert main(["privilege", str(tmp_path), "--issue", "i"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"candidate-space file {tmp_path}" in err
+
     def test_six_outcomes(self, tmp_path, capsys):
         space_path = tmp_path / "space.json"
         save_candidate_space(
@@ -414,6 +419,13 @@ def _synthesis_over_graphs_file(doc):
     return _over_file("bad_graphs.json", doc, lambda s, path: {"kind": "synthesize-acyclic", "graphs": path})
 
 
+def _condorcet_over_space(doc):
+    return _over_file(
+        "space_n.json", doc,
+        lambda s, path: {"kind": "condorcet-demo", "space": path, "sizes": [5], "trials": 2, "seed": 0},
+    )
+
+
 # (config builder, REPSOC_SEED or None, text the error must contain)
 BAD_INPUTS = {
     "profile-issue": (lambda s: _axiom(s, profile={"zz": "0>1", "i1": "0>1"}), None, "'zz'"),
@@ -527,6 +539,16 @@ BAD_INPUTS = {
     "graphs-a-directory": (
         lambda s: {"kind": "synthesize-acyclic", "graphs": str(s["tmp"])}, None, "'graphs'"
     ),
+    "condorcet-space-of-4-outcomes": (
+        _condorcet_over_space({"variant": "full", "issues": ["i"], "N": 4}),
+        None,
+        "'space': the Condorcet demo needs N = 3",
+    ),
+    "condorcet-space-of-2-outcomes": (
+        _condorcet_over_space({"variant": "full", "issues": ["i"], "N": 2}),
+        None,
+        "'space': the Condorcet demo needs N = 3",
+    ),
 }
 # the rows that ``validate`` rejects as well, from the config alone
 CONFIG_KEY_CASES = (
@@ -545,6 +567,34 @@ def test_every_config_key_has_a_bad_input_row():
     """A config key without a row here could go unchecked at the boundary."""
     named = {text for _, _, text in BAD_INPUTS.values()}
     assert [key for key in experiments._KEYS if repr(key) not in named] == []
+
+
+# Beside BAD_INPUTS, the bad inputs that exit 3: (config builder, text the error must contain).
+# Each passes ``validate``, since the tally matrix's cells come from the population file.
+CAPACITY_INPUTS = {
+    "trials-10-to-the-30": (
+        lambda s: _axiom(s, trials=10**30), f"trials = {10**30} over 4 cells is {4 * 10**30}"
+    ),
+    "trials-a-million-on-2-cells": (
+        _over_file(
+            "population_2_cells.json",
+            {"issues": ["i0"], "N": 2, "saliency": {"i0": 1.0},
+             "marginals": {"i0": {"0>1": 0.8, "1>0": 0.2}}},
+            lambda s, path: _generalization(s, population=path, trials=10**6),
+        ),
+        "trials = 1000000 over 2 cells is 2000000",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CAPACITY_INPUTS))
+def test_capacity_input_exits_3_naming_it(case, binary_setup, capsys):
+    build, named = CAPACITY_INPUTS[case]
+    config = write_config(binary_setup["tmp"], build(binary_setup))
+    assert main(["validate", config]) == 0
+    assert main(["run", config, "--out", str(binary_setup["tmp"] / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: ") and named in err
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
