@@ -493,8 +493,7 @@ def _axiom_scenarios(rng, space, mechanism, issue, pair, profile, orders):
 
 def differential_scenarios(rng):
     """Seeded scenarios of every axiom: majority and Kendall scoring on full one- and
-    two-issue N = 3 spaces, the acyclic mechanism on each flip pair of three plans, and
-    the decisiveness and field-expansion populations as w-pc scenarios."""
+    two-issue N = 3 spaces, and the acyclic mechanism on each flip pair of three plans."""
     orders = all_linear_orders(3)
     for issues in (("i",), ("i", "j")):
         space = CandidateSpace.full(IssueSpace(issues, 3))
@@ -522,15 +521,6 @@ def differential_scenarios(rng):
             yield from _axiom_scenarios(
                 rng, plan.space, mechanism, "q", (u, v), Profile({"q": member}), orders
             )
-    # decisiveness and field expansion: coalition masses on both sides of 1/2
-    for name in ("majority", "scoring:kendall"):
-        for mass in (1.0, float(rng.uniform(0.5, 0.9)), float(rng.uniform(0.1, 0.5))):
-            c, cp, third = (int(x) for x in rng.permutation(3))
-            for coalition, complement in (
-                (LinearOrder((c, cp, third)), LinearOrder((cp, c, third))),
-                (LinearOrder((c, third, cp)), LinearOrder((third, cp, c))),
-            ):
-                yield decisiveness_scenario(mass, coalition, complement, (c, cp), name)
 
 
 def test_committee_path_matches_per_trial_reference():
@@ -579,6 +569,28 @@ def test_cycle_histograms_match_per_trial_reference():
             assert [hist for _, _, _, hist in report.per_size] == expected
             compared += len(sizes)
     assert compared == 18
+
+
+@pytest.mark.parametrize("setup", ["weak", "field-expansion"])
+def test_decisiveness_matches_per_trial_reference(setup):
+    """The coalition/complement populations, masses on both sides of 1/2, as w-pc
+    scenarios of estimate_axiom against the per-trial reference."""
+    rng = np.random.default_rng(20261020)
+    sizes, trials = [2, 7, 20], 60
+    compared = 0
+    for name in ("majority", "scoring:kendall"):
+        for mass in (1.0, float(rng.uniform(0.5, 0.9)), float(rng.uniform(0.1, 0.5))):
+            c, cp, third = (int(x) for x in rng.permutation(3))
+            if setup == "weak":
+                coalition, complement = LinearOrder((c, cp, third)), LinearOrder((cp, c, third))
+            else:
+                coalition, complement = LinearOrder((c, third, cp)), LinearOrder((third, cp, c))
+            scn = decisiveness_scenario(mass, coalition, complement, (c, cp), name)
+            curve = estimate_axiom(scn, sizes, trials, seed=3)
+            expected = reference_failures(scn, sizes, trials, seed=3)
+            assert [p.failures for p in curve.points] == expected
+            compared += 1
+    assert compared == 6
 
 
 def counting(mechanism):
