@@ -45,13 +45,10 @@ from .mechanisms import (
     EXACT_MATCH,
     KENDALL,
     SCORING_RULES,
+    Mechanism,
     MechanismResult,
     ScoringRule,
-    majority_vote,
-    population_score,
-    population_utility,
-    sample_score,
-    sample_utility,
+    decide_tallies,
     scoring_mechanism,
 )
 from .orders import (

@@ -13,8 +13,8 @@ Axiom events are estimated by repeated seeded trials of
 draws a multinomial tally over the population's (issue, ordering) cells
 rather than an ordered pair list; the two are identical in distribution.
 For the same reason the mechanism's choice depends only on the tally, so
-``_committees`` decides each distinct tally of a size once and hands every
-trial the profile chosen for its tally.
+``_committees`` hands each size's whole (trials x cells) tally matrix to the
+batched kernel :func:`repsoc.mechanisms.decide_tallies` in one call.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from math import log, sqrt
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError, InvalidArgumentError, PreconditionError, VacuityError
+from .mechanisms import Mechanism, check_headroom, decide_tallies
 from .orders import LinearOrder, PartialOrder, Permutation, Profile, apply_local_permutation
 from .population import (
     MarginalPopulation,
@@ -54,9 +55,6 @@ __all__ = [
     "decay_verdict",
 ]
 
-# chosen(counts, total) -> Profile
-MechanismFn = Callable[[dict, int], Profile]
-
 AXIOMS = ("ppe", "w-piia", "s-piia", "w-pc", "s-pc")
 
 _CI_Z = 1.96
@@ -70,7 +68,7 @@ class Scenario:
     saliency: SaliencyDistribution
     population: MarginalPopulation
     space: CandidateSpace
-    mechanism: MechanismFn
+    mechanism: Mechanism
     axiom: str | None = None  # one of AXIOMS
     issue: object = None
     pair: tuple | None = None
@@ -140,26 +138,19 @@ class DecayCurve:
 # -- sampling helpers ------------------------------------------------------
 
 
-def _counts_from_row(cells, row) -> dict:
-    counts: dict = {}
-    for j in np.nonzero(row)[0]:
-        issue, order = cells[j]
-        counts.setdefault(issue, {})[order] = int(row[j])
-    return counts
-
-
-def check_sizes(sizes) -> None:
-    """Raise unless the committee ``sizes`` are nonempty, strictly increasing and >= 0."""
+def check_sizes(sizes, least: int = 0) -> None:
+    """Raise unless the committee ``sizes`` are nonempty, strictly increasing and >= ``least``."""
     if not sizes or list(sizes) != sorted(set(sizes)):
         raise InvalidArgumentError("sizes must be nonempty and strictly increasing")
-    if sizes[0] < 0:
-        raise InvalidArgumentError(f"committee sizes must be >= 0, got {list(sizes)}")
+    if sizes[0] < least:
+        raise InvalidArgumentError(f"committee sizes must be >= {least}, got {list(sizes)}")
 
 
-def check_committee_plan(sizes, trials: int, cells: int) -> None:
-    """Raise unless the ``sizes`` pass :func:`check_sizes`, ``trials`` is >= 1 and the
-    (trials x cells) tally matrix of one size is within ``DEFAULT_ENUMERATION_CAP``."""
-    check_sizes(sizes)
+def check_committee_plan(sizes, trials: int, cells: int, least: int = 1) -> None:
+    """Raise unless the ``sizes`` pass :func:`check_sizes` (>= ``least``: an empty committee is
+    decided by the tie-break alone), ``trials`` is >= 1 and the (trials x cells) tally matrix
+    of one size is within ``DEFAULT_ENUMERATION_CAP``."""
+    check_sizes(sizes, least)
     if trials < 1:
         raise InvalidArgumentError("need at least one trial per size")
     if trials * cells > DEFAULT_ENUMERATION_CAP:
@@ -171,24 +162,23 @@ def check_committee_plan(sizes, trials: int, cells: int) -> None:
 
 
 def _committees(
-    mechanism: MechanismFn, saliency, population, sizes, trials: int, seed: int, stream: int = 0
+    mechanism: Mechanism, saliency, population, sizes, trials: int, seed: int, stream: int = 0
 ):
     """Per size, ``(size, chosen)``: the mechanism's profile for each of ``trials`` committees.
 
-    Checks the plan with :func:`check_committee_plan` at once, and returns a
-    generator that draws size index ``j``'s trials from the stream
-    (seed, j, stream) when it reaches that size.  The mechanism is anonymous,
-    so it is called once per distinct tally.
+    Checks the plan with :func:`check_committee_plan`, and the largest size with
+    :func:`check_headroom`, at once, and returns a generator that draws size index
+    ``j``'s trials from the stream (seed, j, stream) when it reaches that size.
+    One kernel call decides the size's whole tally matrix from the mechanism's fields.
     """
     cells, probs = _cells(saliency, population)
     check_committee_plan(sizes, trials, len(cells))
+    space, rule = mechanism.space, mechanism.rule
+    check_headroom(sizes[-1], rule, space.issue_space.n)
 
     def decide(size_index: int, size: int):
         rows = derive_rng(seed, size_index, stream).multinomial(size, probs, size=trials)
-        distinct, which = np.unique(rows, axis=0, return_inverse=True)
-        decided = [mechanism(_counts_from_row(cells, row), size) for row in distinct]
-        # ravel: numpy 2.0.0 returns the inverse as a column when an axis is given
-        return size, [decided[k] for k in which.ravel().tolist()]
+        return size, decide_tallies(rows, cells, space, rule).chosen
 
     return (decide(j, int(size)) for j, size in enumerate(sizes))
 
@@ -304,7 +294,7 @@ def estimate_axiom(
 
 def condorcet_scenario(
     space: CandidateSpace,
-    mechanism: MechanismFn,
+    mechanism: Mechanism,
     outcomes: tuple = (0, 1, 2),
 ) -> Scenario:
     """The 2/9 - 4/9 - 1/3 three-coalition mixture on a single 3-outcome issue."""

@@ -38,11 +38,7 @@ from .complexity import (
     vc_dimension_with_witness,
 )
 from .errors import CapacityError, InvalidArgumentError
-from .mechanisms import (
-    EXACT_MATCH,
-    SCORING_RULES,
-    scoring_mechanism_from_counts,
-)
+from .mechanisms import EXACT_MATCH, SCORING_RULES, Mechanism
 from .orders import LinearOrder, Permutation, Profile, apply_local_permutation
 from .population import (
     MarginalPopulation,
@@ -189,11 +185,16 @@ def validate_config(config: dict) -> dict:
     for key in required:
         if key not in settings:
             raise InvalidArgumentError(f"config missing key {key!r}")
+    if kind in ("axiom", "condorcet-demo"):  # the axiom lab's committees are nonempty
+        try:
+            check_sizes(settings["sizes"], least=1)
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"config key 'sizes': {exc}") from None
     return {"kind": kind, **{key: default for key, (_, default) in _KEYS.items()}, **settings}
 
 
-def make_mechanism(name: str, space: CandidateSpace = None, plan=None):
-    """Resolve a mechanism config string to a counts-based callable.
+def make_mechanism(name: str, space: CandidateSpace = None, plan=None) -> Mechanism:
+    """Resolve a mechanism config string to its :class:`Mechanism`, a space and a scoring rule.
 
     ``"acyclic"`` is Kendall scoring over the plan's synthesized space."""
     if name == "acyclic":
@@ -203,7 +204,7 @@ def make_mechanism(name: str, space: CandidateSpace = None, plan=None):
     rule = EXACT_MATCH if _MECHANISM(name) == "majority" else SCORING_RULES[name.removeprefix("scoring:")]
     if space is None:
         raise InvalidArgumentError(f"mechanism {name!r} needs a candidate space")
-    return lambda counts, total: scoring_mechanism_from_counts(counts, total, space, rule).chosen
+    return Mechanism(space, rule)
 
 
 # -- generalization lab ----------------------------------------------------
@@ -410,7 +411,7 @@ def generalization_experiment(
     :func:`check_committee_plan`.
     """
     cells, probs = _cells(saliency, population)
-    check_committee_plan(sizes, trials, len(cells))
+    check_committee_plan(sizes, trials, len(cells), least=0)
     blocks, sequence = _space_blocks(space, saliency, population, cells)
     delta = 4 * (len(space.issue_space.issue_ids) + 3) * 2.0**-52
     max_pop = _max_population(blocks, sequence, delta)
@@ -641,6 +642,11 @@ def _run_condorcet(settings: dict, out_dir: Path, report: RunReport, check: bool
     if space.issue_space.n != 3:
         raise InvalidArgumentError(
             f"config key 'space': the Condorcet demo needs N = 3, got N = {space.issue_space.n}"
+        )
+    if len(space.issue_space.issue_ids) != 1:
+        raise InvalidArgumentError(
+            "config key 'space': the Condorcet demo needs a single issue, got "
+            f"{len(space.issue_space.issue_ids)} issues"
         )
     mechanism = make_mechanism(settings["mechanism"], space=space)
     issue = space.issue_space.issue_ids[0]

@@ -1,15 +1,18 @@
-"""Sample/population utilities and the argmax aggregation mechanisms.
+"""Scoring rules and the one exact kernel that decides every mechanism.
 
-Mechanisms are anonymous: they consume ``{issue: {ordering: count}}`` tallies.
-Majority vote is exact-match scoring, and one exact kernel,
-:func:`scoring_mechanism_from_counts`, serves every rule.  Scores are integer
-points, so ties are exact.  The objective is a sum over issues, so the kernel
-maximizes each block of the space on its own.  It scores each distinct
-ordering of a block column once and sums the members' points through the
-column codes that the space builds on first use and keeps; a block over the
-enumeration cap raises :class:`CapacityError` before anything is allocated.
-The winner is the first maximum of each block, which is the first maximum in
-``enumerate_profiles`` (rank-tuple) order.
+A :class:`Mechanism` is a scoring rule maximized over a candidate space.  It
+is anonymous: it sees only tallies, the number of sampled pairs in each
+(issue, ordering) cell.  Majority vote is exact-match scoring.  The batched
+kernel :func:`decide_tallies` decides a whole (tallies x cells) count matrix
+at once, in exact int64 points, so ties are exact.  The objective is a sum
+over issues, so each block of the space is maximized on its own: per issue,
+the counts are multiplied by the points matrix of the tallied orderings
+against the distinct orderings of the block's column, and the members'
+points are gathered through the column codes that the space keeps.  The
+winner is the first maximum of each block, which is the first maximum in
+``enumerate_profiles`` (rank-tuple) order.  Working in chunks of tallies, and
+of a large column's orderings, no array the kernel allocates holds more than
+``DEFAULT_ENUMERATION_CAP`` entries.
 
 The acyclic-plan mechanism is Kendall scoring over the synthesized space
 (``make_mechanism("acyclic", plan=plan)``).  The members of a synthesized
@@ -23,26 +26,26 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from math import prod
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import InvalidArgumentError
 from .orders import LinearOrder, Profile, concordant_pairs, exact_match_score
-from .population import MarginalPopulation, SaliencyDistribution, SampleSet
-from .spaces import CandidateSpace
+from .population import SampleSet
+from .spaces import DEFAULT_ENUMERATION_CAP, CandidateSpace
 
 __all__ = [
     "ScoringRule",
+    "Mechanism",
     "MechanismResult",
+    "Decisions",
     "KENDALL",
     "EXACT_MATCH",
     "SCORING_RULES",
-    "sample_utility",
-    "population_utility",
-    "sample_score",
-    "population_score",
-    "majority_vote",
+    "decide_tallies",
     "scoring_mechanism",
-    "scoring_mechanism_from_counts",
 ]
 
 
@@ -67,6 +70,16 @@ SCORING_RULES = {rule.name: rule for rule in (KENDALL, EXACT_MATCH)}
 
 
 @dataclass(frozen=True)
+class Mechanism:
+    """The anonymous mechanism that maximizes the summed ``rule`` points over ``space``.
+
+    Plain fields: a wrapper made with ``functools.wraps`` carries them over."""
+
+    space: CandidateSpace
+    rule: ScoringRule
+
+
+@dataclass(frozen=True)
 class MechanismResult:
     chosen: Profile
     sample_objective: float
@@ -74,111 +87,102 @@ class MechanismResult:
     tie_broken: bool
 
 
-def _weighted_points(rule: ScoringRule, weights: dict, target: LinearOrder):
-    """``sum(weight * rule.points(order, target))`` over ``{order: weight}``.
+class Decisions(NamedTuple):
+    """The kernel's choice for each tally row."""
 
-    Exact match scores only the target itself, so it reads the target's own
-    weight.  Other rules sum sorted terms, so that weights equal up to a
-    relabeling give bitwise-equal float sums.
+    chosen: list  # the chosen profile of each row
+    points: np.ndarray  # (rows,) int64: the chosen profile's summed points
+    ties: np.ndarray  # (rows, blocks) int64: the blocks' tie-set sizes; the row's is their product
+
+
+def check_headroom(total: int, rule: ScoringRule, n: int) -> None:
+    """Raise unless a tally of ``total`` pairs scores below 2**63: at most ``total * top(n)``."""
+    if total * rule.top(n) >= 2**63:
+        raise InvalidArgumentError(
+            f"committee sizes must be at most {(2**63 - 1) // rule.top(n)} under {rule.name} "
+            f"scoring at N = {n}, so that scores stay below 2**63; got {total}"
+        )
+
+
+def _table(counts: np.ndarray, tallied: Sequence, column: Sequence, rule: ScoringRule):
+    """``counts @ P`` for the points matrix ``P[c, d] = rule.points(tallied[c], column[d])``.
+
+    ``P`` is built a slice of columns at a time, each slice within the cap's entries."""
+    step = max(1, DEFAULT_ENUMERATION_CAP // len(tallied))
+    out = np.empty((len(counts), len(column)), dtype=np.int64)
+    for lo in range(0, len(column), step):
+        piece = column[lo : lo + step]
+        points = np.array([[rule.points(o, c) for c in piece] for o in tallied], dtype=np.int64)
+        out[:, lo : lo + len(piece)] = counts @ points
+    return out
+
+
+def decide_tallies(
+    rows: np.ndarray, cells: Sequence, space: CandidateSpace, rule: ScoringRule
+) -> Decisions:
+    """For each row of the nonnegative int64 (tallies x cells) count matrix ``rows``, the
+    profile of the space with the most summed points ``count * rule.points(order, C(issue))``.
+
+    Column ``j`` counts the pairs of ``cells[j] = (issue, order)``.  Each block is
+    maximized on its own; the winner is its first maximum and the tie set is the
+    product of the blocks' tie sets.  Raises :class:`InvalidArgumentError` for a
+    count on an issue the space lacks, or a tally whose scores could overflow int64
+    (:func:`check_headroom`).
     """
-    if rule is EXACT_MATCH:
-        return weights.get(target, 0)
-    return sum(sorted(weight * rule.points(order, target) for order, weight in weights.items()))
+    by_issue: dict = {}  # issue -> its cells' column indices
+    for j, (issue, _) in enumerate(cells):
+        by_issue.setdefault(issue, []).append(j)
+    for issue, columns in by_issue.items():
+        if issue not in space.issue_space and rows[:, columns].any():
+            raise InvalidArgumentError(f"sample references unknown issue {issue!r}")
+    n = space.issue_space.n
+    if int(rows.max(initial=0)) * rows.shape[1] * rule.top(n) >= 2**63:
+        check_headroom(max(map(sum, rows.tolist())), rule, n)  # exact, as int64 sums could wrap
 
+    blocks = space._codes()
+    trials = len(rows)
+    winners = np.empty((trials, len(blocks)), dtype=np.int64)
+    ties = np.empty((trials, len(blocks)), dtype=np.int64)
+    points = np.zeros(trials, dtype=np.int64)
+    # a chunk's count slices, score tables and member scores all fit the cap
+    step = max(1, DEFAULT_ENUMERATION_CAP // max(len(cells), *(len(c) for _, _, c in blocks)))
+    for lo in range(0, trials, step):
+        chunk = rows[lo : lo + step]
+        used = chunk.any(axis=0)
+        for b, (issues, columns, codes) in enumerate(blocks):
+            scores = np.zeros((len(chunk), len(codes)), dtype=np.int64)
+            for issue, column, code in zip(issues, columns, codes.T):
+                js = [j for j in by_issue.get(issue, ()) if used[j]]
+                if js:
+                    tallied = [cells[j][1] for j in js]
+                    scores += _table(chunk[:, js], tallied, column, rule)[:, code]
+            best = scores.argmax(axis=1)  # the first maximum
+            most = scores[np.arange(len(chunk)), best]
+            winners[lo : lo + step, b] = best
+            ties[lo : lo + step, b] = (scores == most[:, None]).sum(axis=1)
+            points[lo : lo + step] += most
 
-def sample_utility(profile: Profile, sample: SampleSet) -> float:
-    """Mean exact-match indicator of ``profile`` over the sample; 0 when empty."""
-    return sample_score(profile, sample, EXACT_MATCH)
-
-
-def population_utility(
-    profile: Profile,
-    saliency: SaliencyDistribution,
-    population: MarginalPopulation,
-) -> float:
-    """Expected exact-match mass: sum of saliency(i) * marginal mass on profile(i)."""
-    return population_score(profile, saliency, population, EXACT_MATCH)
-
-
-def sample_score(profile: Profile, sample: SampleSet, rule: ScoringRule) -> float:
-    """Average rule score of the sampled orderings against ``profile``."""
-    if len(sample) == 0:
-        warnings.warn("sample score of an empty sample is defined as 0", stacklevel=2)
-        return 0.0
-    points = sum(
-        _weighted_points(rule, dist, profile(issue)) for issue, dist in sample.counts().items()
-    )
-    return points / (rule.top(sample.pairs[0][0].n) * len(sample))
-
-
-def population_score(
-    profile: Profile,
-    saliency: SaliencyDistribution,
-    population: MarginalPopulation,
-    rule: ScoringRule,
-) -> float:
-    """Exact expected rule score under the saliency and marginals."""
-    total = 0.0
-    for issue in saliency.issues:
-        w = saliency(issue)
-        if w == 0:
-            continue
-        target = profile(issue)
-        points = _weighted_points(rule, population.distribution(issue), target)
-        total += w * points / rule.top(target.n)
-    return total
-
-
-# -- the argmax kernel -----------------------------------------------------
-
-
-def majority_vote(sample: SampleSet, space: CandidateSpace) -> MechanismResult:
-    """Argmax of sample utility over the space (the sample-level majority vote)."""
-    return scoring_mechanism(sample, space, EXACT_MATCH)
+    keys = list(map(tuple, winners.tolist()))
+    profiles: dict = {}  # block winners -> their profile, built once
+    for key in set(keys):
+        assignment = {}
+        for (issues, columns, codes), m in zip(blocks, key):
+            assignment.update(zip(issues, map(tuple.__getitem__, columns, codes[m].tolist())))
+        profiles[key] = Profile(assignment)
+    return Decisions([profiles[key] for key in keys], points, ties)
 
 
 def scoring_mechanism(
     sample: SampleSet, space: CandidateSpace, rule: ScoringRule
 ) -> MechanismResult:
-    """Argmax of the average rule score over the space."""
-    return scoring_mechanism_from_counts(sample.counts(), len(sample), space, rule)
-
-
-def scoring_mechanism_from_counts(
-    counts: dict,
-    total: int,
-    space: CandidateSpace,
-    rule: ScoringRule,
-) -> MechanismResult:
-    """Argmax over the space of the summed points ``count * rule.points(order, C(issue))``.
-
-    Each block is maximized on its own; the tie set is the product of the
-    per-block tie sets, and the winner is the first maximum of each block.
-    """
-    for issue in counts:
-        if issue not in space.issue_space:
-            raise InvalidArgumentError(f"sample references unknown issue {issue!r}")
+    """Argmax of the average rule score over the space: :func:`decide_tallies` of one tally."""
+    counts = sample.counts()
+    cells = [(issue, order) for issue, dist in counts.items() for order in dist]
+    row = np.array([[counts[issue][order] for issue, order in cells]], dtype=np.int64)
+    total = len(sample)
     if total == 0:
         warnings.warn("scoring mechanism over an empty sample: canonical output", stacklevel=2)
-    assignment = {}
-    points = 0
-    tie_set_size = 1
-    for issues, columns, codes in space._codes():
-        tables = [
-            [_weighted_points(rule, counts.get(issue, {}), o) for o in column]
-            for issue, column in zip(issues, columns)
-        ]
-        gathered = [map(table.__getitem__, col) for table, col in zip(tables, codes.T.tolist())]
-        scores = list(map(sum, zip(*gathered)))  # per member, its columns' points in order
-        best = max(scores)
-        winner = codes[scores.index(best)].tolist()
-        assignment.update((issue, column[c]) for issue, column, c in zip(issues, columns, winner))
-        points += best
-        tie_set_size *= scores.count(best)
-    top = rule.top(space.issue_space.n)
-    return MechanismResult(
-        chosen=Profile(assignment),
-        sample_objective=points / (top * total) if total else 0.0,
-        tie_set_size=tie_set_size,
-        tie_broken=tie_set_size > 1,
-    )
+    decided = decide_tallies(row, cells, space, rule)
+    ties = prod(decided.ties[0].tolist())
+    objective = int(decided.points[0]) / (rule.top(space.issue_space.n) * total) if total else 0.0
+    return MechanismResult(decided.chosen[0], objective, tie_set_size=ties, tie_broken=ties > 1)

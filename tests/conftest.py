@@ -15,6 +15,7 @@ from repsoc import (
     SampleSet,
     all_linear_orders,
 )
+from tests.mechanism_reference import scoring_mechanism_from_counts
 
 
 def random_explicit_space(rng, issue_ids, n, size):
@@ -70,3 +71,11 @@ def all_partial_sequences(n, min_len=2):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture(scope="session")
+def per_call_reference():
+    """The per-tally reference of the mechanism kernel:
+    ``(counts, total, space, rule) -> MechanismResult`` for one ``{issue: {ordering: count}}``
+    tally."""
+    return scoring_mechanism_from_counts

@@ -41,7 +41,6 @@ from repsoc import (
     generalization_experiment,
     is_cyclically_privileged,
     is_privileged,
-    majority_vote,
     make_mechanism,
     massart_bound,
     pair_marginal,
@@ -61,6 +60,7 @@ from tests.conftest import (
     random_sample,
     random_subset_space,
 )
+from tests.mechanism_reference import majority_vote
 
 SEED = 20260823
 

@@ -36,8 +36,10 @@ from repsoc import (
     synthesize_acyclic,
 )
 from repsoc.axioms import DecayCurve, DecayPoint, _committees
+from repsoc.mechanisms import decide_tallies
 from repsoc.population import _cells
 from repsoc.spaces import DEFAULT_ENUMERATION_CAP
+from tests.mechanism_reference import counts_of_row, scoring_mechanism_from_counts
 
 
 def lo(text):
@@ -386,8 +388,8 @@ class TestDecayVerdict:
 
 
 # -- the per-trial reference ------------------------------------------------
-# The lab as it ran before it decided each distinct tally once: one tally
-# dict, one mechanism call and one pairwise check per trial.
+# The lab written out per trial: one tally dict, one decision of the per-call
+# reference kernel and one pairwise check per trial.
 
 
 def reference_chosen(mechanism, saliency, population, sizes, trials, seed, stream=0):
@@ -396,13 +398,12 @@ def reference_chosen(mechanism, saliency, population, sizes, trials, seed, strea
     out = []
     for size_index, size in enumerate(sizes):
         rows = derive_rng(seed, size_index, stream).multinomial(size, probs, size=trials)
-        chosen = []
-        for row in rows:
-            counts: dict = {}
-            for j in np.nonzero(row)[0]:
-                issue, order = cells[j]
-                counts.setdefault(issue, {})[order] = int(row[j])
-            chosen.append(mechanism(counts, int(size)))
+        chosen = [
+            scoring_mechanism_from_counts(
+                counts_of_row(cells, row), int(size), mechanism.space, mechanism.rule
+            ).chosen
+            for row in rows
+        ]
         out.append((int(size), chosen))
     return out
 
@@ -593,83 +594,66 @@ def test_decisiveness_matches_per_trial_reference(setup):
     assert compared == 6
 
 
-def counting(mechanism):
-    """The mechanism, and the list of the totals it is called with."""
-    totals = []
+def counting_kernel(monkeypatch):
+    """The row totals of each tally matrix that reaches the kernel, one list per call."""
+    calls = []
 
-    def counted(counts, total):
-        totals.append(total)
-        return mechanism(counts, total)
+    def counted(rows, cells, space, rule):
+        calls.append(sorted(set(rows.sum(axis=1).tolist())))
+        return decide_tallies(rows, cells, space, rule)
 
-    return counted, totals
-
-
-def _distinct_tallies(scn, population, sizes, trials, seed, stream=0):
-    """Per size, the size repeated once per distinct tally among its draws."""
-    _, probs = _cells(scn.saliency, population)
-    out = []
-    for j, size in enumerate(sizes):
-        rows = derive_rng(seed, j, stream).multinomial(size, probs, size=trials)
-        out.append([size] * len({tuple(row) for row in rows}))
-    return out
+    monkeypatch.setattr("repsoc.axioms.decide_tallies", counted)
+    return calls
 
 
-class TestMechanismCalls:
+class TestKernelCalls:
+    """Each size's whole tally matrix reaches the kernel in one call per stream."""
+
     sizes, trials, seed = [10, 50, 100, 200], 50, 1
 
-    def test_unanimous_population_one_call_per_size(self):
-        base = binary_majority_setup(1.0)
-        mechanism, totals = counting(base.mechanism)
-        scn = replace(
-            base,
-            mechanism=mechanism,
-            axiom="ppe",
-            pair=(0, 1),
-            profile=Profile({"i": lo("0>1")}),
-            profile_against=Profile({"i": lo("1>0")}),
-        )
+    def test_one_call_per_size(self, monkeypatch):
+        calls = counting_kernel(monkeypatch)
+        scn = replace(binary_majority_setup(0.75), axiom="w-pc", pair=(0, 1))
         estimate_axiom(scn, self.sizes, self.trials, self.seed)
-        assert totals == self.sizes
-        totals.clear()
-        estimate_axiom(replace(scn, axiom="w-pc"), self.sizes, self.trials, self.seed)
-        assert totals == self.sizes
+        assert calls == [[size] for size in self.sizes]
 
-    def test_one_call_per_distinct_tally(self):
-        base = binary_majority_setup(0.75)
-        mechanism, totals = counting(base.mechanism)
-        scn = replace(base, mechanism=mechanism, axiom="w-pc", pair=(0, 1))
-        estimate_axiom(scn, self.sizes, self.trials, self.seed)
-        expected = _distinct_tallies(scn, scn.population, self.sizes, self.trials, self.seed)
-        assert totals == [size for per_size in expected for size in per_size]
-        assert len(totals) < len(self.sizes) * self.trials
-
-    def test_paired_streams_one_call_per_distinct_tally(self):
-        base = binary_majority_setup(0.75)
-        mechanism, totals = counting(base.mechanism)
+    def test_paired_streams_one_call_per_size_and_stream(self, monkeypatch):
+        calls = counting_kernel(monkeypatch)
         population_b = MarginalPopulation({"i": {lo("0>1"): 0.75, lo("1>0"): 0.25}})
         scn = replace(
-            base, mechanism=mechanism, axiom="w-piia", pair=(0, 1), population_b=population_b
+            binary_majority_setup(0.75), axiom="w-piia", pair=(0, 1), population_b=population_b
         )
         estimate_axiom(scn, self.sizes, self.trials, self.seed)
-        a = _distinct_tallies(scn, scn.population, self.sizes, self.trials, self.seed)
-        b = _distinct_tallies(scn, population_b, self.sizes, self.trials, self.seed, stream=1)
-        assert sorted(totals) == sorted(sum(a, []) + sum(b, []))
+        assert calls == [[size] for size in self.sizes for _ in range(2)]
 
-    def test_cycle_demo_one_call_per_distinct_tally(self):
+    def test_cycle_demo_one_call_per_size(self, monkeypatch):
+        calls = counting_kernel(monkeypatch)
         space = CandidateSpace.full(IssueSpace(("i",), 3))
-        mechanism, totals = counting(make_mechanism("majority", space=space))
-        scn = Scenario(
-            saliency=SaliencyDistribution({"i": 1.0}),
-            population=MarginalPopulation(
-                {"i": {lo("0>1>2"): 1 / 3, lo("1>2>0"): 1 / 3, lo("2>0>1"): 1 / 3}}
-            ),
-            space=space,
-            mechanism=mechanism,
-            issue="i",
+        cycle_violation_demo(
+            condorcet_scenario(space, make_mechanism("majority", space=space)),
+            self.sizes, self.trials, self.seed,
         )
-        cycle_violation_demo(scn, self.sizes, self.trials, self.seed)
-        expected = _distinct_tallies(scn, scn.population, self.sizes, self.trials, self.seed)
-        assert totals == [size for per_size in expected for size in per_size]
+        assert calls == [[size] for size in self.sizes]
+
+    @pytest.mark.parametrize("cap", [1, 7, 60])
+    def test_small_chunk_bound_same_winners(self, monkeypatch, cap):
+        """A cap of 1 or 7 entries decides one tally at a time, and builds the Kendall points
+        matrix a few column orderings at a time; 60 takes a few tallies per chunk."""
+        space = CandidateSpace.full(IssueSpace(("x", "y"), 3))
+        orders = all_linear_orders(3)
+        population = MarginalPopulation(
+            {"x": {orders[0]: 0.4, orders[3]: 0.35, orders[5]: 0.25}, "y": {orders[2]: 1.0}}
+        )
+        saliency = SaliencyDistribution({"x": 0.7, "y": 0.3})
+        for name in ("majority", "scoring:kendall"):
+            mechanism = make_mechanism(name, space=space)
+            whole = [c for _, c in _committees(mechanism, saliency, population, [3, 8], 40, 5)]
+            with monkeypatch.context() as patch:
+                patch.setattr("repsoc.mechanisms.DEFAULT_ENUMERATION_CAP", cap)
+                chunked = [
+                    c for _, c in _committees(mechanism, saliency, population, [3, 8], 40, 5)
+                ]
+            assert chunked == whole
 
 
 class TestNegativeSizes:
@@ -687,17 +671,20 @@ BAD_COMMITTEE_PLANS = [
     pytest.param([-5], 5, "sizes", id="negative"),
 ]
 
+# bad in the axiom lab only: an empty committee is decided by the tie-break alone
+AXIOM_LAB_PLANS = [pytest.param([0, 5], 5, "sizes must be >= 1", id="size-zero")]
+
 
 class TestCommitteePlanChecks:
     """Every lab rejects a bad size list or trial count through ``check_committee_plan``."""
 
-    @pytest.mark.parametrize("sizes, trials, named", BAD_COMMITTEE_PLANS)
+    @pytest.mark.parametrize("sizes, trials, named", BAD_COMMITTEE_PLANS + AXIOM_LAB_PLANS)
     def test_estimate_axiom(self, sizes, trials, named):
         scn = replace(binary_majority_setup(0.75), axiom="w-pc", pair=(0, 1))
         with pytest.raises(InvalidArgumentError, match=named):
             estimate_axiom(scn, sizes, trials, seed=0)
 
-    @pytest.mark.parametrize("sizes, trials, named", BAD_COMMITTEE_PLANS)
+    @pytest.mark.parametrize("sizes, trials, named", BAD_COMMITTEE_PLANS + AXIOM_LAB_PLANS)
     def test_cycle_violation_demo(self, sizes, trials, named):
         space = CandidateSpace.full(IssueSpace(("i",), 3))
         scn = condorcet_scenario(space, make_mechanism("majority", space=space))
@@ -710,11 +697,26 @@ class TestCommitteePlanChecks:
         with pytest.raises(InvalidArgumentError, match=named):
             generalization_experiment(scn.space, scn.saliency, scn.population, sizes, trials, seed=0)
 
-    def test_trials_times_cells_over_the_cap(self):
+    def test_kendall_scores_over_int64_rejected_before_any_draw(self, monkeypatch):
+        calls = counting_kernel(monkeypatch)
+        space = CandidateSpace.full(IssueSpace(("i",), 3))
+        scn = replace(
+            condorcet_scenario(space, make_mechanism("scoring:kendall", space=space)),
+            axiom="w-pc", pair=(0, 1),
+        )
+        largest = (2**63 - 1) // 3
+        with pytest.raises(InvalidArgumentError, match=f"sizes must be at most {largest}"):
+            estimate_axiom(scn, [5, largest + 1], 2, seed=0)
+        assert calls == []
+        curve = estimate_axiom(scn, [5, largest], 2, seed=0)
+        assert [p.size for p in curve.points] == [5, largest]
+
+    def test_trials_times_cells_over_the_cap(self, monkeypatch):
         """Each lab refuses a (trials x cells) tally matrix over the cap before it draws a
         committee: PIIA's second population has 4 cells where its first has 2."""
         space = CandidateSpace.full(IssueSpace(("i",), 3))
-        mechanism, totals = counting(make_mechanism("majority", space=space))
+        mechanism = make_mechanism("majority", space=space)
+        calls = counting_kernel(monkeypatch)
         piia = Scenario(
             saliency=SaliencyDistribution({"i": 1.0}),
             population=MarginalPopulation({"i": {lo("0>1>2"): 0.7, lo("1>0>2"): 0.3}}),
@@ -738,4 +740,4 @@ class TestCommitteePlanChecks:
         for run in runs:
             with pytest.raises(CapacityError, match="trials"):
                 run()
-        assert totals == []
+        assert calls == []

@@ -454,6 +454,18 @@ BAD_INPUTS = {
         lambda s: _generalization(s, sizes=[-5, 3]), None, "'sizes'"
     ),
     "sizes-negative-axiom": (lambda s: _axiom(s, sizes=[-5, 3]), None, "'sizes'"),
+    "sizes-zero-axiom": (
+        lambda s: _axiom(s, sizes=[0, 3]), None, "'sizes': committee sizes must be >= 1"
+    ),
+    "sizes-zero-condorcet": (
+        _over_file(
+            "space3.json", {"variant": "full", "issues": ["i"], "N": 3},
+            lambda s, path: {"kind": "condorcet-demo", "space": path, "sizes": [0, 5], "trials": 2,
+                             "seed": 0},
+        ),
+        None,
+        "'sizes': committee sizes must be >= 1",
+    ),
     "space-ordering-not-text": (
         _vc_over_space_file({"variant": "explicit", "issues": ["a"], "N": 2, "profiles": [{"a": 5}]}),
         None,
@@ -549,6 +561,11 @@ BAD_INPUTS = {
         None,
         "'space': the Condorcet demo needs N = 3",
     ),
+    "condorcet-space-of-2-issues": (
+        _condorcet_over_space({"variant": "full", "issues": ["i", "j"], "N": 3}),
+        None,
+        "'space': the Condorcet demo needs a single issue, got 2 issues",
+    ),
 }
 # the rows that ``validate`` rejects as well, from the config alone
 CONFIG_KEY_CASES = (
@@ -559,7 +576,7 @@ CONFIG_KEY_CASES = (
     "seed-negative-generalization", "seed-negative-axiom", "seed-negative-rademacher",
     "seed-negative-condorcet", "out-not-text", "out-a-list", "axiom-unknown",
     "mechanism-unknown", "mechanism-acyclic", "scoring-rule-unknown", "issue-not-text",
-    "population-a-directory", "graphs-a-directory",
+    "population-a-directory", "graphs-a-directory", "sizes-zero-axiom", "sizes-zero-condorcet",
 )
 
 

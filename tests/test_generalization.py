@@ -22,9 +22,9 @@ from repsoc import (
     generalization_experiment,
 )
 from repsoc import experiments
-from repsoc.mechanisms import population_utility
 from repsoc.population import _cells
 from repsoc.rng import derive_rng
+from tests.mechanism_reference import population_utility
 
 
 def enumerated_generalization(space, saliency, population, sizes, trials, seed):

@@ -1,8 +1,9 @@
 import itertools
+import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -23,20 +24,24 @@ from repsoc import (
     SampleSet,
     all_linear_orders,
     exact_match_score,
+    decide_tallies,
     load_candidate_space,
-    majority_vote,
     make_mechanism,
-    population_score,
-    population_utility,
-    sample_score,
-    sample_utility,
     scoring_mechanism,
     save_candidate_space,
     synthesize_acyclic,
 )
-from repsoc.mechanisms import scoring_mechanism_from_counts
 from repsoc.privilege import PrivilegeGraph
 from tests.conftest import random_explicit_space, random_sample, uniform_population
+from tests.mechanism_reference import (
+    counts_of_row,
+    majority_vote,
+    population_score,
+    population_utility,
+    sample_score,
+    sample_utility,
+    scoring_mechanism_from_counts,
+)
 
 
 def lo(text):
@@ -325,6 +330,13 @@ def acyclic_inputs(draw):
     return plan, counts
 
 
+def tally_matrix(tallies):
+    """The ``(rows, cells)`` count matrix of ``{issue: {ordering: count}}`` tallies."""
+    cells = sorted({(i, o) for t in tallies for i, d in t.items() for o in d}, key=repr)
+    rows = [[t.get(issue, {}).get(order, 0) for issue, order in cells] for t in tallies]
+    return np.array(rows, dtype=np.int64).reshape(len(tallies), len(cells)), cells
+
+
 @settings(max_examples=200, deadline=None)
 @given(acyclic_inputs())
 def test_kendall_over_synthesized_space_is_the_acyclic_mechanism(inputs):
@@ -334,7 +346,10 @@ def test_kendall_over_synthesized_space_is_the_acyclic_mechanism(inputs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the empty-sample warning
         assert scoring_mechanism_from_counts(counts, total, plan.space, KENDALL).chosen == expected
-        assert make_mechanism("acyclic", plan=plan)(counts, total) == expected
+    mechanism = make_mechanism("acyclic", plan=plan)
+    assert mechanism.space is plan.space and mechanism.rule is KENDALL
+    rows, cells = tally_matrix([counts])
+    assert decide_tallies(rows, cells, mechanism.space, mechanism.rule).chosen == [expected]
 
 
 class TestScoringRule:
@@ -404,7 +419,7 @@ def test_kendall_two_issue_full_space_is_exact():
     assert result.tie_set_size == 18
 
 
-def test_argmax_matches_fraction_brute_force():
+def test_argmax_matches_fraction_brute_force(per_call_reference):
     rng = np.random.default_rng(4242)
     disagreements = []
     checked = 0
@@ -429,15 +444,118 @@ def test_argmax_matches_fraction_brute_force():
                 )
             )
             for rule in (EXACT_MATCH, KENDALL):
-                result = scoring_mechanism(sample, space, rule)
                 winner, ties, best = brute_force_argmax(sample, space, rule)
-                checked += 1
-                if (result.chosen, result.tie_set_size, result.sample_objective) != (
-                    winner, ties, float(best)
+                for result in (
+                    scoring_mechanism(sample, space, rule),  # the batched kernel, one row
+                    per_call_reference(sample.counts(), len(sample), space, rule),
                 ):
-                    disagreements.append((variant, n, k, rule.name, sample.pairs))
-    assert checked == 2 * (26 * 6 + 1)
+                    checked += 1
+                    if (result.chosen, result.tie_set_size, result.sample_objective) != (
+                        winner, ties, float(best)
+                    ):
+                        disagreements.append((variant, n, k, rule.name, sample.pairs))
+    assert checked == 2 * 2 * (26 * 6 + 1)
     assert disagreements == []
+
+
+@st.composite
+def kernel_inputs(draw):
+    """An explicit, product, full or synthesized space over 1-3 issues at N = 2-4, and a
+    (tallies x cells) count matrix over distinct cells of its issues.  Counts are small, so
+    that ties occur; an all-zero row and a row that touches only the first cell's issue are
+    always there."""
+    variant = draw(st.sampled_from(("explicit", "product", "full", "synthesized")))
+    n = draw(st.integers(2, 4))
+    issues = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if variant == "explicit":
+        most = min(8, factorial(n) ** len(issues))
+        space = random_explicit_space(rng, issues, n, int(rng.integers(1, most + 1)))
+    elif variant == "product":
+        space = random_product_space(rng, issues, n)
+    elif variant == "full":
+        space = CandidateSpace.full(IssueSpace(issues, n))
+    else:
+        space = synthesize_acyclic({i: draw(small_scc_graphs(i, n)) for i in issues}).space
+    cell = st.tuples(st.sampled_from(issues), st.sampled_from(all_linear_orders(n)))
+    cells = draw(st.lists(cell, unique=True, max_size=8))
+    count_row = st.lists(st.integers(0, 3), min_size=len(cells), max_size=len(cells))
+    rows = draw(st.lists(count_row, min_size=1, max_size=6))
+    rows.append([0] * len(cells))
+    rows.append([c if issue == cells[0][0] else 0 for c, (issue, _) in zip(rows[0], cells)])
+    return space, np.array(rows, dtype=np.int64).reshape(len(rows), len(cells)), cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs(), st.sampled_from((EXACT_MATCH, KENDALL)))
+def test_batched_kernel_matches_the_per_call_reference(per_call_reference, inputs, rule):
+    space, rows, cells = inputs
+    decided = decide_tallies(rows, cells, space, rule)
+    top = rule.top(space.issue_space.n)
+    disagreements = []
+    for k, row in enumerate(rows):
+        total = int(row.sum())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the empty-sample warning
+            expected = per_call_reference(counts_of_row(cells, row), total, space, rule)
+        got = (
+            decided.chosen[k],
+            prod(decided.ties[k].tolist()),
+            int(decided.points[k]) / (top * total) if total else 0.0,
+        )
+        if got != (expected.chosen, expected.tie_set_size, expected.sample_objective):
+            disagreements.append((k, got, expected))
+    assert disagreements == []
+
+
+def test_kernel_allocations_stay_within_the_cap(monkeypatch):
+    """Under a cap of 1,000 entries, 100 tallies over a 720-member block (576 KB of member
+    scores at once) are decided one at a time, and a tally over 400 cells (a 400 x 720 points
+    matrix, 2.3 MB) builds its points matrix two column orderings at a time."""
+    space = CandidateSpace.full(IssueSpace(("i",), 6))
+    orders = all_linear_orders(6)
+    rng = np.random.default_rng(3)
+    cases = [
+        ([("i", orders[j]) for j in (0, 7, 100)], rng.multinomial(30, [0.5, 0.3, 0.2], size=100)),
+        ([("i", order) for order in orders[:400]], rng.multinomial(1000, [1 / 400] * 400, size=1)),
+    ]
+    for cells, rows in cases:
+        expected = decide_tallies(rows, cells, space, EXACT_MATCH)
+        with monkeypatch.context() as patch:
+            patch.setattr("repsoc.mechanisms.DEFAULT_ENUMERATION_CAP", 1000)
+            tracemalloc.start()
+            try:
+                decided = decide_tallies(rows, cells, space, EXACT_MATCH)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 200_000
+        assert decided.chosen == expected.chosen
+        assert (decided.points == expected.points).all() and (decided.ties == expected.ties).all()
+
+
+def test_kernel_int64_boundary():
+    """Scores reach count * top(N), exactly up to 2**63 - 1; a tally that could pass it is
+    rejected, exactly too when int64 sums of its counts could wrap."""
+    space = CandidateSpace.full(IssueSpace(("i",), 3))
+    cells = [("i", lo("0>1>2")), ("i", lo("2>1>0"))]
+    largest = (2**63 - 1) // 3
+    for row in ([largest, 0], [largest - 5, 5]):
+        decided = decide_tallies(np.array([row], dtype=np.int64), cells, space, KENDALL)
+        assert decided.chosen[0]("i") == lo("0>1>2")
+        assert int(decided.points[0]) == 3 * row[0]  # 2>1>0 scores 0 against 0>1>2
+    for row in ([largest + 1, 0], [largest - 4, 5]):
+        with pytest.raises(InvalidArgumentError, match="sizes must be at most"):
+            decide_tallies(np.array([row], dtype=np.int64), cells, space, KENDALL)
+
+
+def test_kernel_rejects_counts_on_an_unknown_issue():
+    space = CandidateSpace.full(IssueSpace(("i",), 2))
+    cells = [("i", lo("0>1")), ("zz", lo("1>0"))]
+    decided = decide_tallies(np.array([[2, 0]], dtype=np.int64), cells, space, EXACT_MATCH)
+    assert decided.chosen[0]("i") == lo("0>1")  # a column of zeros tallies nothing
+    with pytest.raises(InvalidArgumentError, match="unknown issue 'zz'"):
+        decide_tallies(np.array([[2, 0], [0, 1]], dtype=np.int64), cells, space, EXACT_MATCH)
 
 
 def test_block_over_cap_raises_before_allocating():

@@ -18,10 +18,10 @@ from repsoc import (
     SampleSet,
     all_linear_orders,
     load_candidate_space,
-    majority_vote,
     save_candidate_space,
 )
 from repsoc.spaces import DEFAULT_ENUMERATION_CAP
+from tests.mechanism_reference import majority_vote
 
 
 def lo(text):
