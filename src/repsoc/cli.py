@@ -59,7 +59,7 @@ def _cmd_privilege(args) -> int:
     issue = space.issue_space.resolve(args.issue)
     graph = build_privilege_graph(space, issue)
     print(f"issue {issue}: {len(graph.edges)} privileged pairs")
-    print(graph.edge_list())
+    print("\n".join(f"{u} {v}" for u, v in sorted(graph.edges)))
     print(f"cyclically privileged: {is_cyclically_privileged(graph)}")
     if args.dot:
         Path(args.dot).write_text(to_dot(graph))

@@ -222,7 +222,14 @@ class GeneralizationResult:
         return float((gaps > epsilon).mean())
 
     def median_gap(self, size: int) -> float:
-        return float(np.median(self.gaps[size]))
+        return _median(self.gaps[size])
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a nonempty float array, bit for bit, without loading ``numpy.ma``:
+    the middle value or ``(a + b) / 2``, plus 0.0 to make a zero positive as it does."""
+    ordered, k = np.sort(values).tolist(), len(values) // 2
+    return (ordered[k] if len(values) % 2 else (ordered[k - 1] + ordered[k]) / 2) + 0.0
 
 
 @dataclass(frozen=True)
@@ -391,7 +398,7 @@ def generalization_experiment(
     the committee's integer count of the profile's (issue, ordering) cells and
     ``p`` is the population utility, ``total += w * mass`` issue by issue in
     saliency order.  Both utilities are sums over issues, so the sup is found
-    block by block, over the blocks of :meth:`CandidateSpace.rows`, without
+    block by block, over the space's code blocks, without
     enumerating the space.
     For each sign of the gap, a block keeps the members within a rounding
     guard ``delta = 4 * (k + 3) * 2**-52`` (``k`` issues) of its extreme.
@@ -512,9 +519,17 @@ def run_experiment(config: dict, out_dir, check: bool = False) -> RunReport:
     return report
 
 
+def _population(settings: dict, key: str, space: CandidateSpace) -> tuple:
+    """The saliency and marginals of the population file at config ``key``, over the space's N."""
+    issues, saliency, population = load_population(settings[key])
+    if (n := space.issue_space.n) != issues.n:
+        raise InvalidArgumentError(f"config key {key!r}: the population has N = {issues.n}, the space N = {n}")
+    return saliency, population
+
+
 def _run_generalization(settings: dict, out_dir: Path, report: RunReport, check: bool) -> None:
-    _, saliency, population = load_population(settings["population"])
     space = load_candidate_space(settings["space"])
+    saliency, population = _population(settings, "population", space)
     trials, epsilon, delta = settings["trials"], settings["epsilon"], settings["delta"]
 
     result = generalization_experiment(
@@ -528,7 +543,7 @@ def _run_generalization(settings: dict, out_dir: Path, report: RunReport, check:
                 size,
                 trials,
                 _fmt(float(gaps.mean())),
-                _fmt(float(np.median(gaps))),
+                _fmt(_median(gaps)),
                 _fmt(float(gaps.max())),
                 _fmt(result.exceed_fraction(size, epsilon)) if epsilon is not None else "",
             ]
@@ -558,8 +573,8 @@ def _run_generalization(settings: dict, out_dir: Path, report: RunReport, check:
 
 
 def _run_axiom(settings: dict, out_dir: Path, report: RunReport, check: bool) -> None:
-    _, saliency, population = load_population(settings["population"])
     space = load_candidate_space(settings["space"])
+    saliency, population = _population(settings, "population", space)
     mechanism = make_mechanism(settings["mechanism"], space=space)
     issue = space.issue_space.resolve(settings["issue"])
     pair = None if settings["pair"] is None else tuple(settings["pair"])
@@ -575,7 +590,7 @@ def _run_axiom(settings: dict, out_dir: Path, report: RunReport, check: bool) ->
             )
     population_b = None
     if settings["population_b"] is not None:
-        _, _, population_b = load_population(settings["population_b"])
+        _, population_b = _population(settings, "population_b", space)
     scn = Scenario(
         saliency=saliency,
         population=population,
@@ -685,8 +700,8 @@ def _run_vc(settings: dict, out_dir: Path, report: RunReport, check: bool) -> No
 
 
 def _run_rademacher(settings: dict, out_dir: Path, report: RunReport, check: bool) -> None:
-    _, saliency, population = load_population(settings["population"])
     space = load_candidate_space(settings["space"])
+    saliency, population = _population(settings, "population", space)
     seed = settings["seed"]
     sample = sample_pairs(saliency, population, settings["sample_size"], seed)
     estimate, stderr = empirical_rademacher(

@@ -8,11 +8,12 @@ at once, in exact int64 points, so ties are exact.  The objective is a sum
 over issues, so each block of the space is maximized on its own: per issue,
 the counts are multiplied by the points matrix of the tallied orderings
 against the distinct orderings of the block's column, and the members'
-points are gathered through the column codes that the space keeps.  The
+points are gathered through the column codes the space is stored as.  The
 winner is the first maximum of each block, which is the first maximum in
-``enumerate_profiles`` (rank-tuple) order.  Working in chunks of tallies, and
-of a large column's orderings, no array the kernel allocates holds more than
-``DEFAULT_ENUMERATION_CAP`` entries.
+``enumerate_profiles`` (rank-tuple) order.  A points matrix is built once per
+call; working in chunks of tallies, and in slices of a matrix too large to
+keep, no array the kernel allocates holds more than ``DEFAULT_ENUMERATION_CAP``
+entries.
 
 The acyclic-plan mechanism is Kendall scoring over the synthesized space
 (``make_mechanism("acyclic", plan=plan)``).  The members of a synthesized
@@ -34,7 +35,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .orders import LinearOrder, Profile, concordant_pairs, exact_match_score
 from .population import SampleSet
-from .spaces import DEFAULT_ENUMERATION_CAP, CandidateSpace
+from .spaces import DEFAULT_ENUMERATION_CAP, CandidateSpace, _profile
 
 __all__ = [
     "ScoringRule",
@@ -104,16 +105,18 @@ def check_headroom(total: int, rule: ScoringRule, n: int) -> None:
         )
 
 
-def _table(counts: np.ndarray, tallied: Sequence, column: Sequence, rule: ScoringRule):
-    """``counts @ P`` for the points matrix ``P[c, d] = rule.points(tallied[c], column[d])``.
+def _points(tallied: Sequence, column: Sequence, rule: ScoringRule) -> np.ndarray:
+    """The points matrix ``P[c, d] = rule.points(tallied[c], column[d])``."""
+    return np.array([[rule.points(o, c) for c in column] for o in tallied], dtype=np.int64)
 
-    ``P`` is built a slice of columns at a time, each slice within the cap's entries."""
+
+def _table(counts: np.ndarray, tallied: Sequence, column: Sequence, rule: ScoringRule):
+    """``counts @ P`` for the points matrix ``P`` of :func:`_points`, built a slice of
+    columns at a time, each slice within the cap's entries."""
     step = max(1, DEFAULT_ENUMERATION_CAP // len(tallied))
     out = np.empty((len(counts), len(column)), dtype=np.int64)
     for lo in range(0, len(column), step):
-        piece = column[lo : lo + step]
-        points = np.array([[rule.points(o, c) for c in piece] for o in tallied], dtype=np.int64)
-        out[:, lo : lo + len(piece)] = counts @ points
+        out[:, lo : lo + step] = counts @ _points(tallied, column[lo : lo + step], rule)
     return out
 
 
@@ -144,18 +147,23 @@ def decide_tallies(
     winners = np.empty((trials, len(blocks)), dtype=np.int64)
     ties = np.empty((trials, len(blocks)), dtype=np.int64)
     points = np.zeros(trials, dtype=np.int64)
-    # a chunk's count slices, score tables and member scores all fit the cap
+    used, tables = rows.any(axis=0), {}  # the cells some tally counts; issue -> their table
+    # a chunk's count slices, score tables and member scores all fit the cap, and so does
+    # a kept points table; a larger one is built a chunk at a time, for the cells it counts
     step = max(1, DEFAULT_ENUMERATION_CAP // max(len(cells), *(len(c) for _, _, c in blocks)))
     for lo in range(0, trials, step):
         chunk = rows[lo : lo + step]
-        used = chunk.any(axis=0)
+        live = chunk.any(axis=0)
         for b, (issues, columns, codes) in enumerate(blocks):
             scores = np.zeros((len(chunk), len(codes)), dtype=np.int64)
             for issue, column, code in zip(issues, columns, codes.T):
                 js = [j for j in by_issue.get(issue, ()) if used[j]]
-                if js:
-                    tallied = [cells[j][1] for j in js]
-                    scores += _table(chunk[:, js], tallied, column, rule)[:, code]
+                if js and len(js) * len(column) <= DEFAULT_ENUMERATION_CAP:
+                    if issue not in tables:
+                        tables[issue] = _points([cells[j][1] for j in js], column, rule)
+                    scores += (chunk[:, js] @ tables[issue])[:, code]
+                elif js := [j for j in js if live[j]]:
+                    scores += _table(chunk[:, js], [cells[j][1] for j in js], column, rule)[:, code]
             best = scores.argmax(axis=1)  # the first maximum
             most = scores[np.arange(len(chunk)), best]
             winners[lo : lo + step, b] = best
@@ -163,12 +171,7 @@ def decide_tallies(
             points[lo : lo + step] += most
 
     keys = list(map(tuple, winners.tolist()))
-    profiles: dict = {}  # block winners -> their profile, built once
-    for key in set(keys):
-        assignment = {}
-        for (issues, columns, codes), m in zip(blocks, key):
-            assignment.update(zip(issues, map(tuple.__getitem__, columns, codes[m].tolist())))
-        profiles[key] = Profile(assignment)
+    profiles = {key: _profile(blocks, key) for key in set(keys)}  # each built once
     return Decisions([profiles[key] for key in keys], points, ties)
 
 

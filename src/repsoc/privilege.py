@@ -3,24 +3,24 @@
 An ordering over a subset of an issue's outcomes is privileged when every
 candidate profile that can be re-sorted into agreement with it (by permuting
 only that subset, only on that issue) stays inside the candidate space.
-:func:`is_privileged` decides this as a closure test: one re-sort and one
-membership lookup per member, with no limit on the outcome count.  The test
-runs on a member table of plain tuples, ``(rest, ranking)`` per member: its
-ranking on the issue and its rankings on the other issues of the issue's
-block.  Re-sorted twins are probed as tuples, so no order or profile is
-built, and :func:`build_privilege_graph` builds the table once per issue for
-all of its n(n-1) pair checks.  The
-privilege graph collects the binary privileged orderings of one issue; its
-strongly connected components drive both the cyclicity test and the
-constructive synthesis of candidate spaces from acyclic graphs.
+:func:`is_privileged` decides this as a closure test on the code block that
+holds the issue, with no limit on the outcome count: each distinct ordering
+of the issue's column is re-sorted once, and the members' twins are looked up
+among the block's exact integer row keys, so no order or profile is built.
+:func:`build_privilege_graph` sets the keys up once per issue for all of its
+n(n-1) pair checks.  The privilege graph collects the binary privileged
+orderings of one issue; its strongly connected components drive both the
+cyclicity test and the constructive synthesis of candidate spaces from
+acyclic graphs.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
 
 from .errors import CyclicityError, InvalidArgumentError
 from .orders import LinearOrder, PartialOrder, Profile
@@ -58,9 +58,6 @@ class PrivilegeGraph:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise InvalidArgumentError(f"edge ({u},{v}) out of range for n={self.n}")
 
-    def successors(self, u: int) -> set:
-        return {v for (a, v) in self.edges if a == u}
-
     def is_transitive(self) -> bool:
         return all(
             (u, w) in self.edges
@@ -68,9 +65,6 @@ class PrivilegeGraph:
             for (vv, w) in self.edges
             if v == vv and u != w
         )
-
-    def edge_list(self) -> str:
-        return "\n".join(f"{u} {v}" for u, v in sorted(self.edges))
 
 
 @dataclass(frozen=True)
@@ -82,35 +76,42 @@ class Condensation:
     topo_order: tuple  # SCC indices, deterministic
 
 
-def _member_table(space: CandidateSpace, issue) -> set:
-    """The members that matter for ``issue``, as ``(rest, ranking)`` tuples.
+def _closure_test(space: CandidateSpace, issue):
+    """The closure test of subsets of ``issue``'s outcomes, on the code block holding it.
 
-    ``ranking`` is a member's ranking tuple on ``issue`` and ``rest`` holds
-    its rankings on the other issues of ``issue``'s block (every issue, for
-    an explicit space).  Only existing rankings are read, so no order or
-    profile is built.
+    Re-sorting changes a member's code on ``issue`` alone, so each member gets
+    an exact integer key whose last digit is that code, and the keys form one
+    set.  A test maps each distinct ordering of the column to its re-sorted
+    twin's code (-1 when no member holds the twin), gathers that map by code,
+    and looks the moved members' twin keys up in the set.
     """
-    issues, members = space.block_of(issue)
-    others = [j for j in issues if j != issue]
-    return {
-        (tuple(member(j).ranking for j in others), member(issue).ranking)
-        for member in members
-    }
+    if issue not in space.issue_space:
+        raise InvalidArgumentError(f"unknown issue {issue!r}")
+    if space.variant == "full":
+        return lambda subset: True
+    issues, columns, codes = next(block for block in space._codes() if issue in block[0])
+    k = issues.index(issue)
+    keys, bound = np.zeros(len(codes), dtype=np.int64), 1
+    for j in [*range(k), *range(k + 1, len(issues)), k]:  # mixed radix, ``issue`` last
+        if bound * len(columns[j]) >= 2**63:  # renumber the keys so far densely
+            keys, bound = np.unique(keys, return_inverse=True)[1], len(codes)
+        keys, bound = keys * len(columns[j]) + codes[:, j], bound * len(columns[j])
+    code, members = codes[:, k].astype(np.int64), set(keys.tolist())
+    code_of = {order.ranking: c for c, order in enumerate(columns[k])}  # in code order
 
-
-def _closed(table: set, subset: tuple) -> bool:
-    """True iff re-sorting ``subset``'s outcomes into its order, in the rank
-    slots they hold, maps every key of ``table`` to a key of ``table``."""
-    for rest, ranking in table:
-        slots = list(map(ranking.index, subset))
-        ordered = sorted(slots)
-        if slots != ordered:  # a key that already agrees with subset is its own twin
+    def closed(subset: tuple) -> bool:
+        twins = []  # per code: its ordering with subset re-sorted in the slots it holds
+        for ranking in code_of:
             twin = list(ranking)
-            for slot, outcome in zip(ordered, subset):
+            for slot, outcome in zip(sorted(map(ranking.index, subset)), subset):
                 twin[slot] = outcome
-            if (rest, tuple(twin)) not in table:
-                return False
-    return True
+            twins.append(code_of.get(tuple(twin), -1))
+        twin = np.array(twins)[code]
+        moved = twin != code
+        wanted = keys[moved] + (twin[moved] - code[moved])
+        return not (twin < 0).any() and members.issuperset(wanted.tolist())
+
+    return closed
 
 
 def is_privileged(space: CandidateSpace, issue, o: PartialOrder) -> bool:
@@ -120,86 +121,51 @@ def is_privileged(space: CandidateSpace, issue, o: PartialOrder) -> bool:
     orbit that holds exactly one completion of ``o``: the member with those
     outcomes re-sorted into ``o``'s order, in the rank slots they occupy.
     So ``o`` is privileged iff every member's re-sorted twin is a member.
-    The test runs on the member table of :func:`_member_table`, one
-    ``(rest, ranking)`` tuple per member, and costs one set lookup per
-    member that disagrees with ``o``.  For a product space only the block
-    holding ``issue`` matters, since the other blocks are untouched.
+    The test (:func:`_closure_test`) re-sorts each distinct ordering of the
+    issue's column once and looks up each member that disagrees with ``o``.
+    Only the block holding ``issue`` matters; the others are untouched.
     """
-    n = space.issue_space.n
-    if issue not in space.issue_space:
-        raise InvalidArgumentError(f"unknown issue {issue!r}")
+    closed = _closure_test(space, issue)
     if len(o) < 2:
         raise InvalidArgumentError("a privileged-ordering candidate needs >= 2 outcomes")
-    if o.n != n:
-        raise InvalidArgumentError(f"partial order over n={o.n}, space has n={n}")
-    if space.variant == "full":
-        return True
-    return _closed(_member_table(space, issue), o.subset)
+    if o.n != space.issue_space.n:
+        raise InvalidArgumentError(f"partial order over n={o.n}, space has n={space.issue_space.n}")
+    return closed(o.subset)
 
 
 def build_privilege_graph(space: CandidateSpace, issue) -> PrivilegeGraph:
-    """Edge (u, v) present iff the binary ordering u>v is privileged.
-
-    The member table is built once and every ordered pair is tested on it.
-    """
-    n = space.issue_space.n
-    if issue not in space.issue_space:
-        raise InvalidArgumentError(f"unknown issue {issue!r}")
-    pairs = itertools.permutations(range(n), 2)
-    if space.variant != "full":
-        table = _member_table(space, issue)
-        pairs = (pair for pair in pairs if _closed(table, pair))
-    return PrivilegeGraph(issue=issue, n=n, edges=frozenset(pairs))
+    """Edge (u, v) present iff the binary ordering u>v is privileged; the closure test is
+    set up once and every ordered pair is tested with it."""
+    pairs = itertools.permutations(range(space.issue_space.n), 2)
+    return PrivilegeGraph(issue, space.issue_space.n, frozenset(filter(_closure_test(space, issue), pairs)))
 
 
 def _reachable(graph: PrivilegeGraph) -> list:
-    """reach[u] = set of vertices reachable from u via >= 1 edge."""
-    succ = {u: graph.successors(u) for u in range(graph.n)}
-    reach = []
-    for start in range(graph.n):
-        seen: set = set()
-        stack = list(succ[start])
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(succ[v] - seen)
-        reach.append(seen)
+    """reach[u] = set of vertices reachable from u via >= 1 edge (Warshall's closure)."""
+    reach = [{v for a, v in graph.edges if a == u} for u in range(graph.n)]
+    for w in range(graph.n):
+        for u in range(graph.n):
+            if w in reach[u]:
+                reach[u] |= reach[w]
     return reach
 
 
 def scc_condensation(graph: PrivilegeGraph) -> Condensation:
     """SCC partition with a deterministic (smallest-member ascending) topo order."""
     reach = _reachable(graph)
-    assigned = {}
-    members = []
+    assigned, members = {}, []  # outcome -> its SCC's index; SCCs by smallest member
     for u in range(graph.n):
-        if u in assigned:
-            continue
-        scc = [u] + [v for v in range(u + 1, graph.n) if u in reach[v] and v in reach[u]]
-        idx = len(members)
-        members.append(tuple(scc))
-        for v in scc:
-            assigned[v] = idx
+        if u not in assigned:
+            members.append((u, *(v for v in range(u + 1, graph.n) if u in reach[v] and v in reach[u])))
+            assigned.update(dict.fromkeys(members[-1], len(members) - 1))
     dag_edges = frozenset(
         (assigned[u], assigned[v]) for u, v in graph.edges if assigned[u] != assigned[v]
     )
-    # Kahn's algorithm with a min-heap keyed by smallest member
-    indegree = {i: 0 for i in range(len(members))}
-    for _, b in dag_edges:
-        indegree[b] += 1
-    heap = [(members[i][0], i) for i in range(len(members)) if indegree[i] == 0]
-    heapq.heapify(heap)
-    topo = []
-    while heap:
-        _, i = heapq.heappop(heap)
-        topo.append(i)
-        for a, b in dag_edges:
-            if a == i:
-                indegree[b] -= 1
-                if indegree[b] == 0:
-                    heapq.heappush(heap, (members[b][0], b))
+    # Kahn's algorithm, taking the SCC with the smallest member among those ready
+    topo, left = [], list(range(len(members)))
+    while left:
+        topo.append(next(i for i in left if not any((a, i) in dag_edges for a in left)))
+        left.remove(topo[-1])
     return Condensation(
         scc_members=tuple(members), dag_edges=dag_edges, topo_order=tuple(topo)
     )

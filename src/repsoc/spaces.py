@@ -2,11 +2,14 @@
 
 A candidate space is the set of preference profiles a mechanism may output.
 An explicit or product space is stored as the product of independent blocks
-(an explicit space is one block); the full space has closed forms instead.
-Members come in one order, inside each block and across the space: by their
-rank tuples, issue by issue in sorted-id order.  So every argmax tie-break is
-reproducible and the same everywhere.  A block column holds at most N! distinct
-orderings, so the labs work on each one once, through integer column codes.
+(an explicit space is one block), and each block as one code matrix:
+``(issues, columns, codes)`` with ``issues`` in sorted-id order,
+``columns[k]`` the distinct orderings on ``issues[k]`` sorted by ranking, and
+member ``m`` holding ``columns[k][codes[m, k]]``.  The rows are sorted, so
+members come in one order inside each block and across the space: by their
+rank tuples, issue by issue in sorted-id order, and every argmax tie-break is
+reproducible.  The labs read only the codes; members are built as profiles
+only when asked.  The full space has closed forms instead.
 """
 
 from __future__ import annotations
@@ -43,11 +46,6 @@ def all_linear_orders(n: int) -> tuple[LinearOrder, ...]:
     )
 
 
-def _rank_key(profile: Profile, issues) -> tuple:
-    """The rankings of ``profile`` on ``issues``, in that order: the member sort key."""
-    return tuple(profile(issue).ranking for issue in issues)
-
-
 def _check_profile(profile: Profile, issues, n: int) -> None:
     """Raise unless ``profile`` orders exactly ``issues``, each over ``n`` outcomes."""
     if profile.issues != issues:
@@ -57,63 +55,119 @@ def _check_profile(profile: Profile, issues, n: int) -> None:
             raise InvalidArgumentError(f"ordering {order} has wrong outcome count")
 
 
-@dataclass(frozen=True)
+def _encode(issues: tuple, ids: np.ndarray, orders: list) -> tuple:
+    """The code block of the members given as ``ids``, a (members x issues) matrix of
+    indices into ``orders``, which are distinct; raises unless the members are too."""
+    if not len(ids):
+        raise InvalidArgumentError(f"block {issues} needs at least one member")
+    by_rank = sorted(range(len(orders)), key=lambda j: orders[j].ranking)
+    rank_of = np.empty(len(orders), dtype=np.intp)
+    rank_of[by_rank] = np.arange(len(orders))
+    ranked, codes, columns = rank_of[ids], np.empty(ids.shape, np.min_scalar_type(len(orders))), []
+    for k in range(len(issues)):
+        present = np.zeros(len(orders), dtype=bool)
+        present[ranked[:, k]] = True
+        codes[:, k] = (np.cumsum(present) - 1)[ranked[:, k]]
+        columns.append(tuple(orders[by_rank[r]] for r in np.flatnonzero(present)))
+    codes = codes[np.lexsort(codes.T[::-1])]
+    if (codes[1:] == codes[:-1]).all(axis=1).any():
+        raise InvalidArgumentError(f"members of block {issues} must be distinct")
+    codes.flags.writeable = False
+    return issues, tuple(columns), codes
+
+
+def _coded(variant: str, issue_space: IssueSpace, given, resolve, parse) -> "CandidateSpace":
+    """The space of the ``(issue ids, entries)`` blocks of ``given``, which must partition
+    the issue set; an entry maps keys to orderings.  ``resolve(key)`` gives a key's issue
+    and ``parse(key, value)`` a value's ordering, each once per distinct key or value, so
+    an entry whose keys and values were all seen costs one dict lookup per issue.  Every
+    entry is read before any is checked; an entry that does not order exactly its block's
+    issues over ``N`` outcomes raises as its profile would."""
+    n, issue_of, index_of, orders, by_ranking, wrong_n = issue_space.n, {}, {}, [], {}, set()
+
+    def index(key, value) -> int:  # the index in orders of the value's ordering
+        if key not in issue_of:
+            issue_of[key] = resolve(key)
+        try:
+            return index_of[value]
+        except (KeyError, TypeError):
+            order = parse(key, value)
+        if order.ranking not in by_ranking:
+            if order.n != n:
+                wrong_n.add(len(orders))
+            by_ranking[order.ranking] = len(orders)
+            orders.append(order)
+        index_of[value] = by_ranking[order.ranking]
+        return index_of[value]
+
+    def read(ids, entries) -> tuple:
+        issues = tuple(sorted(set(ids), key=str))  # in sorted-id order
+        column_of = {issue: k for k, issue in enumerate(issues)}
+        takes, indices, bad = {}, [], None  # an entry's keys -> the entry position of each issue
+        for m, entry in enumerate(_expect(entries, list, "profiles")):
+            keys = tuple(_expect(entry, dict, "profiles"))
+            try:
+                row, take = [index_of[value] for value in entry.values()], takes[keys]
+            except (KeyError, TypeError):  # a new value or key order, or a bad entry
+                row = [index(key, value) for key, value in entry.items()]
+                at = {column_of.get(issue_of[key]): j for j, key in enumerate(keys)}
+                fits = None not in at and len(at) == len(keys) == len(issues)
+                take = [at[k] for k in range(len(issues))] if fits else False
+                take = takes[keys] = None if take == list(range(len(issues))) else take
+            if take is False or wrong_n and not wrong_n.isdisjoint(row):
+                bad, row, take = m if bad is None else bad, [0] * len(issues), None
+            indices.extend(row if take is None else [row[j] for j in take])
+        return issues, np.array(indices, dtype=np.intp).reshape(len(entries), len(issues)), bad, entries
+
+    blocks, seen = [], set()
+    for issues, rows, bad, entries in [read(ids, entries) for ids, entries in given]:  # all read first
+        block = set(issues)
+        if not block or seen & block or not block <= issue_space.id_set:
+            raise InvalidArgumentError("blocks must partition the issue set")
+        seen |= block
+        if bad is not None:
+            assignment = {issue_of[key]: orders[index_of[value]] for key, value in entries[bad].items()}
+            _check_profile(Profile(assignment), block, n)
+        blocks.append(_encode(issues, rows, orders))
+    if seen != issue_space.id_set:
+        raise InvalidArgumentError("blocks must partition the issue set")
+    return CandidateSpace(variant, issue_space, tuple(blocks))
+
+
+def _profile(blocks, members) -> Profile:
+    """The profile of member ``members[b]`` of each code block ``blocks[b]``."""
+    return Profile({
+        issue: column[code]
+        for (issues, columns, codes), m in zip(blocks, members)
+        for issue, column, code in zip(issues, columns, codes[m].tolist())
+    })
+
+
+@dataclass(frozen=True, eq=False)
 class CandidateSpace:
     """One of Explicit(profiles), Full(LO(n)^issues), or Product(block factors).
 
-    ``blocks`` holds ``(issues, members)`` pairs that partition the issue
-    set, and the space is the Cartesian product of their members.  A
-    product space lists its blocks; an explicit space is the one block over
-    every issue and keeps its members as ``profiles`` too.  A full space
-    stores neither.
+    ``coded`` holds the code blocks of the module docstring; they partition
+    the issue set, and the space is the Cartesian product of their members.
+    An explicit space is the one block over every issue; a full space stores
+    none.  :meth:`explicit`, :meth:`product` and :func:`load_candidate_space`
+    check and encode their members.
     """
 
     variant: str
     issue_space: IssueSpace
-    profiles: tuple[Profile, ...] | None = None
-    blocks: tuple | None = None  # tuple of (issue_tuple, member_profile_tuple)
+    coded: tuple = ()
 
     def __post_init__(self):
-        if self.variant == "full":
-            if self.profiles is not None or self.blocks is not None:
-                raise InvalidArgumentError("full space takes no profiles or blocks")
-            return
-        if self.variant == "explicit":
-            given = ((self.issue_space.issue_ids, self.profiles or ()),)
-        elif self.variant == "product":
-            given = self.blocks or ()
-        else:
+        if self.variant not in ("explicit", "full", "product"):
             raise InvalidArgumentError(f"unknown variant {self.variant!r}")
-        rank = {issue: k for k, issue in enumerate(self.issue_space.sorted_ids())}
-        blocks, member_keys, seen = [], [], set()
-        for issues, members in given:
-            block = set(issues)
-            if seen & block or not block <= self.issue_space.id_set:
-                raise InvalidArgumentError("blocks must partition the issue set")
-            seen |= block
-            issues = tuple(sorted(block, key=rank.__getitem__))
-            members = tuple(members)
-            for member in members:
-                _check_profile(member, block, self.issue_space.n)
-            keyed = {_rank_key(member, issues): member for member in members}
-            if not keyed:
-                raise InvalidArgumentError(f"block {issues} needs at least one member")
-            if len(keyed) != len(members):
-                raise InvalidArgumentError(f"members of block {issues} must be distinct")
-            blocks.append((issues, tuple(keyed[key] for key in sorted(keyed))))
-            member_keys.append(frozenset(keyed))
-        if seen != self.issue_space.id_set:
-            raise InvalidArgumentError("blocks must partition the issue set")
-        object.__setattr__(self, "blocks", tuple(blocks))
-        object.__setattr__(self, "_member_keys", tuple(member_keys))  # for contains
-        if self.variant == "explicit":
-            object.__setattr__(self, "profiles", blocks[0][1])
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def explicit(cls, profiles: Sequence[Profile], issue_space: IssueSpace) -> "CandidateSpace":
-        return cls("explicit", issue_space, profiles=tuple(profiles))
+        block = cls.product(((issue_space.issue_ids, profiles),), issue_space)
+        return cls("explicit", issue_space, block.coded)
 
     @classmethod
     def full(cls, issue_space: IssueSpace) -> "CandidateSpace":
@@ -121,112 +175,82 @@ class CandidateSpace:
 
     @classmethod
     def product(cls, blocks, issue_space: IssueSpace) -> "CandidateSpace":
-        return cls("product", issue_space, blocks=tuple(blocks))
+        """The product of ``(issues, member profiles)`` blocks."""
+        given = [(ids, [dict(member.items()) for member in members]) for ids, members in blocks]
+        return _coded("product", issue_space, given, lambda issue: issue, lambda _, order: order)
 
     # -- basic queries ------------------------------------------------------
 
     def size(self) -> int:
         if self.variant == "full":
             return factorial(self.issue_space.n) ** len(self.issue_space.issue_ids)
-        return prod(len(members) for _, members in self.blocks)
+        return prod(len(codes) for _, _, codes in self.coded)
 
     def contains(self, profile: Profile) -> bool:
+        """Whether each block has a member with the code row of ``profile``'s orderings."""
         _check_profile(profile, self.issue_space.id_set, self.issue_space.n)
-        return self.variant == "full" or all(
-            _rank_key(profile, issues) in keys
-            for (issues, _), keys in zip(self.blocks, self._member_keys)
-        )
-
-    def rows(self) -> Iterator[tuple]:
-        """Yield the space as independent blocks ``(issues, rows)``.
-
-        ``issues`` are in sorted-id order, a row holds one member's orders on
-        them, and the rows come in member order.  A full space yields each issue alone with all of
-        ``all_linear_orders(n)``.  A block of more than
-        ``DEFAULT_ENUMERATION_CAP`` members raises ``CapacityError`` before
-        any block is yielded.
-        """
-        n = self.issue_space.n
-        full = self.variant == "full"
-        largest = factorial(n) if full else max(len(members) for _, members in self.blocks)
-        if largest > DEFAULT_ENUMERATION_CAP:
-            raise CapacityError(
-                f"candidate-space block has {largest} members, over the cap of "
-                f"{DEFAULT_ENUMERATION_CAP}",
-                cap=DEFAULT_ENUMERATION_CAP,
+        try:
+            return all(
+                (codes == [column.index(profile(i)) for i, column in zip(issues, columns)])
+                .all(axis=1).any()
+                for issues, columns, codes in self.coded
             )
-        if full:
-            orders = all_linear_orders(n)
-            for issue in self.issue_space.sorted_ids():
-                yield (issue,), zip(orders)
-            return
-        for issues, members in self.blocks:
-            yield issues, [tuple(member(issue) for issue in issues) for member in members]
+        except ValueError:  # an ordering no member holds
+            return False
+
+    @property
+    def blocks(self) -> tuple | None:
+        """The ``(issues, members)`` blocks, members built as profiles in member order;
+        None for a full space."""
+        if self.variant != "full":
+            return tuple((b[0], tuple(_profile((b,), (m,)) for m in range(len(b[2])))) for b in self.coded)
+
+    @property
+    def profiles(self) -> tuple | None:
+        """An explicit space's members, in member order."""
+        return self.blocks[0][1] if self.variant == "explicit" else None
 
     def _codes(self) -> tuple:
-        """Each block of :meth:`rows` as ``(issues, columns, codes)``: ``columns[k]`` lists the
-        distinct orders on ``issues[k]``, and member ``m`` has ``columns[k][codes[m, k]]``.
-
-        Built on first use and kept, read-only; a block over the cap raises on every call."""
-        if "_code_blocks" not in self.__dict__:
-            dtype = np.min_scalar_type(min(factorial(self.issue_space.n), DEFAULT_ENUMERATION_CAP))
-            blocks = []
-            for issues, rows in self.rows():
-                seen = [{} for _ in issues]  # per column: order -> code
-                flat = (col.setdefault(o, len(col)) for row in rows for col, o in zip(seen, row))
-                codes = np.fromiter(flat, dtype=dtype).reshape(-1, len(issues))
-                codes.flags.writeable = False
-                blocks.append((issues, [tuple(col) for col in seen], codes))
-            object.__setattr__(self, "_code_blocks", tuple(blocks))
-        return self._code_blocks
+        """The space's code blocks; a full space gives each issue alone over
+        ``all_linear_orders(n)``.  A block of more than ``DEFAULT_ENUMERATION_CAP``
+        members raises ``CapacityError``."""
+        n, full = self.issue_space.n, self.variant == "full"
+        largest = factorial(n) if full else max(len(codes) for _, _, codes in self.coded)
+        if largest > DEFAULT_ENUMERATION_CAP:
+            cap = DEFAULT_ENUMERATION_CAP
+            raise CapacityError(f"candidate-space block has {largest} members, over the cap of {cap}", cap=cap)
+        if full:
+            orders, codes = (all_linear_orders(n),), np.arange(largest)[:, None]
+            return tuple(((issue,), orders, codes) for issue in self.issue_space.sorted_ids())
+        return self.coded
 
     def enumerate_profiles(self) -> Iterator[Profile]:
-        """Yield every member once, in rank-tuple order.
-
-        Members are ordered by their rankings issue by issue in sorted-id
-        order.  A full space yields them lazily, the last issue varying
-        fastest, each over ``all_linear_orders(n)``; other spaces combine
-        their blocks' members and sort the result.  A space with more than
-        ``DEFAULT_ENUMERATION_CAP`` members raises ``CapacityError`` before
-        yielding.  The library reads spaces through :meth:`rows`; only
-        tests, demos and the benchmark enumerate a whole space.
-        """
+        """Yield every member once, in rank-tuple order: by rankings issue by issue in
+        sorted-id order.  A full space yields them lazily, the last issue varying fastest.
+        A space of more than ``DEFAULT_ENUMERATION_CAP`` members raises ``CapacityError``
+        first.  The library reads only codes; tests, demos and the benchmark enumerate."""
         cap = DEFAULT_ENUMERATION_CAP
         if self.size() > cap:
-            raise CapacityError(
-                f"candidate space has {self.size()} profiles, over the cap of {cap}", cap=cap
-            )
-        issues = self.issue_space.sorted_ids()
-        if self.variant == "full":
-            orders = all_linear_orders(self.issue_space.n)
-            for combo in itertools.product(orders, repeat=len(issues)):
-                yield Profile(dict(zip(issues, combo)))
-            return
-        if len(self.blocks) == 1:  # its members are whole profiles, already sorted
-            yield from self.blocks[0][1]
-            return
-        members = [
-            Profile({issue: order for part in combo for issue, order in part.items()})
-            for combo in itertools.product(*(block for _, block in self.blocks))
-        ]
-        members.sort(key=lambda member: _rank_key(member, issues))
+            raise CapacityError(f"candidate space has {self.size()} profiles, over the cap of {cap}", cap=cap)
+        blocks = self._codes()
+        combos = itertools.product(*(range(len(codes)) for _, _, codes in blocks))
+        members = (_profile(blocks, combo) for combo in combos)
+        if self.variant == "product":  # the blocks' issues may interleave in sorted-id order
+            ids = self.issue_space.sorted_ids()
+            members = sorted(members, key=lambda member: [member(issue).ranking for issue in ids])
         yield from members
-
-    def block_of(self, issue) -> tuple:
-        """The ``(issues, members)`` block holding ``issue``; a full space stores none."""
-        if self.variant == "full":
-            raise InvalidArgumentError("a full space stores no blocks")
-        for issues, members in self.blocks:
-            if issue in issues:
-                return issues, members
-        raise InvalidArgumentError(f"unknown issue {issue!r}")
 
 
 # -- file format -----------------------------------------------------------
 
 
-def _profile_to_doc(profile: Profile) -> dict:
-    return {str(issue): str(order) for issue, order in profile.items()}
+def _entries(block: tuple) -> list:
+    """A code block's members as file entries, issue keys in text order as profiles list them."""
+    issues, columns, codes = block
+    keyed = sorted(range(len(issues)), key=lambda k: str(issues[k]))
+    keys = [str(issues[k]) for k in keyed]
+    texts = [[str(order) for order in columns[k]] for k in keyed]
+    return [dict(zip(keys, map(list.__getitem__, texts, row))) for row in codes[:, keyed].tolist()]
 
 
 def save_candidate_space(path, space: CandidateSpace) -> None:
@@ -236,11 +260,10 @@ def save_candidate_space(path, space: CandidateSpace) -> None:
         "N": space.issue_space.n,
     }
     if space.variant == "explicit":
-        doc["profiles"] = [_profile_to_doc(p) for p in space.profiles]
+        doc["profiles"] = _entries(space.coded[0])
     elif space.variant == "product":
         doc["blocks"] = [
-            {"issues": list(issues), "profiles": [_profile_to_doc(p) for p in factor]}
-            for issues, factor in space.blocks
+            {"issues": list(block[0]), "profiles": _entries(block)} for block in space.coded
         ]
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -250,8 +273,8 @@ _expect = partial(expect, what="candidate-space")
 
 
 def load_candidate_space(path) -> CandidateSpace:
-    """Read a space file; a malformed entry raises an error that names its key.  Each distinct
-    ordering text is parsed once, in file order, and shared by every member listing it."""
+    """Read a space file straight into code blocks; a malformed entry raises an error that
+    names its key.  Each distinct ordering text is parsed once, in file order."""
     doc = read_json(path, "candidate-space")
     try:
         variant, issues, n = doc["variant"], doc["issues"], doc["N"]
@@ -263,27 +286,16 @@ def load_candidate_space(path) -> CandidateSpace:
     except KeyError as exc:
         raise InvalidArgumentError(f"candidate-space file missing key {exc}") from exc
     issue_space = IssueSpace(tuple(_expect(issues, list, "issues")), _expect(n, int, "N"))
-    issue_of, order_of = {}, {}  # issue key -> issue id, ordering text -> LinearOrder
-
-    def members(profiles):
-        for entry in _expect(profiles, list, "profiles"):
-            assignment = {}
-            for key, text in _expect(entry, dict, "profiles").items():
-                if key not in issue_of:
-                    issue_of[key] = issue_space.resolve(key)
-                if _expect(text, str, key) not in order_of:
-                    order_of[text] = LinearOrder.from_string(text)
-                assignment[issue_of[key]] = order_of[text]
-            yield Profile(assignment)
-
     if variant == "full":
         return CandidateSpace.full(issue_space)
     if variant == "explicit":
-        return CandidateSpace.explicit(members(doc.get("profiles", [])), issue_space)
-    if variant == "product":
-        blocks = [
-            ([issue_space.resolve(i) for i in _expect(ids, list, "issues")], list(members(entries)))
+        given = [(issue_space.issue_ids, doc.get("profiles", []))]
+    elif variant == "product":  # a block's issues are resolved as the block is read
+        given = (
+            ([issue_space.resolve(i) for i in _expect(ids, list, "issues")], entries)
             for ids, entries in blocks
-        ]
-        return CandidateSpace.product(blocks, issue_space)
-    raise InvalidArgumentError(f"unknown variant {variant!r}")
+        )
+    else:
+        raise InvalidArgumentError(f"unknown variant {variant!r}")
+    parse = lambda key, text: LinearOrder.from_string(_expect(text, str, key))  # noqa: E731
+    return _coded(variant, issue_space, given, issue_space.resolve, parse)

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from repsoc import (
     CandidateSpace,
@@ -16,6 +17,7 @@ from repsoc import (
     all_linear_orders,
 )
 from tests.mechanism_reference import scoring_mechanism_from_counts
+from tests.privilege_reference import closure_verdict
 
 
 def random_explicit_space(rng, issue_ids, n, size):
@@ -33,6 +35,20 @@ def random_explicit_space(rng, issue_ids, n, size):
     return CandidateSpace.explicit(profiles, IssueSpace(tuple(issue_ids), n))
 
 
+def member_rows(space):
+    """The space as independent blocks ``(issues, rows)``, a row holding one member's orders on
+    ``issues`` (in sorted-id order), rows in member order.  Built from the members as profiles,
+    it is the per-member view of the code blocks that the library reads; a full space gives
+    each issue alone over ``all_linear_orders(n)``."""
+    if space.variant == "full":
+        orders = all_linear_orders(space.issue_space.n)
+        return [((issue,), [(order,) for order in orders]) for issue in space.issue_space.sorted_ids()]
+    return [
+        (issues, [tuple(member(issue) for issue in issues) for member in members])
+        for issues, members in space.blocks
+    ]
+
+
 def random_subset_space(rng, n, *, issue="i", min_size=1, max_size=None):
     """Single-issue explicit space from a random nonempty subset of LO(n)."""
     orders = all_linear_orders(n)
@@ -42,6 +58,33 @@ def random_subset_space(rng, n, *, issue="i", min_size=1, max_size=None):
     picked = rng.choice(len(orders), size=size, replace=False)
     profiles = [Profile({issue: orders[j]}) for j in picked]
     return CandidateSpace.explicit(profiles, IssueSpace((issue,), n))
+
+
+@st.composite
+def candidate_spaces(draw):
+    """Random explicit, product and full spaces: N = 2..4, 1..3 issues."""
+    n = draw(st.integers(2, 4))
+    issues = tuple(f"i{j}" for j in range(draw(st.integers(1, 3))))
+    issue_space = IssueSpace(issues, n)
+    orders = all_linear_orders(n)
+    variant = draw(st.sampled_from(("full", "product", "explicit")))
+    if variant == "full":
+        return CandidateSpace.full(issue_space)
+
+    def members(block, most):
+        picked = draw(
+            st.lists(st.tuples(*(st.sampled_from(orders) for _ in block)), min_size=1, max_size=most, unique=True)
+        )
+        return [Profile(dict(zip(block, row))) for row in picked]
+
+    if variant == "explicit":
+        return CandidateSpace.explicit(members(issues, 12), issue_space)
+    # blocks list their issues in a drawn order, not sorted
+    shuffled = draw(st.permutations(issues))
+    cuts = sorted(draw(st.sets(st.integers(1, len(issues) - 1)))) if len(issues) > 1 else []
+    bounds = [0, *cuts, len(issues)]
+    blocks = [(shuffled[x:y], members(shuffled[x:y], 5)) for x, y in zip(bounds, bounds[1:])]
+    return CandidateSpace.product(blocks, issue_space)
 
 
 def random_sample(rng, issue_ids, n, size):
@@ -79,3 +122,10 @@ def per_call_reference():
     ``(counts, total, space, rule) -> MechanismResult`` for one ``{issue: {ordering: count}}``
     tally."""
     return scoring_mechanism_from_counts
+
+
+@pytest.fixture(scope="session")
+def closure_reference():
+    """The member-table reference of the privilege oracle:
+    ``(space, issue, subset) -> bool``, the closure verdict of ``subset`` on ``issue``."""
+    return closure_verdict

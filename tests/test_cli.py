@@ -551,6 +551,20 @@ BAD_INPUTS = {
     "graphs-a-directory": (
         lambda s: {"kind": "synthesize-acyclic", "graphs": str(s["tmp"])}, None, "'graphs'"
     ),
+    **{
+        f"{key.replace('_', '-')}-of-3-outcomes-{kind.__name__.strip('_')}": (
+            _over_file(
+                "population_n3.json",
+                {"issues": ["i0", "i1"], "N": 3, "saliency": {"i0": 0.5, "i1": 0.5},
+                 "marginals": {"i0": {"0>1>2": 1.0}, "i1": {"2>1>0": 1.0}}},
+                lambda s, path, kind=kind, key=key: kind(s, **{key: path}),
+            ),
+            None,
+            f"'{key}': the population has N = 3, the space N = 2",
+        )
+        for kind, key in ((_generalization, "population"), (_axiom, "population"),
+                          (_rademacher, "population"), (_axiom, "population_b"))
+    },
     "condorcet-space-of-4-outcomes": (
         _condorcet_over_space({"variant": "full", "issues": ["i"], "N": 4}),
         None,

@@ -25,7 +25,7 @@ from repsoc import (
     vc_dimension_with_witness,
 )
 from repsoc.rng import derive_rng
-from tests.conftest import random_explicit_space, random_sample
+from tests.conftest import member_rows, random_explicit_space, random_sample
 
 
 def lo(text):
@@ -97,7 +97,7 @@ def member_block_patterns(space):
     """Per block of a binary space: its issues and the set of its members' yes/no patterns."""
     return [
         (issues, {tuple(order.ranking[0] for order in row) for row in rows})
-        for issues, rows in space.rows()
+        for issues, rows in member_rows(space)
     ]
 
 
@@ -131,7 +131,7 @@ def member_is_shattered(space, issue_subset):
 
 def member_rademacher(loss_class, sample, num_sign_draws, seed):
     rule = loss_class.rule
-    blocks = list(loss_class.space.rows())
+    blocks = list(member_rows(loss_class.space))
     column = {issue: (b, k) for b, (ids, _) in enumerate(blocks) for k, issue in enumerate(ids)}
     parts = [[] for _ in blocks]
     for j, (_, issue) in enumerate(sample):
@@ -152,7 +152,7 @@ def member_rademacher(loss_class, sample, num_sign_draws, seed):
 def repeats_orderings(space):
     """Whether some block column lists one ordering for two members."""
     return space.variant != "full" and any(
-        len({row[k] for row in rows}) < len(rows) for issues, rows in space.rows() for k in range(len(issues))
+        len({row[k] for row in rows}) < len(rows) for issues, rows in member_rows(space) for k in range(len(issues))
     )
 
 
@@ -204,7 +204,7 @@ def test_rademacher_matches_enumeration():
             draws = int(rng.integers(1, 60))
             got = empirical_rademacher(loss_class, sample, draws, seed=trial)
             expected = enumerated_rademacher(loss_class, sample, draws, seed=trial)
-            if len(list(space.rows())) == 1:
+            if len(list(member_rows(space))) == 1:
                 checked["one block"] += 1
                 assert got == expected
             else:

@@ -1,12 +1,16 @@
 """The block sup-gap of ``generalization_experiment`` against whole-space enumeration."""
 
 import itertools
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repsoc import (
@@ -24,6 +28,7 @@ from repsoc import (
 from repsoc import experiments
 from repsoc.population import _cells
 from repsoc.rng import derive_rng
+from tests.conftest import member_rows
 from tests.mechanism_reference import population_utility
 
 
@@ -128,7 +133,7 @@ def member_space_blocks(space, saliency, population, cells):
         for order, mass in population.distribution(issue).items():
             entry_of[issue][order] = (cell_of.get((issue, order), len(cells)), w * mass)
     place, blocks = {}, []
-    for issues, rows in space.rows():
+    for issues, rows in member_rows(space):
         place.update((issue, (len(blocks), j)) for j, issue in enumerate(issues))
         tables = [entry_of[issue] for issue in issues]
         entries = np.array(
@@ -289,3 +294,43 @@ def test_saliency_issue_outside_the_space():
     saliency = SaliencyDistribution({"a": 0.5, "b": 0.5})
     with pytest.raises(InvalidArgumentError, match="'b'"):
         generalization_experiment(space, saliency, population, [4], 2, seed=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=9))
+@example([-0.0])
+@example([-0.0, 0.0, -0.0, 5.0])
+@example([1e308, 1.5e308])
+def test_median_equals_numpy_bit_for_bit(values):
+    """Odd and even lengths, signed zeros and sums that round or overflow included."""
+    array = np.array(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # np.median's own overflow
+        expected = float(np.median(array))
+    assert np.array(experiments._median(array)).tobytes() == np.array(expected).tobytes()
+
+
+def test_generalization_run_leaves_numpy_ma_unloaded(tmp_path):
+    """``np.median`` would import ``numpy.ma``, some 6 ms of every run."""
+    script = """
+import sys
+from repsoc import (CandidateSpace, IssueSpace, LinearOrder, MarginalPopulation,
+                    SaliencyDistribution, save_candidate_space, save_population)
+from repsoc.experiments import run_experiment
+issues = IssueSpace(("a", "b"), 3)
+save_population("population.json", issues, SaliencyDistribution({"a": 0.5, "b": 0.5}),
+                MarginalPopulation({i: {LinearOrder((0, 1, 2)): 0.7, LinearOrder((2, 1, 0)): 0.3}
+                                    for i in ("a", "b")}))
+save_candidate_space("space.json", CandidateSpace.full(issues))
+run_experiment({"kind": "generalization", "population": "population.json", "space": "space.json",
+                "sizes": [4, 9], "trials": 6, "seed": 1}, "out")
+print("numpy.ma" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+    assert (tmp_path / "out" / "gaps.csv").is_file()

@@ -31,6 +31,7 @@ from repsoc import (
     save_candidate_space,
     synthesize_acyclic,
 )
+from repsoc import mechanisms
 from repsoc.privilege import PrivilegeGraph
 from tests.conftest import random_explicit_space, random_sample, uniform_population
 from tests.mechanism_reference import (
@@ -534,6 +535,32 @@ def test_kernel_allocations_stay_within_the_cap(monkeypatch):
         assert (decided.points == expected.points).all() and (decided.ties == expected.ties).all()
 
 
+def test_kernel_builds_each_points_table_once_while_it_fits_the_cap(monkeypatch):
+    """Under a cap of 2,500 entries, 40 Kendall tallies over the 720-member full N = 6
+    block are decided 3 at a time; the 3 x 720 points table fits the cap, so it is built
+    once, in 2,160 ``points`` calls, not once per chunk.  Under a cap of 1,000 it does not
+    fit and is built a chunk at a time.  The winners are the same either way."""
+    space = CandidateSpace.full(IssueSpace(("i",), 6))
+    orders = all_linear_orders(6)
+    cells = [("i", orders[j]) for j in (0, 7, 100)]
+    rows = np.random.default_rng(5).multinomial(30, [0.5, 0.3, 0.2], size=40)
+    expected = decide_tallies(rows, cells, space, KENDALL)
+    calls = Counter()
+
+    def points(a, b):
+        calls["points"] += 1
+        return KENDALL.points(a, b)
+
+    counted = mechanisms.ScoringRule("kendall", points, KENDALL.top)
+    for cap, once in ((2500, True), (1000, False)):
+        calls.clear()
+        monkeypatch.setattr(mechanisms, "DEFAULT_ENUMERATION_CAP", cap)
+        decided = decide_tallies(rows, cells, space, counted)
+        assert (calls["points"] == 3 * 720) == once
+        assert decided.chosen == expected.chosen
+        assert (decided.points == expected.points).all() and (decided.ties == expected.ties).all()
+
+
 def test_kernel_int64_boundary():
     """Scores reach count * top(N), exactly up to 2**63 - 1; a tally that could pass it is
     rejected, exactly too when int64 sums of its counts could wrap."""
@@ -565,19 +592,25 @@ def test_block_over_cap_raises_before_allocating():
         majority_vote(sample, space)
 
 
-def test_kernel_reads_a_space_once_and_loading_reads_none(monkeypatch, tmp_path):
-    reads = []
-    rows = CandidateSpace.rows
-    monkeypatch.setattr(CandidateSpace, "rows", lambda space: reads.append(space) or rows(space))
+def test_kernel_and_loading_build_no_members(monkeypatch, tmp_path):
+    """A space is read as its code blocks alone: loading it builds no profile, and the
+    kernel builds its winners but never the space's members."""
+    built = []
+    profile_init = Profile.__init__
+    monkeypatch.setattr(
+        Profile, "__init__", lambda self, assignment: built.append(1) or profile_init(self, assignment)
+    )
+    monkeypatch.setattr(CandidateSpace, "blocks", property(lambda space: pytest.fail("members built")))
     rng = np.random.default_rng(11)
     path = tmp_path / "space.json"
     save_candidate_space(path, random_explicit_space(rng, ("a", "b"), 3, 12))
+    built.clear()
     space = load_candidate_space(path)
-    assert reads == []
+    assert built == []
     for rule in (EXACT_MATCH, KENDALL):
         for _ in range(50):
             scoring_mechanism(random_sample(rng, ("a", "b"), 3, 7), space, rule)
-    assert reads == [space]
+    assert len(built) == 100
     too_big = CandidateSpace.full(IssueSpace(("i",), 10))
     sample = SampleSet(((LinearOrder(tuple(range(10))), "i"),))
     for _ in range(2):

@@ -1,7 +1,10 @@
 import itertools
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repsoc import (
     CandidateSpace,
@@ -22,7 +25,12 @@ from repsoc import (
     synthesize_acyclic,
 )
 from repsoc.privilege import PrivilegeGraph, to_dot
-from tests.conftest import all_partial_sequences, random_explicit_space, random_subset_space
+from tests.conftest import (
+    all_partial_sequences,
+    candidate_spaces,
+    random_explicit_space,
+    random_subset_space,
+)
 
 
 def lo(text):
@@ -41,7 +49,7 @@ def brute_force_is_privileged(space, issue, o):
     if space.variant == "full":
         return True
     if space.variant == "product":
-        block_issues, factor = space.block_of(issue)
+        block_issues, factor = next(block for block in space.blocks if issue in block[0])
         sub_space = CandidateSpace.explicit(factor, IssueSpace(block_issues, n))
         return brute_force_is_privileged(sub_space, issue, o)
 
@@ -166,9 +174,9 @@ class TestIsPrivileged:
 
 
 def test_oracle_builds_no_orders_or_profiles(monkeypatch):
-    """The oracle probes its member table with plain tuples: on a prebuilt
-    space it constructs no LinearOrder and no Profile, however many
-    members each check scans."""
+    """The oracle works on the space's code matrix and twin rankings as tuples: on a
+    prebuilt space it constructs no LinearOrder and no Profile, however many members
+    each check scans."""
     orders = all_linear_orders(3)
     space = CandidateSpace.explicit(
         [Profile({"i": a, "j": b}) for a in orders for b in orders[:2]],
@@ -196,6 +204,62 @@ def test_oracle_builds_no_orders_or_profiles(monkeypatch):
     assert built == []
     Profile({"i": LinearOrder((1, 0, 2))})
     assert built == ["LinearOrder", "Profile"]
+
+
+@st.composite
+def synthesized_spaces(draw):
+    """Spaces of ``synthesize_acyclic``: per issue, outcomes laid out in blocks of one or two."""
+    n = draw(st.integers(2, 5))
+    graphs = {}
+    for issue in ("s0", "s1")[: draw(st.integers(1, 2))]:
+        outcomes, blocks = draw(st.permutations(range(n))), []
+        while outcomes:
+            size = min(len(outcomes), draw(st.integers(1, 2)))
+            blocks.append(outcomes[:size])
+            outcomes = outcomes[size:]
+        edges = {
+            (u, v)
+            for k, block in enumerate(blocks)
+            for later in (block, *blocks[k + 1 :])
+            for u in block
+            for v in later
+            if u != v
+        }
+        graphs[issue] = PrivilegeGraph(issue=issue, n=n, edges=frozenset(edges))
+    return synthesize_acyclic(graphs).space
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(candidate_spaces(), synthesized_spaces()))
+def test_closure_matches_the_member_table_reference(closure_reference, space):
+    """Every partial order and every pair, on explicit, product, full and synthesized spaces."""
+    n = space.issue_space.n
+    for issue in space.issue_space.issue_ids:
+        for subset in all_partial_sequences(n):
+            expected = closure_reference(space, issue, subset)
+            assert is_privileged(space, issue, PartialOrder(subset, n)) == expected, (issue, subset)
+        pairs = {pair for pair in itertools.permutations(range(n), 2)
+                 if closure_reference(space, issue, pair)}
+        assert build_privilege_graph(space, issue).edges == pairs
+
+
+def test_closure_is_exact_where_row_keys_overflow_int64(closure_reference):
+    """Over 66 binary issues, a member key in mixed radix 2 needs 66 bits.  The member
+    with 1>0 on i00 and i65 differs from a member only by i00, whose digit is worth 2**65:
+    a key wrapped to 64 bits would find that twin, and call 1>0 on i65 privileged."""
+    issues = tuple(f"i{k:02d}" for k in range(66))
+    up, down = lo("0>1"), lo("1>0")
+    members = [
+        Profile({issue: down if issue == "i00" else up for issue in issues}),
+        Profile({issue: down if issue == "i65" else up for issue in issues}),
+        Profile({issue: down for issue in issues}),
+    ]
+    space = CandidateSpace.explicit(members, IssueSpace(issues, 2))
+    assert prod(len(column) for _, columns, _ in space._codes() for column in columns) > 2**63
+    assert not is_privileged(space, "i65", PartialOrder((1, 0), 2))
+    for issue in issues:
+        expected = {pair for pair in ((0, 1), (1, 0)) if closure_reference(space, issue, pair)}
+        assert build_privilege_graph(space, issue).edges == expected
 
 
 class TestBuildGraph:
@@ -232,8 +296,8 @@ class TestBuildGraph:
             assert is_privileged(space, "C", PartialOrder(seq, 3))
 
     def test_agrees_with_brute_force(self):
-        """Seeded differential check of the graph, which tests pairs on its
-        own member table, against the exhaustive reference verdict per pair."""
+        """Seeded differential check of the graph, which tests every pair with one
+        closure test, against the exhaustive reference verdict per pair."""
         rng = np.random.default_rng(20261019)
         edges = 0
         for space in differential_spaces(rng, 8):

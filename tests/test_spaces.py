@@ -21,6 +21,7 @@ from repsoc import (
     save_candidate_space,
 )
 from repsoc.spaces import DEFAULT_ENUMERATION_CAP
+from tests.conftest import candidate_spaces, member_rows
 from tests.mechanism_reference import majority_vote
 
 
@@ -191,41 +192,22 @@ def test_rank_tuple_order_with_eleven_outcomes():
     assert result.chosen == c
 
 
-@st.composite
-def candidate_spaces(draw):
-    """Random explicit, product and full spaces: N = 2..4, 1..3 issues."""
-    n = draw(st.integers(2, 4))
-    issues = tuple(f"i{j}" for j in range(draw(st.integers(1, 3))))
-    issue_space = IssueSpace(issues, n)
-    orders = all_linear_orders(n)
-    variant = draw(st.sampled_from(("full", "product", "explicit")))
-    if variant == "full":
-        return CandidateSpace.full(issue_space)
-
-    def members(block, most):
-        picked = draw(
-            st.lists(st.tuples(*(st.sampled_from(orders) for _ in block)), min_size=1, max_size=most, unique=True)
-        )
-        return [Profile(dict(zip(block, row))) for row in picked]
-
-    if variant == "explicit":
-        return CandidateSpace.explicit(members(issues, 12), issue_space)
-    # blocks list their issues in a drawn order, not sorted
-    shuffled = draw(st.permutations(issues))
-    cuts = sorted(draw(st.sets(st.integers(1, len(issues) - 1)))) if len(issues) > 1 else []
-    bounds = [0, *cuts, len(issues)]
-    blocks = [(shuffled[x:y], members(shuffled[x:y], 5)) for x, y in zip(bounds, bounds[1:])]
-    return CandidateSpace.product(blocks, issue_space)
-
-
 @settings(max_examples=150, deadline=None)
 @given(candidate_spaces(), st.data())
 def test_rows_recombine_to_the_enumeration(space, data):
+    """The code blocks are the stored form: sorted distinct columns, sorted distinct rows,
+    and their members' rows recombine to the enumeration."""
     ids = space.issue_space.sorted_ids()
     rank_key = lambda profile: [profile(issue).ranking for issue in ids]  # noqa: E731
-    blocks = [(issues, list(rows)) for issues, rows in space.rows()]
-    for issues, rows in blocks:
+    for issues, columns, codes in space._codes():
         assert list(issues) == [issue for issue in ids if issue in issues]
+        for column in columns:
+            rankings = [order.ranking for order in column]
+            assert rankings == sorted(set(rankings))
+        rows = codes.tolist()
+        assert all(a < b for a, b in zip(rows, rows[1:]))  # sorted and distinct
+    blocks = member_rows(space)
+    for issues, rows in blocks:
         keys = [[order.ranking for order in row] for row in rows]
         assert keys == sorted(keys)
     issues = [issue for block, _ in blocks for issue in block]
@@ -272,6 +254,44 @@ def member_load_candidate_space(path):
     return CandidateSpace.product(blocks, issue_space)
 
 
+def malformed(doc, data) -> dict:
+    """Copies of a saved explicit or product space file, each with one fault, named by
+    the text its error holds; "re-texted" only writes one ordering in another text."""
+    blocks = doc["blocks"] if doc["variant"] == "product" else [doc]
+    b = data.draw(st.integers(0, len(blocks) - 1))
+    n, key = doc["N"], data.draw(st.sampled_from(sorted(blocks[b]["profiles"][0])))
+    spaced = lambda text: text.replace(">", " > ")  # noqa: E731  parses to the same order
+    faults = {
+        "must be distinct": lambda entries: entries.append(dict(entries[0])),
+        "must be distinct ": lambda entries: entries.append(
+            {k: spaced(text) for k, text in entries[0].items()}
+        ),
+        "wrong outcome count": lambda entries: entries[-1].update(
+            {key: ">".join(map(str, range(n + 1)))}
+        ),
+        "does not cover": lambda entries: entries[0].pop(key),
+        "unknown issue": lambda entries: entries[-1].update({"zz": entries[-1][key]}),
+        "re-texted": lambda entries: entries[-1].update({key: spaced(entries[-1][key])}),
+    }
+    if len(blocks) > 1:  # an issue of another block
+        other = blocks[(b + 1) % len(blocks)]["issues"][0]
+        faults["does not cover "] = lambda entries: entries[0].update({str(other): entries[0][key]})
+    docs = {}
+    for name, fault in faults.items():
+        docs[name] = json.loads(json.dumps(doc))
+        fault((docs[name]["blocks"][b] if doc["variant"] == "product" else docs[name])["profiles"])
+    return docs
+
+
+def load_outcome(load, path):
+    """The members that ``load`` reads from ``path``, or the text of the error it raises."""
+    try:
+        space = load(path)
+    except InvalidArgumentError as exc:
+        return str(exc)
+    return space.variant, space.issue_space, space.blocks
+
+
 @settings(max_examples=150, deadline=None)
 @given(candidate_spaces(), st.data())
 def test_load_round_trip_matches_the_per_member_loader(space, data):
@@ -280,6 +300,16 @@ def test_load_round_trip_matches_the_per_member_loader(space, data):
         save_candidate_space(path, space)
         loaded = load_candidate_space(path)
         reference = member_load_candidate_space(path)
+        faulty = {} if space.variant == "full" else malformed(json.loads(path.read_text()), data)
+        for k, (name, doc) in enumerate(faulty.items()):
+            path = Path(tmp) / f"faulty{k}.json"  # a new file: rewriting one can flush the disk
+            path.write_text(json.dumps(doc))
+            outcome = load_outcome(load_candidate_space, path)
+            assert outcome == load_outcome(member_load_candidate_space, path), name
+            if name == "re-texted":
+                assert outcome == (loaded.variant, loaded.issue_space, loaded.blocks)
+            else:
+                assert name.strip() in outcome
     for other in (space, reference):
         assert (loaded.variant, loaded.issue_space) == (other.variant, other.issue_space)
         assert loaded.blocks == other.blocks  # equal members, in the same order
