@@ -23,7 +23,6 @@ from .complexity import (
     empirical_rademacher,
     is_shattered,
     massart_bound,
-    vc_dimension,
     vc_dimension_with_witness,
 )
 from .errors import (
@@ -71,7 +70,6 @@ from .population import (
     pair_marginal,
     sample_pairs,
     save_population,
-    uniform_saliency,
 )
 from .privilege import (
     AcyclicPlan,

@@ -146,41 +146,38 @@ def check_sizes(sizes, least: int = 0) -> None:
         raise InvalidArgumentError(f"committee sizes must be >= {least}, got {list(sizes)}")
 
 
-def check_committee_plan(sizes, trials: int, cells: int, least: int = 1) -> None:
-    """Raise unless the ``sizes`` pass :func:`check_sizes` (>= ``least``: an empty committee is
-    decided by the tie-break alone), ``trials`` is >= 1 and the (trials x cells) tally matrix
-    of one size is within ``DEFAULT_ENUMERATION_CAP``."""
+def draw_tallies(saliency, population, sizes, trials: int, seed: int, stream=(), least: int = 1):
+    """The population's cells, and per size index ``j`` a lazily drawn ``(size, rows)``: the
+    (trials x cells) tallies of ``trials`` committees, from the stream (seed, j, *stream).
+    Raises at once unless the ``sizes`` pass :func:`check_sizes` (>= ``least``: an empty
+    committee is decided by the tie-break alone), ``trials`` is >= 1 and one size's tallies
+    are within ``DEFAULT_ENUMERATION_CAP`` entries."""
+    cells, probs = _cells(saliency, population)
     check_sizes(sizes, least)
     if trials < 1:
         raise InvalidArgumentError("need at least one trial per size")
-    if trials * cells > DEFAULT_ENUMERATION_CAP:
+    if trials * len(cells) > DEFAULT_ENUMERATION_CAP:
         raise CapacityError(
-            f"trials = {trials} over {cells} cells is {trials * cells} tally entries per size, "
-            f"over the cap of {DEFAULT_ENUMERATION_CAP}",
+            f"trials = {trials} over {len(cells)} cells is {trials * len(cells)} tally entries "
+            f"per size, over the cap of {DEFAULT_ENUMERATION_CAP}",
             cap=DEFAULT_ENUMERATION_CAP,
         )
+    return cells, (
+        (size, derive_rng(seed, j, *stream).multinomial(size, probs, size=trials))
+        for j, size in enumerate(map(int, sizes))
+    )
 
 
 def _committees(
     mechanism: Mechanism, saliency, population, sizes, trials: int, seed: int, stream: int = 0
 ):
-    """Per size, ``(size, chosen)``: the mechanism's profile for each of ``trials`` committees.
-
-    Checks the plan with :func:`check_committee_plan`, and the largest size with
-    :func:`check_headroom`, at once, and returns a generator that draws size index
-    ``j``'s trials from the stream (seed, j, stream) when it reaches that size.
-    One kernel call decides the size's whole tally matrix from the mechanism's fields.
-    """
-    cells, probs = _cells(saliency, population)
-    check_committee_plan(sizes, trials, len(cells))
+    """Per size, ``(size, chosen)``: the mechanism's profile for each of ``trials`` committees
+    of :func:`draw_tallies`, from the stream (seed, j, stream).  Checks the plan, and the
+    largest size with :func:`check_headroom`, at once; one kernel call decides each size."""
+    cells, tallies = draw_tallies(saliency, population, sizes, trials, seed, (stream,))
     space, rule = mechanism.space, mechanism.rule
     check_headroom(sizes[-1], rule, space.issue_space.n)
-
-    def decide(size_index: int, size: int):
-        rows = derive_rng(seed, size_index, stream).multinomial(size, probs, size=trials)
-        return size, decide_tallies(rows, cells, space, rule).chosen
-
-    return (decide(j, int(size)) for j, size in enumerate(sizes))
+    return ((size, decide_tallies(rows, cells, space, rule).chosen) for size, rows in tallies)
 
 
 # -- the axioms -------------------------------------------------------------

@@ -20,7 +20,6 @@ from .spaces import CandidateSpace
 
 __all__ = [
     "InducedLossClass",
-    "vc_dimension",
     "vc_dimension_with_witness",
     "empirical_rademacher",
     "massart_bound",
@@ -87,10 +86,6 @@ def vc_dimension_with_witness(space: CandidateSpace) -> tuple[int, tuple]:
         witness.extend(issues[k] for k in found)
     rank = {issue: k for k, issue in enumerate(space.issue_space.sorted_ids())}
     return len(witness), tuple(sorted(witness, key=rank.__getitem__))
-
-
-def vc_dimension(space: CandidateSpace) -> int:
-    return vc_dimension_with_witness(space)[0]
 
 
 def is_shattered(space: CandidateSpace, issue_subset) -> bool:

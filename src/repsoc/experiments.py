@@ -24,10 +24,10 @@ import numpy as np
 from .axioms import (
     AXIOMS,
     Scenario,
-    check_committee_plan,
     check_sizes,
     cycle_violation_demo,
     decay_verdict,
+    draw_tallies,
     estimate_axiom,
 )
 from .complexity import (
@@ -38,12 +38,11 @@ from .complexity import (
     vc_dimension_with_witness,
 )
 from .errors import CapacityError, InvalidArgumentError
-from .mechanisms import EXACT_MATCH, SCORING_RULES, Mechanism
+from .mechanisms import EXACT_MATCH, SCORING_RULES, Mechanism, block_scores
 from .orders import LinearOrder, Permutation, Profile, apply_local_permutation
 from .population import (
     MarginalPopulation,
     SaliencyDistribution,
-    _cells,
     expect,
     load_population,
     read_json,
@@ -57,7 +56,6 @@ from .privilege import (
     synthesize_acyclic,
     to_dot,
 )
-from .rng import derive_rng
 from .spaces import (
     DEFAULT_ENUMERATION_CAP,
     CandidateSpace,
@@ -234,46 +232,32 @@ def _median(values: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class _Block:
-    """One block of the space as arrays over its members (rows) and issues (columns)."""
+    """One block of the space: its population terms over its members (rows) and issues (columns)."""
 
-    cells: np.ndarray  # cell index of each (member, issue); the index len(cells) is "no cell"
     terms: np.ndarray  # population term w * mass of each (member, issue)
     term_ids: np.ndarray  # per member: the id of its distinct row of terms
     totals: np.ndarray  # per member: its terms summed (approximately)
 
 
-def _space_blocks(space: CandidateSpace, saliency, population, cells):
-    """The blocks of ``space`` with each member's cells and population terms, looked up
-    once per distinct ordering of a column and gathered by the column codes.
+def _space_blocks(space: CandidateSpace, saliency, population):
+    """The blocks of ``space`` with each member's population terms, looked up once per
+    distinct ordering of a column and gathered by the column codes.
 
     Also returns the weighted issues in saliency order, as (block, column) pairs.
     """
-    cell_of = {cell: j for j, cell in enumerate(cells)}
     weighted = [issue for issue in saliency.issues if saliency(issue) != 0]
-    # per issue: ordering -> (cell index, term); an ordering not listed has neither
-    entry_of = {issue: {} for issue in space.issue_space.issue_ids}
+    term_of = {issue: {} for issue in space.issue_space.issue_ids}  # per issue: ordering -> term
     for issue in weighted:
-        if issue not in entry_of:
+        if issue not in term_of:
             raise InvalidArgumentError(f"saliency issue {issue!r} is not in the candidate space")
-        w = saliency(issue)
-        for order, mass in population.distribution(issue).items():
-            entry_of[issue][order] = (cell_of.get((issue, order), len(cells)), w * mass)
-    place, blocks, no_entry = {}, [], (len(cells), 0.0)
+        term_of[issue] = {o: saliency(issue) * mass for o, mass in population.distribution(issue).items()}
+    place, blocks = {}, []
     for issues, columns, codes in space._codes():
         place.update((issue, (len(blocks), j)) for j, issue in enumerate(issues))
-        tables = [[entry_of[i].get(o, no_entry) for o in c] for i, c in zip(issues, columns)]
-        entries = np.stack([np.array(t)[code] for t, code in zip(tables, codes.T)], axis=1)
-        # entries: (members, issues, 2)
-        terms = entries[:, :, 1]
+        tables = [[term_of[i].get(o, 0.0) for o in c] for i, c in zip(issues, columns)]
+        terms = np.stack([np.array(t)[code] for t, code in zip(tables, codes.T)], axis=1)
         _, term_ids = np.unique(terms, axis=0, return_inverse=True)
-        blocks.append(
-            _Block(
-                cells=entries[:, :, 0].astype(np.intp),
-                terms=terms,
-                term_ids=term_ids.ravel(),
-                totals=terms.sum(axis=1),
-            )
-        )
+        blocks.append(_Block(terms=terms, term_ids=term_ids.ravel(), totals=terms.sum(axis=1)))
     return blocks, [place[issue] for issue in weighted]
 
 
@@ -398,8 +382,9 @@ def generalization_experiment(
     the committee's integer count of the profile's (issue, ordering) cells and
     ``p`` is the population utility, ``total += w * mass`` issue by issue in
     saliency order.  Both utilities are sums over issues, so the sup is found
-    block by block, over the space's code blocks, without
-    enumerating the space.
+    block by block, over the space's code blocks, without enumerating the
+    space.  A block member's count is its exact-match score, read from
+    :func:`~repsoc.mechanisms.block_scores` a chunk of trials at a time.
     For each sign of the gap, a block keeps the members within a rounding
     guard ``delta = 4 * (k + 3) * 2**-52`` (``k`` issues) of its extreme.
     The float error of the expression, and of a block's part of it, is at
@@ -413,32 +398,24 @@ def generalization_experiment(
     Also records, per trial, the slack in the majority-vote regret chain
     U(f_maj) >= max U - 2 * sup-gap.  The majority vote takes each block's
     first count argmax, which is the first argmax in ``enumerate_profiles``
-    order; max U is found by the same candidate search.  The sizes, and
-    the trials over the population's cells, must pass
-    :func:`check_committee_plan`.
+    order; max U is found by the same candidate search.  The committees
+    are drawn by :func:`~repsoc.axioms.draw_tallies`, from the stream
+    (seed, j) for size index j; the sizes, and the trials over the
+    population's cells, must pass its plan check.
     """
-    cells, probs = _cells(saliency, population)
-    check_committee_plan(sizes, trials, len(cells), least=0)
-    blocks, sequence = _space_blocks(space, saliency, population, cells)
+    cells, tallies = draw_tallies(saliency, population, sizes, trials, seed, least=0)
+    blocks, sequence = _space_blocks(space, saliency, population)
     delta = 4 * (len(space.issue_space.issue_ids) + 3) * 2.0**-52
     max_pop = _max_population(blocks, sequence, delta)
 
-    gaps: dict = {}
-    regret_slack: dict = {}
-    for size_index, size in enumerate(sizes):
-        rows = derive_rng(seed, size_index).multinomial(size, probs, size=trials)
-        padded = np.concatenate([rows, np.zeros((trials, 1), dtype=rows.dtype)], axis=1)
-        counts = [padded[:, block.cells].sum(axis=2) for block in blocks]
-        per_trial_gap = _sup_gap(blocks, sequence, counts, size, delta)
-        pop_winner = _population_at(blocks, sequence, [count.argmax(axis=1) for count in counts])
-        gaps[int(size)] = per_trial_gap
-        regret_slack[int(size)] = pop_winner - (max_pop - 2.0 * per_trial_gap)
-    return GeneralizationResult(
-        sizes=tuple(int(s) for s in sizes),
-        trials=trials,
-        gaps=gaps,
-        regret_slack=regret_slack,
-    )
+    gaps, regret_slack = {}, {}
+    for size, rows in tallies:
+        gaps[size], regret_slack[size] = np.empty(trials), np.empty(trials)
+        for at, counts in block_scores(rows, cells, space, EXACT_MATCH):  # member counts
+            gaps[size][at] = gap = _sup_gap(blocks, sequence, counts, size, delta)
+            winner = _population_at(blocks, sequence, [count.argmax(axis=1) for count in counts])
+            regret_slack[size][at] = winner - (max_pop - 2.0 * gap)
+    return GeneralizationResult(sizes=tuple(gaps), trials=trials, gaps=gaps, regret_slack=regret_slack)
 
 
 # -- runner ----------------------------------------------------------------
@@ -702,13 +679,18 @@ def _run_vc(settings: dict, out_dir: Path, report: RunReport, check: bool) -> No
 def _run_rademacher(settings: dict, out_dir: Path, report: RunReport, check: bool) -> None:
     space = load_candidate_space(settings["space"])
     saliency, population = _population(settings, "population", space)
-    seed = settings["seed"]
-    sample = sample_pairs(saliency, population, settings["sample_size"], seed)
+    seed, size, draws = settings["seed"], settings["sample_size"], settings["sign_draws"]
+    members = max(len(codes) for _, _, codes in space._codes())
+    # the estimate's signs, a block's scores and their products, checked before any draw
+    if (entries := max(draws * size, size * members, draws * members)) > DEFAULT_ENUMERATION_CAP:
+        raise CapacityError(
+            f"sample_size = {size} with sign_draws = {draws} over a block of {members} members "
+            f"is {entries} entries, over the cap of {DEFAULT_ENUMERATION_CAP}",
+            cap=DEFAULT_ENUMERATION_CAP,
+        )
+    sample = sample_pairs(saliency, population, size, seed)
     estimate, stderr = empirical_rademacher(
-        InducedLossClass(space, SCORING_RULES[settings["scoring_rule"]]),
-        sample,
-        settings["sign_draws"],
-        seed + 1,
+        InducedLossClass(space, SCORING_RULES[settings["scoring_rule"]]), sample, draws, seed + 1
     )
     bound = massart_bound(space.size(), len(sample))
     report.results["estimate"] = estimate

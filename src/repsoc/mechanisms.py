@@ -2,18 +2,17 @@
 
 A :class:`Mechanism` is a scoring rule maximized over a candidate space.  It
 is anonymous: it sees only tallies, the number of sampled pairs in each
-(issue, ordering) cell.  Majority vote is exact-match scoring.  The batched
-kernel :func:`decide_tallies` decides a whole (tallies x cells) count matrix
-at once, in exact int64 points, so ties are exact.  The objective is a sum
-over issues, so each block of the space is maximized on its own: per issue,
-the counts are multiplied by the points matrix of the tallied orderings
-against the distinct orderings of the block's column, and the members'
-points are gathered through the column codes the space is stored as.  The
-winner is the first maximum of each block, which is the first maximum in
-``enumerate_profiles`` (rank-tuple) order.  A points matrix is built once per
-call; working in chunks of tallies, and in slices of a matrix too large to
-keep, no array the kernel allocates holds more than ``DEFAULT_ENUMERATION_CAP``
-entries.
+(issue, ordering) cell.  Majority vote is exact-match scoring.  One path,
+:func:`block_scores`, turns a (tallies x cells) count matrix into each
+member's exact int64 points.  The objective is a sum over issues, so each
+block of the space is scored on its own: per issue, each distinct ordering of
+the block's column scores the counts times its points (exact match: its own
+cell's count, placed by index), and the members' points are gathered by the
+column codes the space is stored as.  In the fewest even chunks of tallies,
+and in slices of a points matrix too large to keep, no array holds more than
+``DEFAULT_ENUMERATION_CAP`` entries.  :func:`decide_tallies` reduces the scores
+to each block's first maximum, the first in ``enumerate_profiles`` (rank-tuple)
+order, and its tie count; the generalization lab reads its match counts from them.
 
 The acyclic-plan mechanism is Kendall scoring over the synthesized space
 (``make_mechanism("acyclic", plan=plan)``).  The members of a synthesized
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import prod
+from math import ceil, prod
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -45,6 +44,7 @@ __all__ = [
     "KENDALL",
     "EXACT_MATCH",
     "SCORING_RULES",
+    "block_scores",
     "decide_tallies",
     "scoring_mechanism",
 ]
@@ -110,28 +110,21 @@ def _points(tallied: Sequence, column: Sequence, rule: ScoringRule) -> np.ndarra
     return np.array([[rule.points(o, c) for c in column] for o in tallied], dtype=np.int64)
 
 
-def _table(counts: np.ndarray, tallied: Sequence, column: Sequence, rule: ScoringRule):
-    """``counts @ P`` for the points matrix ``P`` of :func:`_points`, built a slice of
-    columns at a time, each slice within the cap's entries."""
-    step = max(1, DEFAULT_ENUMERATION_CAP // len(tallied))
-    out = np.empty((len(counts), len(column)), dtype=np.int64)
-    for lo in range(0, len(column), step):
-        out[:, lo : lo + step] = counts @ _points(tallied, column[lo : lo + step], rule)
-    return out
-
-
-def decide_tallies(
+def block_scores(
     rows: np.ndarray, cells: Sequence, space: CandidateSpace, rule: ScoringRule
-) -> Decisions:
-    """For each row of the nonnegative int64 (tallies x cells) count matrix ``rows``, the
-    profile of the space with the most summed points ``count * rule.points(order, C(issue))``.
+):
+    """Yield ``(at, scores)`` for consecutive chunks ``rows[at]`` of the nonnegative int64
+    (tallies x cells) count matrix ``rows``, whose column ``j`` counts ``cells[j] = (issue,
+    order)``: ``scores[b]`` holds block ``b``'s members' int64 (chunk x members) points.
 
-    Column ``j`` counts the pairs of ``cells[j] = (issue, order)``.  Each block is
-    maximized on its own; the winner is its first maximum and the tie set is the
-    product of the blocks' tie sets.  Raises :class:`InvalidArgumentError` for a
-    count on an issue the space lacks, or a tally whose scores could overflow int64
-    (:func:`check_headroom`).
-    """
+    A block's issues are laid side by side, one score per ordering of each column, and
+    gathered once by the members' column codes.  Under exact-match points an ordering
+    scores its own cell's count, placed by index.  Under another rule it scores the counts
+    times a points table of the counted cells, built once if it fits the cap and otherwise
+    for each chunk's cells, a slice of orderings at a time.  Raises for a repeated cell, a
+    count on an issue the space lacks, or a tally whose scores could overflow int64."""
+    if len({(issue, order.ranking) for issue, order in cells}) < len(cells):
+        raise InvalidArgumentError("each tallied (issue, order) cell must be listed once")
     by_issue: dict = {}  # issue -> its cells' column indices
     for j, (issue, _) in enumerate(cells):
         by_issue.setdefault(issue, []).append(j)
@@ -142,33 +135,59 @@ def decide_tallies(
     if int(rows.max(initial=0)) * rows.shape[1] * rule.top(n) >= 2**63:
         check_headroom(max(map(sum, rows.tolist())), rule, n)  # exact, as int64 sums could wrap
 
-    blocks = space._codes()
-    trials = len(rows)
-    winners = np.empty((trials, len(blocks)), dtype=np.int64)
-    ties = np.empty((trials, len(blocks)), dtype=np.int64)
-    points = np.zeros(trials, dtype=np.int64)
-    used, tables = rows.any(axis=0), {}  # the cells some tally counts; issue -> their table
-    # a chunk's count slices, score tables and member scores all fit the cap, and so does
-    # a kept points table; a larger one is built a chunk at a time, for the cells it counts
-    step = max(1, DEFAULT_ENUMERATION_CAP // max(len(cells), *(len(c) for _, _, c in blocks)))
-    for lo in range(0, trials, step):
-        chunk = rows[lo : lo + step]
+    blocks, used, exact = space._codes(), rows.any(axis=0), rule is EXACT_MATCH
+    ends = [np.cumsum([0, *map(len, columns)]) for _, columns, _ in blocks]  # of the laid columns
+    placed = []  # per block, under exact match: its cells on a column and their laid places
+    for (issues, columns, _), end in zip(blocks, ends):
+        hits = []  # a cell whose ordering is off its column scores no member
+        for issue, column, a in zip(issues, columns, end) if exact else ():
+            index = {order.ranking: a + d for d, order in enumerate(column)}
+            hits += [(j, d) for j in by_issue.get(issue, ()) if (d := index.get(cells[j][1].ranking)) is not None]
+        placed.append(np.array(hits, dtype=np.intp).reshape(-1, 2).T)
+    tables = {}  # issue -> the points table of its counted cells, where it fits the cap
+    most = max(1, DEFAULT_ENUMERATION_CAP // max(len(cells), sum(c.size for _, _, c in blocks)))
+    step = ceil(len(rows) / ceil(len(rows) / most)) if len(rows) else most
+    for lo in range(0, len(rows), step):
+        chunk, out = rows[lo : lo + step], []
         live = chunk.any(axis=0)
-        for b, (issues, columns, codes) in enumerate(blocks):
-            scores = np.zeros((len(chunk), len(codes)), dtype=np.int64)
-            for issue, column, code in zip(issues, columns, codes.T):
+        for (issues, columns, codes), end, (taken, at) in zip(blocks, ends, placed):
+            laid = np.zeros((len(chunk), end[-1]), dtype=np.int64)
+            laid[:, at] = chunk[:, taken]
+            for issue, column, a, z in () if exact else zip(issues, columns, end, end[1:]):
                 js = [j for j in by_issue.get(issue, ()) if used[j]]
                 if js and len(js) * len(column) <= DEFAULT_ENUMERATION_CAP:
                     if issue not in tables:
                         tables[issue] = _points([cells[j][1] for j in js], column, rule)
-                    scores += (chunk[:, js] @ tables[issue])[:, code]
-                elif js := [j for j in js if live[j]]:
-                    scores += _table(chunk[:, js], [cells[j][1] for j in js], column, rule)[:, code]
-            best = scores.argmax(axis=1)  # the first maximum
-            most = scores[np.arange(len(chunk)), best]
-            winners[lo : lo + step, b] = best
-            ties[lo : lo + step, b] = (scores == most[:, None]).sum(axis=1)
-            points[lo : lo + step] += most
+                    laid[:, a:z] = chunk[:, js] @ tables[issue]
+                elif js := [j for j in js if live[j]]:  # the chunk's cells, a slice at a time
+                    tallied, width = [cells[j][1] for j in js], max(1, DEFAULT_ENUMERATION_CAP // len(js))
+                    for s in range(a, z, width):
+                        part = _points(tallied, column[s - a : s - a + width], rule)
+                        laid[:, s : s + part.shape[1]] = chunk[:, js] @ part
+            # a one-issue block's members are its column, in order; others are gathered once
+            out.append(laid if len(issues) == 1 else laid[:, codes.T + end[:-1, None]].sum(axis=1))
+        yield slice(lo, lo + len(chunk)), out
+
+
+def decide_tallies(
+    rows: np.ndarray, cells: Sequence, space: CandidateSpace, rule: ScoringRule
+) -> Decisions:
+    """For each row of the nonnegative int64 (tallies x cells) count matrix ``rows``, the
+    profile of the space with the most summed points ``count * rule.points(order, C(issue))``.
+
+    Each block is maximized on its own over its :func:`block_scores`, which raise for
+    bad counts; the winner is its first maximum and the tie set is the product of the blocks'."""
+    blocks, trials = space._codes(), len(rows)
+    winners = np.empty((trials, len(blocks)), dtype=np.int64)
+    ties = np.empty((trials, len(blocks)), dtype=np.int64)
+    points = np.zeros(trials, dtype=np.int64)
+    for at, scores in block_scores(rows, cells, space, rule):
+        for b, block in enumerate(scores):
+            best = block.argmax(axis=1)  # the first maximum
+            most = block[np.arange(len(block)), best]
+            winners[at, b] = best
+            ties[at, b] = (block == most[:, None]).sum(axis=1)
+            points[at] += most
 
     keys = list(map(tuple, winners.tolist()))
     profiles = {key: _profile(blocks, key) for key in set(keys)}  # each built once

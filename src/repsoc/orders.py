@@ -9,7 +9,7 @@ in all config and output files is a ``'>'``-separated index list, e.g.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import InvalidArgumentError
 
@@ -89,21 +89,12 @@ class PartialOrder:
     def __str__(self) -> str:
         return ">".join(str(c) for c in self.subset)
 
-    def extends(self, o: LinearOrder) -> bool:
-        """True iff ``o`` ranks the subset in exactly this order."""
-        return all(
-            o.prefers(self.subset[x], self.subset[y])
-            for x in range(len(self.subset))
-            for y in range(x + 1, len(self.subset))
-        )
-
 
 @dataclass(frozen=True)
 class Permutation:
-    """A permutation of ``0..n-1`` fixing everything outside its ``domain``."""
+    """A permutation of ``0..n-1``."""
 
     mapping: tuple[int, ...]
-    domain: frozenset[int] = field(init=False, compare=False)
 
     def __post_init__(self):
         mapping = tuple(int(c) for c in self.mapping)
@@ -111,8 +102,6 @@ class Permutation:
         n = len(mapping)
         if sorted(mapping) != list(range(n)):
             raise InvalidArgumentError(f"mapping {mapping} is not a permutation")
-        moved = frozenset(x for x in range(n) if mapping[x] != x)
-        object.__setattr__(self, "domain", moved)
 
     @property
     def n(self) -> int:
@@ -121,27 +110,12 @@ class Permutation:
     def __call__(self, x: int) -> int:
         return self.mapping[x]
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for x, y in enumerate(self.mapping):
-            inv[y] = x
-        return Permutation(tuple(inv))
-
     @classmethod
     def transposition(cls, n: int, a: int, b: int) -> "Permutation":
         if a == b:
             raise InvalidArgumentError("transposition needs two distinct outcomes")
         mapping = list(range(n))
         mapping[a], mapping[b] = b, a
-        return cls(tuple(mapping))
-
-    @classmethod
-    def cycle(cls, n: int, elements: Iterable[int]) -> "Permutation":
-        """Cyclic permutation sending each listed element to the next one."""
-        elems = list(elements)
-        mapping = list(range(n))
-        for i, x in enumerate(elems):
-            mapping[x] = elems[(i + 1) % len(elems)]
         return cls(tuple(mapping))
 
 

@@ -8,7 +8,6 @@ i.i.d. per pair.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .orders import LinearOrder, Profile
+from .orders import LinearOrder
 from .rng import derive_rng
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "mix",
     "pair_marginal",
     "sample_pairs",
-    "uniform_saliency",
     "load_population",
     "save_population",
 ]
@@ -139,17 +137,9 @@ class MarginalPopulation:
         except KeyError:
             raise InvalidArgumentError(f"unknown issue {issue!r}") from None
 
-    def mass(self, issue, order: LinearOrder) -> float:
-        return self.distribution(issue).get(order, 0.0)
-
     @property
     def issues(self):
         return self.per_issue.keys()
-
-    @classmethod
-    def unanimous(cls, profile: Profile) -> "MarginalPopulation":
-        """Population in which everyone holds exactly ``profile``."""
-        return cls({issue: {order: 1.0} for issue, order in profile.items()})
 
 
 @dataclass(frozen=True)
@@ -195,13 +185,6 @@ class SampleSet:
             out.setdefault(issue, {})
             out[issue][order] = out[issue].get(order, 0) + 1
         return out
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "issue_id", "ordering"])
-            for k, (order, issue) in enumerate(self.pairs):
-                writer.writerow([k, issue, str(order)])
 
 
 def mix(mixture: SubpopulationMixture) -> MarginalPopulation:
@@ -269,11 +252,6 @@ def sample_pairs(
     return SampleSet(pairs=pairs, seed=seed)
 
 
-def uniform_saliency(space: IssueSpace) -> SaliencyDistribution:
-    w = 1.0 / len(space.issue_ids)
-    return SaliencyDistribution({issue: w for issue in space.issue_ids})
-
-
 def save_population(
     path,
     space: IssueSpace,
@@ -324,6 +302,13 @@ def expect(value, kind: type, key, what: str):
     )
 
 
+def read_issue_space(issues, n, what: str) -> IssueSpace:
+    """A ``what`` file's issues and N; an issue id is text or an integer, like config key ``issue``."""
+    if bad := [i for i in expect(issues, list, "issues", what) if type(i) not in (str, int)]:
+        raise InvalidArgumentError(f"{what} file key 'issues': expected text or integers, got {bad[0]!r}")
+    return IssueSpace(tuple(issues), expect(n, int, "N", what))
+
+
 def load_population(path):
     """Read a population file; returns (IssueSpace, SaliencyDistribution, MarginalPopulation).
 
@@ -335,7 +320,7 @@ def load_population(path):
         saliency_raw, marginals_raw = doc["saliency"], doc["marginals"]
     except KeyError as exc:
         raise InvalidArgumentError(f"population file missing key {exc}") from exc
-    space = IssueSpace(tuple(_expect(issues, list, "issues")), _expect(n, int, "N"))
+    space = read_issue_space(issues, n, "population")
     saliency = SaliencyDistribution(
         {
             space.resolve(key): float(_expect(w, Real, key))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CapacityError, InvalidArgumentError
 from .orders import LinearOrder, Profile
-from .population import IssueSpace, expect, read_json
+from .population import IssueSpace, expect, read_issue_space, read_json
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -285,7 +285,7 @@ def load_candidate_space(path) -> CandidateSpace:
             ]
     except KeyError as exc:
         raise InvalidArgumentError(f"candidate-space file missing key {exc}") from exc
-    issue_space = IssueSpace(tuple(_expect(issues, list, "issues")), _expect(n, int, "N"))
+    issue_space = read_issue_space(issues, n, "candidate-space")
     if variant == "full":
         return CandidateSpace.full(issue_space)
     if variant == "explicit":

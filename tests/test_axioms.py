@@ -676,7 +676,7 @@ AXIOM_LAB_PLANS = [pytest.param([0, 5], 5, "sizes must be >= 1", id="size-zero")
 
 
 class TestCommitteePlanChecks:
-    """Every lab rejects a bad size list or trial count through ``check_committee_plan``."""
+    """Every lab rejects a bad size list or trial count through ``draw_tallies``."""
 
     @pytest.mark.parametrize("sizes, trials, named", BAD_COMMITTEE_PLANS + AXIOM_LAB_PLANS)
     def test_estimate_axiom(self, sizes, trials, named):

@@ -275,6 +275,13 @@ class TestPrivilegeCommand:
         assert main(["privilege", str(space_path), "--issue", "i"]) == 2
         assert "outcome count" in capsys.readouterr().err
 
+    def test_an_issue_id_neither_text_nor_integer(self, tmp_path, capsys):
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps({"variant": "full", "issues": [{"x": 1}], "N": 3}))
+        assert main(["privilege", str(space_path), "--issue", "x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'issues'" in err
+
     def test_a_directory_as_the_space(self, tmp_path, capsys):
         assert main(["privilege", str(tmp_path), "--issue", "i"]) == 2
         err = capsys.readouterr().err
@@ -494,6 +501,18 @@ BAD_INPUTS = {
     "population-list-marginal": (
         _generalization_over_marginals({"i0": [["0>1", 1.0]], "i1": {"0>1": 1.0}}), None, "'i0'"
     ),
+    "population-issue-a-list": (
+        _over_file(
+            "bad_population.json",
+            {"issues": [["a"], "b"], "N": 2, "saliency": {"b": 1.0}, "marginals": {"b": {"0>1": 1.0}}},
+            lambda s, path: _generalization(s, population=path),
+        ),
+        None,
+        "'issues'",
+    ),
+    "space-issue-an-object": (
+        _vc_over_space_file({"variant": "full", "issues": [{"x": 1}], "N": 2}), None, "'issues'"
+    ),
     "population-text-mass": (
         _generalization_over_marginals({"i0": {"0>1": "most"}, "i1": {"0>1": 1.0}}), None, "'0>1'"
     ),
@@ -614,6 +633,9 @@ CAPACITY_INPUTS = {
             lambda s, path: _generalization(s, population=path, trials=10**6),
         ),
         "trials = 1000000 over 2 cells is 2000000",
+    ),
+    "sample-size-10-to-the-30": (
+        lambda s: _rademacher(s, sample_size=10**30), f"sample_size = {10**30} with sign_draws = 200"
     ),
 }
 

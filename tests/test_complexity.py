@@ -21,7 +21,6 @@ from repsoc import (
     empirical_rademacher,
     is_shattered,
     massart_bound,
-    vc_dimension,
     vc_dimension_with_witness,
 )
 from repsoc.rng import derive_rng
@@ -286,7 +285,7 @@ class TestVCDimension:
     def test_non_binary_unsupported(self):
         space = CandidateSpace.full(IssueSpace(("a",), 3))
         with pytest.raises(UnsupportedError):
-            vc_dimension(space)
+            vc_dimension_with_witness(space)
 
     def test_full_space_past_the_block_issue_cap(self):
         # 21 blocks of one issue each: the issue cap applies per block
@@ -301,7 +300,7 @@ class TestVCDimension:
             [Profile({issue: lo("0>1") for issue in issues})], IssueSpace(issues, 2)
         )
         with pytest.raises(CapacityError):
-            vc_dimension(space)
+            vc_dimension_with_witness(space)
 
     def test_is_shattered_unknown_issue(self):
         space = CandidateSpace.full(IssueSpace(("a",), 2))
@@ -311,7 +310,7 @@ class TestVCDimension:
     def test_dimension_bounded_by_log_size(self, rng):
         for _ in range(10):
             space = random_explicit_space(rng, ("a", "b", "c"), 2, int(rng.integers(1, 7)))
-            d = vc_dimension(space)
+            d, _ = vc_dimension_with_witness(space)
             assert 2**d <= space.size()
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -25,10 +26,11 @@ from repsoc import (
     all_linear_orders,
     generalization_experiment,
 )
-from repsoc import experiments
+from repsoc import EXACT_MATCH, ScoringRule, experiments
+from repsoc.spaces import DEFAULT_ENUMERATION_CAP
 from repsoc.population import _cells
 from repsoc.rng import derive_rng
-from tests.conftest import member_rows
+from tests.conftest import member_rows, random_explicit_space
 from tests.mechanism_reference import population_utility
 
 
@@ -123,41 +125,116 @@ def test_block_sup_matches_enumeration_bit_for_bit(inputs):
         assert np.array_equal(result.regret_slack[size], regret_slack[size])
 
 
-def member_space_blocks(space, saliency, population, cells):
-    """``experiments._space_blocks`` as it was: each member's (cell, term) looked up one by one."""
-    cell_of = {cell: j for j, cell in enumerate(cells)}
+def member_space_blocks(space, saliency, population):
+    """``experiments._space_blocks`` as it was: each member's population terms looked up one by one."""
     weighted = [issue for issue in saliency.issues if saliency(issue) != 0]
-    entry_of = {issue: {} for issue in space.issue_space.issue_ids}
+    term_of = {issue: {} for issue in space.issue_space.issue_ids}
     for issue in weighted:
         w = saliency(issue)
         for order, mass in population.distribution(issue).items():
-            entry_of[issue][order] = (cell_of.get((issue, order), len(cells)), w * mass)
+            term_of[issue][order] = w * mass
     place, blocks = {}, []
     for issues, rows in member_rows(space):
         place.update((issue, (len(blocks), j)) for j, issue in enumerate(issues))
-        tables = [entry_of[issue] for issue in issues]
-        entries = np.array(
-            [[table.get(order, (len(cells), 0.0)) for table, order in zip(tables, row)] for row in rows]
-        )  # (members, issues, 2)
-        terms = entries[:, :, 1]
+        tables = [term_of[issue] for issue in issues]
+        terms = np.array([[table.get(order, 0.0) for table, order in zip(tables, row)] for row in rows])
         _, term_ids = np.unique(terms, axis=0, return_inverse=True)
-        blocks.append((entries[:, :, 0].astype(np.intp), terms, term_ids.ravel(), terms.sum(axis=1)))
+        blocks.append((terms, term_ids.ravel(), terms.sum(axis=1)))
     return blocks, [place[issue] for issue in weighted]
 
 
 @settings(max_examples=200, deadline=None)
 @given(generalization_inputs(most_outcomes=4))
 def test_space_blocks_match_the_per_member_reference(inputs):
+    """The blocks' population terms; the members' counts come from the kernel, which
+    ``test_block_sup_matches_enumeration_bit_for_bit`` and the kernel differentials check."""
     space, saliency, population = inputs[:3]
-    cells, _ = _cells(saliency, population)
-    blocks, sequence = experiments._space_blocks(space, saliency, population, cells)
-    expected_blocks, expected_sequence = member_space_blocks(space, saliency, population, cells)
+    blocks, sequence = experiments._space_blocks(space, saliency, population)
+    expected_blocks, expected_sequence = member_space_blocks(space, saliency, population)
     assert sequence == expected_sequence
     assert len(blocks) == len(expected_blocks)
     for block, expected in zip(blocks, expected_blocks):
-        got = (block.cells, block.terms, block.term_ids, block.totals)
+        got = (block.terms, block.term_ids, block.totals)
         for array, reference in zip(got, expected):
             assert array.dtype == reference.dtype and np.array_equal(array, reference)
+
+
+def _three_issue_setup(variant, n=3, members=40, seed=7):
+    """An explicit, product or full space over issues a, b, c, and a population with random
+    masses on every ordering of each issue."""
+    rng = np.random.default_rng(seed)
+    issues, orders = ("a", "b", "c"), all_linear_orders(n)
+    population = MarginalPopulation(
+        {issue: dict(zip(orders, rng.dirichlet(np.ones(len(orders))))) for issue in issues}
+    )
+    saliency = SaliencyDistribution({"b": 0.5, "a": 0.3, "c": 0.2})
+    if variant == "explicit":
+        space = random_explicit_space(rng, issues, n, members)
+    elif variant == "product":
+        blocks = [(ids, random_explicit_space(rng, ids, n, size).profiles) for ids, size in
+                  ((("a", "c"), 12), (("b",), 4))]
+        space = CandidateSpace.product(blocks, IssueSpace(issues, n))
+    else:
+        space = CandidateSpace.full(IssueSpace(issues, n))
+    return space, saliency, population
+
+
+@pytest.mark.parametrize("variant", ("explicit", "product", "full"))
+def test_forced_caps_match_the_default_cap_bit_for_bit(monkeypatch, variant):
+    """Under a cap of 1 or 7 entries the lab counts one trial at a time; under 60 it counts
+    the full space a few trials at a time.  The counts are exact-match points placed by
+    index; a copy of the rule that the kernel does not know scores them by points tables
+    instead, each built per chunk a few orderings at a time under the small caps and kept
+    under 60.  Gaps and regret slacks do not move a bit."""
+    space, saliency, population = _three_issue_setup(variant)
+    sizes, trials = [0, 2, 9, 40], 25
+    expected = generalization_experiment(space, saliency, population, sizes, trials, seed=9)
+    tabled = ScoringRule("exact", EXACT_MATCH.points, EXACT_MATCH.top)
+    for cap, rule in itertools.product((1, 7, 60, DEFAULT_ENUMERATION_CAP), (EXACT_MATCH, tabled)):
+        with monkeypatch.context() as patch:
+            patch.setattr("repsoc.mechanisms.DEFAULT_ENUMERATION_CAP", cap)
+            patch.setattr(experiments, "EXACT_MATCH", rule)
+            result = generalization_experiment(space, saliency, population, sizes, trials, seed=9)
+        for size in sizes:
+            assert result.gaps[size].tobytes() == expected.gaps[size].tobytes()
+            assert result.regret_slack[size].tobytes() == expected.regret_slack[size].tobytes()
+
+
+def test_lab_arrays_stay_within_a_forced_cap(monkeypatch):
+    """Under a cap of 20,000 entries (160 KB of int64), 250 trials over a 500-member block of
+    3 issues are counted 13 trials at a time, the (trials x issues x members) gather included:
+    the peak stays near 0.5 MB.  A gather of every trial at once would hold 375,000 entries
+    (3 MB), and one that ignored the issue count would pass the cap threefold."""
+    space, saliency, population = _three_issue_setup("explicit", n=4, members=500, seed=5)
+    args = (space, saliency, population, [20, 200], 250)
+    expected = generalization_experiment(*args, seed=1)
+    for module in ("repsoc.mechanisms", "repsoc.axioms"):  # the kernel's chunks, the plan check
+        monkeypatch.setattr(f"{module}.DEFAULT_ENUMERATION_CAP", 20_000)
+    tracemalloc.start()
+    try:
+        result = generalization_experiment(*args, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 750_000
+    for size in result.sizes:
+        assert result.gaps[size].tobytes() == expected.gaps[size].tobytes()
+        assert result.regret_slack[size].tobytes() == expected.regret_slack[size].tobytes()
+
+
+def test_wide_columns_are_counted_without_points_tables(monkeypatch):
+    """A full N = 6 issue over a population on all 720 orderings: the members' counts are
+    placed by index, with no ``points`` call, where tables would score 720 x 720 pairs."""
+    orders = all_linear_orders(6)
+    rng = np.random.default_rng(8)
+    population = MarginalPopulation({"a": dict(zip(orders, rng.dirichlet(np.ones(720))))})
+    space, saliency = CandidateSpace.full(IssueSpace(("a",), 6)), SaliencyDistribution({"a": 1.0})
+    monkeypatch.setattr("repsoc.mechanisms._points", None)  # a call would raise
+    result = generalization_experiment(space, saliency, population, [0, 50, 5000], 30, seed=6)
+    gaps, regret_slack = enumerated_generalization(space, saliency, population, [0, 50, 5000], 30, 6)
+    for size in result.sizes:
+        assert result.gaps[size].tobytes() == gaps[size].tobytes()
+        assert result.regret_slack[size].tobytes() == regret_slack[size].tobytes()
 
 
 def _tied_setup():

@@ -82,7 +82,7 @@ class TestPopulationUtility:
     def test_unanimous_agreement(self):
         profile = Profile({"i": lo("0>1")})
         assert population_utility(
-            profile, SaliencyDistribution({"i": 1.0}), MarginalPopulation.unanimous(profile)
+            profile, SaliencyDistribution({"i": 1.0}), MarginalPopulation({"i": {lo("0>1"): 1.0}})
         ) == 1.0
 
     def test_single_issue_mass(self):
@@ -116,7 +116,7 @@ class TestPopulationUtility:
             for profile in random_explicit_space(rng, issues, 3, 10).profiles:
                 expected = 0.0
                 for issue in saliency.issues:
-                    expected += saliency(issue) * pop.mass(issue, profile(issue))
+                    expected += saliency(issue) * pop.distribution(issue).get(profile(issue), 0.0)
                 assert population_utility(profile, saliency, pop) == expected
 
 
@@ -583,6 +583,16 @@ def test_kernel_rejects_counts_on_an_unknown_issue():
     assert decided.chosen[0]("i") == lo("0>1")  # a column of zeros tallies nothing
     with pytest.raises(InvalidArgumentError, match="unknown issue 'zz'"):
         decide_tallies(np.array([[2, 0], [0, 1]], dtype=np.int64), cells, space, EXACT_MATCH)
+
+
+def test_kernel_rejects_a_cell_listed_twice():
+    """Exact-match counts are placed by index, where a second column of one cell would
+    overwrite the first: a repeated cell is refused under every rule."""
+    space = CandidateSpace.full(IssueSpace(("i",), 2))
+    cells = [("i", lo("0>1")), ("i", lo("1>0")), ("i", lo("0>1"))]
+    for rule in (EXACT_MATCH, KENDALL):
+        with pytest.raises(InvalidArgumentError, match="listed once"):
+            decide_tallies(np.array([[1, 2, 3]], dtype=np.int64), cells, space, rule)
 
 
 def test_block_over_cap_raises_before_allocating():

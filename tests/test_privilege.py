@@ -61,7 +61,10 @@ def brute_force_is_privileged(space, issue, o):
         }
     else:
         projections = {None}
-    completions = [order for order in all_linear_orders(n) if o.extends(order)]
+    completions = [
+        order for order in all_linear_orders(n)
+        if all(order.prefers(a, b) for a, b in itertools.combinations(o.subset, 2))
+    ]
     subset = sorted(o.subset)
     perms = []
     for images in itertools.permutations(subset):
