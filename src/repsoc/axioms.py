@@ -2,7 +2,7 @@
 
 Each axiom is a failure event of a mechanism's sampled choice, defined once
 in ``_axiom_event``: its premises, the populations to draw committees from
-and the test of their chosen profiles.  ``estimate_axiom`` is the one
+and the test of their choices.  ``estimate_axiom`` is the one
 estimator of a failure curve.  The Arrow-like decisiveness and
 field-expansion arguments are PC scenarios of it: a coalition unanimous on
 c over c' (through a third outcome, for field expansion) mixed with a
@@ -13,14 +13,18 @@ Axiom events are estimated by repeated seeded trials of
 draws a multinomial tally over the population's (issue, ordering) cells
 rather than an ordered pair list; the two are identical in distribution.
 For the same reason the mechanism's choice depends only on the tally, so
-``_committees`` hands each size's whole (trials x cells) tally matrix to the
-batched kernel :func:`repsoc.mechanisms.decide_tallies` in one call.
+``_committees`` stacks every size's (trials x cells) tally matrix of a stream
+into one call of the batched kernel :func:`repsoc.mechanisms.decide_tallies`.
+No profile is built: a failure test is a numpy predicate over the winner
+indices, evaluated once per distinct ordering of the target issue's column.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from math import log, sqrt
 from typing import Sequence
 
@@ -171,13 +175,31 @@ def draw_tallies(saliency, population, sizes, trials: int, seed: int, stream=(),
 def _committees(
     mechanism: Mechanism, saliency, population, sizes, trials: int, seed: int, stream: int = 0
 ):
-    """Per size, ``(size, chosen)``: the mechanism's profile for each of ``trials`` committees
-    of :func:`draw_tallies`, from the stream (seed, j, stream).  Checks the plan, and the
-    largest size with :func:`check_headroom`, at once; one kernel call decides each size."""
+    """The mechanism's choices for ``trials`` committees of each size of :func:`draw_tallies`,
+    from the stream (seed, j, stream): lazily, consecutive (sizes x trials x blocks) arrays
+    of winner indices.  The sizes' tallies are stacked into one kernel call, or into
+    consecutive groups of as many sizes as fit ``DEFAULT_ENUMERATION_CAP`` entries.  Checks
+    the plan, and the largest size with :func:`check_headroom`, at once."""
     cells, tallies = draw_tallies(saliency, population, sizes, trials, seed, (stream,))
     space, rule = mechanism.space, mechanism.rule
     check_headroom(sizes[-1], rule, space.issue_space.n)
-    return ((size, decide_tallies(rows, cells, space, rule).chosen) for size, rows in tallies)
+    fit = DEFAULT_ENUMERATION_CAP // (trials * len(cells))  # sizes per kernel call
+    groups = ([rows for _, rows in islice(tallies, fit)] for _ in range(0, len(sizes), fit))
+    return (
+        decide_tallies(np.concatenate(g), cells, space, rule).winners.reshape(len(g), trials, -1)
+        for g in groups
+    )
+
+
+def _of_choices(space: CandidateSpace, issue, value, winners: np.ndarray) -> np.ndarray:
+    """``value(order)`` of each choice's ordering on ``issue``, for the (... x blocks) winner
+    indices ``winners``: evaluated once per distinct ordering of the issue's column and
+    gathered by the chosen members' column codes."""
+    for b, (issues, columns, codes) in enumerate(space._codes()):
+        if issue in issues:
+            k = issues.index(issue)
+            return np.array([value(order) for order in columns[k]])[codes[winners[..., b], k]]
+    raise InvalidArgumentError(f"space has no issue {issue!r}")
 
 
 # -- the axioms -------------------------------------------------------------
@@ -185,7 +207,8 @@ def _committees(
 
 def _axiom_event(scn: Scenario):
     """The scenario's axiom as a failure event: the populations to draw committees from,
-    one stream each, and the test that fails on their chosen profiles.
+    one stream each, and the test that takes their (sizes x trials x blocks) winner indices
+    and says, as a (sizes x trials) bool array, which trials fail.
 
     Raises unless the scenario meets the axiom's premises.
     """
@@ -224,18 +247,21 @@ def _axiom_event(scn: Scenario):
             raise PreconditionError("both PPE profiles must lie in the candidate space")
         if pair_marginal(scn.population, issue, (c, cp)) < 1.0 - _MARGINAL_TOL:
             raise PreconditionError("PPE requires a population unanimous on c over c'")
-        against = scn.profile_against
-        return (scn.population,), lambda chosen: chosen == against
+        against = scn.profile_against  # the choice is C' on every issue
+        return (scn.population,), lambda chosen: np.logical_and.reduce(
+            [_of_choices(scn.space, i, against(i).__eq__, chosen) for i in against.issues]
+        )
 
     pm = pair_marginal(scn.population, issue, pair)
+    c, cp = pair  # ranks: whether each choice ranks c above c'
+    ranks = partial(_of_choices, scn.space, issue, lambda order: order.prefers(c, cp))
     if axiom in {"w-pc", "s-pc"}:
         # fails when the choice does not rank the pair the population's majority way
         if abs(pm - 0.5) <= _MARGINAL_TOL:
             raise VacuityError(
                 "population is exactly uniform on the pair; the convergence premise is unmet"
             )
-        c, cp = pair if pm > 0.5 else pair[::-1]
-        return (scn.population,), lambda chosen: not chosen(issue).prefers(c, cp)
+        return (scn.population,), lambda chosen: ranks(chosen) != (pm > 0.5)
 
     # PIIA fails when two independent committees, one from each population, rank the
     # pair apart: it quantifies over distributions, not couplings
@@ -246,10 +272,7 @@ def _axiom_event(scn: Scenario):
         raise PreconditionError(f"pair marginals differ between populations ({pm} vs {pm_b})")
     if abs(pm - 0.5) <= _MARGINAL_TOL:
         raise VacuityError("shared pair marginal is exactly 0.5; tie behavior is undefined")
-    c, cp = pair
-    return (scn.population, scn.population_b), (
-        lambda a, b: a(issue).prefers(c, cp) != b(issue).prefers(c, cp)
-    )
+    return (scn.population, scn.population_b), lambda a, b: ranks(a) != ranks(b)
 
 
 # -- the estimator ---------------------------------------------------------
@@ -270,13 +293,10 @@ def estimate_axiom(
         _committees(scn.mechanism, scn.saliency, population, sizes, trials_per_size, seed, k)
         for k, population in enumerate(populations)
     ]
+    failures = fails(*(np.concatenate(list(groups)) for groups in streams)).sum(axis=1)
     points = [
-        DecayPoint(
-            size=runs[0][0],
-            trials=trials_per_size,
-            failures=sum(map(fails, *(chosen for _, chosen in runs))),
-        )
-        for runs in zip(*streams)
+        DecayPoint(size=int(size), trials=trials_per_size, failures=int(count))
+        for size, count in zip(sizes, failures)
     ]
     fit = fit_decay([(p.size, p.rate) for p in points])
     return DecayCurve(
@@ -369,17 +389,17 @@ def cycle_violation_demo(
     if not has_cycle:
         raise PreconditionError("pairwise marginals are not cyclic; nothing to demonstrate")
 
-    per_size = []
     committees = _committees(
         scn.mechanism, scn.saliency, scn.population, sizes, trials_per_size, seed
     )
-    for size, chosen in committees:
-        histogram: dict = {}
-        for profile in chosen:
-            order = profile(issue)
-            violated = sum(1 for a, b in majorities if order.prefers(b, a))
-            histogram[violated] = histogram.get(violated, 0) + 1
-        per_size.append((size, trials_per_size, min(histogram, default=None), histogram))
+    violated = _of_choices(  # per trial, the majorities its choice contradicts
+        scn.space, issue, lambda order: sum(order.prefers(b, a) for a, b in majorities),
+        np.concatenate(list(committees)),
+    )
+    per_size = []
+    for size, counts in zip(sizes, violated):
+        histogram = {v: k for v, k in enumerate(np.bincount(counts).tolist()) if k}
+        per_size.append((int(size), trials_per_size, min(histogram), histogram))
     return CycleViolationReport(majorities=majorities, per_size=tuple(per_size))
 
 

@@ -12,7 +12,9 @@ column codes the space is stored as.  In the fewest even chunks of tallies,
 and in slices of a points matrix too large to keep, no array holds more than
 ``DEFAULT_ENUMERATION_CAP`` entries.  :func:`decide_tallies` reduces the scores
 to each block's first maximum, the first in ``enumerate_profiles`` (rank-tuple)
-order, and its tie count; the generalization lab reads its match counts from them.
+order, and its tie count.  It returns winners as member indices, one per block
+and row, and builds no profile: the axiom lab tests its failure events on those
+indices, and the generalization lab reads its match counts from the scores.
 
 The acyclic-plan mechanism is Kendall scoring over the synthesized space
 (``make_mechanism("acyclic", plan=plan)``).  The members of a synthesized
@@ -89,9 +91,10 @@ class MechanismResult:
 
 
 class Decisions(NamedTuple):
-    """The kernel's choice for each tally row."""
+    """The kernel's choice for each tally row, as member indices: row ``r`` chooses member
+    ``winners[r, b]`` of each code block ``b`` of ``space._codes()``."""
 
-    chosen: list  # the chosen profile of each row
+    winners: np.ndarray  # (rows, blocks) int64: each block's first maximum
     points: np.ndarray  # (rows,) int64: the chosen profile's summed points
     ties: np.ndarray  # (rows, blocks) int64: the blocks' tie-set sizes; the row's is their product
 
@@ -173,7 +176,8 @@ def decide_tallies(
     rows: np.ndarray, cells: Sequence, space: CandidateSpace, rule: ScoringRule
 ) -> Decisions:
     """For each row of the nonnegative int64 (tallies x cells) count matrix ``rows``, the
-    profile of the space with the most summed points ``count * rule.points(order, C(issue))``.
+    profile of the space with the most summed points ``count * rule.points(order, C(issue))``,
+    as the index of its member in each code block.
 
     Each block is maximized on its own over its :func:`block_scores`, which raise for
     bad counts; the winner is its first maximum and the tie set is the product of the blocks'."""
@@ -188,10 +192,7 @@ def decide_tallies(
             winners[at, b] = best
             ties[at, b] = (block == most[:, None]).sum(axis=1)
             points[at] += most
-
-    keys = list(map(tuple, winners.tolist()))
-    profiles = {key: _profile(blocks, key) for key in set(keys)}  # each built once
-    return Decisions([profiles[key] for key in keys], points, ties)
+    return Decisions(winners, points, ties)
 
 
 def scoring_mechanism(
@@ -207,4 +208,5 @@ def scoring_mechanism(
     decided = decide_tallies(row, cells, space, rule)
     ties = prod(decided.ties[0].tolist())
     objective = int(decided.points[0]) / (rule.top(space.issue_space.n) * total) if total else 0.0
-    return MechanismResult(decided.chosen[0], objective, tie_set_size=ties, tie_broken=ties > 1)
+    chosen = _profile(space._codes(), decided.winners[0].tolist())
+    return MechanismResult(chosen, objective, tie_set_size=ties, tie_broken=ties > 1)

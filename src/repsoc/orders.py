@@ -32,6 +32,8 @@ class LinearOrder:
     ranking: tuple[int, ...]
     # position[c] is the rank of outcome c (0 = best); built once at construction
     position: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # the hash the dataclass would compute on every lookup, hash((ranking,)), kept once
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ranking = tuple(int(c) for c in self.ranking)
@@ -47,6 +49,10 @@ class LinearOrder:
         for k, c in enumerate(ranking):
             pos[c] = k
         object.__setattr__(self, "position", tuple(pos))
+        object.__setattr__(self, "_hash", hash((ranking,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:

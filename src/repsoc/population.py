@@ -164,10 +164,9 @@ class SubpopulationMixture:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """An i.i.d. collection of (ordering, issue) pairs plus its producing seed."""
+    """An i.i.d. collection of (ordering, issue) pairs."""
 
     pairs: tuple
-    seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(self.pairs))
@@ -249,7 +248,7 @@ def sample_pairs(
         pairs = tuple((cells[j][1], cells[j][0]) for j in draws)
     else:
         pairs = ()
-    return SampleSet(pairs=pairs, seed=seed)
+    return SampleSet(pairs=pairs)
 
 
 def save_population(

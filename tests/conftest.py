@@ -49,6 +49,12 @@ def member_rows(space):
     ]
 
 
+def member_indices(space, profile):
+    """Each block's member index of ``profile``, found among the members built as profiles:
+    the kernel's winner indices of a row that chooses ``profile``."""
+    return [rows.index(tuple(profile(issue) for issue in issues)) for issues, rows in member_rows(space)]
+
+
 def random_subset_space(rng, n, *, issue="i", min_size=1, max_size=None):
     """Single-issue explicit space from a random nonempty subset of LO(n)."""
     orders = all_linear_orders(n)

@@ -39,6 +39,7 @@ from repsoc.axioms import DecayCurve, DecayPoint, _committees
 from repsoc.mechanisms import decide_tallies
 from repsoc.population import _cells
 from repsoc.spaces import DEFAULT_ENUMERATION_CAP
+from tests.conftest import member_indices
 from tests.mechanism_reference import counts_of_row, scoring_mechanism_from_counts
 
 
@@ -535,11 +536,14 @@ def test_committee_path_matches_per_trial_reference():
         expected = reference_failures(scn, sizes, trials, seed)
         disagreements += sum(a != b for a, b in zip(failures, expected))
         # every trial gets its own tally's choice, in trial order
-        chosen = list(_committees(scn.mechanism, scn.saliency, scn.population, sizes, trials, seed))
+        winners = committee_winners(scn.mechanism, scn.saliency, scn.population, sizes, trials, seed)
         reference = reference_chosen(
             scn.mechanism, scn.saliency, scn.population, sizes, trials, seed
         )
-        disagreements += chosen != reference
+        space = scn.mechanism.space
+        disagreements += winners.tolist() != [
+            [member_indices(space, profile) for profile in chosen] for _, chosen in reference
+        ]
         checks += len(sizes) + 1
         axioms.add(scn.axiom)
     assert axioms == {"ppe", "w-pc", "s-pc", "w-piia", "s-piia"}
@@ -594,6 +598,11 @@ def test_decisiveness_matches_per_trial_reference(setup):
     assert compared == 6
 
 
+def committee_winners(*args):
+    """The (sizes x trials x blocks) winner indices of ``_committees(*args)``."""
+    return np.concatenate(list(_committees(*args)))
+
+
 def counting_kernel(monkeypatch):
     """The row totals of each tally matrix that reaches the kernel, one list per call."""
     calls = []
@@ -607,33 +616,73 @@ def counting_kernel(monkeypatch):
 
 
 class TestKernelCalls:
-    """Each size's whole tally matrix reaches the kernel in one call per stream."""
+    """Every size's tally matrix of a stream reaches the kernel in one call per stream."""
 
     sizes, trials, seed = [10, 50, 100, 200], 50, 1
 
-    def test_one_call_per_size(self, monkeypatch):
+    def test_one_call_per_stream(self, monkeypatch):
         calls = counting_kernel(monkeypatch)
         scn = replace(binary_majority_setup(0.75), axiom="w-pc", pair=(0, 1))
         estimate_axiom(scn, self.sizes, self.trials, self.seed)
-        assert calls == [[size] for size in self.sizes]
+        assert calls == [self.sizes]
 
-    def test_paired_streams_one_call_per_size_and_stream(self, monkeypatch):
+    def test_paired_streams_one_call_per_stream(self, monkeypatch):
         calls = counting_kernel(monkeypatch)
         population_b = MarginalPopulation({"i": {lo("0>1"): 0.75, lo("1>0"): 0.25}})
         scn = replace(
             binary_majority_setup(0.75), axiom="w-piia", pair=(0, 1), population_b=population_b
         )
         estimate_axiom(scn, self.sizes, self.trials, self.seed)
-        assert calls == [[size] for size in self.sizes for _ in range(2)]
+        assert calls == [self.sizes, self.sizes]
 
-    def test_cycle_demo_one_call_per_size(self, monkeypatch):
+    def test_cycle_demo_one_call(self, monkeypatch):
         calls = counting_kernel(monkeypatch)
         space = CandidateSpace.full(IssueSpace(("i",), 3))
         cycle_violation_demo(
             condorcet_scenario(space, make_mechanism("majority", space=space)),
             self.sizes, self.trials, self.seed,
         )
-        assert calls == [[size] for size in self.sizes]
+        assert calls == [self.sizes]
+
+    def test_no_profile_built_per_trial(self, monkeypatch):
+        """Failure tests read winner indices: the profiles a run builds, for its premise
+        checks, are as many at 40 trials a size as at 2."""
+        scenarios = list(differential_scenarios(np.random.default_rng(7)))
+        space = CandidateSpace.full(IssueSpace(("i",), 3))
+        condorcet = condorcet_scenario(space, make_mechanism("scoring:kendall", space=space))
+        built, init = [], Profile.__init__
+        monkeypatch.setattr(Profile, "__init__", lambda self, a: built.append(1) or init(self, a))
+        counts = []
+        for trials in (2, 40):
+            built.clear()
+            for scn in scenarios:
+                estimate_axiom(scn, [3, 11], trials, seed=1)
+            cycle_violation_demo(condorcet, [3, 11], trials, seed=1)
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("fit", [1, 2])
+    def test_sizes_go_in_groups_that_fit_the_cap(self, monkeypatch, fit):
+        """Under a cap of ``fit`` sizes' (trials x 3 cells) tallies, the sizes reach the kernel
+        ``fit`` at a time, in order, with the failure counts and histograms of one call."""
+        space = CandidateSpace.full(IssueSpace(("i",), 3))
+        for name in ("majority", "scoring:kendall"):
+            condorcet = condorcet_scenario(space, make_mechanism(name, space=space))
+            piia = replace(condorcet, axiom="w-piia", pair=(0, 1), population_b=condorcet.population)
+
+            def run():
+                return (
+                    estimate_axiom(piia, self.sizes, self.trials, self.seed).points,
+                    cycle_violation_demo(condorcet, self.sizes, self.trials, self.seed).per_size,
+                )
+
+            whole = run()
+            with monkeypatch.context() as patch:
+                calls = counting_kernel(patch)
+                patch.setattr("repsoc.axioms.DEFAULT_ENUMERATION_CAP", fit * self.trials * 3)
+                assert run() == whole
+            groups = [self.sizes[at : at + fit] for at in range(0, len(self.sizes), fit)]
+            assert calls == groups * 3  # two PIIA streams, then the cycle demo
 
     @pytest.mark.parametrize("cap", [1, 7, 60])
     def test_small_chunk_bound_same_winners(self, monkeypatch, cap):
@@ -647,13 +696,11 @@ class TestKernelCalls:
         saliency = SaliencyDistribution({"x": 0.7, "y": 0.3})
         for name in ("majority", "scoring:kendall"):
             mechanism = make_mechanism(name, space=space)
-            whole = [c for _, c in _committees(mechanism, saliency, population, [3, 8], 40, 5)]
+            whole = committee_winners(mechanism, saliency, population, [3, 8], 40, 5)
             with monkeypatch.context() as patch:
                 patch.setattr("repsoc.mechanisms.DEFAULT_ENUMERATION_CAP", cap)
-                chunked = [
-                    c for _, c in _committees(mechanism, saliency, population, [3, 8], 40, 5)
-                ]
-            assert chunked == whole
+                chunked = committee_winners(mechanism, saliency, population, [3, 8], 40, 5)
+            assert (chunked == whole).all()
 
 
 class TestNegativeSizes:

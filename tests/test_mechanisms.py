@@ -33,7 +33,7 @@ from repsoc import (
 )
 from repsoc import mechanisms
 from repsoc.privilege import PrivilegeGraph
-from tests.conftest import random_explicit_space, random_sample, uniform_population
+from tests.conftest import member_indices, random_explicit_space, random_sample, uniform_population
 from tests.mechanism_reference import (
     counts_of_row,
     majority_vote,
@@ -350,7 +350,8 @@ def test_kendall_over_synthesized_space_is_the_acyclic_mechanism(inputs):
     mechanism = make_mechanism("acyclic", plan=plan)
     assert mechanism.space is plan.space and mechanism.rule is KENDALL
     rows, cells = tally_matrix([counts])
-    assert decide_tallies(rows, cells, mechanism.space, mechanism.rule).chosen == [expected]
+    decided = decide_tallies(rows, cells, mechanism.space, mechanism.rule)
+    assert decided.winners.tolist() == [member_indices(plan.space, expected)]
 
 
 class TestScoringRule:
@@ -500,11 +501,12 @@ def test_batched_kernel_matches_the_per_call_reference(per_call_reference, input
             warnings.simplefilter("ignore")  # the empty-sample warning
             expected = per_call_reference(counts_of_row(cells, row), total, space, rule)
         got = (
-            decided.chosen[k],
+            decided.winners[k].tolist(),
             prod(decided.ties[k].tolist()),
             int(decided.points[k]) / (top * total) if total else 0.0,
         )
-        if got != (expected.chosen, expected.tie_set_size, expected.sample_objective):
+        chosen = member_indices(space, expected.chosen)
+        if got != (chosen, expected.tie_set_size, expected.sample_objective):
             disagreements.append((k, got, expected))
     assert disagreements == []
 
@@ -531,7 +533,7 @@ def test_kernel_allocations_stay_within_the_cap(monkeypatch):
             finally:
                 tracemalloc.stop()
         assert peak < 200_000
-        assert decided.chosen == expected.chosen
+        assert (decided.winners == expected.winners).all()
         assert (decided.points == expected.points).all() and (decided.ties == expected.ties).all()
 
 
@@ -557,7 +559,7 @@ def test_kernel_builds_each_points_table_once_while_it_fits_the_cap(monkeypatch)
         monkeypatch.setattr(mechanisms, "DEFAULT_ENUMERATION_CAP", cap)
         decided = decide_tallies(rows, cells, space, counted)
         assert (calls["points"] == 3 * 720) == once
-        assert decided.chosen == expected.chosen
+        assert (decided.winners == expected.winners).all()
         assert (decided.points == expected.points).all() and (decided.ties == expected.ties).all()
 
 
@@ -569,7 +571,7 @@ def test_kernel_int64_boundary():
     largest = (2**63 - 1) // 3
     for row in ([largest, 0], [largest - 5, 5]):
         decided = decide_tallies(np.array([row], dtype=np.int64), cells, space, KENDALL)
-        assert decided.chosen[0]("i") == lo("0>1>2")
+        assert decided.winners.tolist() == [[0]]  # 0>1>2, the first of LO(3)
         assert int(decided.points[0]) == 3 * row[0]  # 2>1>0 scores 0 against 0>1>2
     for row in ([largest + 1, 0], [largest - 4, 5]):
         with pytest.raises(InvalidArgumentError, match="sizes must be at most"):
@@ -580,7 +582,7 @@ def test_kernel_rejects_counts_on_an_unknown_issue():
     space = CandidateSpace.full(IssueSpace(("i",), 2))
     cells = [("i", lo("0>1")), ("zz", lo("1>0"))]
     decided = decide_tallies(np.array([[2, 0]], dtype=np.int64), cells, space, EXACT_MATCH)
-    assert decided.chosen[0]("i") == lo("0>1")  # a column of zeros tallies nothing
+    assert decided.winners.tolist() == [[0]]  # 0>1: a column of zeros tallies nothing
     with pytest.raises(InvalidArgumentError, match="unknown issue 'zz'"):
         decide_tallies(np.array([[2, 0], [0, 1]], dtype=np.int64), cells, space, EXACT_MATCH)
 

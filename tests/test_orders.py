@@ -39,6 +39,13 @@ class TestLinearOrder:
         assert o.position == (1, 2, 0)
         assert o.prefers(2, 1) and not o.prefers(1, 0)
 
+    def test_hash_is_the_dataclass_hash_of_the_ranking(self):
+        """Kept from construction, the hash is the value a frozen dataclass would compute,
+        so sets and dicts of orderings iterate as they always have."""
+        for o in (lo("2>0>1"), LinearOrder([1, 0]), LinearOrder((0,))):
+            assert hash(o) == hash((o.ranking,))
+        assert len({lo("1>0"), LinearOrder((1, 0)), lo("0>1")}) == 2
+
     def test_rejects_non_permutation(self):
         with pytest.raises(InvalidArgumentError):
             LinearOrder((0, 0, 1))
