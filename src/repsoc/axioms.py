@@ -163,8 +163,7 @@ def draw_tallies(saliency, population, sizes, trials: int, seed: int, stream=(),
     if trials * len(cells) > DEFAULT_ENUMERATION_CAP:
         raise CapacityError(
             f"trials = {trials} over {len(cells)} cells is {trials * len(cells)} tally entries "
-            f"per size, over the cap of {DEFAULT_ENUMERATION_CAP}",
-            cap=DEFAULT_ENUMERATION_CAP,
+            f"per size, over the cap of {DEFAULT_ENUMERATION_CAP}"
         )
     return cells, (
         (size, derive_rng(seed, j, *stream).multinomial(size, probs, size=trials))

@@ -43,8 +43,7 @@ def _block_patterns(space: CandidateSpace):
     for issues, _, codes in space._codes():
         if len(issues) > _MAX_VC_ISSUES:
             raise CapacityError(
-                f"VC search limited to {_MAX_VC_ISSUES} issues per block, got {len(issues)}",
-                cap=_MAX_VC_ISSUES,
+                f"VC search limited to {_MAX_VC_ISSUES} issues per block, got {len(issues)}"
             )
         yield issues, codes
 

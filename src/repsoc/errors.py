@@ -10,11 +10,7 @@ class InvalidArgumentError(RepsocError, ValueError):
 
 
 class CapacityError(RepsocError):
-    """A brute-force operation exceeds its configured scope cap."""
-
-    def __init__(self, message, cap=None):
-        super().__init__(message)
-        self.cap = cap
+    """A brute-force operation exceeds its configured scope cap; the message names the cap."""
 
 
 class UnsupportedError(RepsocError):

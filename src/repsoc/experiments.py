@@ -239,6 +239,34 @@ class _Block:
     totals: np.ndarray  # per member: its terms summed (approximately)
 
 
+def _quotient(space: CandidateSpace, cells) -> CandidateSpace:
+    """The product of ``space``'s code blocks cut to the first member, in member order, of
+    each class of members that no exact-match committee over ``cells`` tells apart.
+
+    An ordering that is no cell counts 0 in every tally and has population term 0.0, so
+    on each issue a member's class is its cell, or one shared class off the cells.  Each
+    block stays a code block: its columns hold exactly its kept members' orderings, and
+    its rows stay sorted and distinct."""
+    cell_of = {cell: j for j, cell in enumerate(cells)}
+    blocks = []
+    for issues, columns, codes in space._codes():
+        tables = [  # per column: each ordering's cell index, or -1 off the cells
+            np.array([cell_of.get((issue, o), -1) for o in column]) for issue, column in zip(issues, columns)
+        ]
+        classes = np.stack([table[code] for table, code in zip(tables, codes.T)], axis=1)
+        order = np.lexsort(classes.T[::-1])  # stable: a class's members stay in member order
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (np.diff(classes[order], axis=0) != 0).any(axis=1)
+        kept = codes[np.sort(order[first])]
+        held = [np.unique(code, return_inverse=True) for code in kept.T]  # orderings, new codes
+        blocks.append((
+            issues,
+            tuple(tuple(column[d] for d in ds.tolist()) for column, (ds, _) in zip(columns, held)),
+            np.stack([recoded for _, recoded in held], axis=1),
+        ))
+    return CandidateSpace("product", space.issue_space, tuple(blocks))
+
+
 def _space_blocks(space: CandidateSpace, saliency, population):
     """The blocks of ``space`` with each member's population terms, looked up once per
     distinct ordering of a column and gathered by the column codes.
@@ -293,19 +321,21 @@ def _utility_ranges(blocks, sequence, candidates) -> dict:
     if widest > DEFAULT_ENUMERATION_CAP:
         raise CapacityError(
             f"{widest} choices of profile parts lie within the rounding guard of the sup, "
-            f"over the cap of {DEFAULT_ENUMERATION_CAP}",
-            cap=DEFAULT_ENUMERATION_CAP,
+            f"over the cap of {DEFAULT_ENUMERATION_CAP}"
         )
+    rows = [  # per block: each candidate's terms
+        dict(zip((ms := [m for m, _ in choices]), block.terms[ms].tolist()))
+        for block, choices in zip(blocks, candidates)
+    ]
     states = {(0, ()): (0.0, 0.0)}  # (count, open (block, member) pairs) -> (least, greatest)
     for q, (b, j) in enumerate(sequence):
-        column = blocks[b].terms[:, j].tolist()
         merged: dict = {}
         for (count, held), (low, high) in states.items():
             rest = tuple(pair for pair in held if pair[0] != b)
             options = candidates[b] if len(rest) == len(held) else [(dict(held)[b], 0)]
             for member, added in options:
                 key = (count + added, rest if last[b] == q else rest + ((b, member),))
-                term = column[member]
+                term = rows[b][member][j]
                 seen = merged.get(key)
                 if seen is None:
                     merged[key] = (low + term, high + term)
@@ -318,33 +348,36 @@ def _utility_ranges(blocks, sequence, candidates) -> dict:
 def _sup_gap(blocks, sequence, counts, size: int, delta: float) -> np.ndarray:
     """Per trial, the largest ``|C / size - p|`` over the space.
 
-    For each sign of the gap, a block keeps the members whose signed part
-    ``sign * (count / size - terms)`` lies within ``delta`` of the block's
-    extreme, one per distinct (count, terms).  A trial in which every block
-    keeps one member is evaluated at that profile; otherwise over every
+    For each sign of the gap, a block keeps the members whose part
+    ``count / size - terms`` lies within ``delta`` of the block's greatest
+    (or least) part, one per distinct (count, terms).  A trial in which every
+    block keeps one member is evaluated at that profile; otherwise over every
     choice of kept members, through :func:`_utility_ranges`.
     """
     trials = np.arange(len(counts[0]))
     scale = max(size, 1)  # an empty committee has C = 0 and sample utility 0
     parts = [count / scale - block.totals for block, count in zip(blocks, counts)]
-    keys = [count * len(block.term_ids) + block.term_ids for block, count in zip(blocks, counts)]
     by_sign = []
-    for sign in (1, -1):
+    for greatest in (True, False):
         picks, kept, mixed = [], [], np.zeros(len(trials), dtype=bool)
-        for part, key in zip(parts, keys):
-            signed = sign * part
-            pick = signed.argmax(axis=1)
-            keep = signed >= (signed[trials, pick] - delta)[:, None]
-            mixed |= (keep & (key != key[trials, pick][:, None])).any(axis=1)
+        for part, count, block in zip(parts, counts, blocks):
+            pick = part.argmax(axis=1) if greatest else part.argmin(axis=1)
+            best = part[trials, pick][:, None]
+            keep = part >= best - delta if greatest else part <= best + delta  # negation is exact
+            # a kept member mixes its trial unless it ties the pick (flat: np.nonzero is slower)
+            t, m = np.divmod(np.flatnonzero(keep), keep.shape[1])
+            at, ids = pick[t], block.term_ids
+            mixed[t[(count[t, m] != count[t, at]) | (ids[m] != ids[at])]] = True
             picks.append(pick)
             kept.append(keep)
         total = sum(count[trials, pick] for count, pick in zip(counts, picks))
         gaps = np.abs(total / scale - _population_at(blocks, sequence, picks))
         for t in np.flatnonzero(mixed):
             candidates = []
-            for keep, key, count in zip(kept, keys, counts):
+            for keep, count, block in zip(kept, counts, blocks):
                 members = np.flatnonzero(keep[t])
-                _, first = np.unique(key[t, members], return_index=True)
+                key = count[t, members] * len(block.term_ids) + block.term_ids[members]
+                _, first = np.unique(key, return_index=True)
                 candidates.append([(m, int(count[t, m])) for m in members[first]])
             gaps[t] = max(
                 max(abs(c / scale - low), abs(c / scale - high))
@@ -383,7 +416,12 @@ def generalization_experiment(
     ``p`` is the population utility, ``total += w * mass`` issue by issue in
     saliency order.  Both utilities are sums over issues, so the sup is found
     block by block, over the space's code blocks, without enumerating the
-    space.  A block member's count is its exact-match score, read from
+    space.  An ordering that is no cell of the population counts 0 in every
+    committee and has term 0.0, so members that differ only on such orderings
+    are one point of the sup: the blocks are first cut to the first member of
+    each such class (:func:`_quotient`).  Members are kept in rank-tuple
+    order, so every first argmax, tie and bound below is the full space's.
+    A block member's count is its exact-match score, read from
     :func:`~repsoc.mechanisms.block_scores` a chunk of trials at a time.
     For each sign of the gap, a block keeps the members within a rounding
     guard ``delta = 4 * (k + 3) * 2**-52`` (``k`` issues) of its extreme.
@@ -404,6 +442,7 @@ def generalization_experiment(
     population's cells, must pass its plan check.
     """
     cells, tallies = draw_tallies(saliency, population, sizes, trials, seed, least=0)
+    space = _quotient(space, cells)
     blocks, sequence = _space_blocks(space, saliency, population)
     delta = 4 * (len(space.issue_space.issue_ids) + 3) * 2.0**-52
     max_pop = _max_population(blocks, sequence, delta)
@@ -685,8 +724,7 @@ def _run_rademacher(settings: dict, out_dir: Path, report: RunReport, check: boo
     if (entries := max(draws * size, size * members, draws * members)) > DEFAULT_ENUMERATION_CAP:
         raise CapacityError(
             f"sample_size = {size} with sign_draws = {draws} over a block of {members} members "
-            f"is {entries} entries, over the cap of {DEFAULT_ENUMERATION_CAP}",
-            cap=DEFAULT_ENUMERATION_CAP,
+            f"is {entries} entries, over the cap of {DEFAULT_ENUMERATION_CAP}"
         )
     sample = sample_pairs(saliency, population, size, seed)
     estimate, stderr = empirical_rademacher(

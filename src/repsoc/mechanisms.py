@@ -118,14 +118,15 @@ def block_scores(
 ):
     """Yield ``(at, scores)`` for consecutive chunks ``rows[at]`` of the nonnegative int64
     (tallies x cells) count matrix ``rows``, whose column ``j`` counts ``cells[j] = (issue,
-    order)``: ``scores[b]`` holds block ``b``'s members' int64 (chunk x members) points.
+    order)``: ``scores[b]`` holds block ``b``'s members' int64 (chunk x members) points, a
+    C-ordered array.
 
     A block's issues are laid side by side, one score per ordering of each column, and
-    gathered once by the members' column codes.  Under exact-match points an ordering
-    scores its own cell's count, placed by index.  Under another rule it scores the counts
-    times a points table of the counted cells, built once if it fits the cap and otherwise
-    for each chunk's cells, a slice of orderings at a time.  Raises for a repeated cell, a
-    count on an issue the space lacks, or a tally whose scores could overflow int64."""
+    summed by the members' column codes one issue at a time.  Under exact-match points an
+    ordering scores its own cell's count, placed by index.  Under another rule it scores the
+    counts times a points table of the counted cells, built once if it fits the cap and
+    otherwise for each chunk's cells, a slice of orderings at a time.  Raises for a repeated
+    cell, a count on an issue the space lacks, or a tally whose scores could overflow int64."""
     if len({(issue, order.ranking) for issue, order in cells}) < len(cells):
         raise InvalidArgumentError("each tallied (issue, order) cell must be listed once")
     by_issue: dict = {}  # issue -> its cells' column indices
@@ -167,8 +168,9 @@ def block_scores(
                     for s in range(a, z, width):
                         part = _points(tallied, column[s - a : s - a + width], rule)
                         laid[:, s : s + part.shape[1]] = chunk[:, js] @ part
-            # a one-issue block's members are its column, in order; others are gathered once
-            out.append(laid if len(issues) == 1 else laid[:, codes.T + end[:-1, None]].sum(axis=1))
+            # a one-issue block's members are its column, in order
+            gathered = (np.take(laid, codes[:, k] + end[k], axis=1) for k in range(len(issues)))
+            out.append(laid if len(issues) == 1 else sum(gathered))
         yield slice(lo, lo + len(chunk)), out
 
 

@@ -218,7 +218,7 @@ class CandidateSpace:
         largest = factorial(n) if full else max(len(codes) for _, _, codes in self.coded)
         if largest > DEFAULT_ENUMERATION_CAP:
             cap = DEFAULT_ENUMERATION_CAP
-            raise CapacityError(f"candidate-space block has {largest} members, over the cap of {cap}", cap=cap)
+            raise CapacityError(f"candidate-space block has {largest} members, over the cap of {cap}")
         if full:
             orders, codes = (all_linear_orders(n),), np.arange(largest)[:, None]
             return tuple(((issue,), orders, codes) for issue in self.issue_space.sorted_ids())
@@ -231,7 +231,7 @@ class CandidateSpace:
         first.  The library reads only codes; tests, demos and the benchmark enumerate."""
         cap = DEFAULT_ENUMERATION_CAP
         if self.size() > cap:
-            raise CapacityError(f"candidate space has {self.size()} profiles, over the cap of {cap}", cap=cap)
+            raise CapacityError(f"candidate space has {self.size()} profiles, over the cap of {cap}")
         blocks = self._codes()
         combos = itertools.product(*(range(len(codes)) for _, _, codes in blocks))
         members = (_profile(blocks, combo) for combo in combos)

@@ -27,6 +27,7 @@ from repsoc import (
     generalization_experiment,
 )
 from repsoc import EXACT_MATCH, ScoringRule, experiments
+from repsoc.mechanisms import block_scores
 from repsoc.spaces import DEFAULT_ENUMERATION_CAP
 from repsoc.population import _cells
 from repsoc.rng import derive_rng
@@ -83,8 +84,8 @@ def _grid_distribution(draw, keys, keep_zeros):
 
 
 @st.composite
-def generalization_inputs(draw, most_outcomes=3):
-    n = draw(st.integers(2, most_outcomes))
+def generalization_inputs(draw, most_outcomes=3, fewest_outcomes=2):
+    n = draw(st.integers(fewest_outcomes, most_outcomes))
     issues = tuple(f"i{j}" for j in range(draw(st.integers(1, 3))))
     issue_space = IssueSpace(issues, n)
     orders = all_linear_orders(n)
@@ -159,15 +160,101 @@ def test_space_blocks_match_the_per_member_reference(inputs):
             assert array.dtype == reference.dtype and np.array_equal(array, reference)
 
 
-def _three_issue_setup(variant, n=3, members=40, seed=7):
+def first_of_each_class(space, cells):
+    """Per block, the rows of the first member, in member order, of each class of members
+    whose orderings agree on every issue or lie off the cells there: one by one."""
+    cell_of = {cell: j for j, cell in enumerate(cells)}
+    kept = []
+    for issues, rows in member_rows(space):
+        seen = {}
+        for row in rows:
+            seen.setdefault(tuple(cell_of.get(cell, -1) for cell in zip(issues, row)), row)
+        kept.append(list(seen.values()))
+    return kept
+
+
+def check_code_block(issues, columns, codes):
+    """A code block: distinct sorted rows, and columns that hold exactly their members'
+    orderings, sorted by ranking."""
+    rows = codes.tolist()
+    assert rows == sorted(rows) and len(set(map(tuple, rows))) == len(rows)
+    for column, code in zip(columns, codes.T):
+        assert [o.ranking for o in column] == sorted({o.ranking for o in column})
+        assert sorted(set(code.tolist())) == list(range(len(column)))
+    if len(issues) == 1:  # block_scores reads a one-issue block's column as its members
+        assert rows == [[m] for m in range(len(columns[0]))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(generalization_inputs(most_outcomes=4))
+def test_quotient_keeps_the_first_member_of_each_class(inputs):
+    space, saliency, population = inputs[:3]
+    cells, _ = _cells(saliency, population)
+    quotient = experiments._quotient(space, cells)
+    for block in quotient.coded:
+        check_code_block(*block)
+    assert [rows for _, rows in member_rows(quotient)] == first_of_each_class(space, cells)
+
+
+def test_quotient_class_counts_on_known_spaces():
+    """Issue a has cells 012 and 021 (and a zero mass on 102), b the cell 012 alone, and c no
+    saliency: each keeps its cells and the first ordering off them."""
+    orders = {str(o): o for o in all_linear_orders(3)}
+    population = MarginalPopulation({
+        "a": {orders["0>1>2"]: 0.5, orders["0>2>1"]: 0.5, orders["1>0>2"]: 0.0},
+        "b": {orders["0>1>2"]: 1.0},
+        "c": {orders["2>1>0"]: 1.0},
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero saliency warns
+        saliency = SaliencyDistribution({"a": 0.5, "b": 0.5, "c": 0.0})
+    cells, _ = _cells(saliency, population)
+    full = CandidateSpace.full(IssueSpace(("a", "b", "c"), 3))
+    kept = [[str(row[0]) for row in rows] for _, rows in member_rows(experiments._quotient(full, cells))]
+    assert kept == [["0>1>2", "0>2>1", "1>0>2"], ["0>1>2", "0>2>1"], ["0>1>2"]]
+    two = IssueSpace(("a", "b"), 3)
+    pairs = CandidateSpace.explicit(list(CandidateSpace.full(two).enumerate_profiles()), two)
+    (_, rows), = member_rows(experiments._quotient(pairs, cells))
+    assert [tuple(map(str, row)) for row in rows] == [
+        (a, b) for a in ("0>1>2", "0>2>1", "1>0>2") for b in ("0>1>2", "0>2>1")
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(generalization_inputs(most_outcomes=4, fewest_outcomes=4))
+def test_identity_quotient_gives_the_same_bytes(inputs):
+    """The lab over the whole space, every member scored, against the lab over the quotient,
+    at N = 4, which ``test_block_sup_matches_enumeration_bit_for_bit`` does not reach."""
+    space, saliency, population, sizes, trials, seed = inputs
+    result = generalization_experiment(space, saliency, population, sizes, trials, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_quotient", lambda space, cells: space)
+        whole = generalization_experiment(space, saliency, population, sizes, trials, seed)
+    for size in sizes:
+        assert result.gaps[size].tobytes() == whole.gaps[size].tobytes()
+        assert result.regret_slack[size].tobytes() == whole.regret_slack[size].tobytes()
+
+
+def _three_issue_setup(variant, n=3, members=40, seed=7, partial=False):
     """An explicit, product or full space over issues a, b, c, and a population with random
-    masses on every ordering of each issue."""
+    masses on every ordering of each issue, so that every member is its own class.  A
+    ``partial`` population instead puts zero mass on every other ordering and no saliency
+    on issue c."""
     rng = np.random.default_rng(seed)
     issues, orders = ("a", "b", "c"), all_linear_orders(n)
     population = MarginalPopulation(
         {issue: dict(zip(orders, rng.dirichlet(np.ones(len(orders))))) for issue in issues}
     )
     saliency = SaliencyDistribution({"b": 0.5, "a": 0.3, "c": 0.2})
+    if partial:
+        kept = {issue: [population.distribution(issue)[o] * (j % 2) for j, o in enumerate(orders)]
+                for issue in issues}
+        population = MarginalPopulation(
+            {issue: {o: m / sum(ms) for o, m in zip(orders, ms)} for issue, ms in kept.items()}
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # zero saliency warns
+            saliency = SaliencyDistribution({"b": 0.5, "a": 0.5, "c": 0.0})
     if variant == "explicit":
         space = random_explicit_space(rng, issues, n, members)
     elif variant == "product":
@@ -179,14 +266,20 @@ def _three_issue_setup(variant, n=3, members=40, seed=7):
     return space, saliency, population
 
 
-@pytest.mark.parametrize("variant", ("explicit", "product", "full"))
-def test_forced_caps_match_the_default_cap_bit_for_bit(monkeypatch, variant):
+@pytest.mark.parametrize(
+    "variant, partial",
+    [pytest.param(v, p, id=v + "-partial" * p) for p in (False, True) for v in ("explicit", "product", "full")],
+)
+def test_forced_caps_match_the_default_cap_bit_for_bit(monkeypatch, variant, partial):
     """Under a cap of 1 or 7 entries the lab counts one trial at a time; under 60 it counts
     the full space a few trials at a time.  The counts are exact-match points placed by
     index; a copy of the rule that the kernel does not know scores them by points tables
     instead, each built per chunk a few orderings at a time under the small caps and kept
-    under 60.  Gaps and regret slacks do not move a bit."""
-    space, saliency, population = _three_issue_setup(variant)
+    under 60.  Gaps and regret slacks do not move a bit.  Under full support the lab counts
+    every member; under partial support, one per class."""
+    space, saliency, population = _three_issue_setup(variant, partial=partial)
+    quotient = experiments._quotient(space, _cells(saliency, population)[0])
+    assert (quotient.size() < space.size()) == partial
     sizes, trials = [0, 2, 9, 40], 25
     expected = generalization_experiment(space, saliency, population, sizes, trials, seed=9)
     tabled = ScoringRule("exact", EXACT_MATCH.points, EXACT_MATCH.top)
@@ -206,6 +299,7 @@ def test_lab_arrays_stay_within_a_forced_cap(monkeypatch):
     the peak stays near 0.5 MB.  A gather of every trial at once would hold 375,000 entries
     (3 MB), and one that ignored the issue count would pass the cap threefold."""
     space, saliency, population = _three_issue_setup("explicit", n=4, members=500, seed=5)
+    assert experiments._quotient(space, _cells(saliency, population)[0]).size() == space.size()
     args = (space, saliency, population, [20, 200], 250)
     expected = generalization_experiment(*args, seed=1)
     for module in ("repsoc.mechanisms", "repsoc.axioms"):  # the kernel's chunks, the plan check
@@ -235,6 +329,50 @@ def test_wide_columns_are_counted_without_points_tables(monkeypatch):
     for size in result.sizes:
         assert result.gaps[size].tobytes() == gaps[size].tobytes()
         assert result.regret_slack[size].tobytes() == regret_slack[size].tobytes()
+
+
+def test_full_eight_outcome_space_under_a_small_support_is_quick(monkeypatch):
+    """Two full N = 8 issues (40,320 members each) under a population on 5 orderings per
+    issue: each block keeps its 5 cells and the first ordering off them, and the lab gives
+    the bytes of scoring every member."""
+    orders = all_linear_orders(8)
+    rng = np.random.default_rng(3)
+    population = MarginalPopulation({
+        issue: dict(zip((orders[j] for j in rng.choice(len(orders), 5, replace=False)),
+                        rng.dirichlet(np.ones(5))))
+        for issue in "ab"
+    })
+    space, saliency = CandidateSpace.full(IssueSpace(("a", "b"), 8)), SaliencyDistribution({"a": 0.6, "b": 0.4})
+    quotient = experiments._quotient(space, _cells(saliency, population)[0])
+    assert [len(codes) for _, _, codes in quotient.coded] == [6, 6]
+    args = (space, saliency, population, [0, 1, 8, 64, 512], 20)
+    started = time.perf_counter()
+    result = generalization_experiment(*args, seed=2)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 5.0, f"took {elapsed:.2f}s"
+    monkeypatch.setattr(experiments, "_quotient", lambda space, cells: space)
+    whole = generalization_experiment(*args, seed=2)
+    for size in result.sizes:
+        assert result.gaps[size].tobytes() == whole.gaps[size].tobytes()
+        assert result.regret_slack[size].tobytes() == whole.regret_slack[size].tobytes()
+
+
+@pytest.mark.parametrize("rule", ("exact", "tabled"))
+@pytest.mark.parametrize("variant", ("explicit", "product", "full"))
+def test_block_scores_are_c_ordered(rule, variant):
+    """Row-wise argmax over an F-ordered (chunk x members) array is several times slower."""
+    space, saliency, population = _three_issue_setup(variant)
+    cells, probs = _cells(saliency, population)
+    rows = derive_rng(0, 0).multinomial(30, probs, size=12)
+    tabled = ScoringRule("exact", EXACT_MATCH.points, EXACT_MATCH.top)
+    place = {cell: j for j, cell in enumerate(cells)}
+    padded = np.hstack([rows, np.zeros((len(rows), 1), dtype=np.int64)])  # column -1: no cell
+    for _, scores in block_scores(rows, cells, space, EXACT_MATCH if rule == "exact" else tabled):
+        for (issues, columns, codes), score in zip(space._codes(), scores):
+            assert score.flags.c_contiguous
+            index = [[place.get((i, column[c]), -1) for i, column, c in zip(issues, columns, row)]
+                     for row in codes.tolist()]
+            assert np.array_equal(score, padded[:, index].sum(axis=2))
 
 
 def _tied_setup():

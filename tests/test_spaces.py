@@ -98,10 +98,8 @@ class TestEnumerate:
 
     def test_cap(self):
         space = CandidateSpace.full(IssueSpace(tuple(range(5)), 4))  # 24**5 profiles
-        with pytest.raises(CapacityError) as err:
+        with pytest.raises(CapacityError, match=f"over the cap of {DEFAULT_ENUMERATION_CAP}$"):
             list(space.enumerate_profiles())
-        assert err.value.cap == DEFAULT_ENUMERATION_CAP
-        assert str(DEFAULT_ENUMERATION_CAP) in str(err.value)
 
 
 class TestValidation:
