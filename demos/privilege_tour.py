@@ -8,21 +8,22 @@ construction.  Run:
     python demos/privilege_tour.py
 """
 
+import numpy as np
+
 from repsoc import (
     KENDALL,
     LinearOrder,
     PartialOrder,
     Profile,
     build_privilege_graph,
+    decide_tallies,
     is_cyclically_privileged,
     is_privileged,
     scc_condensation,
-    scoring_mechanism,
     synthesize_acyclic,
 )
 from repsoc.privilege import PrivilegeGraph, to_dot
 from repsoc.spaces import CandidateSpace, IssueSpace, all_linear_orders
-from repsoc.mechanisms import SampleSet
 
 lo = LinearOrder.from_string
 
@@ -69,10 +70,12 @@ def main():
     )
     print("\n== acyclic synthesis from edges {(0,1),(0,2),(1,2),(2,1)}")
     print(f"   factor orderings : {[str(o) for o in plan.issue_plans['i'].factor]}")
-    sample = SampleSet(((lo("0>2>1"), "i"),) * 3 + ((lo("0>1>2"), "i"),))
-    # the plan's mechanism is Kendall scoring over its synthesized space
-    chosen = scoring_mechanism(sample, plan.space, KENDALL).chosen
-    print(f"   mechanism on a 3-1 sample for the pair block: {chosen('i')}")
+    # the plan's mechanism is Kendall scoring over its synthesized space: a tally row counts
+    # the sampled (issue, ordering) cells, and the choice is a member index per block
+    cells = [("i", lo("0>2>1")), ("i", lo("0>1>2"))]
+    winner = decide_tallies(np.array([[3, 1]]), cells, plan.space, KENDALL).winners[0, 0]
+    (_, members), = plan.space.blocks
+    print(f"   mechanism on a 3-1 sample for the pair block: {members[winner]('i')}")
     print("\nDOT for the synthesized space's graph:")
     print(to_dot(build_privilege_graph(plan.space, "i")))
 

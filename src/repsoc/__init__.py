@@ -19,7 +19,6 @@ from .axioms import (
     fit_decay,
 )
 from .complexity import (
-    InducedLossClass,
     empirical_rademacher,
     is_shattered,
     massart_bound,
@@ -45,10 +44,8 @@ from .mechanisms import (
     KENDALL,
     SCORING_RULES,
     Mechanism,
-    MechanismResult,
     ScoringRule,
     decide_tallies,
-    scoring_mechanism,
 )
 from .orders import (
     LinearOrder,
@@ -63,7 +60,6 @@ from .population import (
     IssueSpace,
     MarginalPopulation,
     SaliencyDistribution,
-    SampleSet,
     SubpopulationMixture,
     load_population,
     mix,

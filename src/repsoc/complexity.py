@@ -1,39 +1,30 @@
 """Statistical complexity of candidate spaces: VC dimension and Rademacher estimates.
 
-Both read a space block by block, never enumerating it, through integer column codes: each
-distinct ordering of a block column is scored once, and a member's yes/no pattern is its codes.
+Both read a space block by block, never enumerating it.  A member's yes/no pattern is its
+integer column codes; a Rademacher sample's points come from the one scoring path,
+:func:`~repsoc.mechanisms.block_scores`, which scores each distinct sampled cell once.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from math import log, sqrt
+from math import isqrt, log, sqrt
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError, InvalidArgumentError, UnsupportedError
-from .mechanisms import ScoringRule
-from .population import SampleSet
+from .mechanisms import ScoringRule, block_scores
 from .rng import derive_rng
-from .spaces import CandidateSpace
+from .spaces import DEFAULT_ENUMERATION_CAP, CandidateSpace
 
 __all__ = [
-    "InducedLossClass",
     "vc_dimension_with_witness",
     "empirical_rademacher",
     "massart_bound",
 ]
 
 _MAX_VC_ISSUES = 20
-
-
-@dataclass(frozen=True)
-class InducedLossClass:
-    """The function class {(o, i) -> rule(o, C(i)) : C in space}."""
-
-    space: CandidateSpace
-    rule: ScoringRule
 
 
 def _block_patterns(space: CandidateSpace):
@@ -95,43 +86,52 @@ def is_shattered(space: CandidateSpace, issue_subset) -> bool:
 
 
 def empirical_rademacher(
-    loss_class: InducedLossClass,
-    sample: SampleSet,
+    space: CandidateSpace,
+    rule: ScoringRule,
+    cells: Sequence,
+    pairs: np.ndarray,
     num_sign_draws: int,
     seed: int,
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of the empirical Rademacher complexity.
+    """Monte Carlo estimate of the empirical Rademacher complexity of the rule's scores
+    against the space on the sample whose pair ``j`` is the cell ``cells[pairs[j]]``.
 
     The inner maximization over the space is exact, block by block: the
     maximum of a sum over blocks is the sum of the blocks' maxima (Bartlett
     and Mendelson, 2002).  Only the expectation over sign vectors is
-    sampled.  Each sample pair scores each distinct ordering of its block
-    column once; the members' scores are gathered by code.  Returns (estimate, stderr).
+    sampled.  Each distinct sampled cell is scored once, as a one-hot tally
+    row of :func:`~repsoc.mechanisms.block_scores`, a slice of rows at a time;
+    a pair's member scores are its cell's points gathered by cell index, as the
+    float ``1 - (top - points) / top`` of ``rule.evaluate``.  Returns (estimate, stderr).
     """
-    if len(sample) == 0:
+    if len(pairs) == 0:
         raise InvalidArgumentError("empirical Rademacher complexity needs a nonempty sample")
     if num_sign_draws < 1:
         raise InvalidArgumentError("need at least one sign draw")
-    rule = loss_class.rule
-    blocks = list(loss_class.space._codes())
-    parts = _by_block(blocks, [issue for _, issue in sample])
-    rng = derive_rng(seed)
-    signs = rng.integers(0, 2, size=(num_sign_draws, len(sample))) * 2 - 1
+    blocks = space._codes()
+    sampled, cell_of = np.unique(pairs, return_inverse=True)  # the distinct cells; each pair's
+    block_of = np.empty(len(sampled), dtype=np.intp)
+    for b, part in enumerate(_by_block(blocks, [cells[c][0] for c in sampled])):
+        block_of[[u for u, _ in part]] = b
+    held: list = [[] for _ in blocks]  # per block: its distinct cells' points, in order
+    step = isqrt(DEFAULT_ENUMERATION_CAP) or 1  # so that a slice's one-hot rows fit the cap
+    for lo in range(0, len(sampled), step):
+        ones = np.eye(len(sampled[lo : lo + step]), dtype=np.int64)
+        for at, scores in block_scores(ones, [cells[c] for c in sampled[lo : lo + step]], space, rule):
+            for b, block in enumerate(scores):
+                held[b].append(block[block_of[lo + at.start : lo + at.stop] == b])
+    top, pair_block = rule.top(space.issue_space.n), block_of[cell_of]
+    signs = derive_rng(seed).integers(0, 2, size=(num_sign_draws, len(pairs))) * 2 - 1
     maxima = []
-    for (_, columns, codes), part in zip(blocks, parts):
-        if part:
-            scored = [[rule.evaluate(sample.pairs[j][0], o) for o in columns[k]] for j, k in part]
-            scores = np.stack(  # shape (block members, sample pairs on the block)
-                [np.array(row)[codes[:, k]] for row, (_, k) in zip(scored, part)], axis=1
-            )
-            maxima.append((signs[:, [j for j, _ in part]] @ scores.T).max(axis=1))
-    per_draw = sum(maxima) / len(sample)
-    estimate = float(per_draw.mean())
-    if num_sign_draws > 1:
-        stderr = float(per_draw.std(ddof=1) / sqrt(num_sign_draws))
-    else:
-        stderr = float("inf")
-    return estimate, stderr
+    for b, points in enumerate(held):
+        if len(js := np.flatnonzero(pair_block == b)):
+            table = 1.0 - (top - np.concatenate(points)) / top
+            _, rows = np.unique(cell_of[js], return_inverse=True)  # each pair's row of the table
+            scores = np.ascontiguousarray(table[rows].T)  # C-ordered (block members, pairs on the block)
+            maxima.append((signs[:, js] @ scores.T).max(axis=1))
+    per_draw = sum(maxima) / len(pairs)
+    stderr = float(per_draw.std(ddof=1) / sqrt(num_sign_draws)) if num_sign_draws > 1 else float("inf")
+    return float(per_draw.mean()), stderr
 
 
 def massart_bound(space_size: int, sample_size: int) -> float:

@@ -31,7 +31,6 @@ from .axioms import (
     estimate_axiom,
 )
 from .complexity import (
-    InducedLossClass,
     empirical_rademacher,
     is_shattered,
     massart_bound,
@@ -536,10 +535,14 @@ def run_experiment(config: dict, out_dir, check: bool = False) -> RunReport:
 
 
 def _population(settings: dict, key: str, space: CandidateSpace) -> tuple:
-    """The saliency and marginals of the population file at config ``key``, over the space's N."""
+    """The saliency and marginals of the population file at config ``key``, over the space's N
+    and issues: positive saliency on an issue the space lacks is rejected whatever is drawn."""
     issues, saliency, population = load_population(settings[key])
     if (n := space.issue_space.n) != issues.n:
         raise InvalidArgumentError(f"config key {key!r}: the population has N = {issues.n}, the space N = {n}")
+    if lacking := [i for i in saliency.issues if saliency(i) > 0 and i not in space.issue_space]:
+        lacks = f"the population puts saliency on issue {lacking[0]!r}, which the candidate space lacks"
+        raise InvalidArgumentError(f"config key {key!r}: {lacks}")
     return saliency, population
 
 
@@ -726,11 +729,10 @@ def _run_rademacher(settings: dict, out_dir: Path, report: RunReport, check: boo
             f"sample_size = {size} with sign_draws = {draws} over a block of {members} members "
             f"is {entries} entries, over the cap of {DEFAULT_ENUMERATION_CAP}"
         )
-    sample = sample_pairs(saliency, population, size, seed)
-    estimate, stderr = empirical_rademacher(
-        InducedLossClass(space, SCORING_RULES[settings["scoring_rule"]]), sample, draws, seed + 1
-    )
-    bound = massart_bound(space.size(), len(sample))
+    cells, pairs = sample_pairs(saliency, population, size, seed)
+    rule = SCORING_RULES[settings["scoring_rule"]]
+    estimate, stderr = empirical_rademacher(space, rule, cells, pairs, draws, seed + 1)
+    bound = massart_bound(space.size(), len(pairs))
     report.results["estimate"] = estimate
     report.results["stderr"] = stderr
     report.results["massart_bound"] = bound

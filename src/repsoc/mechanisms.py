@@ -1,20 +1,19 @@
-"""Scoring rules and the one exact kernel that decides every mechanism.
+"""Scoring rules and the one exact kernel that scores every lab.
 
-A :class:`Mechanism` is a scoring rule maximized over a candidate space.  It
-is anonymous: it sees only tallies, the number of sampled pairs in each
-(issue, ordering) cell.  Majority vote is exact-match scoring.  One path,
-:func:`block_scores`, turns a (tallies x cells) count matrix into each
-member's exact int64 points.  The objective is a sum over issues, so each
-block of the space is scored on its own: per issue, each distinct ordering of
-the block's column scores the counts times its points (exact match: its own
-cell's count, placed by index), and the members' points are gathered by the
-column codes the space is stored as.  In the fewest even chunks of tallies,
-and in slices of a points matrix too large to keep, no array holds more than
+A :class:`Mechanism` is a scoring rule maximized over a candidate space.  It is
+anonymous: it sees only tallies, the number of sampled pairs in each (issue,
+ordering) cell.  Majority vote is exact-match scoring.  :func:`block_scores` is
+the one path from a (tallies x cells) count matrix to each member's exact int64
+points, and :func:`_points` the one place a lab calls ``rule.points``.  The
+objective is a sum over issues, so each block of the space is scored on its own:
+each distinct ordering of a block column scores the counts times its points
+(exact match: its own cell's count, placed by index), and the members' points
+are gathered by their column codes.  No array holds more than
 ``DEFAULT_ENUMERATION_CAP`` entries.  :func:`decide_tallies` reduces the scores
-to each block's first maximum, the first in ``enumerate_profiles`` (rank-tuple)
-order, and its tie count.  It returns winners as member indices, one per block
-and row, and builds no profile: the axiom lab tests its failure events on those
-indices, and the generalization lab reads its match counts from the scores.
+to each block's first maximum in ``enumerate_profiles`` (rank-tuple) order and
+its tie count, as member indices, on which the axiom lab tests its failure
+events.  The generalization lab reads its match counts from the scores, and the
+Rademacher estimate its points, from one one-hot tally row per sampled cell.
 
 The acyclic-plan mechanism is Kendall scoring over the synthesized space
 (``make_mechanism("acyclic", plan=plan)``).  The members of a synthesized
@@ -26,29 +25,25 @@ pairwise majority of each flip pair, and a tie keeps the canonical
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from math import ceil, prod
+from math import ceil
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .orders import LinearOrder, Profile, concordant_pairs, exact_match_score
-from .population import SampleSet
-from .spaces import DEFAULT_ENUMERATION_CAP, CandidateSpace, _profile
+from .orders import LinearOrder, concordant_pairs, exact_match_score
+from .spaces import DEFAULT_ENUMERATION_CAP, CandidateSpace
 
 __all__ = [
     "ScoringRule",
     "Mechanism",
-    "MechanismResult",
     "Decisions",
     "KENDALL",
     "EXACT_MATCH",
     "SCORING_RULES",
     "block_scores",
     "decide_tallies",
-    "scoring_mechanism",
 ]
 
 
@@ -80,14 +75,6 @@ class Mechanism:
 
     space: CandidateSpace
     rule: ScoringRule
-
-
-@dataclass(frozen=True)
-class MechanismResult:
-    chosen: Profile
-    sample_objective: float
-    tie_set_size: int
-    tie_broken: bool
 
 
 class Decisions(NamedTuple):
@@ -196,19 +183,3 @@ def decide_tallies(
             points[at] += most
     return Decisions(winners, points, ties)
 
-
-def scoring_mechanism(
-    sample: SampleSet, space: CandidateSpace, rule: ScoringRule
-) -> MechanismResult:
-    """Argmax of the average rule score over the space: :func:`decide_tallies` of one tally."""
-    counts = sample.counts()
-    cells = [(issue, order) for issue, dist in counts.items() for order in dist]
-    row = np.array([[counts[issue][order] for issue, order in cells]], dtype=np.int64)
-    total = len(sample)
-    if total == 0:
-        warnings.warn("scoring mechanism over an empty sample: canonical output", stacklevel=2)
-    decided = decide_tallies(row, cells, space, rule)
-    ties = prod(decided.ties[0].tolist())
-    objective = int(decided.points[0]) / (rule.top(space.issue_space.n) * total) if total else 0.0
-    chosen = _profile(space._codes(), decided.winners[0].tolist())
-    return MechanismResult(chosen, objective, tie_set_size=ties, tie_broken=ties > 1)

@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearOrder:
     """A strict total order over ``n`` outcomes, best first."""
 

@@ -1,9 +1,9 @@
 """Issue spaces, saliency distributions, per-issue preference marginals and sampling.
 
 Populations are modeled through their per-issue marginals only: for each
-issue, a sparse distribution over linear orders.  Sampling draws an issue
-from the saliency distribution, then an ordering from that issue's marginal,
-i.i.d. per pair.
+issue, a sparse distribution over linear orders.  A sampled pair is an
+(issue, ordering) cell, drawn i.i.d. with probability saliency(issue) times the
+ordering's mass; :func:`sample_pairs` returns each pair as its cell's index.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "SaliencyDistribution",
     "MarginalPopulation",
     "SubpopulationMixture",
-    "SampleSet",
     "mix",
     "pair_marginal",
     "sample_pairs",
@@ -162,30 +161,6 @@ class SubpopulationMixture:
             raise InvalidArgumentError(f"component masses sum to {total}, not 1")
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """An i.i.d. collection of (ordering, issue) pairs."""
-
-    pairs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def counts(self) -> dict:
-        """Multiset view: issue -> {ordering -> count}."""
-        out: dict = {}
-        for order, issue in self.pairs:
-            out.setdefault(issue, {})
-            out[issue][order] = out[issue].get(order, 0) + 1
-        return out
-
-
 def mix(mixture: SubpopulationMixture) -> MarginalPopulation:
     """Convex combination of coalition marginals, issue by issue."""
     issues = set()
@@ -236,19 +211,14 @@ def sample_pairs(
     population: MarginalPopulation,
     n: int,
     seed: int,
-) -> SampleSet:
-    """Draw ``n`` i.i.d. (ordering, issue) pairs; bit-reproducible per seed."""
+) -> tuple[list, np.ndarray]:
+    """Draw ``n`` i.i.d. pairs, bit-reproducible per seed, in one categorical draw over the
+    positive-mass (issue, ordering) cells: returns the cells in canonical order and each
+    pair's cell index."""
     if n < 0:
         raise InvalidArgumentError("sample size must be non-negative")
-    # one categorical draw over the joint (issue, ordering) cells
     cells, probs = _cells(saliency, population)
-    rng = derive_rng(seed)
-    if n > 0:
-        draws = rng.choice(len(cells), size=n, p=probs)
-        pairs = tuple((cells[j][1], cells[j][0]) for j in draws)
-    else:
-        pairs = ()
-    return SampleSet(pairs=pairs)
+    return cells, derive_rng(seed).choice(len(cells), size=n, p=probs)
 
 
 def save_population(

@@ -13,10 +13,9 @@ from repsoc import (
     MarginalPopulation,
     Profile,
     SaliencyDistribution,
-    SampleSet,
     all_linear_orders,
 )
-from tests.mechanism_reference import scoring_mechanism_from_counts
+from tests.mechanism_reference import SampleSet, scoring_mechanism_from_counts
 from tests.privilege_reference import closure_verdict
 
 

@@ -1,15 +1,21 @@
-"""Slow per-tally references for the mechanism kernel, and the utilities only tests use.
+"""Slow per-tally references for the mechanism kernel, and the sample types only tests use.
 
 ``scoring_mechanism_from_counts`` decides one ``{issue: {ordering: count}}``
 tally with Python loops and exact integer points; the differential tests hold
 the batched ``repsoc.mechanisms.decide_tallies`` to its chosen profile,
-tie-set size and objective.  The utility and score functions evaluate one
-profile against a sample or a population.
+tie-set size and objective.  A :class:`SampleSet` lists (ordering, issue)
+pairs one by one, and :func:`scoring_mechanism` decides it through
+``decide_tallies``.  The utility and score functions evaluate one profile
+against a sample or a population.
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
+from math import prod
+
+import numpy as np
 
 from repsoc import (
     EXACT_MATCH,
@@ -17,13 +23,66 @@ from repsoc import (
     InvalidArgumentError,
     LinearOrder,
     MarginalPopulation,
-    MechanismResult,
     Profile,
     SaliencyDistribution,
-    SampleSet,
     ScoringRule,
-    scoring_mechanism,
+    decide_tallies,
 )
+from repsoc.spaces import _profile
+
+
+@dataclass(frozen=True)
+class SampleSet:
+    """An i.i.d. collection of (ordering, issue) pairs."""
+
+    pairs: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", tuple(self.pairs))
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __iter__(self):
+        return iter(self.pairs)
+
+    def counts(self) -> dict:
+        """Multiset view: issue -> {ordering -> count}."""
+        out: dict = {}
+        for order, issue in self.pairs:
+            out.setdefault(issue, {})
+            out[issue][order] = out[issue].get(order, 0) + 1
+        return out
+
+    def cells(self) -> tuple[list, np.ndarray]:
+        """The ``(cells, pairs)`` form of ``repsoc.sample_pairs``: the distinct (issue,
+        ordering) cells in order of first appearance, and each pair's cell index."""
+        index: dict = {}
+        pairs = [index.setdefault((issue, order), len(index)) for order, issue in self.pairs]
+        return list(index), np.array(pairs, dtype=np.intp)
+
+
+@dataclass(frozen=True)
+class MechanismResult:
+    chosen: Profile
+    sample_objective: float
+    tie_set_size: int
+    tie_broken: bool
+
+
+def scoring_mechanism(sample: SampleSet, space: CandidateSpace, rule: ScoringRule) -> MechanismResult:
+    """Argmax of the average rule score over the space: :func:`decide_tallies` of one tally."""
+    counts = sample.counts()
+    cells = [(issue, order) for issue, dist in counts.items() for order in dist]
+    row = np.array([[counts[issue][order] for issue, order in cells]], dtype=np.int64)
+    total = len(sample)
+    if total == 0:
+        warnings.warn("scoring mechanism over an empty sample: canonical output", stacklevel=2)
+    decided = decide_tallies(row, cells, space, rule)
+    ties = prod(decided.ties[0].tolist())
+    objective = int(decided.points[0]) / (rule.top(space.issue_space.n) * total) if total else 0.0
+    chosen = _profile(space._codes(), decided.winners[0].tolist())
+    return MechanismResult(chosen, objective, tie_set_size=ties, tie_broken=ties > 1)
 
 
 def weighted_points(rule: ScoringRule, weights: dict, target: LinearOrder):

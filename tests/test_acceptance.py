@@ -18,7 +18,6 @@ from scipy.stats import binom
 from repsoc import (
     CandidateSpace,
     EXACT_MATCH,
-    InducedLossClass,
     IssueSpace,
     KENDALL,
     LinearOrder,
@@ -47,7 +46,6 @@ from repsoc import (
     scc_condensation,
     save_candidate_space,
     save_population,
-    scoring_mechanism,
     synthesize_acyclic,
     vc_dimension_with_witness,
 )
@@ -60,7 +58,7 @@ from tests.conftest import (
     random_sample,
     random_subset_space,
 )
-from tests.mechanism_reference import majority_vote
+from tests.mechanism_reference import majority_vote, scoring_mechanism
 
 SEED = 20260823
 
@@ -175,9 +173,7 @@ def test_criterion_5_rademacher_massart():
         space = random_explicit_space(rng, issues, 3, int(rng.integers(2, 21)))
         sample = random_sample(rng, issues, 3, int(rng.integers(20, 101)))
         rule = KENDALL if trial % 2 else EXACT_MATCH
-        estimate, stderr = empirical_rademacher(
-            InducedLossClass(space, rule), sample, 200, seed=SEED + trial
-        )
+        estimate, stderr = empirical_rademacher(space, rule, *sample.cells(), 200, seed=SEED + trial)
         bound = massart_bound(space.size(), len(sample))
         assert estimate <= bound + 3 * stderr, (
             f"class {trial}: {estimate:.4f} > {bound:.4f} + 3*{stderr:.4f}"

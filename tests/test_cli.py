@@ -325,6 +325,13 @@ class TestOtherKinds:
             },
         )
         assert main(["run", config, "--check", "--out", str(tmp / "out")]) == 0
+        # the bytes of the per-pair float scoring that this run was first recorded with
+        results = json.loads((tmp / "out" / "summary.json").read_text())["results"]
+        assert {key: float.hex(results[key]) for key in ("estimate", "stderr", "massart_bound")} == {
+            "estimate": "0x1.f06f694467383p-5",
+            "stderr": "0x1.2326d16381d24p-8",
+            "massart_bound": "0x1.5503adab4a439p-3",
+        }
 
     def test_rademacher_unknown_scoring_rule(self, binary_setup, capsys):
         tmp = binary_setup["tmp"]
@@ -640,6 +647,40 @@ CAPACITY_INPUTS = {
 }
 
 
+@pytest.mark.parametrize(
+    "kind, key",
+    [(_generalization, "population"), (_axiom, "population"), (_rademacher, "population"),
+     (_axiom, "population_b")],
+    ids=["generalization", "axiom", "rademacher", "axiom-population-b"],
+)
+def test_saliency_on_an_issue_the_space_lacks_exits_2_on_every_seed(kind, key, binary_setup, monkeypatch, capsys):
+    """Issue 'b' has saliency 0.02 and is no issue of the space.  Whether a committee happens
+    to draw it depends on the seed (the axiom and rademacher runs here drew none on two and
+    five of these seeds), so the population is rejected before any draw; with zero saliency
+    on 'b' it is never drawn, and the run goes ahead."""
+    tmp = binary_setup["tmp"]
+
+    def config(weight):
+        path = tmp / f"population_with_b_{weight}.json"
+        path.write_text(json.dumps({
+            "issues": ["i0", "i1", "b"], "N": 2,
+            "saliency": {"i0": 0.5 - weight / 2, "i1": 0.5 - weight / 2, "b": weight},
+            "marginals": {issue: {"0>1": 0.8, "1>0": 0.2} for issue in ("i0", "i1", "b")},
+        }))
+        return ["run", write_config(tmp, kind(binary_setup, **{key: str(path)})), "--out", str(tmp / "out")]
+
+    lacking = config(0.02)
+    for seed in range(6):
+        monkeypatch.setenv("REPSOC_SEED", str(seed))
+        assert main(lacking) == 2
+        assert capsys.readouterr().err == (
+            f"error: config key {key!r}: the population puts saliency on issue 'b', "
+            "which the candidate space lacks\n"
+        )
+    with pytest.warns(UserWarning, match="zero weight"):
+        assert main(config(0.0)) == 0
+
+
 @pytest.mark.parametrize("case", sorted(CAPACITY_INPUTS))
 def test_capacity_input_exits_3_naming_it(case, binary_setup, capsys):
     build, named = CAPACITY_INPUTS[case]
@@ -776,6 +817,13 @@ def test_rademacher_over_a_five_issue_full_space(tmp_path):
          "scoring_rule": "kendall", "sample_size": 40, "sign_draws": 100, "seed": 3},
     )
     assert main(["run", config, "--check", "--out", str(tmp_path / "out")]) == 0
+    # the bytes of the per-pair float scoring that this run was first recorded with
+    results = json.loads((tmp_path / "out" / "summary.json").read_text())["results"]
+    assert {key: float.hex(results[key]) for key in ("estimate", "stderr", "massart_bound")} == {
+        "estimate": "0x1.249ba5e353f7dp-3",
+        "stderr": "0x1.21e63762a3df8p-7",
+        "massart_bound": "0x1.c85fa97e9b59bp-1",
+    }
 
 
 def test_vc_over_a_25_issue_full_binary_space(tmp_path):

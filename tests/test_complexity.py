@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,21 +11,21 @@ from repsoc import (
     CandidateSpace,
     CapacityError,
     EXACT_MATCH,
-    InducedLossClass,
     InvalidArgumentError,
     IssueSpace,
     KENDALL,
     LinearOrder,
     Profile,
-    SampleSet,
     UnsupportedError,
     empirical_rademacher,
     is_shattered,
     massart_bound,
     vc_dimension_with_witness,
 )
+from repsoc import complexity
 from repsoc.rng import derive_rng
 from tests.conftest import member_rows, random_explicit_space, random_sample
+from tests.mechanism_reference import SampleSet
 
 
 def lo(text):
@@ -70,11 +71,21 @@ def enumerated_is_shattered(space, issue_subset):
     return len(projected) == 2 ** len(cols)
 
 
-def enumerated_rademacher(loss_class, sample, num_sign_draws, seed):
-    rule = loss_class.rule
-    profiles = list(loss_class.space.enumerate_profiles())
+def shuffled_cells(rng, sample, extra=()):
+    """The sample as ``(cells, pairs)``, its cells in a random order among ``extra`` unsampled
+    cells, so that cell indices follow neither the sample's nor a canonical order."""
+    sampled, pairs = sample.cells()
+    cells = sampled + [cell for cell in extra if cell not in sampled]
+    order = rng.permutation(len(cells))
+    at = np.argsort(order)  # a cell's new index
+    return [cells[k] for k in order], at[pairs]
+
+
+def enumerated_rademacher(space, rule, cells, pairs, num_sign_draws, seed):
+    profiles = list(space.enumerate_profiles())
+    sample = [cells[c] for c in pairs]
     scores = np.array(
-        [[rule.evaluate(order, profile(issue)) for order, issue in sample] for profile in profiles]
+        [[rule.evaluate(order, profile(issue)) for issue, order in sample] for profile in profiles]
     )  # shape (|space|, |sample|)
     rng = derive_rng(seed)
     signs = rng.integers(0, 2, size=(num_sign_draws, len(sample))) * 2 - 1
@@ -128,19 +139,20 @@ def member_is_shattered(space, issue_subset):
     )
 
 
-def member_rademacher(loss_class, sample, num_sign_draws, seed):
-    rule = loss_class.rule
-    blocks = list(member_rows(loss_class.space))
+def member_rademacher(space, rule, cells, pairs, num_sign_draws, seed):
+    """Scores every (member, pair) with float ``rule.evaluate``, one pair at a time."""
+    sample = [cells[c] for c in pairs]
+    blocks = list(member_rows(space))
     column = {issue: (b, k) for b, (ids, _) in enumerate(blocks) for k, issue in enumerate(ids)}
     parts = [[] for _ in blocks]
-    for j, (_, issue) in enumerate(sample):
+    for j, (issue, _) in enumerate(sample):
         parts[column[issue][0]].append((j, column[issue][1]))
     signs = derive_rng(seed).integers(0, 2, size=(num_sign_draws, len(sample))) * 2 - 1
     maxima = []
     for (_, rows), part in zip(blocks, parts):
         if part:
             scores = np.array(
-                [[rule.evaluate(sample.pairs[j][0], row[k]) for j, k in part] for row in rows]
+                [[rule.evaluate(sample[j][1], row[k]) for j, k in part] for row in rows]
             )  # shape (block members, sample pairs on the block)
             maxima.append((signs[:, [j for j, _ in part]] @ scores.T).max(axis=1))
     per_draw = sum(maxima) / len(sample)
@@ -190,7 +202,7 @@ def test_vc_and_shattering_match_enumeration():
 
 
 def test_rademacher_matches_enumeration():
-    rng = np.random.default_rng(10)
+    rng, shuffle = np.random.default_rng(10), np.random.default_rng(110)
     checked = {"one block": 0, "several blocks": 0}
     for trial in range(120):
         n = 2 + trial % 3
@@ -198,11 +210,11 @@ def test_rademacher_matches_enumeration():
         space = random_space(rng, n, issue_count, most_members=6)
         issues = space.issue_space.issue_ids
         sample = random_sample(rng, issues, n, int(rng.integers(1, 30)))
+        cells, pairs = shuffled_cells(shuffle, sample, random_sample(shuffle, issues, n, 3).cells()[0])
         for rule in (EXACT_MATCH, KENDALL):
-            loss_class = InducedLossClass(space, rule)
             draws = int(rng.integers(1, 60))
-            got = empirical_rademacher(loss_class, sample, draws, seed=trial)
-            expected = enumerated_rademacher(loss_class, sample, draws, seed=trial)
+            got = empirical_rademacher(space, rule, cells, pairs, draws, seed=trial)
+            expected = enumerated_rademacher(space, rule, cells, pairs, draws, seed=trial)
             if len(list(member_rows(space))) == 1:
                 checked["one block"] += 1
                 assert got == expected
@@ -227,19 +239,67 @@ def test_vc_and_shattering_match_the_per_member_reference():
 
 
 def test_rademacher_matches_the_per_member_reference_bit_for_bit():
-    rng = np.random.default_rng(13)
+    rng, shuffle = np.random.default_rng(13), np.random.default_rng(113)
     repeated = 0
     for trial in range(150):
         n = 2 + trial % 3
         space = random_space(rng, n, int(rng.integers(1, 5)), most_members=60)
         repeated += repeats_orderings(space)
         sample = random_sample(rng, space.issue_space.issue_ids, n, int(rng.integers(1, 40)))
+        cells, pairs = shuffled_cells(shuffle, sample)
         for rule in (EXACT_MATCH, KENDALL):
-            loss_class = InducedLossClass(space, rule)
             draws = int(rng.integers(1, 60))
-            expected = member_rademacher(loss_class, sample, draws, seed=trial)
-            assert empirical_rademacher(loss_class, sample, draws, seed=trial) == expected
+            expected = member_rademacher(space, rule, cells, pairs, draws, seed=trial)
+            assert empirical_rademacher(space, rule, cells, pairs, draws, seed=trial) == expected
     assert repeated > 50
+
+
+def test_rademacher_slices_match_the_per_member_reference_under_forced_caps(monkeypatch):
+    """Under caps of 1 to 30 entries the one-hot rows come a few cells at a time, and the
+    Kendall points tables of blocks over two to four issues are built a slice of orderings
+    at a time; every estimate is still the per-pair reference's, bit for bit."""
+    rng, shuffle = np.random.default_rng(14), np.random.default_rng(114)
+    calls = []
+    block_scores = complexity.block_scores
+    monkeypatch.setattr(complexity, "block_scores", lambda rows, *rest: calls.append(len(rows)) or block_scores(rows, *rest))
+    wide = 0
+    for trial in range(60):
+        n = 3 + trial % 2
+        space = random_space(rng, n, int(rng.integers(2, 5)), most_members=20)
+        wide += any(len(issues) > 1 for issues, _ in member_rows(space))
+        sample = random_sample(rng, space.issue_space.issue_ids, n, int(rng.integers(10, 40)))
+        cells, pairs = shuffled_cells(shuffle, sample)
+        distinct = len(set(pairs.tolist()))
+        for cap, rule in itertools.product((1, 9, 30), (EXACT_MATCH, KENDALL)):
+            expected = member_rademacher(space, rule, cells, pairs, 25, seed=trial)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                for module in ("repsoc.mechanisms", "repsoc.complexity"):
+                    patch.setattr(f"{module}.DEFAULT_ENUMERATION_CAP", cap)
+                assert empirical_rademacher(space, rule, cells, pairs, 25, seed=trial) == expected
+            step = math.isqrt(cap)  # one-hot rows per slice
+            assert calls == [min(step, distinct - lo) for lo in range(0, distinct, step)]
+    assert wide > 20
+
+
+def test_rademacher_one_hot_rows_stay_within_a_forced_cap(monkeypatch):
+    """About 900 distinct cells of a full 40-issue N = 4 space under a cap of 10,000 entries:
+    the one-hot rows come 100 cells at a time, so no 900 x 900 matrix (6.5 MB) is built."""
+    space = CandidateSpace.full(IssueSpace(tuple(f"i{k}" for k in range(40)), 4))
+    sample = random_sample(np.random.default_rng(15), space.issue_space.issue_ids, 4, 3000)
+    cells, pairs = sample.cells()
+    assert len(cells) > 850
+    expected = empirical_rademacher(space, KENDALL, cells, pairs, 5, seed=2)
+    for module in ("repsoc.mechanisms", "repsoc.complexity"):
+        monkeypatch.setattr(f"{module}.DEFAULT_ENUMERATION_CAP", 10_000)
+    tracemalloc.start()
+    try:
+        got = empirical_rademacher(space, KENDALL, cells, pairs, 5, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_500_000
+    assert got == expected
 
 
 def test_rademacher_sample_issue_outside_the_space():
@@ -248,10 +308,10 @@ def test_rademacher_sample_issue_outside_the_space():
         [(("a",), [Profile({"a": lo("0>1")})]), (("b", "c"), [Profile({"b": lo("1>0"), "c": lo("0>1")})])],
         issues,
     )
-    sample = SampleSet(pairs=((lo("0>1"), "a"), (lo("1>0"), "c"), (lo("0>1"), "zz")))
+    cells = [("a", lo("0>1")), ("c", lo("1>0")), ("zz", lo("0>1"))]
     for rule in (EXACT_MATCH, KENDALL):
         with pytest.raises(InvalidArgumentError, match="'zz'"):
-            empirical_rademacher(InducedLossClass(space, rule), sample, 10, seed=0)
+            empirical_rademacher(space, rule, cells, np.arange(3), 10, seed=0)
 
 
 class TestVCDimension:
@@ -319,9 +379,7 @@ class TestRademacher:
         space = random_explicit_space(rng, ("a", "b"), 3, 1)
         sample = random_sample(rng, ("a", "b"), 3, 64)
         draws = 400
-        estimate, stderr = empirical_rademacher(
-            InducedLossClass(space, KENDALL), sample, draws, seed=5
-        )
+        estimate, stderr = empirical_rademacher(space, KENDALL, *sample.cells(), draws, seed=5)
         assert abs(estimate) <= 3.0 / math.sqrt(len(sample) * draws)
 
     def test_massart_bound_holds(self, rng):
@@ -329,35 +387,31 @@ class TestRademacher:
             space = random_explicit_space(rng, ("a", "b"), 3, int(rng.integers(2, 9)))
             sample = random_sample(rng, ("a", "b"), 3, int(rng.integers(20, 80)))
             rule = KENDALL if trial % 2 else EXACT_MATCH
-            estimate, stderr = empirical_rademacher(
-                InducedLossClass(space, rule), sample, 200, seed=trial
-            )
+            estimate, stderr = empirical_rademacher(space, rule, *sample.cells(), 200, seed=trial)
             assert estimate <= massart_bound(space.size(), len(sample)) + 3 * stderr
 
     def test_doubling_sample_scales_by_inverse_sqrt2(self, rng):
         space = random_explicit_space(rng, ("a", "b"), 3, 6)
         sample = random_sample(rng, ("a", "b"), 3, 200)
         doubled = SampleSet(pairs=sample.pairs + sample.pairs)
-        est1, _ = empirical_rademacher(InducedLossClass(space, KENDALL), sample, 2000, seed=1)
-        est2, _ = empirical_rademacher(InducedLossClass(space, KENDALL), doubled, 2000, seed=2)
+        est1, _ = empirical_rademacher(space, KENDALL, *sample.cells(), 2000, seed=1)
+        est2, _ = empirical_rademacher(space, KENDALL, *doubled.cells(), 2000, seed=2)
         assert est2 == pytest.approx(est1 / math.sqrt(2), rel=0.2)
 
     def test_errors(self, rng):
         space = random_explicit_space(rng, ("a",), 2, 1)
         empty = SampleSet(pairs=())
         with pytest.raises(InvalidArgumentError):
-            empirical_rademacher(InducedLossClass(space, KENDALL), empty, 10, seed=0)
+            empirical_rademacher(space, KENDALL, *empty.cells(), 10, seed=0)
         sample = random_sample(rng, ("a",), 2, 5)
         with pytest.raises(InvalidArgumentError):
-            empirical_rademacher(InducedLossClass(space, KENDALL), sample, 0, seed=0)
+            empirical_rademacher(space, KENDALL, *sample.cells(), 0, seed=0)
 
     def test_deterministic_given_seed(self, rng):
         space = random_explicit_space(rng, ("a", "b"), 3, 4)
         sample = random_sample(rng, ("a", "b"), 3, 30)
-        cls = InducedLossClass(space, EXACT_MATCH)
-        assert empirical_rademacher(cls, sample, 100, seed=9) == empirical_rademacher(
-            cls, sample, 100, seed=9
-        )
+        args = (space, EXACT_MATCH, *sample.cells(), 100)
+        assert empirical_rademacher(*args, seed=9) == empirical_rademacher(*args, seed=9)
 
 
 def test_massart_bound_formula():
@@ -381,4 +435,4 @@ def test_enumerates_nothing(monkeypatch):
     assert is_shattered(binary, ("a", "c"))
     space = random_explicit_space(rng, ("a", "b"), 3, 5)
     sample = random_sample(rng, ("a", "b"), 3, 20)
-    empirical_rademacher(InducedLossClass(space, KENDALL), sample, 10, seed=0)
+    empirical_rademacher(space, KENDALL, *sample.cells(), 10, seed=0)

@@ -21,13 +21,11 @@ from repsoc import (
     MarginalPopulation,
     Profile,
     SaliencyDistribution,
-    SampleSet,
     all_linear_orders,
     exact_match_score,
     decide_tallies,
     load_candidate_space,
     make_mechanism,
-    scoring_mechanism,
     save_candidate_space,
     synthesize_acyclic,
 )
@@ -35,12 +33,14 @@ from repsoc import mechanisms
 from repsoc.privilege import PrivilegeGraph
 from tests.conftest import member_indices, random_explicit_space, random_sample, uniform_population
 from tests.mechanism_reference import (
+    SampleSet,
     counts_of_row,
     majority_vote,
     population_score,
     population_utility,
     sample_score,
     sample_utility,
+    scoring_mechanism,
     scoring_mechanism_from_counts,
 )
 

@@ -46,6 +46,20 @@ class TestLinearOrder:
             assert hash(o) == hash((o.ranking,))
         assert len({lo("1>0"), LinearOrder((1, 0)), lo("0>1")}) == 2
 
+    def test_slots_leave_no_instance_dict(self):
+        """An order holds its ranking, positions and hash in slots: no per-instance ``__dict__``,
+        no new attribute, and the same equality and hash as before."""
+        o = lo("2>0>1")
+        assert not hasattr(o, "__dict__")
+        assert LinearOrder.__slots__ == ("ranking", "position", "_hash")
+        with pytest.raises((AttributeError, TypeError)):
+            o.label = "x"
+        with pytest.raises(AttributeError):  # frozen
+            o.ranking = (0, 1, 2)
+        assert o == LinearOrder((2, 0, 1)) and o != lo("0>1>2") and o != (2, 0, 1)
+        assert hash(o) == hash(LinearOrder([2, 0, 1])) == hash(((2, 0, 1),))
+        assert {o: 1}[lo("2>0>1")] == 1
+
     def test_rejects_non_permutation(self):
         with pytest.raises(InvalidArgumentError):
             LinearOrder((0, 0, 1))

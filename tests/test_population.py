@@ -112,34 +112,41 @@ class TestSamplePairs:
     def test_deterministic_population(self):
         saliency = SaliencyDistribution({"i": 1.0})
         pop = MarginalPopulation({"i": {lo("1>0"): 1.0}})
-        sample = sample_pairs(saliency, pop, 25, seed=1)
-        assert len(sample) == 25
-        assert all(pair == (lo("1>0"), "i") for pair in sample)
+        cells, pairs = sample_pairs(saliency, pop, 25, seed=1)
+        assert len(pairs) == 25
+        assert all(cells[c] == ("i", lo("1>0")) for c in pairs)
 
     def test_same_seed_same_sample(self):
         saliency = SaliencyDistribution({"i": 0.25, "j": 0.75})
         pop = uniform_population(("i", "j"), 3)
-        a = sample_pairs(saliency, pop, 500, seed=7)
-        b = sample_pairs(saliency, pop, 500, seed=7)
-        assert a.pairs == b.pairs
-        c = sample_pairs(saliency, pop, 500, seed=8)
-        assert a.pairs != c.pairs
+        cells_a, a = sample_pairs(saliency, pop, 500, seed=7)
+        cells_b, b = sample_pairs(saliency, pop, 500, seed=7)
+        assert cells_a == cells_b and (a == b).all()
+        cells_c, c = sample_pairs(saliency, pop, 500, seed=8)
+        assert cells_c == cells_a and (a != c).any()
 
     def test_issue_frequencies(self):
         n = 100_000
         saliency = SaliencyDistribution({"i": 0.25, "j": 0.75})
         pop = uniform_population(("i", "j"), 2)
-        sample = sample_pairs(saliency, pop, n, seed=3)
-        freq_i = sum(1 for _, issue in sample if issue == "i") / n
+        cells, pairs = sample_pairs(saliency, pop, n, seed=3)
+        freq_i = sum(1 for c in pairs.tolist() if cells[c][0] == "i") / n
         se = math.sqrt(0.25 * 0.75 / n)
         assert abs(freq_i - 0.25) <= 3 * se
 
     def test_counts_multiset(self):
         saliency = SaliencyDistribution({"i": 1.0})
         pop = MarginalPopulation({"i": {lo("0>1"): 0.5, lo("1>0"): 0.5}})
-        sample = sample_pairs(saliency, pop, 40, seed=2)
-        counts = sample.counts()
-        assert sum(counts["i"].values()) == 40
+        cells, pairs = sample_pairs(saliency, pop, 40, seed=2)
+        assert cells == [("i", lo("0>1")), ("i", lo("1>0"))]  # canonical (issue, ranking) order
+        counts = np.bincount(pairs, minlength=len(cells))
+        assert counts.sum() == 40 and counts.all()
+
+    def test_empty_sample(self):
+        saliency = SaliencyDistribution({"i": 1.0})
+        pop = MarginalPopulation({"i": {lo("0>1"): 1.0}})
+        cells, pairs = sample_pairs(saliency, pop, 0, seed=0)
+        assert cells == [("i", lo("0>1"))] and pairs.shape == (0,)
 
     def test_negative_size_rejected(self):
         saliency = SaliencyDistribution({"i": 1.0})
@@ -178,8 +185,8 @@ def test_sampling_matches_marginals(rng):
     saliency = SaliencyDistribution({"i": 1.0})
     pop = MarginalPopulation({"i": {lo("0>1>2"): 0.2, lo("1>0>2"): 0.5, lo("2>1>0"): 0.3}})
     n = 30_000
-    sample = sample_pairs(saliency, pop, n, seed=11)
-    counts = sample.counts()["i"]
+    cells, pairs = sample_pairs(saliency, pop, n, seed=11)
+    counts = dict(zip(cells, np.bincount(pairs, minlength=len(cells)).tolist()))
     for order, p in pop.distribution("i").items():
         se = math.sqrt(p * (1 - p) / n)
-        assert abs(counts.get(order, 0) / n - p) <= 4 * se
+        assert abs(counts.get(("i", order), 0) / n - p) <= 4 * se

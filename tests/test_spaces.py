@@ -15,14 +15,13 @@ from repsoc import (
     IssueSpace,
     LinearOrder,
     Profile,
-    SampleSet,
     all_linear_orders,
     load_candidate_space,
     save_candidate_space,
 )
 from repsoc.spaces import DEFAULT_ENUMERATION_CAP
 from tests.conftest import candidate_spaces, member_rows
-from tests.mechanism_reference import majority_vote
+from tests.mechanism_reference import SampleSet, majority_vote
 
 
 def lo(text):
