@@ -266,6 +266,18 @@ def _quotient(space: CandidateSpace, cells) -> CandidateSpace:
     return CandidateSpace("product", space.issue_space, tuple(blocks))
 
 
+def _row_ids(rows: np.ndarray) -> np.ndarray:
+    """Each row's id among the distinct rows of ``rows`` in lexicographic order, the inverse of
+    ``np.unique(rows, axis=0)``: a lexsort, and a compare against each sorted row's neighbour."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    starts = np.ones(len(rows), dtype=np.intp)  # 1 where a sorted row differs from the one before
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    ids = np.empty(len(rows), dtype=np.intp)
+    ids[order] = np.cumsum(starts) - 1
+    return ids
+
+
 def _space_blocks(space: CandidateSpace, saliency, population):
     """The blocks of ``space`` with each member's population terms, looked up once per
     distinct ordering of a column and gathered by the column codes.
@@ -283,8 +295,7 @@ def _space_blocks(space: CandidateSpace, saliency, population):
         place.update((issue, (len(blocks), j)) for j, issue in enumerate(issues))
         tables = [[term_of[i].get(o, 0.0) for o in c] for i, c in zip(issues, columns)]
         terms = np.stack([np.array(t)[code] for t, code in zip(tables, codes.T)], axis=1)
-        _, term_ids = np.unique(terms, axis=0, return_inverse=True)
-        blocks.append(_Block(terms=terms, term_ids=term_ids.ravel(), totals=terms.sum(axis=1)))
+        blocks.append(_Block(terms=terms, term_ids=_row_ids(terms), totals=terms.sum(axis=1)))
     return blocks, [place[issue] for issue in weighted]
 
 

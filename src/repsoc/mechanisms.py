@@ -2,13 +2,15 @@
 
 A :class:`Mechanism` is a scoring rule maximized over a candidate space.  It is
 anonymous: it sees only tallies, the number of sampled pairs in each (issue,
-ordering) cell.  Majority vote is exact-match scoring.  :func:`block_scores` is
-the one path from a (tallies x cells) count matrix to each member's exact int64
-points, and :func:`_points` the one place a lab calls ``rule.points``.  The
-objective is a sum over issues, so each block of the space is scored on its own:
-each distinct ordering of a block column scores the counts times its points
-(exact match: its own cell's count, placed by index), and the members' points
-are gathered by their column codes.  No array holds more than
+ordering) cell.  Majority vote is exact-match scoring.  A rule scores one pair of
+orderings with ``rule.points``, the reference, and a whole (tallied x column) points
+table at once with ``rule.table``: Kendall tables are a product of the orderings' +-1
+signs over their outcome pairs, exact-match tables compare ranking ids.
+:func:`block_scores` is the one path from a (tallies x cells) count matrix to each
+member's exact int64 points.  The objective is a sum over issues, so each block of the
+space is scored on its own: each distinct ordering of a block column scores the counts
+times its points table (exact match: its own cell's count, placed by index), and the
+members' points are gathered by their column codes.  No array holds more than
 ``DEFAULT_ENUMERATION_CAP`` entries.  :func:`decide_tallies` reduces the scores
 to each block's first maximum in ``enumerate_profiles`` (rank-tuple) order and
 its tie count, as member indices, on which the axiom lab tests its failure
@@ -26,7 +28,9 @@ pairwise majority of each flip pair, and a tie keeps the canonical
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, count, product, repeat
 from math import ceil
+from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -49,11 +53,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScoringRule:
-    """Integer agreement points of two linear orders, in ``[0, top(n)]``; higher means closer."""
+    """Integer agreement points of two linear orders, in ``[0, top(n)]``; higher means closer.
+
+    ``table(tallied, column)`` gives every pair's points at once, as the int64 matrix
+    ``T[c, d] = points(tallied[c], column[d])``, and raises as ``points`` does for orders of
+    different sizes."""
 
     name: str
     points: Callable[[LinearOrder, LinearOrder], int]
     top: Callable[[int], int]
+    table: Callable[[Sequence[LinearOrder], Sequence[LinearOrder]], np.ndarray]
 
     def evaluate(self, a: LinearOrder, b: LinearOrder) -> float:
         """The points as a score in [0, 1]: 1 on full agreement."""
@@ -61,8 +70,51 @@ class ScoringRule:
         return 1.0 - (top - self.points(a, b)) / top
 
 
-KENDALL = ScoringRule("kendall", concordant_pairs, lambda n: n * (n - 1) // 2)
-EXACT_MATCH = ScoringRule("exact", lambda o, other: int(exact_match_score(o, other)), lambda n: 1)
+def _outcome_count(*lists: Sequence[LinearOrder]) -> int:
+    """The outcome count of every ordering in ``lists`` (0 if there is none); raises if two differ."""
+    sizes = set(map(len, map(attrgetter("ranking"), chain(*lists))))
+    if len(sizes) > 1:
+        raise InvalidArgumentError(f"order sizes differ: {min(sizes)} vs {max(sizes)}")
+    return sizes.pop() if sizes else 0
+
+
+def _kendall_table(tallied: Sequence[LinearOrder], column: Sequence[LinearOrder]) -> np.ndarray:
+    """Concordant pairs as ``(top + s @ t) // 2`` over two orderings' pair signs ``s`` and ``t``:
+    +1 where an ordering ranks outcome ``x`` above ``y``, for each outcome pair ``x < y``, and
+    -1 where it ranks ``y`` above ``x``.  Their product is +1 on each concordant pair and -1 on
+    each other one.  The signs are made a slice of orderings at a time, so that none of their
+    arrays passes the cap."""
+    n = _outcome_count(tallied, column)
+    x, y = np.nonzero(np.less.outer(np.arange(n), np.arange(n)))  # the outcome pairs x < y
+    dtype = np.min_scalar_type(n)
+
+    def signs(orders: Sequence[LinearOrder]) -> np.ndarray:  # (orders x pairs) int64
+        positions = np.fromiter(chain.from_iterable(map(attrgetter("position"), orders)), dtype, len(orders) * n)
+        positions = positions.reshape(len(orders), n)
+        return np.where(positions[:, x] < positions[:, y], 1, -1)
+
+    top, table = len(x), np.empty((len(tallied), len(column)), dtype=np.int64)
+    step = max(1, DEFAULT_ENUMERATION_CAP // max(n, top, 1))
+    for a, s in product(range(0, len(tallied), step), range(0, len(column), step)):
+        products = signs(tallied[a : a + step]) @ signs(column[s : s + step]).T
+        table[a : a + step, s : s + step] = (top + products) // 2
+    return table
+
+
+def _exact_table(tallied: Sequence[LinearOrder], column: Sequence[LinearOrder]) -> np.ndarray:
+    """1 where the orderings are equal: each distinct tallied ranking gets an id, and a column
+    ordering the id of its ranking (-1 if none is tallied)."""
+    _outcome_count(tallied, column)
+    ids: dict = {}
+    rows = np.fromiter(map(ids.setdefault, map(attrgetter("ranking"), tallied), count()), np.intp, len(tallied))
+    columns = np.fromiter(map(ids.get, map(attrgetter("ranking"), column), repeat(-1)), np.intp, len(column))
+    return (rows[:, None] == columns).astype(np.int64)
+
+
+KENDALL = ScoringRule("kendall", concordant_pairs, lambda n: n * (n - 1) // 2, _kendall_table)
+EXACT_MATCH = ScoringRule(
+    "exact", lambda o, other: int(exact_match_score(o, other)), lambda n: 1, _exact_table
+)
 
 SCORING_RULES = {rule.name: rule for rule in (KENDALL, EXACT_MATCH)}
 
@@ -93,11 +145,6 @@ def check_headroom(total: int, rule: ScoringRule, n: int) -> None:
             f"committee sizes must be at most {(2**63 - 1) // rule.top(n)} under {rule.name} "
             f"scoring at N = {n}, so that scores stay below 2**63; got {total}"
         )
-
-
-def _points(tallied: Sequence, column: Sequence, rule: ScoringRule) -> np.ndarray:
-    """The points matrix ``P[c, d] = rule.points(tallied[c], column[d])``."""
-    return np.array([[rule.points(o, c) for c in column] for o in tallied], dtype=np.int64)
 
 
 def block_scores(
@@ -148,12 +195,12 @@ def block_scores(
                 js = [j for j in by_issue.get(issue, ()) if used[j]]
                 if js and len(js) * len(column) <= DEFAULT_ENUMERATION_CAP:
                     if issue not in tables:
-                        tables[issue] = _points([cells[j][1] for j in js], column, rule)
+                        tables[issue] = rule.table([cells[j][1] for j in js], column)
                     laid[:, a:z] = chunk[:, js] @ tables[issue]
                 elif js := [j for j in js if live[j]]:  # the chunk's cells, a slice at a time
                     tallied, width = [cells[j][1] for j in js], max(1, DEFAULT_ENUMERATION_CAP // len(js))
                     for s in range(a, z, width):
-                        part = _points(tallied, column[s - a : s - a + width], rule)
+                        part = rule.table(tallied, column[s - a : s - a + width])
                         laid[:, s : s + part.shape[1]] = chunk[:, js] @ part
             # a one-issue block's members are its column, in order
             gathered = (np.take(laid, codes[:, k] + end[k], axis=1) for k in range(len(issues)))

@@ -296,13 +296,17 @@ def load_population(path):
             for key, w in _expect(saliency_raw, dict, "saliency").items()
         }
     )
-    per_issue = {
-        space.resolve(key): {
-            LinearOrder.from_string(text): float(_expect(p, Real, text))
-            for text, p in _expect(dist, dict, key).items()
-        }
-        for key, dist in _expect(marginals_raw, dict, "marginals").items()
-    }
+    per_issue = {}
+    for key, dist in _expect(marginals_raw, dict, "marginals").items():
+        text_of: dict = {}  # ordering -> the text that listed it
+        per_issue[space.resolve(key)] = marginal = {}
+        for text, p in _expect(dist, dict, key).items():
+            order = LinearOrder.from_string(text)
+            if order in text_of:
+                raise InvalidArgumentError(
+                    f"population file key {key!r}: {text_of[order]!r} and {text!r} are the same ordering"
+                )
+            text_of[order], marginal[order] = text, float(_expect(p, Real, text))
     for order_dist in per_issue.values():
         for order in order_dist:
             if order.n != n:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import factorial, prod
@@ -79,45 +80,71 @@ def _encode(issues: tuple, ids: np.ndarray, orders: list) -> tuple:
 def _coded(variant: str, issue_space: IssueSpace, given, resolve, parse) -> "CandidateSpace":
     """The space of the ``(issue ids, entries)`` blocks of ``given``, which must partition
     the issue set; an entry maps keys to orderings.  ``resolve(key)`` gives a key's issue
-    and ``parse(key, value)`` a value's ordering, each once per distinct key or value, so
-    an entry whose keys and values were all seen costs one dict lookup per issue.  Every
-    entry is read before any is checked; an entry that does not order exactly its block's
-    issues over ``N`` outcomes raises as its profile would."""
+    and ``parse(key, value)`` a value's ordering, each once per distinct key or value, in
+    file order, so the first bad key or value raises first.  A block's entries are decoded
+    in whole-array passes, with no Python step per entry: their keys and values are chained,
+    each value is hashed once to find where it is first seen, the (key, value) pairs where a
+    key or a value is first seen are resolved and parsed in file order, each value takes the
+    ordering index of its first place, and each distinct key order is placed on the block's
+    issues once.  Every entry is read before any is checked; an entry that does not order
+    exactly its block's issues over ``N`` outcomes raises as its profile would."""
     n, issue_of, index_of, orders, by_ranking, wrong_n = issue_space.n, {}, {}, [], {}, set()
 
-    def index(key, value) -> int:  # the index in orders of the value's ordering
+    def learn(key, value) -> None:  # resolve the key and parse the value, if either is new
         if key not in issue_of:
             issue_of[key] = resolve(key)
-        try:
-            return index_of[value]
-        except (KeyError, TypeError):
+        if value not in index_of:
             order = parse(key, value)
-        if order.ranking not in by_ranking:
-            if order.n != n:
-                wrong_n.add(len(orders))
-            by_ranking[order.ranking] = len(orders)
-            orders.append(order)
-        index_of[value] = by_ranking[order.ranking]
-        return index_of[value]
+            if order.ranking not in by_ranking:
+                if order.n != n:
+                    wrong_n.add(len(orders))
+                by_ranking[order.ranking] = len(orders)
+                orders.append(order)
+            index_of[value] = by_ranking[order.ranking]
 
     def read(ids, entries) -> tuple:
         issues = tuple(sorted(set(ids), key=str))  # in sorted-id order
-        column_of = {issue: k for k, issue in enumerate(issues)}
-        takes, indices, bad = {}, [], None  # an entry's keys -> the entry position of each issue
-        for m, entry in enumerate(_expect(entries, list, "profiles")):
-            keys = tuple(_expect(entry, dict, "profiles"))
-            try:
-                row, take = [index_of[value] for value in entry.values()], takes[keys]
-            except (KeyError, TypeError):  # a new value or key order, or a bad entry
-                row = [index(key, value) for key, value in entry.items()]
-                at = {column_of.get(issue_of[key]): j for j, key in enumerate(keys)}
-                fits = None not in at and len(at) == len(keys) == len(issues)
-                take = [at[k] for k in range(len(issues))] if fits else False
-                take = takes[keys] = None if take == list(range(len(issues))) else take
-            if take is False or wrong_n and not wrong_n.isdisjoint(row):
-                bad, row, take = m if bad is None else bad, [0] * len(issues), None
-            indices.extend(row if take is None else [row[j] for j in take])
-        return issues, np.array(indices, dtype=np.intp).reshape(len(entries), len(issues)), bad, entries
+        entries = _expect(entries, list, "profiles")
+        if not all(map(isinstance, entries, itertools.repeat(dict))):  # the faults before it raise first
+            cut = next(m for m, entry in enumerate(entries) if not isinstance(entry, dict))
+            read(ids, entries[:cut])
+            _expect(entries[cut], dict, "profiles")
+        keys = [*itertools.chain.from_iterable(entries)]
+        values = [*itertools.chain.from_iterable(map(dict.values, entries))]
+        key_at = {key: keys.index(key) for key in dict.fromkeys(keys)}  # a key -> where first seen
+        value_at: dict = {}  # a value -> where first seen
+        try:
+            first = np.fromiter(map(value_at.setdefault, values, itertools.count()), np.intp, len(values))
+        except TypeError:  # an unhashable value, so no ordering text: the faults before it raise first
+            cut = next(j for j, value in enumerate(values) if not isinstance(value, Hashable))
+            for at in sorted(at for at in {*key_at.values(), *value_at.values()} if at < cut):
+                learn(keys[at], values[at])
+            resolve(keys[cut])
+            parse(keys[cut], values[cut])
+            raise
+        for at in sorted({*key_at.values(), *value_at.values()}):  # where a key or value is new
+            learn(keys[at], values[at])
+        index_at = np.zeros(len(values), dtype=np.intp)
+        index_at[list(value_at.values())] = [index_of[value] for value in value_at]
+        # each distinct key order, placed once on the block's issues: the entry position of each
+        layout_at: dict = {}  # a key order -> the first entry that has it
+        like = np.fromiter(map(layout_at.setdefault, map(tuple, entries), itertools.count()), np.intp, len(entries))
+        column_of, fits = {issue: k for k, issue in enumerate(issues)}, np.zeros(len(entries), dtype=bool)
+        takes = np.zeros((len(entries), len(issues)), dtype=np.intp)
+        for layout, m in layout_at.items():
+            at = {column_of.get(issue_of[key]): j for j, key in enumerate(layout)}
+            fits[m] = None not in at and len(at) == len(layout) == len(issues)
+            takes[m] = [at[k] for k in range(len(issues))] if fits[m] else 0
+        sizes = np.fromiter(map(len, entries), np.intp, len(entries))
+        ok = fits[like]
+        rows = np.zeros((len(entries), len(issues)), dtype=np.intp)
+        rows[ok] = index_at[first[(np.cumsum(sizes) - sizes)[ok, None] + takes[like[ok]]]]
+        if wrong_n:
+            wrong = np.zeros(len(orders), dtype=bool)
+            wrong[list(wrong_n)] = True
+            ok &= ~wrong[rows].any(axis=1)
+        bad = np.flatnonzero(~ok)
+        return issues, rows, int(bad[0]) if len(bad) else None, entries
 
     blocks, seen = [], set()
     for issues, rows, bad, entries in [read(ids, entries) for ids, entries in given]:  # all read first

@@ -520,6 +520,11 @@ BAD_INPUTS = {
     "space-issue-an-object": (
         _vc_over_space_file({"variant": "full", "issues": [{"x": 1}], "N": 2}), None, "'issues'"
     ),
+    "population-ordering-twice": (
+        _generalization_over_marginals({"i0": {"0>1": 0.5, "0 > 1": 0.5, "1>0": 0.5}, "i1": {"0>1": 1.0}}),
+        None,
+        "'0 > 1'",
+    ),
     "population-text-mass": (
         _generalization_over_marginals({"i0": {"0>1": "most"}, "i1": {"0>1": 1.0}}), None, "'0>1'"
     ),

@@ -160,6 +160,16 @@ def test_space_blocks_match_the_per_member_reference(inputs):
             assert array.dtype == reference.dtype and np.array_equal(array, reference)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.lists(st.sampled_from((0.0, 0.1, 0.2, 0.1 + 0.2, 0.3, 1 / 3)), min_size=k, max_size=k), min_size=1, max_size=40)))
+def test_row_ids_are_the_inverse_of_unique_rows(rows):
+    """Tied rows, and terms one ulp apart (0.1 + 0.2 and 0.3), get the ids ``np.unique`` gives."""
+    terms = np.array(rows, dtype=float).reshape(len(rows), -1)
+    _, expected = np.unique(terms, axis=0, return_inverse=True)
+    assert np.array_equal(experiments._row_ids(terms), expected.ravel())
+
+
 def first_of_each_class(space, cells):
     """Per block, the rows of the first member, in member order, of each class of members
     whose orderings agree on every issue or lie off the cells there: one by one."""
@@ -282,7 +292,7 @@ def test_forced_caps_match_the_default_cap_bit_for_bit(monkeypatch, variant, par
     assert (quotient.size() < space.size()) == partial
     sizes, trials = [0, 2, 9, 40], 25
     expected = generalization_experiment(space, saliency, population, sizes, trials, seed=9)
-    tabled = ScoringRule("exact", EXACT_MATCH.points, EXACT_MATCH.top)
+    tabled = ScoringRule("exact", EXACT_MATCH.points, EXACT_MATCH.top, EXACT_MATCH.table)
     for cap, rule in itertools.product((1, 7, 60, DEFAULT_ENUMERATION_CAP), (EXACT_MATCH, tabled)):
         with monkeypatch.context() as patch:
             patch.setattr("repsoc.mechanisms.DEFAULT_ENUMERATION_CAP", cap)
@@ -318,12 +328,14 @@ def test_lab_arrays_stay_within_a_forced_cap(monkeypatch):
 
 def test_wide_columns_are_counted_without_points_tables(monkeypatch):
     """A full N = 6 issue over a population on all 720 orderings: the members' counts are
-    placed by index, with no ``points`` call, where tables would score 720 x 720 pairs."""
+    placed by index, with no points table, where one would score 720 x 720 pairs."""
     orders = all_linear_orders(6)
     rng = np.random.default_rng(8)
     population = MarginalPopulation({"a": dict(zip(orders, rng.dirichlet(np.ones(720))))})
     space, saliency = CandidateSpace.full(IssueSpace(("a",), 6)), SaliencyDistribution({"a": 1.0})
-    monkeypatch.setattr("repsoc.mechanisms._points", None)  # a call would raise
+    untabled = ScoringRule("exact", EXACT_MATCH.points, EXACT_MATCH.top, None)  # a table would raise
+    for module in ("repsoc.mechanisms", "repsoc.experiments"):
+        monkeypatch.setattr(f"{module}.EXACT_MATCH", untabled)
     result = generalization_experiment(space, saliency, population, [0, 50, 5000], 30, seed=6)
     gaps, regret_slack = enumerated_generalization(space, saliency, population, [0, 50, 5000], 30, 6)
     for size in result.sizes:
@@ -364,7 +376,7 @@ def test_block_scores_are_c_ordered(rule, variant):
     space, saliency, population = _three_issue_setup(variant)
     cells, probs = _cells(saliency, population)
     rows = derive_rng(0, 0).multinomial(30, probs, size=12)
-    tabled = ScoringRule("exact", EXACT_MATCH.points, EXACT_MATCH.top)
+    tabled = ScoringRule("exact", EXACT_MATCH.points, EXACT_MATCH.top, EXACT_MATCH.table)
     place = {cell: j for j, cell in enumerate(cells)}
     padded = np.hstack([rows, np.zeros((len(rows), 1), dtype=np.int64)])  # column -1: no cell
     for _, scores in block_scores(rows, cells, space, EXACT_MATCH if rule == "exact" else tabled):

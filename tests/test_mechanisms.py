@@ -540,27 +540,85 @@ def test_kernel_allocations_stay_within_the_cap(monkeypatch):
 def test_kernel_builds_each_points_table_once_while_it_fits_the_cap(monkeypatch):
     """Under a cap of 2,500 entries, 40 Kendall tallies over the 720-member full N = 6
     block are decided 3 at a time; the 3 x 720 points table fits the cap, so it is built
-    once, in 2,160 ``points`` calls, not once per chunk.  Under a cap of 1,000 it does not
-    fit and is built a chunk at a time.  The winners are the same either way."""
+    once, in one ``table`` call, not once per chunk.  Under a cap of 1,000 it does not fit
+    and is built for each chunk, a slice of columns at a time.  The winners are the same
+    either way."""
     space = CandidateSpace.full(IssueSpace(("i",), 6))
     orders = all_linear_orders(6)
     cells = [("i", orders[j]) for j in (0, 7, 100)]
     rows = np.random.default_rng(5).multinomial(30, [0.5, 0.3, 0.2], size=40)
     expected = decide_tallies(rows, cells, space, KENDALL)
-    calls = Counter()
+    builds = []  # the (tallied, column) shape of each table built
 
-    def points(a, b):
-        calls["points"] += 1
-        return KENDALL.points(a, b)
+    def table(tallied, column):
+        builds.append((len(tallied), len(column)))
+        return KENDALL.table(tallied, column)
 
-    counted = mechanisms.ScoringRule("kendall", points, KENDALL.top)
+    counted = mechanisms.ScoringRule("kendall", KENDALL.points, KENDALL.top, table)
     for cap, once in ((2500, True), (1000, False)):
-        calls.clear()
+        builds.clear()
         monkeypatch.setattr(mechanisms, "DEFAULT_ENUMERATION_CAP", cap)
         decided = decide_tallies(rows, cells, space, counted)
-        assert (calls["points"] == 3 * 720) == once
+        assert (builds == [(3, 720)]) == once
+        assert sum(width for _, width in builds) == (720 if once else 40 * 720)  # 40 chunks of 1
+        assert all(tallied * width <= cap for tallied, width in builds)
         assert (decided.winners == expected.winners).all()
         assert (decided.points == expected.points).all() and (decided.ties == expected.ties).all()
+
+
+def test_kendall_kernel_over_a_full_eight_outcome_column_stays_within_a_forced_cap(monkeypatch):
+    """Six Kendall tallies over 10 cells of the full N = 8 block (40,320 members) under a cap of
+    100,000 entries (800 KB of int64): the kernel decides 2 tallies at a time, builds the 10 x
+    40,320 points table 10,000 columns at a time, and each table makes its 28 pair signs per
+    ordering 3,571 orderings at a time.  The peak stays under 8 arrays of the cap, where the
+    unforced call holds 40,320 x 28 sign matrices (9 MB each)."""
+    space = CandidateSpace.full(IssueSpace(("i",), 8))
+    orders = all_linear_orders(8)
+    rng = np.random.default_rng(4)
+    cells = [("i", orders[j]) for j in rng.choice(len(orders), 10, replace=False)]
+    rows = rng.multinomial(40, [0.1] * 10, size=6)
+    expected = decide_tallies(rows, cells, space, KENDALL)
+    cap = 100_000
+    monkeypatch.setattr(mechanisms, "DEFAULT_ENUMERATION_CAP", cap)
+    tracemalloc.start()
+    try:
+        decided = decide_tallies(rows, cells, space, KENDALL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * cap * 8
+    assert (decided.winners == expected.winners).all()
+    assert (decided.points == expected.points).all() and (decided.ties == expected.ties).all()
+
+
+def _orderings(n: int, **size) -> st.SearchStrategy:
+    return st.lists(st.permutations(range(n)).map(LinearOrder), **size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8), st.data(), st.sampled_from((EXACT_MATCH, KENDALL)))
+def test_points_tables_match_the_per_pair_points(n, data, rule):
+    """Each rule's table equals ``rule.points`` entry by entry, empty lists and repeated
+    orderings included; the column reuses tallied orderings, so exact matches occur."""
+    tallied = data.draw(_orderings(n, max_size=8))
+    reused = st.sampled_from(tallied) if tallied else st.nothing()
+    column = data.draw(st.lists(st.one_of(reused, st.permutations(range(n)).map(LinearOrder)), max_size=8))
+    table = rule.table(tallied, column)
+    assert table.dtype == np.int64 and table.shape == (len(tallied), len(column))
+    assert table.tolist() == [[rule.points(o, c) for c in column] for o in tallied]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 7), st.data(), st.sampled_from((EXACT_MATCH, KENDALL)))
+def test_points_tables_reject_orderings_of_different_sizes(n, data, rule):
+    tallied, column = data.draw(_orderings(n, min_size=1, max_size=4)), data.draw(_orderings(n, max_size=4))
+    odd = data.draw(st.permutations(range(n + data.draw(st.sampled_from((-1, 1))))).map(LinearOrder))
+    with pytest.raises(InvalidArgumentError, match="order sizes differ"):
+        rule.points(odd, tallied[0])
+    listed = data.draw(st.sampled_from((tallied, column)))
+    listed.insert(data.draw(st.integers(0, len(listed))), odd)
+    with pytest.raises(InvalidArgumentError, match="order sizes differ"):
+        rule.table(tallied, column)
 
 
 def test_kernel_int64_boundary():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -177,6 +178,17 @@ def test_population_file_missing_key(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"issues": ["i"], "N": 2}')
     with pytest.raises(InvalidArgumentError):
+        load_population(path)
+
+
+def test_population_file_ordering_listed_twice_on_an_issue(tmp_path):
+    """Two texts of one ordering on one issue would merge, the last mass winning; here the
+    masses sum to 1.5, yet the merged marginal would be a valid 0.5/0.5 one."""
+    path = tmp_path / "twice.json"
+    doc = {"issues": ["i"], "N": 2, "saliency": {"i": 1.0},
+           "marginals": {"i": {"0>1": 0.5, "0 > 1": 0.5, "1>0": 0.5}}}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidArgumentError, match="key 'i': '0>1' and '0 > 1' are the same ordering"):
         load_population(path)
 
 

@@ -318,6 +318,24 @@ def test_load_round_trip_matches_the_per_member_loader(space, data):
         assert loaded.contains(profile) == space.contains(profile)
 
 
+@pytest.mark.parametrize(
+    "entries, named",
+    [
+        ([{"a": "0>1"}, {"zz": "1>0"}, {"a": ["0>1"]}], "unknown issue 'zz'"),
+        ([{"a": "0>1"}, {"a": ["0>1"]}, {"zz": "1>0"}], "key 'a': expected str"),
+        ([{"a": "0>1"}, {"a": "0>x"}, ["a"]], "cannot parse linear order '0>x'"),
+        ([{"a": "0>1"}, ["a"], {"a": "0>x"}], "expected dict"),
+    ],
+)
+def test_the_first_fault_in_file_order_raises_first(tmp_path, entries, named):
+    """An unknown key, a value that is no text, a bad ordering text and an entry that is no
+    object: whichever comes first in the file names the error."""
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"variant": "explicit", "issues": ["a"], "N": 2, "profiles": entries}))
+    with pytest.raises(InvalidArgumentError, match=named):
+        load_candidate_space(path)
+
+
 def test_loading_builds_one_order_per_distinct_text(tmp_path, monkeypatch):
     rng = np.random.default_rng(14)
     orders = all_linear_orders(4)
