@@ -171,16 +171,17 @@ def draw_tallies(saliency, population, sizes, trials: int, seed: int, stream=(),
     )
 
 
-def _committees(
-    mechanism: Mechanism, saliency, population, sizes, trials: int, seed: int, stream: int = 0
-):
-    """The mechanism's choices for ``trials`` committees of each size of :func:`draw_tallies`,
-    from the stream (seed, j, stream): lazily, consecutive (sizes x trials x blocks) arrays
-    of winner indices.  The sizes' tallies are stacked into one kernel call, or into
-    consecutive groups of as many sizes as fit ``DEFAULT_ENUMERATION_CAP`` entries.  Checks
-    the plan, and the largest size with :func:`check_headroom`, at once."""
-    cells, tallies = draw_tallies(saliency, population, sizes, trials, seed, (stream,))
-    space, rule = mechanism.space, mechanism.rule
+def _committees(scn: Scenario, population, sizes, trials: int, seed: int, stream: int = 0):
+    """The scenario mechanism's choices for ``trials`` committees of each size of
+    :func:`draw_tallies` from ``population``, from the stream (seed, j, stream): lazily,
+    consecutive (sizes x trials x blocks) arrays of winner indices into ``scn.space``.  The
+    sizes' tallies are stacked into one kernel call, or into consecutive groups of as many
+    sizes as fit ``DEFAULT_ENUMERATION_CAP`` entries.  Checks that the mechanism decides over
+    ``scn.space``, the plan, and the largest size with :func:`check_headroom`, at once."""
+    space, rule = scn.mechanism.space, scn.mechanism.rule
+    if space is not scn.space:
+        raise InvalidArgumentError("the scenario's mechanism must decide over the scenario's space")
+    cells, tallies = draw_tallies(scn.saliency, population, sizes, trials, seed, (stream,))
     check_headroom(sizes[-1], rule, space.issue_space.n)
     fit = DEFAULT_ENUMERATION_CAP // (trials * len(cells))  # sizes per kernel call
     groups = ([rows for _, rows in islice(tallies, fit)] for _ in range(0, len(sizes), fit))
@@ -289,7 +290,7 @@ def estimate_axiom(
     """
     populations, fails = _axiom_event(scn)
     streams = [
-        _committees(scn.mechanism, scn.saliency, population, sizes, trials_per_size, seed, k)
+        _committees(scn, population, sizes, trials_per_size, seed, k)
         for k, population in enumerate(populations)
     ]
     failures = fails(*(np.concatenate(list(groups)) for groups in streams)).sum(axis=1)
@@ -388,9 +389,7 @@ def cycle_violation_demo(
     if not has_cycle:
         raise PreconditionError("pairwise marginals are not cyclic; nothing to demonstrate")
 
-    committees = _committees(
-        scn.mechanism, scn.saliency, scn.population, sizes, trials_per_size, seed
-    )
+    committees = _committees(scn, scn.population, sizes, trials_per_size, seed)
     violated = _of_choices(  # per trial, the majorities its choice contradicts
         scn.space, issue, lambda order: sum(order.prefers(b, a) for a, b in majorities),
         np.concatenate(list(committees)),

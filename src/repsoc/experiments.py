@@ -37,7 +37,7 @@ from .complexity import (
     vc_dimension_with_witness,
 )
 from .errors import CapacityError, InvalidArgumentError
-from .mechanisms import EXACT_MATCH, SCORING_RULES, Mechanism, block_scores
+from .mechanisms import EXACT_MATCH, SCORING_RULES, Mechanism, _cell_index, block_scores
 from .orders import LinearOrder, Permutation, Profile, apply_local_permutation
 from .population import (
     MarginalPopulation,
@@ -182,6 +182,9 @@ def validate_config(config: dict) -> dict:
     for key in required:
         if key not in settings:
             raise InvalidArgumentError(f"config missing key {key!r}")
+    for key in _AXIOM_KEYS.get(settings["axiom"], ()) if kind == "axiom" else ():
+        if key not in settings:
+            raise InvalidArgumentError(f"config missing key {key!r}, which axiom {settings['axiom']!r} needs")
     if kind in ("axiom", "condorcet-demo"):  # the axiom lab's committees are nonempty
         try:
             check_sizes(settings["sizes"], least=1)
@@ -243,20 +246,15 @@ def _quotient(space: CandidateSpace, cells) -> CandidateSpace:
     each class of members that no exact-match committee over ``cells`` tells apart.
 
     An ordering that is no cell counts 0 in every tally and has population term 0.0, so
-    on each issue a member's class is its cell, or one shared class off the cells.  Each
+    on each issue a member's class is its cell in the kernel's cell index, or -1, one
+    shared class off the cells; the classes are numbered by :func:`_row_ids`.  Each
     block stays a code block: its columns hold exactly its kept members' orderings, and
     its rows stay sorted and distinct."""
-    cell_of = {cell: j for j, cell in enumerate(cells)}
     blocks = []
-    for issues, columns, codes in space._codes():
-        tables = [  # per column: each ordering's cell index, or -1 off the cells
-            np.array([cell_of.get((issue, o), -1) for o in column]) for issue, column in zip(issues, columns)
-        ]
-        classes = np.stack([table[code] for table, code in zip(tables, codes.T)], axis=1)
-        order = np.lexsort(classes.T[::-1])  # stable: a class's members stay in member order
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (np.diff(classes[order], axis=0) != 0).any(axis=1)
-        kept = codes[np.sort(order[first])]
+    for (issues, columns, codes), index in zip(space._codes(), _cell_index(cells, space)):
+        classes = np.stack([cell[code] for cell, code in zip(index, codes.T)], axis=1)
+        _, first = np.unique(_row_ids(classes), return_index=True)  # each class's first member
+        kept = codes[np.sort(first)]
         held = [np.unique(code, return_inverse=True) for code in kept.T]  # orderings, new codes
         blocks.append((
             issues,
@@ -278,23 +276,22 @@ def _row_ids(rows: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _space_blocks(space: CandidateSpace, saliency, population):
-    """The blocks of ``space`` with each member's population terms, looked up once per
-    distinct ordering of a column and gathered by the column codes.
+def _space_blocks(space: CandidateSpace, saliency, population, cells):
+    """The blocks of ``space`` with each member's population terms: each cell's ``w * mass``,
+    or 0.0 for an ordering off the ``cells``, gathered through the kernel's cell index and
+    the column codes.
 
     Also returns the weighted issues in saliency order, as (block, column) pairs.
     """
     weighted = [issue for issue in saliency.issues if saliency(issue) != 0]
-    term_of = {issue: {} for issue in space.issue_space.issue_ids}  # per issue: ordering -> term
-    for issue in weighted:
-        if issue not in term_of:
-            raise InvalidArgumentError(f"saliency issue {issue!r} is not in the candidate space")
-        term_of[issue] = {o: saliency(issue) * mass for o, mass in population.distribution(issue).items()}
+    if lacking := [issue for issue in weighted if issue not in space.issue_space]:
+        raise InvalidArgumentError(f"saliency issue {lacking[0]!r} is not in the candidate space")
+    w, mass = {i: saliency(i) for i in weighted}, {i: population.distribution(i) for i in weighted}
+    cell_terms = np.array([w[i] * mass[i][o] for i, o in cells] + [0.0])  # index -1, off the cells, reads 0.0
     place, blocks = {}, []
-    for issues, columns, codes in space._codes():
+    for (issues, _, codes), index in zip(space._codes(), _cell_index(cells, space)):
         place.update((issue, (len(blocks), j)) for j, issue in enumerate(issues))
-        tables = [[term_of[i].get(o, 0.0) for o in c] for i, c in zip(issues, columns)]
-        terms = np.stack([np.array(t)[code] for t, code in zip(tables, codes.T)], axis=1)
+        terms = np.stack([cell_terms[cell][code] for cell, code in zip(index, codes.T)], axis=1)
         blocks.append(_Block(terms=terms, term_ids=_row_ids(terms), totals=terms.sum(axis=1)))
     return blocks, [place[issue] for issue in weighted]
 
@@ -397,20 +394,6 @@ def _sup_gap(blocks, sequence, counts, size: int, delta: float) -> np.ndarray:
     return np.maximum(*by_sign)
 
 
-def _max_population(blocks, sequence, delta: float) -> float:
-    """The largest population utility over the space, by the same candidate search.
-
-    A block keeps the members whose terms sum to within ``delta`` of its
-    largest sum, one per distinct row of terms.
-    """
-    candidates = []
-    for block in blocks:
-        near = np.flatnonzero(block.totals >= block.totals.max() - delta)
-        _, first = np.unique(block.term_ids[near], return_index=True)
-        candidates.append([(m, 0) for m in near[first]])
-    return max(high for _, high in _utility_ranges(blocks, sequence, candidates).values())
-
-
 def generalization_experiment(
     space: CandidateSpace,
     saliency: SaliencyDistribution,
@@ -446,16 +429,19 @@ def generalization_experiment(
     Also records, per trial, the slack in the majority-vote regret chain
     U(f_maj) >= max U - 2 * sup-gap.  The majority vote takes each block's
     first count argmax, which is the first argmax in ``enumerate_profiles``
-    order; max U is found by the same candidate search.  The committees
+    order.  Max U is the sup-gap of the empty committee: its counts are 0,
+    so its gap is |0 - U| = U, and the search's least side keeps exactly
+    the members within the guard of each block's greatest terms.  The committees
     are drawn by :func:`~repsoc.axioms.draw_tallies`, from the stream
     (seed, j) for size index j; the sizes, and the trials over the
     population's cells, must pass its plan check.
     """
     cells, tallies = draw_tallies(saliency, population, sizes, trials, seed, least=0)
     space = _quotient(space, cells)
-    blocks, sequence = _space_blocks(space, saliency, population)
+    blocks, sequence = _space_blocks(space, saliency, population, cells)
     delta = 4 * (len(space.issue_space.issue_ids) + 3) * 2.0**-52
-    max_pop = _max_population(blocks, sequence, delta)
+    empty = [np.zeros((1, len(block.totals)), dtype=np.int64) for block in blocks]
+    max_pop = _sup_gap(blocks, sequence, empty, 0, delta)[0]  # the empty committee's gap |0 - U|
 
     gaps, regret_slack = {}, {}
     for size, rows in tallies:
@@ -606,18 +592,16 @@ def _run_axiom(settings: dict, out_dir: Path, report: RunReport, check: bool) ->
     space = load_candidate_space(settings["space"])
     saliency, population = _population(settings, "population", space)
     mechanism = make_mechanism(settings["mechanism"], space=space)
-    issue = space.issue_space.resolve(settings["issue"])
-    pair = None if settings["pair"] is None else tuple(settings["pair"])
+    issue, pair = space.issue_space.resolve(settings["issue"]), tuple(settings["pair"])
     profile = profile_against = None
     if settings["profile"] is not None:
         resolve = space.issue_space.resolve
         profile = Profile(
             {resolve(k): LinearOrder.from_string(v) for k, v in settings["profile"].items()}
         )
-        if pair is not None:
-            profile_against = apply_local_permutation(
-                profile, issue, Permutation.transposition(space.issue_space.n, *pair)
-            )
+        profile_against = apply_local_permutation(
+            profile, issue, Permutation.transposition(space.issue_space.n, *pair)
+        )
     population_b = None
     if settings["population_b"] is not None:
         _, population_b = _population(settings, "population_b", space)
@@ -754,10 +738,12 @@ def _run_rademacher(settings: dict, out_dir: Path, report: RunReport, check: boo
 # experiment kind -> (handler, the config keys it needs)
 _KINDS = {
     "generalization": (_run_generalization, ("population", "space", "sizes", "trials", "seed")),
-    "axiom": (_run_axiom, ("population", "space", "issue", "axiom", "sizes", "trials", "seed")),
+    "axiom": (_run_axiom, ("population", "space", "issue", "axiom", "pair", "sizes", "trials", "seed")),
     "privilege-analysis": (_run_privilege_analysis, ("space",)),
     "synthesize-acyclic": (_run_synthesize, ("graphs",)),
     "condorcet-demo": (_run_condorcet, ("space", "sizes", "trials", "seed")),
     "vc": (_run_vc, ("space",)),
     "rademacher": (_run_rademacher, ("population", "space", "seed", "sample_size")),
 }
+# axiom -> the config keys it needs beyond those of the axiom kind
+_AXIOM_KEYS = {"ppe": ("profile",), "w-piia": ("population_b",), "s-piia": ("population_b",)}

@@ -9,8 +9,9 @@ signs over their outcome pairs, exact-match tables compare ranking ids.
 :func:`block_scores` is the one path from a (tallies x cells) count matrix to each
 member's exact int64 points.  The objective is a sum over issues, so each block of the
 space is scored on its own: each distinct ordering of a block column scores the counts
-times its points table (exact match: its own cell's count, placed by index), and the
-members' points are gathered by their column codes.  No array holds more than
+times its points table (exact match: its own cell's count, through the one cell index
+that the generalization lab's quotient and population terms read too), and the members'
+points are gathered by their column codes.  No array holds more than
 ``DEFAULT_ENUMERATION_CAP`` entries.  :func:`decide_tallies` reduces the scores
 to each block's first maximum in ``enumerate_profiles`` (rank-tuple) order and
 its tie count, as member indices, on which the axiom lab tests its failure
@@ -147,6 +148,19 @@ def check_headroom(total: int, rule: ScoringRule, n: int) -> None:
         )
 
 
+def _cell_index(cells: Sequence, space: CandidateSpace) -> list:
+    """Per code block of ``space._codes()`` and per column of it, an intp array of each ordering's
+    index in the ``(issue, order)`` list ``cells``, or -1 where it is no cell, found by ranking."""
+    of_issue: dict = {}  # issue -> ranking -> cell index
+    for j, (issue, order) in enumerate(cells):
+        of_issue.setdefault(issue, {})[order.ranking] = j
+    return [
+        [np.fromiter(map(of_issue.get(i, {}).get, map(attrgetter("ranking"), c), repeat(-1)), np.intp, len(c))
+         for i, c in zip(issues, columns)]
+        for issues, columns, _ in space._codes()
+    ]
+
+
 def block_scores(
     rows: np.ndarray, cells: Sequence, space: CandidateSpace, rule: ScoringRule
 ):
@@ -157,7 +171,7 @@ def block_scores(
 
     A block's issues are laid side by side, one score per ordering of each column, and
     summed by the members' column codes one issue at a time.  Under exact-match points an
-    ordering scores its own cell's count, placed by index.  Under another rule it scores the
+    ordering scores its own cell's count, through the cell index; under another rule, the
     counts times a points table of the counted cells, built once if it fits the cap and
     otherwise for each chunk's cells, a slice of orderings at a time.  Raises for a repeated
     cell, a count on an issue the space lacks, or a tally whose scores could overflow int64."""
@@ -175,23 +189,21 @@ def block_scores(
 
     blocks, used, exact = space._codes(), rows.any(axis=0), rule is EXACT_MATCH
     ends = [np.cumsum([0, *map(len, columns)]) for _, columns, _ in blocks]  # of the laid columns
-    placed = []  # per block, under exact match: its cells on a column and their laid places
-    for (issues, columns, _), end in zip(blocks, ends):
-        hits = []  # a cell whose ordering is off its column scores no member
-        for issue, column, a in zip(issues, columns, end) if exact else ():
-            index = {order.ranking: a + d for d, order in enumerate(column)}
-            hits += [(j, d) for j in by_issue.get(issue, ()) if (d := index.get(cells[j][1].ranking)) is not None]
-        placed.append(np.array(hits, dtype=np.intp).reshape(-1, 2).T)
+    # under exact match, each column ordering's cell; another rule scores orderings by tables
+    indexes = _cell_index(cells, space) if exact else [[None] * len(issues) for issues, _, _ in blocks]
     tables = {}  # issue -> the points table of its counted cells, where it fits the cap
     most = max(1, DEFAULT_ENUMERATION_CAP // max(len(cells), sum(c.size for _, _, c in blocks)))
     step = ceil(len(rows) / ceil(len(rows) / most)) if len(rows) else most
     for lo in range(0, len(rows), step):
         chunk, out = rows[lo : lo + step], []
         live = chunk.any(axis=0)
-        for (issues, columns, codes), end, (taken, at) in zip(blocks, ends, placed):
+        for (issues, columns, codes), end, index in zip(blocks, ends, indexes):
             laid = np.zeros((len(chunk), end[-1]), dtype=np.int64)
-            laid[:, at] = chunk[:, taken]
-            for issue, column, a, z in () if exact else zip(issues, columns, end, end[1:]):
+            for issue, column, cell, a, z in zip(issues, columns, index, end, end[1:]):
+                if exact:  # an ordering scores its own cell's count; one off the cells, 0
+                    hit = np.flatnonzero(cell >= 0)
+                    laid[:, a + hit] = chunk[:, cell[hit]]
+                    continue
                 js = [j for j in by_issue.get(issue, ()) if used[j]]
                 if js and len(js) * len(column) <= DEFAULT_ENUMERATION_CAP:
                     if issue not in tables:

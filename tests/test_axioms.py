@@ -128,6 +128,29 @@ class TestValidation:
         with pytest.raises(PreconditionError):
             estimate_axiom(scn, [10, 20, 30], 5, seed=0)
 
+    def test_mechanism_over_another_space_is_rejected(self):
+        """The winner indices index the mechanism's space, and the failure tests read them
+        against the scenario's: over the explicit {0>1>2, 2>1>0}, winner 1 is 2>1>0, which
+        the full column would read as 0>2>1.  W-PC on (0, 2) under a 0.7/0.3 population
+        then reported no failure at any size, however many committees chose 2>1>0."""
+        issues = IssueSpace(("i",), 3)
+        full = CandidateSpace.full(issues)
+        two = CandidateSpace.explicit([Profile({"i": lo("0>1>2")}), Profile({"i": lo("2>1>0")})], issues)
+        scn = Scenario(
+            saliency=SaliencyDistribution({"i": 1.0}),
+            population=MarginalPopulation({"i": {lo("0>1>2"): 0.7, lo("2>1>0"): 0.3}}),
+            space=full,
+            mechanism=make_mechanism("majority", space=two),
+            axiom="w-pc",
+            issue="i",
+            pair=(0, 2),
+        )
+        with pytest.raises(InvalidArgumentError, match="scenario's space"):
+            estimate_axiom(scn, [5, 50, 500], 200, seed=0)
+        cyclic = condorcet_scenario(full, make_mechanism("majority", space=CandidateSpace.full(issues)))
+        with pytest.raises(InvalidArgumentError, match="scenario's space"):
+            cycle_violation_demo(cyclic, [5], 10, seed=0)
+
     def test_strong_axioms_need_bidirectional_privilege(self):
         from dataclasses import replace
 
@@ -536,7 +559,7 @@ def test_committee_path_matches_per_trial_reference():
         expected = reference_failures(scn, sizes, trials, seed)
         disagreements += sum(a != b for a, b in zip(failures, expected))
         # every trial gets its own tally's choice, in trial order
-        winners = committee_winners(scn.mechanism, scn.saliency, scn.population, sizes, trials, seed)
+        winners = committee_winners(scn, scn.population, sizes, trials, seed)
         reference = reference_chosen(
             scn.mechanism, scn.saliency, scn.population, sizes, trials, seed
         )
@@ -696,10 +719,11 @@ class TestKernelCalls:
         saliency = SaliencyDistribution({"x": 0.7, "y": 0.3})
         for name in ("majority", "scoring:kendall"):
             mechanism = make_mechanism(name, space=space)
-            whole = committee_winners(mechanism, saliency, population, [3, 8], 40, 5)
+            scn = Scenario(saliency=saliency, population=population, space=space, mechanism=mechanism)
+            whole = committee_winners(scn, population, [3, 8], 40, 5)
             with monkeypatch.context() as patch:
                 patch.setattr("repsoc.mechanisms.DEFAULT_ENUMERATION_CAP", cap)
-                chunked = committee_winners(mechanism, saliency, population, [3, 8], 40, 5)
+                chunked = committee_winners(scn, population, [3, 8], 40, 5)
             assert (chunked == whole).all()
 
 

@@ -538,6 +538,20 @@ BAD_INPUTS = {
     ),
     "population-b-not-a-path": (lambda s: _axiom(s, population_b=7), None, "'population_b'"),
     "space-not-a-path": (lambda s: _generalization(s, space=7), None, "'space'"),
+    "axiom-without-pair": (
+        lambda s: {k: v for k, v in _axiom(s).items() if k != "pair"}, None, "config missing key 'pair'"
+    ),
+    "ppe-without-profile": (
+        lambda s: _axiom(s, axiom="ppe"), None, "config missing key 'profile', which axiom 'ppe' needs"
+    ),
+    **{
+        f"{axiom}-without-population-b": (
+            lambda s, axiom=axiom: _axiom(s, axiom=axiom),
+            None,
+            f"config missing key 'population_b', which axiom {axiom!r} needs",
+        )
+        for axiom in ("w-piia", "s-piia")
+    },
     "pair-of-one": (lambda s: _axiom(s, pair=[0]), None, "'pair'"),
     "pair-of-text": (lambda s: _axiom(s, pair=["a", "b"]), None, "'pair'"),
     "pair-not-a-list": (lambda s: _axiom(s, pair=5), None, "'pair'"),
@@ -622,6 +636,8 @@ CONFIG_KEY_CASES = (
     "seed-negative-condorcet", "out-not-text", "out-a-list", "axiom-unknown",
     "mechanism-unknown", "mechanism-acyclic", "scoring-rule-unknown", "issue-not-text",
     "population-a-directory", "graphs-a-directory", "sizes-zero-axiom", "sizes-zero-condorcet",
+    "axiom-without-pair", "ppe-without-profile", "w-piia-without-population-b",
+    "s-piia-without-population-b",
 )
 
 
@@ -727,7 +743,7 @@ def test_validate_names_a_bad_env_seed(case, binary_setup, monkeypatch, capsys):
 # per experiment kind, the config keys it requires
 REQUIRED_KEYS = {
     "generalization": ("population", "space", "sizes", "trials", "seed"),
-    "axiom": ("population", "space", "issue", "axiom", "sizes", "trials", "seed"),
+    "axiom": ("population", "space", "issue", "axiom", "pair", "sizes", "trials", "seed"),
     "privilege-analysis": ("space",),
     "synthesize-acyclic": ("graphs",),
     "condorcet-demo": ("space", "sizes", "trials", "seed"),

@@ -126,6 +126,69 @@ def test_block_sup_matches_enumeration_bit_for_bit(inputs):
         assert np.array_equal(result.regret_slack[size], regret_slack[size])
 
 
+def lab_max_utility(space, saliency, population):
+    """The max U of a lab run over committees of size 1: the one gap the lab finds at size 0,
+    that of the empty committee."""
+    found, sup_gap = [], experiments._sup_gap
+
+    def spy(blocks, sequence, counts, size, delta):
+        gaps = sup_gap(blocks, sequence, counts, size, delta)
+        found.extend(gaps.tolist() if size == 0 else ())
+        return gaps
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_sup_gap", spy)
+        generalization_experiment(space, saliency, population, [1], 2, seed=0)
+    (max_u,) = found
+    return max_u
+
+
+def enumerated_max_utility(space, saliency, population):
+    return max(population_utility(profile, saliency, population) for profile in space.enumerate_profiles())
+
+
+@settings(max_examples=200, deadline=None)
+@given(generalization_inputs())
+def test_max_utility_matches_enumeration_bit_for_bit(inputs):
+    space, saliency, population = inputs[:3]
+    expected = enumerated_max_utility(space, saliency, population)
+    assert np.float64(lab_max_utility(space, saliency, population)).tobytes() == np.float64(expected).tobytes()
+
+
+def test_max_utility_under_a_unanimous_population():
+    """Every issue's population is one ordering.  Over the full space each block's best member
+    is its cell; over a space without the cells every member has utility 0.0, so every block
+    ties throughout."""
+    orders = all_linear_orders(3)
+    issues = IssueSpace(("a", "b"), 3)
+    population = MarginalPopulation({"a": {orders[0]: 1.0}, "b": {orders[5]: 1.0}})
+    saliency = SaliencyDistribution({"b": 0.6, "a": 0.4})
+    off = CandidateSpace.explicit([Profile({"a": orders[j], "b": orders[j]}) for j in (1, 2, 3)], issues)
+    for space, expected in ((CandidateSpace.full(issues), 0.6 + 0.4), (off, 0.0)):
+        assert enumerated_max_utility(space, saliency, population) == expected
+        assert lab_max_utility(space, saliency, population) == expected
+
+
+def test_max_utility_over_interleaved_product_blocks():
+    """Block (a, c) holds two members with the same summed terms, 0.3 * 0.1 + 0.3 * 0.2, and
+    block (b,) lies between a and c in saliency order.  Summed issue by issue, the first of
+    them gives 0.36999999999999994 and the second 0.37: the search keeps both and combines
+    them with block (b,)'s best exactly, where the first maximum of the totals would not."""
+    o = all_linear_orders(3)
+    population = MarginalPopulation({
+        "a": {o[0]: 0.1, o[1]: 0.2, o[2]: 0.7}, "b": {o[0]: 0.7, o[1]: 0.3}, "c": {o[0]: 0.1, o[1]: 0.2, o[2]: 0.7},
+    })
+    saliency = SaliencyDistribution({"a": 0.3, "b": 0.4, "c": 0.3})
+    blocks = [
+        (("a", "c"), [Profile({"a": o[0], "c": o[1]}), Profile({"a": o[1], "c": o[0]})]),
+        (("b",), [Profile({"b": o[0]}), Profile({"b": o[1]})]),
+    ]
+    space = CandidateSpace.product(blocks, IssueSpace(("a", "b", "c"), 3))
+    first = (0.3 * 0.1 + 0.4 * 0.7) + 0.3 * 0.2
+    assert first == 0.36999999999999994 and enumerated_max_utility(space, saliency, population) == 0.37
+    assert lab_max_utility(space, saliency, population) == 0.37
+
+
 def member_space_blocks(space, saliency, population):
     """``experiments._space_blocks`` as it was: each member's population terms looked up one by one."""
     weighted = [issue for issue in saliency.issues if saliency(issue) != 0]
@@ -150,7 +213,7 @@ def test_space_blocks_match_the_per_member_reference(inputs):
     """The blocks' population terms; the members' counts come from the kernel, which
     ``test_block_sup_matches_enumeration_bit_for_bit`` and the kernel differentials check."""
     space, saliency, population = inputs[:3]
-    blocks, sequence = experiments._space_blocks(space, saliency, population)
+    blocks, sequence = experiments._space_blocks(space, saliency, population, _cells(saliency, population)[0])
     expected_blocks, expected_sequence = member_space_blocks(space, saliency, population)
     assert sequence == expected_sequence
     assert len(blocks) == len(expected_blocks)

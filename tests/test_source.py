@@ -1,0 +1,84 @@
+"""Static checks of the library source, with the standard ``ast`` module: every import is
+used, and every private module-level name is read somewhere in the library."""
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "repsoc"
+MODULES = {path.name: ast.parse(path.read_text(), path.name) for path in sorted(SOURCE.glob("*.py"))}
+
+
+def _exported(tree: ast.Module) -> set:
+    """The strings listed in the module's ``__all__``."""
+    return {
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    }
+
+
+def _loaded(tree: ast.Module) -> set:
+    """The names a module loads, and those it exports."""
+    loads = (node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+    return {*loads, *_exported(tree)}
+
+
+def _read(tree: ast.Module) -> set:
+    """The names a module reads from itself or another module: loaded and exported names,
+    attribute names, and the names it imports from another module."""
+    names = _loaded(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _imported(tree: ast.Module):
+    """Each name a module binds by an import, with its line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((alias.asname or alias.name, node.lineno) for alias in node.names)
+
+
+def _private_definitions(tree: ast.Module):
+    """Each private (``_name``, not dunder) function, class or variable defined at module level,
+    with its line."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from ((name, node.lineno) for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_import_is_used():
+    """The package's ``__init__`` is left out: its imports are the public API."""
+    unused = [
+        f"{module}:{line} {name}"
+        for module, tree in MODULES.items()
+        if module != "__init__.py"
+        for loaded in [_loaded(tree)]
+        for name, line in _imported(tree)
+        if name not in loaded
+    ]
+    assert unused == []
+
+
+def test_every_private_module_level_name_is_read_in_the_library():
+    read = set().union(*map(_read, MODULES.values()))
+    unread = [
+        f"{module}:{line} {name}"
+        for module, tree in MODULES.items()
+        for name, line in _private_definitions(tree)
+        if name not in read
+    ]
+    assert unread == []
