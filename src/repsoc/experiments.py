@@ -37,7 +37,7 @@ from .complexity import (
     vc_dimension_with_witness,
 )
 from .errors import CapacityError, InvalidArgumentError
-from .mechanisms import EXACT_MATCH, SCORING_RULES, Mechanism, _cell_index, block_scores
+from .mechanisms import SCORING_RULES, Mechanism, _cell_index
 from .orders import LinearOrder, Permutation, Profile, apply_local_permutation
 from .population import (
     MarginalPopulation,
@@ -140,9 +140,9 @@ _KEYS = {
     "trials": (partial(_integer, least=1), None),
     "seed": (partial(_integer, least=0), None),
     "sample_size": (partial(_integer, least=1), None),
-    "sign_draws": (partial(_integer, least=1), 200),
+    "sign_draws": (partial(_integer, least=2), 200),  # a standard error needs two draws
     "epsilon": (_number, None),
-    "delta": (_number, 0.05),
+    "delta": (_shape(lambda v: type(v) in (int, float) and 0 < v < 1, "a number in (0, 1)"), 0.05),
     "issue": (_shape(lambda v: type(v) in (str, int), "an issue id: text or an integer"), None),
     "issues": (_shape(lambda v: isinstance(v, list), "a list of issues"), None),  # None: all issues
     "pair": (_shape(_is_pair, "a list of two distinct integers"), None),
@@ -201,7 +201,7 @@ def make_mechanism(name: str, space: CandidateSpace = None, plan=None) -> Mechan
         if plan is None:
             raise InvalidArgumentError("acyclic mechanism needs a synthesis plan")
         name, space = "scoring:kendall", plan.space
-    rule = EXACT_MATCH if _MECHANISM(name) == "majority" else SCORING_RULES[name.removeprefix("scoring:")]
+    rule = SCORING_RULES["exact" if _MECHANISM(name) == "majority" else name.removeprefix("scoring:")]
     if space is None:
         raise InvalidArgumentError(f"mechanism {name!r} needs a candidate space")
     return Mechanism(space, rule)
@@ -234,34 +234,12 @@ def _median(values: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class _Block:
-    """One block of the space: its population terms over its members (rows) and issues (columns)."""
+    """One block of the space, cut to one member per class: its kept members (rows) and issues (columns)."""
 
+    classes: np.ndarray  # the cell index of each (member, issue)'s ordering, -1 off the cells
     terms: np.ndarray  # population term w * mass of each (member, issue)
     term_ids: np.ndarray  # per member: the id of its distinct row of terms
     totals: np.ndarray  # per member: its terms summed (approximately)
-
-
-def _quotient(space: CandidateSpace, cells) -> CandidateSpace:
-    """The product of ``space``'s code blocks cut to the first member, in member order, of
-    each class of members that no exact-match committee over ``cells`` tells apart.
-
-    An ordering that is no cell counts 0 in every tally and has population term 0.0, so
-    on each issue a member's class is its cell in the kernel's cell index, or -1, one
-    shared class off the cells; the classes are numbered by :func:`_row_ids`.  Each
-    block stays a code block: its columns hold exactly its kept members' orderings, and
-    its rows stay sorted and distinct."""
-    blocks = []
-    for (issues, columns, codes), index in zip(space._codes(), _cell_index(cells, space)):
-        classes = np.stack([cell[code] for cell, code in zip(index, codes.T)], axis=1)
-        _, first = np.unique(_row_ids(classes), return_index=True)  # each class's first member
-        kept = codes[np.sort(first)]
-        held = [np.unique(code, return_inverse=True) for code in kept.T]  # orderings, new codes
-        blocks.append((
-            issues,
-            tuple(tuple(column[d] for d in ds.tolist()) for column, (ds, _) in zip(columns, held)),
-            np.stack([recoded for _, recoded in held], axis=1),
-        ))
-    return CandidateSpace("product", space.issue_space, tuple(blocks))
 
 
 def _row_ids(rows: np.ndarray) -> np.ndarray:
@@ -276,10 +254,20 @@ def _row_ids(rows: np.ndarray) -> np.ndarray:
     return ids
 
 
+def _first_of_each_class(classes: np.ndarray) -> np.ndarray:
+    """The index of the first row of each distinct row of ``classes``, in row order."""
+    _, first = np.unique(_row_ids(classes), return_index=True)
+    return np.sort(first)
+
+
 def _space_blocks(space: CandidateSpace, saliency, population, cells):
-    """The blocks of ``space`` with each member's population terms: each cell's ``w * mass``,
-    or 0.0 for an ordering off the ``cells``, gathered through the kernel's cell index and
-    the column codes.
+    """The blocks of ``space``, each cut to the first member, in member order, of each class of
+    members that no exact-match committee over ``cells`` tells apart.
+
+    An ordering that is no cell counts 0 in every tally and has population term 0.0, so on
+    each issue a member's class is its ordering's index in the kernel's cell index, or -1,
+    one shared class off the cells.  A block keeps the rows of its first members as its
+    ``classes``, and their population terms: each cell's ``w * mass``, 0.0 at -1.
 
     Also returns the weighted issues in saliency order, as (block, column) pairs.
     """
@@ -291,8 +279,10 @@ def _space_blocks(space: CandidateSpace, saliency, population, cells):
     place, blocks = {}, []
     for (issues, _, codes), index in zip(space._codes(), _cell_index(cells, space)):
         place.update((issue, (len(blocks), j)) for j, issue in enumerate(issues))
-        terms = np.stack([cell_terms[cell][code] for cell, code in zip(index, codes.T)], axis=1)
-        blocks.append(_Block(terms=terms, term_ids=_row_ids(terms), totals=terms.sum(axis=1)))
+        classes = np.stack([cell[code] for cell, code in zip(index, codes.T)], axis=1)
+        classes = classes[_first_of_each_class(classes)]
+        terms = cell_terms[classes]
+        blocks.append(_Block(classes=classes, terms=terms, term_ids=_row_ids(terms), totals=terms.sum(axis=1)))
     return blocks, [place[issue] for issue in weighted]
 
 
@@ -412,10 +402,11 @@ def generalization_experiment(
     space.  An ordering that is no cell of the population counts 0 in every
     committee and has term 0.0, so members that differ only on such orderings
     are one point of the sup: the blocks are first cut to the first member of
-    each such class (:func:`_quotient`).  Members are kept in rank-tuple
-    order, so every first argmax, tie and bound below is the full space's.
-    A block member's count is its exact-match score, read from
-    :func:`~repsoc.mechanisms.block_scores` a chunk of trials at a time.
+    each such class, whose rows of cell indices are the block's ``classes``
+    (:func:`_space_blocks`).  Members are kept in rank-tuple order, so every
+    first argmax, tie and bound below is the full space's.  A kept member's
+    count is the sum of its cells' columns of the tally matrix, with a zero
+    column at index -1, gathered a chunk of trials at a time.
     For each sign of the gap, a block keeps the members within a rounding
     guard ``delta = 4 * (k + 3) * 2**-52`` (``k`` issues) of its extreme.
     The float error of the expression, and of a block's part of it, is at
@@ -437,16 +428,19 @@ def generalization_experiment(
     population's cells, must pass its plan check.
     """
     cells, tallies = draw_tallies(saliency, population, sizes, trials, seed, least=0)
-    space = _quotient(space, cells)
     blocks, sequence = _space_blocks(space, saliency, population, cells)
     delta = 4 * (len(space.issue_space.issue_ids) + 3) * 2.0**-52
     empty = [np.zeros((1, len(block.totals)), dtype=np.int64) for block in blocks]
     max_pop = _sup_gap(blocks, sequence, empty, 0, delta)[0]  # the empty committee's gap |0 - U|
+    # per trial: its padded tallies, or every block's (members x issues) gather, within the cap
+    step = max(1, DEFAULT_ENUMERATION_CAP // max(len(cells) + 1, sum(block.classes.size for block in blocks)))
 
     gaps, regret_slack = {}, {}
     for size, rows in tallies:
         gaps[size], regret_slack[size] = np.empty(trials), np.empty(trials)
-        for at, counts in block_scores(rows, cells, space, EXACT_MATCH):  # member counts
+        for lo in range(0, trials, step):
+            at, padded = slice(lo, lo + step), np.pad(rows[lo : lo + step], ((0, 0), (0, 1)))
+            counts = [sum(np.take(padded, c, axis=1) for c in block.classes.T) for block in blocks]
             gaps[size][at] = gap = _sup_gap(blocks, sequence, counts, size, delta)
             winner = _population_at(blocks, sequence, [count.argmax(axis=1) for count in counts])
             regret_slack[size][at] = winner - (max_pop - 2.0 * gap)
@@ -589,19 +583,19 @@ def _run_generalization(settings: dict, out_dir: Path, report: RunReport, check:
 
 
 def _run_axiom(settings: dict, out_dir: Path, report: RunReport, check: bool) -> None:
-    space = load_candidate_space(settings["space"])
+    space, pair = load_candidate_space(settings["space"]), tuple(settings["pair"])
+    if (n := space.issue_space.n) <= max(pair) or min(pair) < 0:
+        raise InvalidArgumentError(f"config key 'pair': outcomes must lie in 0..{n - 1} at N = {n}, got {list(pair)}")
     saliency, population = _population(settings, "population", space)
     mechanism = make_mechanism(settings["mechanism"], space=space)
-    issue, pair = space.issue_space.resolve(settings["issue"]), tuple(settings["pair"])
+    issue = space.issue_space.resolve(settings["issue"])
     profile = profile_against = None
     if settings["profile"] is not None:
         resolve = space.issue_space.resolve
         profile = Profile(
             {resolve(k): LinearOrder.from_string(v) for k, v in settings["profile"].items()}
         )
-        profile_against = apply_local_permutation(
-            profile, issue, Permutation.transposition(space.issue_space.n, *pair)
-        )
+        profile_against = apply_local_permutation(profile, issue, Permutation.transposition(n, *pair))
     population_b = None
     if settings["population_b"] is not None:
         _, population_b = _population(settings, "population_b", space)

@@ -1,4 +1,4 @@
-"""Scoring rules and the one exact kernel that scores every lab.
+"""Scoring rules and the one exact kernel that scores mechanisms.
 
 A :class:`Mechanism` is a scoring rule maximized over a candidate space.  It is
 anonymous: it sees only tallies, the number of sampled pairs in each (issue,
@@ -9,14 +9,13 @@ signs over their outcome pairs, exact-match tables compare ranking ids.
 :func:`block_scores` is the one path from a (tallies x cells) count matrix to each
 member's exact int64 points.  The objective is a sum over issues, so each block of the
 space is scored on its own: each distinct ordering of a block column scores the counts
-times its points table (exact match: its own cell's count, through the one cell index
-that the generalization lab's quotient and population terms read too), and the members'
-points are gathered by their column codes.  No array holds more than
-``DEFAULT_ENUMERATION_CAP`` entries.  :func:`decide_tallies` reduces the scores
-to each block's first maximum in ``enumerate_profiles`` (rank-tuple) order and
-its tie count, as member indices, on which the axiom lab tests its failure
-events.  The generalization lab reads its match counts from the scores, and the
-Rademacher estimate its points, from one one-hot tally row per sampled cell.
+times its points table (exact match: its own cell's count, through the one cell index,
+from which the generalization lab builds the class matrix whose rows it counts on its
+own), and the members' points are gathered by their column codes.  No array holds more
+than ``DEFAULT_ENUMERATION_CAP`` entries.  :func:`decide_tallies` reduces the scores to
+each block's first maximum in ``enumerate_profiles`` (rank-tuple) order and its tie
+count, as member indices, on which the axiom lab tests its failure events.  The
+Rademacher estimate reads its points from one one-hot tally row per sampled cell.
 
 The acyclic-plan mechanism is Kendall scoring over the synthesized space
 (``make_mechanism("acyclic", plan=plan)``).  The members of a synthesized

@@ -458,9 +458,14 @@ BAD_INPUTS = {
     "sample-size-zero": (lambda s: _rademacher(s, sample_size=0), None, "'sample_size'"),
     "sample-size-negative": (lambda s: _rademacher(s, sample_size=-3), None, "'sample_size'"),
     "sign-draws-zero": (lambda s: _rademacher(s, sign_draws=0), None, "'sign_draws'"),
+    "sign-draws-one": (lambda s: _rademacher(s, sign_draws=1), None, "'sign_draws': must be >= 2"),
     "epsilon-text": (lambda s: _generalization(s, epsilon="x"), None, "'epsilon'"),
     "epsilon-nan": (lambda s: _generalization(s, epsilon=float("nan")), None, "'epsilon'"),
     "delta-text": (lambda s: _generalization(s, epsilon=0.2, delta="x"), None, "'delta'"),
+    **{
+        f"delta-{name}": (lambda s, delta=delta: _generalization(s, epsilon=0.2, delta=delta), None, "'delta'")
+        for name, delta in (("five", 5), ("negative", -0.5), ("zero", 0), ("one", 1.0))
+    },
     "env-seed-text": (_generalization, "abc", "REPSOC_SEED"),
     "sizes-mixed-types": (lambda s: _generalization(s, sizes=["a", 1]), None, "'sizes'"),
     "sizes-not-a-list": (lambda s: _axiom(s, sizes=5), None, "'sizes'"),
@@ -556,6 +561,18 @@ BAD_INPUTS = {
     "pair-of-text": (lambda s: _axiom(s, pair=["a", "b"]), None, "'pair'"),
     "pair-not-a-list": (lambda s: _axiom(s, pair=5), None, "'pair'"),
     "pair-repeated": (lambda s: _axiom(s, pair=[1, 1]), None, "'pair'"),
+    # checked against the space's N = 2, so by ``run`` alone
+    "pair-out-of-range-ppe": (
+        lambda s: _axiom(s, axiom="ppe", profile={"i0": "0>1", "i1": "0>1"}, pair=[0, 7]),
+        None,
+        "config key 'pair': outcomes must lie in 0..1 at N = 2, got [0, 7]",
+    ),
+    "pair-negative-ppe": (
+        lambda s: _axiom(s, axiom="ppe", profile={"i0": "0>1", "i1": "0>1"}, pair=[-1, 0]),
+        None,
+        "config key 'pair'",
+    ),
+    "pair-out-of-range-w-pc": (lambda s: _axiom(s, pair=[0, 9]), None, "config key 'pair'"),
     "mechanism-not-text": (lambda s: _axiom(s, mechanism=5), None, "'mechanism'"),
     "axiom-not-text": (lambda s: _axiom(s, axiom=["w-pc"]), None, "'axiom'"),
     "profile-not-object": (lambda s: _axiom(s, profile=[1]), None, "'profile'"),
@@ -637,7 +654,8 @@ CONFIG_KEY_CASES = (
     "mechanism-unknown", "mechanism-acyclic", "scoring-rule-unknown", "issue-not-text",
     "population-a-directory", "graphs-a-directory", "sizes-zero-axiom", "sizes-zero-condorcet",
     "axiom-without-pair", "ppe-without-profile", "w-piia-without-population-b",
-    "s-piia-without-population-b",
+    "s-piia-without-population-b", "sign-draws-one", "delta-five", "delta-negative", "delta-zero",
+    "delta-one",
 )
 
 
@@ -755,12 +773,14 @@ REQUIRED_KEYS = {
 def _complete_config(setup, kind):
     graphs_path = setup["tmp"] / "graphs.json"
     graphs_path.write_text(json.dumps({"N": 3, "graphs": {"i": [[0, 1]]}}))
+    condorcet_path = setup["tmp"] / "space3.json"  # the demo needs one issue of 3 outcomes
+    condorcet_path.write_text(json.dumps({"variant": "full", "issues": ["i"], "N": 3}))
     return {
         "generalization": _generalization(setup),
         "axiom": _axiom(setup),
         "privilege-analysis": {"kind": kind, "space": setup["space"]},
         "synthesize-acyclic": {"kind": kind, "graphs": str(graphs_path)},
-        "condorcet-demo": {"kind": kind, "space": setup["space"], "sizes": [5], "trials": 2, "seed": 0},
+        "condorcet-demo": {"kind": kind, "space": str(condorcet_path), "sizes": [5], "trials": 2, "seed": 0},
         "vc": {"kind": kind, "space": setup["space"]},
         "rademacher": _rademacher(setup),
     }[kind]
@@ -776,6 +796,20 @@ def test_validate_and_run_name_each_missing_required_key(kind, binary_setup, cap
         for command in (["validate", path], ["run", path, "--out", str(tmp / "out")]):
             assert main(command) == 2
             assert f"config missing key {key!r}" in capsys.readouterr().err
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+@pytest.mark.parametrize("kind", sorted(REQUIRED_KEYS))
+def test_run_writes_strict_json(kind, binary_setup):
+    """``json.dump`` writes NaN and Infinity, which RFC 8259 parsers reject."""
+    tmp = binary_setup["tmp"]
+    out = tmp / "out"
+    assert main(["run", write_config(tmp, _complete_config(binary_setup, kind)), "--out", str(out), "--check"]) == 0
+    for name in ("summary.json", "metadata.json"):
+        json.loads((out / name).read_text(), parse_constant=_no_constant)
 
 
 def test_majority_over_too_big_full_space_exits_3(tmp_path, capsys):

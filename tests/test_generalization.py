@@ -189,8 +189,10 @@ def test_max_utility_over_interleaved_product_blocks():
     assert lab_max_utility(space, saliency, population) == 0.37
 
 
-def member_space_blocks(space, saliency, population):
-    """``experiments._space_blocks`` as it was: each member's population terms looked up one by one."""
+def member_space_blocks(space, saliency, population, cells):
+    """``experiments._space_blocks`` one member at a time: per block, the rows of cell indices
+    of :func:`first_of_each_class` and each kept member's population terms, looked up one by
+    one."""
     weighted = [issue for issue in saliency.issues if saliency(issue) != 0]
     term_of = {issue: {} for issue in space.issue_space.issue_ids}
     for issue in weighted:
@@ -198,27 +200,29 @@ def member_space_blocks(space, saliency, population):
         for order, mass in population.distribution(issue).items():
             term_of[issue][order] = w * mass
     place, blocks = {}, []
-    for issues, rows in member_rows(space):
+    for (issues, _), kept in zip(member_rows(space), first_of_each_class(space, cells)):
         place.update((issue, (len(blocks), j)) for j, issue in enumerate(issues))
         tables = [term_of[issue] for issue in issues]
-        terms = np.array([[table.get(order, 0.0) for table, order in zip(tables, row)] for row in rows])
+        terms = np.array([[table.get(order, 0.0) for table, order in zip(tables, row)] for row in kept.values()])
         _, term_ids = np.unique(terms, axis=0, return_inverse=True)
-        blocks.append((terms, term_ids.ravel(), terms.sum(axis=1)))
+        classes = np.array(list(kept), dtype=np.intp)
+        blocks.append((classes, terms, term_ids.ravel(), terms.sum(axis=1)))
     return blocks, [place[issue] for issue in weighted]
 
 
 @settings(max_examples=200, deadline=None)
 @given(generalization_inputs(most_outcomes=4))
 def test_space_blocks_match_the_per_member_reference(inputs):
-    """The blocks' population terms; the members' counts come from the kernel, which
-    ``test_block_sup_matches_enumeration_bit_for_bit`` and the kernel differentials check."""
+    """The blocks' classes and population terms; the members' counts are checked against
+    whole-space enumeration by ``test_block_sup_matches_enumeration_bit_for_bit``."""
     space, saliency, population = inputs[:3]
-    blocks, sequence = experiments._space_blocks(space, saliency, population, _cells(saliency, population)[0])
-    expected_blocks, expected_sequence = member_space_blocks(space, saliency, population)
+    cells = _cells(saliency, population)[0]
+    blocks, sequence = experiments._space_blocks(space, saliency, population, cells)
+    expected_blocks, expected_sequence = member_space_blocks(space, saliency, population, cells)
     assert sequence == expected_sequence
     assert len(blocks) == len(expected_blocks)
     for block, expected in zip(blocks, expected_blocks):
-        got = (block.terms, block.term_ids, block.totals)
+        got = (block.classes, block.terms, block.term_ids, block.totals)
         for array, reference in zip(got, expected):
             assert array.dtype == reference.dtype and np.array_equal(array, reference)
 
@@ -234,28 +238,17 @@ def test_row_ids_are_the_inverse_of_unique_rows(rows):
 
 
 def first_of_each_class(space, cells):
-    """Per block, the rows of the first member, in member order, of each class of members
-    whose orderings agree on every issue or lie off the cells there: one by one."""
+    """Per block, the first member, in member order, of each class of members whose orderings
+    agree on every issue or lie off the cells there: a dict from each class's row of cell
+    indices (-1 off the cells) to its first member's orderings, built one member at a time."""
     cell_of = {cell: j for j, cell in enumerate(cells)}
     kept = []
     for issues, rows in member_rows(space):
         seen = {}
         for row in rows:
             seen.setdefault(tuple(cell_of.get(cell, -1) for cell in zip(issues, row)), row)
-        kept.append(list(seen.values()))
+        kept.append(seen)
     return kept
-
-
-def check_code_block(issues, columns, codes):
-    """A code block: distinct sorted rows, and columns that hold exactly their members'
-    orderings, sorted by ranking."""
-    rows = codes.tolist()
-    assert rows == sorted(rows) and len(set(map(tuple, rows))) == len(rows)
-    for column, code in zip(columns, codes.T):
-        assert [o.ranking for o in column] == sorted({o.ranking for o in column})
-        assert sorted(set(code.tolist())) == list(range(len(column)))
-    if len(issues) == 1:  # block_scores reads a one-issue block's column as its members
-        assert rows == [[m] for m in range(len(columns[0]))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -263,15 +256,15 @@ def check_code_block(issues, columns, codes):
 def test_quotient_keeps_the_first_member_of_each_class(inputs):
     space, saliency, population = inputs[:3]
     cells, _ = _cells(saliency, population)
-    quotient = experiments._quotient(space, cells)
-    for block in quotient.coded:
-        check_code_block(*block)
-    assert [rows for _, rows in member_rows(quotient)] == first_of_each_class(space, cells)
+    blocks, _ = experiments._space_blocks(space, saliency, population, cells)
+    assert [block.classes.tolist() for block in blocks] == [
+        [list(row) for row in kept] for kept in first_of_each_class(space, cells)
+    ]
 
 
 def test_quotient_class_counts_on_known_spaces():
     """Issue a has cells 012 and 021 (and a zero mass on 102), b the cell 012 alone, and c no
-    saliency: each keeps its cells and the first ordering off them."""
+    saliency: each keeps its cells and one class off them."""
     orders = {str(o): o for o in all_linear_orders(3)}
     population = MarginalPopulation({
         "a": {orders["0>1>2"]: 0.5, orders["0>2>1"]: 0.5, orders["1>0>2"]: 0.0},
@@ -283,25 +276,28 @@ def test_quotient_class_counts_on_known_spaces():
         saliency = SaliencyDistribution({"a": 0.5, "b": 0.5, "c": 0.0})
     cells, _ = _cells(saliency, population)
     full = CandidateSpace.full(IssueSpace(("a", "b", "c"), 3))
-    kept = [[str(row[0]) for row in rows] for _, rows in member_rows(experiments._quotient(full, cells))]
-    assert kept == [["0>1>2", "0>2>1", "1>0>2"], ["0>1>2", "0>2>1"], ["0>1>2"]]
+    blocks, _ = experiments._space_blocks(full, saliency, population, cells)
+    assert [block.classes.ravel().tolist() for block in blocks] == [[0, 1, -1], [2, -1], [-1]]
     two = IssueSpace(("a", "b"), 3)
     pairs = CandidateSpace.explicit(list(CandidateSpace.full(two).enumerate_profiles()), two)
-    (_, rows), = member_rows(experiments._quotient(pairs, cells))
-    assert [tuple(map(str, row)) for row in rows] == [
-        (a, b) for a in ("0>1>2", "0>2>1", "1>0>2") for b in ("0>1>2", "0>2>1")
-    ]
+    (block,), _ = experiments._space_blocks(pairs, saliency, population, cells)
+    assert block.classes.tolist() == [[a, b] for a in (0, 1, -1) for b in (2, -1)]
+
+
+def every_member(classes):
+    """A stand-in for ``experiments._first_of_each_class`` that keeps every member."""
+    return np.arange(len(classes))
 
 
 @settings(max_examples=100, deadline=None)
 @given(generalization_inputs(most_outcomes=4, fewest_outcomes=4))
 def test_identity_quotient_gives_the_same_bytes(inputs):
-    """The lab over the whole space, every member scored, against the lab over the quotient,
-    at N = 4, which ``test_block_sup_matches_enumeration_bit_for_bit`` does not reach."""
+    """The lab over the whole space, every member counted, against the lab over one member per
+    class, at N = 4, which ``test_block_sup_matches_enumeration_bit_for_bit`` does not reach."""
     space, saliency, population, sizes, trials, seed = inputs
     result = generalization_experiment(space, saliency, population, sizes, trials, seed)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(experiments, "_quotient", lambda space, cells: space)
+        patch.setattr(experiments, "_first_of_each_class", every_member)
         whole = generalization_experiment(space, saliency, population, sizes, trials, seed)
     for size in sizes:
         assert result.gaps[size].tobytes() == whole.gaps[size].tobytes()
@@ -339,31 +335,63 @@ def _three_issue_setup(variant, n=3, members=40, seed=7, partial=False):
     return space, saliency, population
 
 
-@pytest.mark.parametrize(
-    "variant, partial",
-    [pytest.param(v, p, id=v + "-partial" * p) for p in (False, True) for v in ("explicit", "product", "full")],
-)
+SETUPS = [pytest.param(v, p, id=v + "-partial" * p) for p in (False, True) for v in ("explicit", "product", "full")]
+
+
+def _class_count(space, saliency, population):
+    """The number of profiles of one member per class."""
+    blocks, _ = experiments._space_blocks(space, saliency, population, _cells(saliency, population)[0])
+    return int(np.prod([len(block.classes) for block in blocks]))
+
+
+@pytest.mark.parametrize("variant, partial", SETUPS)
 def test_forced_caps_match_the_default_cap_bit_for_bit(monkeypatch, variant, partial):
     """Under a cap of 1 or 7 entries the lab counts one trial at a time; under 60 it counts
-    the full space a few trials at a time.  The counts are exact-match points placed by
-    index; a copy of the rule that the kernel does not know scores them by points tables
-    instead, each built per chunk a few orderings at a time under the small caps and kept
-    under 60.  Gaps and regret slacks do not move a bit.  Under full support the lab counts
-    every member; under partial support, one per class."""
+    the full space a few trials at a time.  Gaps and regret slacks do not move a bit.  Under
+    full support the lab counts every member; under partial support, one per class."""
     space, saliency, population = _three_issue_setup(variant, partial=partial)
-    quotient = experiments._quotient(space, _cells(saliency, population)[0])
-    assert (quotient.size() < space.size()) == partial
+    assert (_class_count(space, saliency, population) < space.size()) == partial
     sizes, trials = [0, 2, 9, 40], 25
     expected = generalization_experiment(space, saliency, population, sizes, trials, seed=9)
-    tabled = ScoringRule("exact", EXACT_MATCH.points, EXACT_MATCH.top, EXACT_MATCH.table)
-    for cap, rule in itertools.product((1, 7, 60, DEFAULT_ENUMERATION_CAP), (EXACT_MATCH, tabled)):
+    for cap in (1, 7, 60, DEFAULT_ENUMERATION_CAP):
         with monkeypatch.context() as patch:
-            patch.setattr("repsoc.mechanisms.DEFAULT_ENUMERATION_CAP", cap)
-            patch.setattr(experiments, "EXACT_MATCH", rule)
+            patch.setattr("repsoc.experiments.DEFAULT_ENUMERATION_CAP", cap)
             result = generalization_experiment(space, saliency, population, sizes, trials, seed=9)
         for size in sizes:
             assert result.gaps[size].tobytes() == expected.gaps[size].tobytes()
             assert result.regret_slack[size].tobytes() == expected.regret_slack[size].tobytes()
+
+
+def padded_gather(rows, cells, space):
+    """Per code block, each member's count: its cells' tally columns summed, with a zero column
+    for an ordering off the cells, each (member, issue)'s cell looked up one by one."""
+    place = {cell: j for j, cell in enumerate(cells)}
+    padded = np.hstack([rows, np.zeros((len(rows), 1), dtype=np.int64)])  # column -1: no cell
+    return [
+        padded[:, [[place.get((i, column[c]), -1) for i, column, c in zip(issues, columns, row)]
+                   for row in codes.tolist()]].sum(axis=2)
+        for issues, columns, codes in space._codes()
+    ]
+
+
+@pytest.mark.parametrize("variant, partial", SETUPS)
+def test_block_scores_under_forced_caps_match_the_padded_gather(monkeypatch, variant, partial):
+    """Under a cap of 1 or 7 entries the kernel scores one tally at a time; under 60 it scores
+    the full space a few tallies at a time.  Exact-match points are placed by index; a copy of
+    the rule that the kernel does not know scores them by points tables instead, each built
+    per chunk a few orderings at a time under the small caps and kept under 60."""
+    space, saliency, population = _three_issue_setup(variant, partial=partial)
+    cells, probs = _cells(saliency, population)
+    rows = np.vstack([derive_rng(9, j).multinomial(size, probs, size=25) for j, size in enumerate((0, 2, 9, 40))])
+    expected = padded_gather(rows, cells, space)
+    tabled = ScoringRule("exact", EXACT_MATCH.points, EXACT_MATCH.top, EXACT_MATCH.table)
+    for cap, rule in itertools.product((1, 7, 60), (EXACT_MATCH, tabled)):
+        with monkeypatch.context() as patch:
+            patch.setattr("repsoc.mechanisms.DEFAULT_ENUMERATION_CAP", cap)
+            chunks = list(block_scores(rows, cells, space, rule))
+        assert len(chunks) > 1
+        for b, counts in enumerate(expected):
+            assert np.array_equal(np.vstack([scores[b] for _, scores in chunks]), counts)
 
 
 def test_lab_arrays_stay_within_a_forced_cap(monkeypatch):
@@ -372,10 +400,10 @@ def test_lab_arrays_stay_within_a_forced_cap(monkeypatch):
     the peak stays near 0.5 MB.  A gather of every trial at once would hold 375,000 entries
     (3 MB), and one that ignored the issue count would pass the cap threefold."""
     space, saliency, population = _three_issue_setup("explicit", n=4, members=500, seed=5)
-    assert experiments._quotient(space, _cells(saliency, population)[0]).size() == space.size()
+    assert _class_count(space, saliency, population) == space.size()
     args = (space, saliency, population, [20, 200], 250)
     expected = generalization_experiment(*args, seed=1)
-    for module in ("repsoc.mechanisms", "repsoc.axioms"):  # the kernel's chunks, the plan check
+    for module in ("repsoc.experiments", "repsoc.axioms"):  # the lab's chunks, the plan check
         monkeypatch.setattr(f"{module}.DEFAULT_ENUMERATION_CAP", 20_000)
     tracemalloc.start()
     try:
@@ -391,15 +419,18 @@ def test_lab_arrays_stay_within_a_forced_cap(monkeypatch):
 
 def test_wide_columns_are_counted_without_points_tables(monkeypatch):
     """A full N = 6 issue over a population on all 720 orderings: the members' counts are
-    placed by index, with no points table, where one would score 720 x 720 pairs."""
+    gathered by cell index, with no points table, where one would score 720 x 720 pairs."""
     orders = all_linear_orders(6)
     rng = np.random.default_rng(8)
     population = MarginalPopulation({"a": dict(zip(orders, rng.dirichlet(np.ones(720))))})
     space, saliency = CandidateSpace.full(IssueSpace(("a",), 6)), SaliencyDistribution({"a": 1.0})
-    untabled = ScoringRule("exact", EXACT_MATCH.points, EXACT_MATCH.top, None)  # a table would raise
-    for module in ("repsoc.mechanisms", "repsoc.experiments"):
-        monkeypatch.setattr(f"{module}.EXACT_MATCH", untabled)
-    result = generalization_experiment(space, saliency, population, [0, 50, 5000], 30, seed=6)
+
+    def no_table(rule):
+        raise AssertionError(f"a points table of {rule.name} was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ScoringRule, "table", property(no_table), raising=False)  # over every rule's own
+        result = generalization_experiment(space, saliency, population, [0, 50, 5000], 30, seed=6)
     gaps, regret_slack = enumerated_generalization(space, saliency, population, [0, 50, 5000], 30, 6)
     for size in result.sizes:
         assert result.gaps[size].tobytes() == gaps[size].tobytes()
@@ -408,8 +439,8 @@ def test_wide_columns_are_counted_without_points_tables(monkeypatch):
 
 def test_full_eight_outcome_space_under_a_small_support_is_quick(monkeypatch):
     """Two full N = 8 issues (40,320 members each) under a population on 5 orderings per
-    issue: each block keeps its 5 cells and the first ordering off them, and the lab gives
-    the bytes of scoring every member."""
+    issue: each block keeps its 5 cells and one class off them, and the lab gives the bytes
+    of counting every member."""
     orders = all_linear_orders(8)
     rng = np.random.default_rng(3)
     population = MarginalPopulation({
@@ -418,18 +449,27 @@ def test_full_eight_outcome_space_under_a_small_support_is_quick(monkeypatch):
         for issue in "ab"
     })
     space, saliency = CandidateSpace.full(IssueSpace(("a", "b"), 8)), SaliencyDistribution({"a": 0.6, "b": 0.4})
-    quotient = experiments._quotient(space, _cells(saliency, population)[0])
-    assert [len(codes) for _, _, codes in quotient.coded] == [6, 6]
+    blocks, _ = experiments._space_blocks(space, saliency, population, _cells(saliency, population)[0])
+    assert [len(block.classes) for block in blocks] == [6, 6]
     args = (space, saliency, population, [0, 1, 8, 64, 512], 20)
     started = time.perf_counter()
     result = generalization_experiment(*args, seed=2)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
-    monkeypatch.setattr(experiments, "_quotient", lambda space, cells: space)
+    monkeypatch.setattr(experiments, "_first_of_each_class", every_member)
     whole = generalization_experiment(*args, seed=2)
     for size in result.sizes:
         assert result.gaps[size].tobytes() == whole.gaps[size].tobytes()
         assert result.regret_slack[size].tobytes() == whole.regret_slack[size].tobytes()
+
+
+def test_one_cell_index_per_run(monkeypatch):
+    """The classes, the population terms and every size's counts read one cell index."""
+    calls, cell_index = [], experiments._cell_index
+    monkeypatch.setattr(experiments, "_cell_index", lambda cells, space: calls.append(1) or cell_index(cells, space))
+    space, saliency, population = _three_issue_setup("product", partial=True)
+    generalization_experiment(space, saliency, population, [0, 2, 9, 40], 5, seed=1)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("rule", ("exact", "tabled"))
@@ -440,14 +480,10 @@ def test_block_scores_are_c_ordered(rule, variant):
     cells, probs = _cells(saliency, population)
     rows = derive_rng(0, 0).multinomial(30, probs, size=12)
     tabled = ScoringRule("exact", EXACT_MATCH.points, EXACT_MATCH.top, EXACT_MATCH.table)
-    place = {cell: j for j, cell in enumerate(cells)}
-    padded = np.hstack([rows, np.zeros((len(rows), 1), dtype=np.int64)])  # column -1: no cell
     for _, scores in block_scores(rows, cells, space, EXACT_MATCH if rule == "exact" else tabled):
-        for (issues, columns, codes), score in zip(space._codes(), scores):
+        for score, expected in zip(scores, padded_gather(rows, cells, space)):
             assert score.flags.c_contiguous
-            index = [[place.get((i, column[c]), -1) for i, column, c in zip(issues, columns, row)]
-                     for row in codes.tolist()]
-            assert np.array_equal(score, padded[:, index].sum(axis=2))
+            assert np.array_equal(score, expected)
 
 
 def _tied_setup():
