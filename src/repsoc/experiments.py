@@ -128,8 +128,8 @@ def _is_pair(v) -> bool:
     return isinstance(v, list) and len(v) == 2 and v[0] != v[1] and all(type(x) is int for x in v)
 
 
-# a bool is not a number here, nor is NaN, the one value unequal to itself
-_number = _shape(lambda v: type(v) in (int, float) and v == v, "a number")
+# a bool is not a number here, and NaN lies in no interval
+_fraction = _shape(lambda v: type(v) in (int, float) and 0 < v < 1, "a number in (0, 1)")
 _MECHANISM = _one_of("mechanism", ("majority", *(f"scoring:{rule}" for rule in SCORING_RULES)))
 
 # config key -> (parser, default); _KINDS lists the keys each kind needs
@@ -141,8 +141,8 @@ _KEYS = {
     "seed": (partial(_integer, least=0), None),
     "sample_size": (partial(_integer, least=1), None),
     "sign_draws": (partial(_integer, least=2), 200),  # a standard error needs two draws
-    "epsilon": (_number, None),
-    "delta": (_shape(lambda v: type(v) in (int, float) and 0 < v < 1, "a number in (0, 1)"), 0.05),
+    "epsilon": (_fraction, None),  # every gap lies in [0, 1]
+    "delta": (_fraction, 0.05),
     "issue": (_shape(lambda v: type(v) in (str, int), "an issue id: text or an integer"), None),
     "issues": (_shape(lambda v: isinstance(v, list), "a list of issues"), None),  # None: all issues
     "pair": (_shape(_is_pair, "a list of two distinct integers"), None),

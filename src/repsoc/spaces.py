@@ -9,7 +9,9 @@ member ``m`` holding ``columns[k][codes[m, k]]``.  The rows are sorted, so
 members come in one order inside each block and across the space: by their
 rank tuples, issue by issue in sorted-id order, and every argmax tie-break is
 reproducible.  The labs read only the codes; members are built as profiles
-only when asked.  The full space has closed forms instead.
+only when asked.  The full space has closed forms instead.  The Kendall kernel
+reads each column as a small int array of its orderings' positions, built on
+first use; a full space shares one array per N, built with no ``LinearOrder``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import itertools
 import json
 from collections.abc import Hashable
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from math import factorial, prod
 from typing import Iterator, Sequence
 
@@ -45,6 +47,15 @@ def all_linear_orders(n: int) -> tuple[LinearOrder, ...]:
     return tuple(
         LinearOrder(perm) for perm in sorted(itertools.permutations(range(n)))
     )
+
+
+@lru_cache(maxsize=None)
+def _full_positions(n: int) -> np.ndarray:
+    """The positions of ``all_linear_orders(n)``, in its order, with no ``LinearOrder`` built."""
+    rankings = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    positions = np.argsort(np.fromiter(rankings, np.int8).reshape(-1, n), axis=1).astype(np.int8)
+    positions.flags.writeable = False
+    return positions
 
 
 def _check_profile(profile: Profile, issues, n: int) -> None:
@@ -250,6 +261,17 @@ class CandidateSpace:
             orders, codes = (all_linear_orders(n),), np.arange(largest)[:, None]
             return tuple(((issue,), orders, codes) for issue in self.issue_space.sorted_ids())
         return self.coded
+
+    @cached_property
+    def _positions(self) -> tuple:
+        """Per code block of :meth:`_codes` and per column, its orderings' positions as an
+        (orderings x N) int8 array (for N <= 128): entry ``[d, c]`` is the rank of outcome ``c``
+        in ``column[d]``, 0 = best.  Built on first use; a full space shares one per N."""
+        blocks, n = self._codes(), self.issue_space.n
+        if self.variant == "full":
+            return ((_full_positions(n),),) * len(blocks)
+        dtype = np.min_scalar_type(-n)
+        return tuple(tuple(np.array([o.position for o in c], dtype) for c in columns) for _, columns, _ in blocks)
 
     def enumerate_profiles(self) -> Iterator[Profile]:
         """Yield every member once, in rank-tuple order: by rankings issue by issue in

@@ -461,6 +461,10 @@ BAD_INPUTS = {
     "sign-draws-one": (lambda s: _rademacher(s, sign_draws=1), None, "'sign_draws': must be >= 2"),
     "epsilon-text": (lambda s: _generalization(s, epsilon="x"), None, "'epsilon'"),
     "epsilon-nan": (lambda s: _generalization(s, epsilon=float("nan")), None, "'epsilon'"),
+    **{
+        f"epsilon-{name}": (lambda s, epsilon=epsilon: _generalization(s, epsilon=epsilon), None, "'epsilon'")
+        for name, epsilon in (("five", 5), ("negative", -1), ("zero", 0), ("one", 1.0))
+    },
     "delta-text": (lambda s: _generalization(s, epsilon=0.2, delta="x"), None, "'delta'"),
     **{
         f"delta-{name}": (lambda s, delta=delta: _generalization(s, epsilon=0.2, delta=delta), None, "'delta'")
@@ -655,7 +659,7 @@ CONFIG_KEY_CASES = (
     "population-a-directory", "graphs-a-directory", "sizes-zero-axiom", "sizes-zero-condorcet",
     "axiom-without-pair", "ppe-without-profile", "w-piia-without-population-b",
     "s-piia-without-population-b", "sign-draws-one", "delta-five", "delta-negative", "delta-zero",
-    "delta-one",
+    "delta-one", "epsilon-five", "epsilon-negative", "epsilon-zero", "epsilon-one",
 )
 
 

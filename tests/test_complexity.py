@@ -256,8 +256,8 @@ def test_rademacher_matches_the_per_member_reference_bit_for_bit():
 
 def test_rademacher_slices_match_the_per_member_reference_under_forced_caps(monkeypatch):
     """Under caps of 1 to 30 entries the one-hot rows come a few cells at a time, and the
-    Kendall points tables of blocks over two to four issues are built a slice of orderings
-    at a time; every estimate is still the per-pair reference's, bit for bit."""
+    Kendall pairs of the columns of blocks over two to four issues are read a slice of
+    orderings at a time; every estimate is still the per-pair reference's, bit for bit."""
     rng, shuffle = np.random.default_rng(14), np.random.default_rng(114)
     calls = []
     block_scores = complexity.block_scores

@@ -26,7 +26,7 @@ from repsoc import (
     all_linear_orders,
     generalization_experiment,
 )
-from repsoc import EXACT_MATCH, ScoringRule, experiments
+from repsoc import EXACT_MATCH, KENDALL, SCORING_RULES, experiments
 from repsoc.mechanisms import block_scores
 from repsoc.spaces import DEFAULT_ENUMERATION_CAP
 from repsoc.population import _cells
@@ -374,24 +374,34 @@ def padded_gather(rows, cells, space):
     ]
 
 
+def kendall_gather(rows, cells, space):
+    """Per code block, each member's Kendall points: the counts times the per-pair points
+    ``KENDALL.points`` of each cell against the member's ordering on the cell's issue (0 for a
+    cell on another block's issue)."""
+    out = []
+    for issues, columns, codes in space._codes():
+        members = [dict(zip(issues, map(tuple.__getitem__, columns, row))) for row in codes.tolist()]
+        points = [[KENDALL.points(order, m[issue]) if issue in m else 0 for m in members] for issue, order in cells]
+        out.append(rows @ np.array(points, dtype=np.int64).reshape(len(cells), len(members)))
+    return out
+
+
 @pytest.mark.parametrize("variant, partial", SETUPS)
 def test_block_scores_under_forced_caps_match_the_padded_gather(monkeypatch, variant, partial):
-    """Under a cap of 1 or 7 entries the kernel scores one tally at a time; under 60 it scores
-    the full space a few tallies at a time.  Exact-match points are placed by index; a copy of
-    the rule that the kernel does not know scores them by points tables instead, each built
-    per chunk a few orderings at a time under the small caps and kept under 60."""
+    """Under a cap of 1 or 7 entries the kernel scores one tally at a time, and Kendall's pair
+    signs one ordering at a time; under 60 it scores the full space a few tallies at a time.
+    Exact-match points are placed by index, and Kendall points match a per-pair gather."""
     space, saliency, population = _three_issue_setup(variant, partial=partial)
     cells, probs = _cells(saliency, population)
     rows = np.vstack([derive_rng(9, j).multinomial(size, probs, size=25) for j, size in enumerate((0, 2, 9, 40))])
-    expected = padded_gather(rows, cells, space)
-    tabled = ScoringRule("exact", EXACT_MATCH.points, EXACT_MATCH.top, EXACT_MATCH.table)
-    for cap, rule in itertools.product((1, 7, 60), (EXACT_MATCH, tabled)):
+    expected = {EXACT_MATCH: padded_gather(rows, cells, space), KENDALL: kendall_gather(rows, cells, space)}
+    for cap, rule in itertools.product((1, 7, 60), (EXACT_MATCH, KENDALL)):
         with monkeypatch.context() as patch:
             patch.setattr("repsoc.mechanisms.DEFAULT_ENUMERATION_CAP", cap)
             chunks = list(block_scores(rows, cells, space, rule))
         assert len(chunks) > 1
-        for b, counts in enumerate(expected):
-            assert np.array_equal(np.vstack([scores[b] for _, scores in chunks]), counts)
+        for b, points in enumerate(expected[rule]):
+            assert np.array_equal(np.vstack([scores[b] for _, scores in chunks]), points)
 
 
 def test_lab_arrays_stay_within_a_forced_cap(monkeypatch):
@@ -419,17 +429,17 @@ def test_lab_arrays_stay_within_a_forced_cap(monkeypatch):
 
 def test_wide_columns_are_counted_without_points_tables(monkeypatch):
     """A full N = 6 issue over a population on all 720 orderings: the members' counts are
-    gathered by cell index, with no points table, where one would score 720 x 720 pairs."""
+    gathered by cell index, and no Kendall points of 720 x 720 pairs are scored."""
     orders = all_linear_orders(6)
     rng = np.random.default_rng(8)
     population = MarginalPopulation({"a": dict(zip(orders, rng.dirichlet(np.ones(720))))})
     space, saliency = CandidateSpace.full(IssueSpace(("a",), 6)), SaliencyDistribution({"a": 1.0})
 
-    def no_table(rule):
-        raise AssertionError(f"a points table of {rule.name} was built")
+    def no_pairs(*_):
+        raise AssertionError("Kendall points were scored")
 
     with monkeypatch.context() as patch:
-        patch.setattr(ScoringRule, "table", property(no_table), raising=False)  # over every rule's own
+        patch.setattr("repsoc.mechanisms._above", no_pairs)
         result = generalization_experiment(space, saliency, population, [0, 50, 5000], 30, seed=6)
     gaps, regret_slack = enumerated_generalization(space, saliency, population, [0, 50, 5000], 30, 6)
     for size in result.sizes:
@@ -472,16 +482,16 @@ def test_one_cell_index_per_run(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("rule", ("exact", "tabled"))
+@pytest.mark.parametrize("rule", ("exact", "kendall"))
 @pytest.mark.parametrize("variant", ("explicit", "product", "full"))
 def test_block_scores_are_c_ordered(rule, variant):
     """Row-wise argmax over an F-ordered (chunk x members) array is several times slower."""
     space, saliency, population = _three_issue_setup(variant)
     cells, probs = _cells(saliency, population)
     rows = derive_rng(0, 0).multinomial(30, probs, size=12)
-    tabled = ScoringRule("exact", EXACT_MATCH.points, EXACT_MATCH.top, EXACT_MATCH.table)
-    for _, scores in block_scores(rows, cells, space, EXACT_MATCH if rule == "exact" else tabled):
-        for score, expected in zip(scores, padded_gather(rows, cells, space)):
+    gather = padded_gather if rule == "exact" else kendall_gather
+    for _, scores in block_scores(rows, cells, space, SCORING_RULES[rule]):
+        for score, expected in zip(scores, gather(rows, cells, space)):
             assert score.flags.c_contiguous
             assert np.array_equal(score, expected)
 

@@ -29,7 +29,8 @@ from repsoc import (
     save_candidate_space,
     synthesize_acyclic,
 )
-from repsoc import mechanisms
+from repsoc import mechanisms, spaces
+from repsoc.mechanisms import block_scores
 from repsoc.privilege import PrivilegeGraph
 from tests.conftest import member_indices, random_explicit_space, random_sample, uniform_population
 from tests.mechanism_reference import (
@@ -488,10 +489,9 @@ def kernel_inputs(draw):
     return space, np.array(rows, dtype=np.int64).reshape(len(rows), len(cells)), cells
 
 
-@settings(max_examples=300, deadline=None)
-@given(kernel_inputs(), st.sampled_from((EXACT_MATCH, KENDALL)))
-def test_batched_kernel_matches_the_per_call_reference(per_call_reference, inputs, rule):
-    space, rows, cells = inputs
+def kernel_disagreements(reference, space, rows, cells, rule) -> list:
+    """The rows on which :func:`decide_tallies` and the per-call reference differ in winners,
+    tie-set size or objective (the points over ``top * total``)."""
     decided = decide_tallies(rows, cells, space, rule)
     top = rule.top(space.issue_space.n)
     disagreements = []
@@ -499,7 +499,7 @@ def test_batched_kernel_matches_the_per_call_reference(per_call_reference, input
         total = int(row.sum())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the empty-sample warning
-            expected = per_call_reference(counts_of_row(cells, row), total, space, rule)
+            expected = reference(counts_of_row(cells, row), total, space, rule)
         got = (
             decided.winners[k].tolist(),
             prod(decided.ties[k].tolist()),
@@ -508,7 +508,48 @@ def test_batched_kernel_matches_the_per_call_reference(per_call_reference, input
         chosen = member_indices(space, expected.chosen)
         if got != (chosen, expected.tie_set_size, expected.sample_objective):
             disagreements.append((k, got, expected))
-    assert disagreements == []
+    return disagreements
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs(), st.sampled_from((EXACT_MATCH, KENDALL)))
+def test_batched_kernel_matches_the_per_call_reference(per_call_reference, inputs, rule):
+    space, rows, cells = inputs
+    assert kernel_disagreements(per_call_reference, space, rows, cells, rule) == []
+
+
+@st.composite
+def wide_kendall_inputs(draw):
+    """A space over 1-2 issues at N = 5-8: explicit, or a product of one or two blocks, of at
+    most 40 members a block, or full at N <= 6; and a (tallies x cells) count matrix over up
+    to 8 distinct cells, half of whose orderings are the space's own, so that ties occur."""
+    n = draw(st.integers(5, 8))
+    variant = draw(st.sampled_from(("explicit", "product", "full") if n <= 6 else ("explicit", "product")))
+    issues = ("a", "b")[: draw(st.integers(1, 2))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if variant == "explicit":
+        space = random_explicit_space(rng, issues, n, int(rng.integers(1, 41)))
+    elif variant == "product":
+        split = len(issues) > 1 and rng.integers(2)
+        blocks = [(block, random_explicit_space(rng, block, n, int(rng.integers(1, 41))).profiles)
+                  for block in ([(i,) for i in issues] if split else [issues])]
+        space = CandidateSpace.product(blocks, IssueSpace(issues, n))
+    else:
+        space = CandidateSpace.full(IssueSpace(issues, n))
+    own = [order for _, columns, _ in space._codes() for column in columns for order in column]
+    order = st.one_of(st.sampled_from(own), st.permutations(range(n)).map(LinearOrder))
+    cell = st.tuples(st.sampled_from(issues), order)
+    cells = draw(st.lists(cell, unique_by=lambda c: (c[0], c[1].ranking), max_size=8))
+    count_row = st.lists(st.integers(0, 3), min_size=len(cells), max_size=len(cells))
+    rows = draw(st.lists(count_row, min_size=1, max_size=4)) + [[0] * len(cells)]
+    return space, np.array(rows, dtype=np.int64).reshape(len(rows), len(cells)), cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_kendall_inputs())
+def test_kendall_kernel_over_wide_columns_matches_the_per_call_reference(per_call_reference, inputs):
+    space, rows, cells = inputs
+    assert kernel_disagreements(per_call_reference, space, rows, cells, KENDALL) == []
 
 
 def test_kernel_allocations_stay_within_the_cap(monkeypatch):
@@ -538,40 +579,30 @@ def test_kernel_allocations_stay_within_the_cap(monkeypatch):
 
 
 def test_kernel_builds_each_points_table_once_while_it_fits_the_cap(monkeypatch):
-    """Under a cap of 2,500 entries, 40 Kendall tallies over the 720-member full N = 6
-    block are decided 3 at a time; the 3 x 720 points table fits the cap, so it is built
-    once, in one ``table`` call, not once per chunk.  Under a cap of 1,000 it does not fit
-    and is built for each chunk, a slice of columns at a time.  The winners are the same
-    either way."""
-    space = CandidateSpace.full(IssueSpace(("i",), 6))
+    """Under caps of 2,500 and 1,000 entries, 40 Kendall tallies over the 720-member full
+    N = 6 block are decided 3 and 1 at a time, with the same decisions as at the default cap;
+    the column's position array, from which each chunk reads its outcome pairs, is built once
+    for the space, not once per chunk or per call."""
     orders = all_linear_orders(6)
     cells = [("i", orders[j]) for j in (0, 7, 100)]
     rows = np.random.default_rng(5).multinomial(30, [0.5, 0.3, 0.2], size=40)
-    expected = decide_tallies(rows, cells, space, KENDALL)
-    builds = []  # the (tallied, column) shape of each table built
-
-    def table(tallied, column):
-        builds.append((len(tallied), len(column)))
-        return KENDALL.table(tallied, column)
-
-    counted = mechanisms.ScoringRule("kendall", KENDALL.points, KENDALL.top, table)
-    for cap, once in ((2500, True), (1000, False)):
-        builds.clear()
+    expected = decide_tallies(rows, cells, CandidateSpace.full(IssueSpace(("i",), 6)), KENDALL)
+    builds, full_positions = [], spaces._full_positions
+    monkeypatch.setattr(spaces, "_full_positions", lambda n: builds.append(n) or full_positions(n))
+    space = CandidateSpace.full(IssueSpace(("i",), 6))
+    for cap in (2500, 1000):
         monkeypatch.setattr(mechanisms, "DEFAULT_ENUMERATION_CAP", cap)
-        decided = decide_tallies(rows, cells, space, counted)
-        assert (builds == [(3, 720)]) == once
-        assert sum(width for _, width in builds) == (720 if once else 40 * 720)  # 40 chunks of 1
-        assert all(tallied * width <= cap for tallied, width in builds)
+        decided = decide_tallies(rows, cells, space, KENDALL)
         assert (decided.winners == expected.winners).all()
         assert (decided.points == expected.points).all() and (decided.ties == expected.ties).all()
+    assert builds == [6]
 
 
 def test_kendall_kernel_over_a_full_eight_outcome_column_stays_within_a_forced_cap(monkeypatch):
     """Six Kendall tallies over 10 cells of the full N = 8 block (40,320 members) under a cap of
-    100,000 entries (800 KB of int64): the kernel decides 2 tallies at a time, builds the 10 x
-    40,320 points table 10,000 columns at a time, and each table makes its 28 pair signs per
-    ordering 3,571 orderings at a time.  The peak stays under 8 arrays of the cap, where the
-    unforced call holds 40,320 x 28 sign matrices (9 MB each)."""
+    100,000 entries (800 KB of int64): the kernel decides 2 tallies at a time and reads the
+    column's 28 outcome pairs per ordering 3,571 orderings at a time.  The peak stays under 8
+    arrays of the cap, where the unforced call reads 35,714 orderings' pairs at once."""
     space = CandidateSpace.full(IssueSpace(("i",), 8))
     orders = all_linear_orders(8)
     rng = np.random.default_rng(4)
@@ -598,27 +629,50 @@ def _orderings(n: int, **size) -> st.SearchStrategy:
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 8), st.data(), st.sampled_from((EXACT_MATCH, KENDALL)))
 def test_points_tables_match_the_per_pair_points(n, data, rule):
-    """Each rule's table equals ``rule.points`` entry by entry, empty lists and repeated
-    orderings included; the column reuses tallied orderings, so exact matches occur."""
+    """The kernel's scores of one-hot tally rows are ``rule.points`` entry by entry: tallied
+    ordering ``j`` is counted alone on issue ``j``, whose block holds the column's orderings.
+    Empty and repeated tallied lists are included; the column reuses tallied orderings, so
+    exact matches occur."""
     tallied = data.draw(_orderings(n, max_size=8))
     reused = st.sampled_from(tallied) if tallied else st.nothing()
-    column = data.draw(st.lists(st.one_of(reused, st.permutations(range(n)).map(LinearOrder)), max_size=8))
-    table = rule.table(tallied, column)
-    assert table.dtype == np.int64 and table.shape == (len(tallied), len(column))
-    assert table.tolist() == [[rule.points(o, c) for c in column] for o in tallied]
+    fresh = st.permutations(range(n)).map(LinearOrder)
+    column = data.draw(st.lists(st.one_of(reused, fresh), min_size=1, max_size=8, unique_by=lambda o: o.ranking))
+    issues = tuple(range(max(1, len(tallied))))
+    blocks = [((i,), [Profile({i: order}) for order in column]) for i in issues]
+    space = CandidateSpace.product(blocks, IssueSpace(issues, n))
+    rows = np.eye(len(tallied), dtype=np.int64)
+    chunks = list(block_scores(rows, list(zip(issues, tallied)), space, rule))
+    column = sorted(column, key=lambda o: o.ranking)  # the members' order
+    scored = [np.vstack([scores[b] for _, scores in chunks]) for b in range(len(issues))] if chunks else []
+    assert all(block.dtype == np.int64 and block.shape == (len(tallied), len(column)) for block in scored)
+    expected = [[rule.points(o, c) for c in column] for o in tallied]
+    assert [block[j].tolist() for j, block in enumerate(scored)] == expected
+    assert all(not block[np.arange(len(tallied)) != j].any() for j, block in enumerate(scored))
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 7), st.data(), st.sampled_from((EXACT_MATCH, KENDALL)))
 def test_points_tables_reject_orderings_of_different_sizes(n, data, rule):
-    tallied, column = data.draw(_orderings(n, min_size=1, max_size=4)), data.draw(_orderings(n, max_size=4))
+    """A cell ordering over other than the space's N outcomes is refused, as the per-pair
+    points refuse it, wherever it stands among the cells."""
+    tallied = data.draw(_orderings(n, min_size=1, max_size=4, unique_by=lambda o: o.ranking))
     odd = data.draw(st.permutations(range(n + data.draw(st.sampled_from((-1, 1))))).map(LinearOrder))
     with pytest.raises(InvalidArgumentError, match="order sizes differ"):
         rule.points(odd, tallied[0])
-    listed = data.draw(st.sampled_from((tallied, column)))
-    listed.insert(data.draw(st.integers(0, len(listed))), odd)
+    tallied.insert(data.draw(st.integers(0, len(tallied))), odd)
+    space = CandidateSpace.full(IssueSpace(("i",), n))
     with pytest.raises(InvalidArgumentError, match="order sizes differ"):
-        rule.table(tallied, column)
+        decide_tallies(np.ones((2, len(tallied)), dtype=np.int64), [("i", o) for o in tallied], space, rule)
+
+
+def test_an_unknown_rule_is_refused():
+    """The kernel scores ``KENDALL`` and ``EXACT_MATCH`` themselves: a rule equal to one of
+    them, but another object, is refused by name."""
+    space = CandidateSpace.full(IssueSpace(("i",), 3))
+    copy = mechanisms.ScoringRule("exact", EXACT_MATCH.points, EXACT_MATCH.top)
+    assert copy == EXACT_MATCH and copy is not EXACT_MATCH
+    with pytest.raises(InvalidArgumentError, match="'exact'"):
+        next(block_scores(np.ones((1, 1), dtype=np.int64), [("i", lo("0>1>2"))], space, copy))
 
 
 def test_kernel_int64_boundary():
@@ -634,6 +688,11 @@ def test_kernel_int64_boundary():
     for row in ([largest + 1, 0], [largest - 4, 5]):
         with pytest.raises(InvalidArgumentError, match="sizes must be at most"):
             decide_tallies(np.array([row], dtype=np.int64), cells, space, KENDALL)
+    # at N = 2 a tally of 2**63 - 1 pairs scores up to 2**63 - 1, and no partial sum wraps
+    space, cells = CandidateSpace.full(IssueSpace(("i",), 2)), [("i", lo("0>1")), ("i", lo("1>0"))]
+    for row in ([2**63 - 1, 0], [2**63 - 2, 1], [1, 2**63 - 2], [0, 2**63 - 1]):
+        decided = decide_tallies(np.array([row], dtype=np.int64), cells, space, KENDALL)
+        assert decided.winners.tolist() == [[int(row[1] > row[0])]] and decided.points.tolist() == [max(row)]
 
 
 def test_kernel_rejects_counts_on_an_unknown_issue():
