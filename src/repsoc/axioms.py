@@ -15,8 +15,8 @@ rather than an ordered pair list; the two are identical in distribution.
 For the same reason the mechanism's choice depends only on the tally, so
 ``_committees`` stacks every size's (trials x cells) tally matrix of a stream
 into one call of the batched kernel :func:`repsoc.mechanisms.decide_tallies`.
-No profile is built: a failure test is a numpy predicate over the winner
-indices, evaluated once per distinct ordering of the target issue's column.
+No profile is built: a failure test is a numpy predicate over the target
+issue's column of orderings, as positions, gathered by the winner indices.
 """
 
 from __future__ import annotations
@@ -192,13 +192,13 @@ def _committees(scn: Scenario, population, sizes, trials: int, seed: int, stream
 
 
 def _of_choices(space: CandidateSpace, issue, value, winners: np.ndarray) -> np.ndarray:
-    """``value(order)`` of each choice's ordering on ``issue``, for the (... x blocks) winner
-    indices ``winners``: evaluated once per distinct ordering of the issue's column and
-    gathered by the chosen members' column codes."""
+    """The value of each choice's ordering on ``issue``, for the (... x blocks) winner indices
+    ``winners``: ``value(at)`` gives one per ordering of the issue's column from its (orderings
+    x N) position array ``at``, and it is gathered by the chosen members' column codes."""
     for b, (issues, columns, codes) in enumerate(space._codes()):
         if issue in issues:
             k = issues.index(issue)
-            return np.array([value(order) for order in columns[k]])[codes[winners[..., b], k]]
+            return value(columns[k])[codes[winners[..., b], k]]
     raise InvalidArgumentError(f"space has no issue {issue!r}")
 
 
@@ -249,12 +249,12 @@ def _axiom_event(scn: Scenario):
             raise PreconditionError("PPE requires a population unanimous on c over c'")
         against = scn.profile_against  # the choice is C' on every issue
         return (scn.population,), lambda chosen: np.logical_and.reduce(
-            [_of_choices(scn.space, i, against(i).__eq__, chosen) for i in against.issues]
+            [_of_choices(scn.space, i, lambda at: (at == against(i).position).all(1), chosen) for i in against.issues]
         )
 
     pm = pair_marginal(scn.population, issue, pair)
     c, cp = pair  # ranks: whether each choice ranks c above c'
-    ranks = partial(_of_choices, scn.space, issue, lambda order: order.prefers(c, cp))
+    ranks = partial(_of_choices, scn.space, issue, lambda at: at[:, c] < at[:, cp])
     if axiom in {"w-pc", "s-pc"}:
         # fails when the choice does not rank the pair the population's majority way
         if abs(pm - 0.5) <= _MARGINAL_TOL:
@@ -391,7 +391,7 @@ def cycle_violation_demo(
 
     committees = _committees(scn, scn.population, sizes, trials_per_size, seed)
     violated = _of_choices(  # per trial, the majorities its choice contradicts
-        scn.space, issue, lambda order: sum(order.prefers(b, a) for a, b in majorities),
+        scn.space, issue, lambda at: sum(at[:, b] < at[:, a] for a, b in majorities),
         np.concatenate(list(committees)),
     )
     per_size = []

@@ -37,7 +37,7 @@ from .complexity import (
     vc_dimension_with_witness,
 )
 from .errors import CapacityError, InvalidArgumentError
-from .mechanisms import SCORING_RULES, Mechanism, _cell_index
+from .mechanisms import SCORING_RULES, Mechanism, _cell_index, _placed
 from .orders import LinearOrder, Permutation, Profile, apply_local_permutation
 from .population import (
     MarginalPopulation,
@@ -276,8 +276,8 @@ def _space_blocks(space: CandidateSpace, saliency, population, cells):
         raise InvalidArgumentError(f"saliency issue {lacking[0]!r} is not in the candidate space")
     w, mass = {i: saliency(i) for i in weighted}, {i: population.distribution(i) for i in weighted}
     cell_terms = np.array([w[i] * mass[i][o] for i, o in cells] + [0.0])  # index -1, off the cells, reads 0.0
-    place, blocks = {}, []
-    for (issues, _, codes), index in zip(space._codes(), _cell_index(cells, space)):
+    place, blocks, cell_index = {}, [], _cell_index(_placed(cells, space.issue_space.n), space)
+    for (issues, _, codes), index in zip(space._codes(), cell_index):
         place.update((issue, (len(blocks), j)) for j, issue in enumerate(issues))
         classes = np.stack([cell[code] for cell, code in zip(index, codes.T)], axis=1)
         classes = classes[_first_of_each_class(classes)]

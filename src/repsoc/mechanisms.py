@@ -7,12 +7,12 @@ of orderings, the tests' reference.  :func:`block_scores` is the one path from a
 cells) count matrix to each member's exact int64 points.  The objective is a sum over
 issues, so each block of the space is scored on its own, one score per distinct ordering of
 each block column, and the members' points are gathered by their column codes.  Under
-``EXACT_MATCH`` an ordering scores its own cell's count, through the one cell index (from
-which the generalization lab also builds the class matrix whose rows it counts).  Under
-``KENDALL`` a member's points are ``sum_c count_c * (top + s_c . t) / 2`` over the +-1
-signs per outcome pair of the cells and of the member, so they need only the committee's
-pairwise margins ``sum_c count_c * s_c`` and the column's pairs, read from the space's
-position arrays a slice at a time; no (tallied x column) points table is built.  No array
+``EXACT_MATCH`` an ordering scores its own cell's count, through the one cell index, which
+matches the cells' position rows to the columns' (the generalization lab also builds from it
+the class matrix whose rows it counts).  Under ``KENDALL`` a member's points are
+``sum_c count_c * (top + s_c . t) / 2`` over the +-1 signs per outcome pair of the cells and
+of the member, so they need only the committee's pairwise margins ``sum_c count_c * s_c``
+and the column's pairs, read from its positions a slice at a time.  No array
 the kernel makes holds more than ``DEFAULT_ENUMERATION_CAP`` entries.  :func:`decide_tallies`
 reduces the scores to each block's first maximum in ``enumerate_profiles`` (rank-tuple)
 order and its tie count, as member indices, on which the axiom lab tests its failure
@@ -31,14 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from math import ceil
-from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 from .orders import LinearOrder, concordant_pairs, exact_match_score
-from .spaces import DEFAULT_ENUMERATION_CAP, CandidateSpace
+from .spaces import DEFAULT_ENUMERATION_CAP, CandidateSpace, _row_keys
 
 __all__ = [
     "ScoringRule",
@@ -101,16 +100,29 @@ def check_headroom(total: int, rule: ScoringRule, n: int) -> None:
         )
 
 
-def _cell_index(cells: Sequence, space: CandidateSpace) -> list:
-    """Per code block of ``space._codes()`` and per column of it, an intp array of each ordering's
-    index in the ``(issue, order)`` list ``cells``, or -1 where it is no cell, found by ranking."""
-    of_issue: dict = {}  # issue -> ranking -> cell index
+def _placed(cells: Sequence, n: int) -> tuple:
+    """The ``(issue, order)`` list ``cells`` grouped by issue, as cell indices, and its orderings as
+    one (cells x N) position array in the dtype of the columns; raises for orderings of another N."""
+    by_issue: dict = {}  # issue -> its cells' indices
     for j, (issue, order) in enumerate(cells):
-        of_issue.setdefault(issue, {})[order.ranking] = j
+        if order.n != n:
+            raise InvalidArgumentError(f"order sizes differ: {order.n} vs {n}")
+        by_issue.setdefault(issue, []).append(j)
+    return by_issue, np.array([order.position for _, order in cells], np.min_scalar_type(-n)).reshape(-1, n)
+
+
+def _cell_index(placed: tuple, space: CandidateSpace) -> list:
+    """Per code block of ``space._codes()`` and per column, an intp array of each ordering's index among
+    the cells of :func:`_placed`, or -1, found by its row of positions.  Each distinct column's rows are
+    keyed once: a full space's issues share one column."""
+    (by_issue, positions), blocks = placed, space._codes()
+    cell_keys = _row_keys(positions)
+    of = {issue: {cell_keys[j]: j for j in js} for issue, js in by_issue.items()}  # issue -> row key -> cell
+    keys = {id(c): c for _, columns, _ in blocks for c in columns}  # each distinct column once
+    keys = {key: _row_keys(column) for key, column in keys.items()}
     return [
-        [np.fromiter(map(of_issue.get(i, {}).get, map(attrgetter("ranking"), c), repeat(-1)), np.intp, len(c))
-         for i, c in zip(issues, columns)]
-        for issues, columns, _ in space._codes()
+        [np.fromiter(map(of.get(i, {}).get, keys[id(c)], repeat(-1)), np.intp, len(c)) for i, c in zip(issues, cs)]
+        for issues, cs, _ in blocks
     ]
 
 
@@ -133,8 +145,8 @@ def block_scores(
     ordering scores its own cell's count, through the cell index.  Under ``KENDALL`` the
     chunk's counts on an issue give its votes for and against each outcome pair ``x < y``
     once; an ordering scores the votes against every pair plus the margin, for minus against,
-    of each pair it ranks ``x`` above ``y``.  Its pairs are read from the space's position
-    arrays a slice of orderings at a time, so no table of (tallied x column) points is built.
+    of each pair it ranks ``x`` above ``y``.  Its pairs are read from the column's positions
+    a slice of orderings at a time, so no table of (tallied x column) points is built.
     Raises for another rule, a repeated cell, a cell ordering over other than the space's N
     outcomes, a count on an issue the space lacks, or a tally whose scores could overflow
     int64; no partial sum can wrap below that."""
@@ -142,27 +154,18 @@ def block_scores(
         raise InvalidArgumentError(f"the kernel scores KENDALL and EXACT_MATCH only, not rule {rule.name!r}")
     if len({(issue, order.ranking) for issue, order in cells}) < len(cells):
         raise InvalidArgumentError("each tallied (issue, order) cell must be listed once")
-    n, top, by_issue = space.issue_space.n, rule.top(space.issue_space.n), {}  # issue -> its cells
-    for j, (issue, order) in enumerate(cells):
-        if order.n != n:
-            raise InvalidArgumentError(f"order sizes differ: {order.n} vs {n}")
-        by_issue.setdefault(issue, []).append(j)
-    for issue, columns in by_issue.items():
-        if issue not in space.issue_space and rows[:, columns].any():
+    n, top = space.issue_space.n, rule.top(space.issue_space.n)
+    by_issue, positions = placed = _placed(cells, n)
+    for issue, js in by_issue.items():
+        if issue not in space.issue_space and rows[:, js].any():
             raise InvalidArgumentError(f"sample references unknown issue {issue!r}")
     if int(rows.max(initial=0)) * rows.shape[1] * top >= 2**63:
         check_headroom(max(map(sum, rows.tolist())), rule, n)  # exact, as int64 sums could wrap
 
     blocks, exact, cap = space._codes(), rule is EXACT_MATCH, DEFAULT_ENUMERATION_CAP
     ends = [np.cumsum([0, *map(len, columns)]) for _, columns, _ in blocks]  # of the laid columns
-    if exact:  # per column, each ordering's cell
-        keys = _cell_index(cells, space)
-    else:  # per column, its orderings' positions; per issue, its cells' positions
-        x, y = np.nonzero(np.less.outer(np.arange(n), np.arange(n)))  # the outcome pairs x < y
-        keys, placed = space._positions, {
-            issue: np.array([cells[j][1].position for j in js], np.min_scalar_type(-n))
-            for issue, js in by_issue.items()
-        }
+    x, y = np.nonzero(np.less.outer(np.arange(n), np.arange(n)))  # the outcome pairs x < y
+    keys = _cell_index(placed, space) if exact else [columns for _, columns, _ in blocks]  # per column
     width = max(1, cap // max(1, top))  # orderings per slice of pairs
     most = max(1, cap // max(len(cells), sum(c.size for _, _, c in blocks), top))  # rows per chunk
     step = ceil(len(rows) / ceil(len(rows) / most)) if len(rows) else most
@@ -173,11 +176,11 @@ def block_scores(
             for issue, column, a, z in zip(issues, key, end, end[1:]):
                 if exact:  # an ordering scores its own cell's count; one off the cells, 0
                     hit = np.flatnonzero(column >= 0)
-                    laid[:, a + hit] = chunk[:, column[hit]]
+                    laid[:, a + hit] = chunk.take(column[hit], axis=1)
                 elif js := by_issue.get(issue):
-                    counts, positions = chunk[:, js], placed[issue]
+                    counts, held = chunk[:, js], positions.take(js, axis=0)
                     wins = sum(  # per outcome pair x < y, the chunk's votes for x above y
-                        counts[:, s : s + width] @ _above(positions[s : s + width], x, y)
+                        counts[:, s : s + width] @ _above(held[s : s + width], x, y)
                         for s in range(0, len(js), width)
                     )
                     losses = counts.sum(axis=1)[:, None] - wins

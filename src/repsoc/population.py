@@ -89,10 +89,9 @@ class SaliencyDistribution:
     def __post_init__(self):
         weights = dict(self.weights)
         object.__setattr__(self, "weights", weights)
-        if any(w < 0 for w in weights.values()):
-            raise InvalidArgumentError("saliency weights must be non-negative")
-        total = sum(weights.values())
-        if abs(total - 1.0) > PROB_TOL:
+        if bad := [issue for issue, w in weights.items() if not w >= 0]:  # NaN too
+            raise InvalidArgumentError(f"saliency weight on issue {bad[0]!r} must be a non-negative number")
+        if not abs((total := sum(weights.values())) - 1.0) <= PROB_TOL:
             raise InvalidArgumentError(f"saliency weights sum to {total}, not 1")
         zero = [issue for issue, w in weights.items() if w == 0]
         if zero:
@@ -122,10 +121,9 @@ class MarginalPopulation:
         per_issue = {issue: dict(dist) for issue, dist in self.per_issue.items()}
         object.__setattr__(self, "per_issue", per_issue)
         for issue, dist in per_issue.items():
-            if any(p < 0 for p in dist.values()):
-                raise InvalidArgumentError(f"negative probability on issue {issue!r}")
-            total = sum(dist.values())
-            if abs(total - 1.0) > PROB_TOL:
+            if not all(p >= 0 for p in dist.values()):  # NaN too
+                raise InvalidArgumentError(f"probabilities on issue {issue!r} must be non-negative numbers")
+            if not abs((total := sum(dist.values())) - 1.0) <= PROB_TOL:
                 raise InvalidArgumentError(
                     f"marginal on issue {issue!r} sums to {total}, not 1"
                 )
@@ -154,10 +152,9 @@ class SubpopulationMixture:
         object.__setattr__(self, "components", components)
         if not components:
             raise InvalidArgumentError("mixture needs at least one component")
-        if any(mass <= 0 for mass, _ in components):
+        if not all(mass > 0 for mass, _ in components):  # NaN too
             raise InvalidArgumentError("component masses must be positive")
-        total = sum(mass for mass, _ in components)
-        if abs(total - 1.0) > PROB_TOL:
+        if not abs((total := sum(mass for mass, _ in components)) - 1.0) <= PROB_TOL:
             raise InvalidArgumentError(f"component masses sum to {total}, not 1")
 
 

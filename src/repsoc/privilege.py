@@ -4,9 +4,9 @@ An ordering over a subset of an issue's outcomes is privileged when every
 candidate profile that can be re-sorted into agreement with it (by permuting
 only that subset, only on that issue) stays inside the candidate space.
 :func:`is_privileged` decides this as a closure test on the code block that
-holds the issue, with no limit on the outcome count: each distinct ordering
-of the issue's column is re-sorted once, and the members' twins are looked up
-among the block's exact integer row keys, so no order or profile is built.
+holds the issue, with no limit on the outcome count: the issue's column is
+re-sorted as one position array, and the members' twins are looked up among
+the block's exact integer row keys, so no order or profile is built.
 :func:`build_privilege_graph` sets the keys up once per issue for all of its
 n(n-1) pair checks.  The privilege graph collects the binary privileged
 orderings of one issue; its strongly connected components drive both the
@@ -22,10 +22,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import CyclicityError, InvalidArgumentError
+from .errors import CapacityError, CyclicityError, InvalidArgumentError
 from .orders import LinearOrder, PartialOrder, Profile
 from .population import IssueSpace
-from .spaces import CandidateSpace
+from .spaces import DEFAULT_ENUMERATION_CAP, CandidateSpace, _row_keys
 
 __all__ = [
     "PrivilegeGraph",
@@ -81,8 +81,8 @@ def _closure_test(space: CandidateSpace, issue):
 
     Re-sorting changes a member's code on ``issue`` alone, so each member gets
     an exact integer key whose last digit is that code, and the keys form one
-    set.  A test maps each distinct ordering of the column to its re-sorted
-    twin's code (-1 when no member holds the twin), gathers that map by code,
+    set.  A test re-sorts the subset in the whole column's positions at once, maps
+    each twin to its code (-1 when no member holds it), gathers that map by code,
     and looks the moved members' twin keys up in the set.
     """
     if issue not in space.issue_space:
@@ -96,20 +96,16 @@ def _closure_test(space: CandidateSpace, issue):
         if bound * len(columns[j]) >= 2**63:  # renumber the keys so far densely
             keys, bound = np.unique(keys, return_inverse=True)[1], len(codes)
         keys, bound = keys * len(columns[j]) + codes[:, j], bound * len(columns[j])
-    code, members = codes[:, k].astype(np.int64), set(keys.tolist())
-    code_of = {order.ranking: c for c, order in enumerate(columns[k])}  # in code order
+    code, members, column = codes[:, k].astype(np.int64), set(keys.tolist()), columns[k]
+    code_of = dict(zip(_row_keys(column), range(len(column))))  # a position row -> its code
 
     def closed(subset: tuple) -> bool:
-        twins = []  # per code: its ordering with subset re-sorted in the slots it holds
-        for ranking in code_of:
-            twin = list(ranking)
-            for slot, outcome in zip(sorted(map(ranking.index, subset)), subset):
-                twin[slot] = outcome
-            twins.append(code_of.get(tuple(twin), -1))
-        twin = np.array(twins)[code]
-        moved = twin != code
-        wanted = keys[moved] + (twin[moved] - code[moved])
-        return not (twin < 0).any() and members.issuperset(wanted.tolist())
+        twins, slots = column.copy(), column.take(subset, axis=1)  # per code, the slots subset holds
+        slots.sort(axis=1)
+        twins[:, subset] = slots  # per code: its ordering with subset re-sorted in the slots it holds
+        twin = np.fromiter(map(code_of.get, _row_keys(twins), itertools.repeat(-1)), np.intp, len(twins))[code]
+        moved = twin != code  # the moved members' twin keys are looked up only if every twin is held
+        return not (twin < 0).any() and members.issuperset((keys[moved] + (twin[moved] - code[moved])).tolist())
 
     return closed
 
@@ -215,7 +211,8 @@ def synthesize_acyclic(phi: Mapping[object, PrivilegeGraph]) -> AcyclicPlan:
 
     Each issue's factor holds the 2^l orderings obtained by laying out SCC
     blocks in topological order and flipping each size-2 block both ways from
-    its canonical orientation ``(min, max)``.  The plan's mechanism is Kendall
+    its canonical orientation ``(min, max)``; over ``DEFAULT_ENUMERATION_CAP``
+    orderings it raises ``CapacityError`` first.  The plan's mechanism is Kendall
     scoring over ``plan.space``: it sets each flip pair by pairwise majority,
     and a tie keeps the canonical orientation, the first in rank-tuple order.
     """
@@ -240,6 +237,8 @@ def synthesize_acyclic(phi: Mapping[object, PrivilegeGraph]) -> AcyclicPlan:
         topo_sccs = tuple(cond.scc_members[idx] for idx in cond.topo_order)
         pair_sccs = [scc for scc in topo_sccs if len(scc) == 2]
         scc_orientations = {frozenset(scc): (min(scc), max(scc)) for scc in pair_sccs}
+        if (count := 2 ** len(pair_sccs)) > DEFAULT_ENUMERATION_CAP:
+            raise CapacityError(f"issue {issue!r} has {count} orderings, over the cap of {DEFAULT_ENUMERATION_CAP}")
         factor = []
         for flips in itertools.product((False, True), repeat=len(pair_sccs)):
             flip_of = dict(zip(pair_sccs, flips))  # a flipped pair is laid out (max, min)

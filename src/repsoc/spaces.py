@@ -4,14 +4,15 @@ A candidate space is the set of preference profiles a mechanism may output.
 An explicit or product space is stored as the product of independent blocks
 (an explicit space is one block), and each block as one code matrix:
 ``(issues, columns, codes)`` with ``issues`` in sorted-id order,
-``columns[k]`` the distinct orderings on ``issues[k]`` sorted by ranking, and
-member ``m`` holding ``columns[k][codes[m, k]]``.  The rows are sorted, so
+``columns[k]`` the distinct orderings on ``issues[k]`` sorted by ranking, as
+one (orderings x N) array of positions (``[d, c]`` is the rank of outcome ``c``
+in ordering ``d``, 0 = best, in the least signed int type that holds N), and
+member ``m`` holding ordering ``codes[m, k]``.  The rows are sorted, so
 members come in one order inside each block and across the space: by their
 rank tuples, issue by issue in sorted-id order, and every argmax tie-break is
-reproducible.  The labs read only the codes; members are built as profiles
-only when asked.  The full space has closed forms instead.  The Kendall kernel
-reads each column as a small int array of its orderings' positions, built on
-first use; a full space shares one array per N, built with no ``LinearOrder``.
+reproducible.  The labs read only codes and positions; ``LinearOrder``s and
+profiles are built only when asked, once per column.  The full space has closed
+forms instead; its issues share one read-only column per N.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 import json
 from collections.abc import Hashable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from math import factorial, prod
 from typing import Iterator, Sequence
 
@@ -44,18 +45,28 @@ DEFAULT_ENUMERATION_CAP = 10**6
 @lru_cache(maxsize=None)
 def all_linear_orders(n: int) -> tuple[LinearOrder, ...]:
     """All of LO(n), in canonical (lexicographic ranking) order."""
-    return tuple(
-        LinearOrder(perm) for perm in sorted(itertools.permutations(range(n)))
-    )
+    return tuple(map(LinearOrder, itertools.permutations(range(n))))  # permutations come in that order
 
 
 @lru_cache(maxsize=None)
 def _full_positions(n: int) -> np.ndarray:
-    """The positions of ``all_linear_orders(n)``, in its order, with no ``LinearOrder`` built."""
+    """The read-only column of every ordering over ``n`` outcomes, built with no ``LinearOrder``."""
     rankings = itertools.chain.from_iterable(itertools.permutations(range(n)))
     positions = np.argsort(np.fromiter(rankings, np.int8).reshape(-1, n), axis=1).astype(np.int8)
     positions.flags.writeable = False
     return positions
+
+
+def _row_keys(positions: np.ndarray) -> list:
+    """Each row of an (orderings x N) position array as a ``bytes`` key, equal for equal rows of one dtype."""
+    rows = np.ascontiguousarray(positions)
+    return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel().tolist()
+
+
+def _ordered(blocks) -> tuple:
+    """The code blocks ``blocks`` with each column read back as the tuple of its ``LinearOrder``s."""
+    orders = lambda column: tuple(map(LinearOrder, np.argsort(column, axis=1).tolist()))  # noqa: E731
+    return tuple((issues, tuple(map(orders, columns)), codes) for issues, columns, codes in blocks)
 
 
 def _check_profile(profile: Profile, issues, n: int) -> None:
@@ -67,9 +78,9 @@ def _check_profile(profile: Profile, issues, n: int) -> None:
             raise InvalidArgumentError(f"ordering {order} has wrong outcome count")
 
 
-def _encode(issues: tuple, ids: np.ndarray, orders: list) -> tuple:
-    """The code block of the members given as ``ids``, a (members x issues) matrix of
-    indices into ``orders``, which are distinct; raises unless the members are too."""
+def _encode(issues: tuple, ids: np.ndarray, orders: list, n: int) -> tuple:
+    """The code block of the members given as ``ids``, a (members x issues) matrix of indices
+    into ``orders``, distinct orderings over ``n`` outcomes; raises unless the members are distinct."""
     if not len(ids):
         raise InvalidArgumentError(f"block {issues} needs at least one member")
     by_rank = sorted(range(len(orders)), key=lambda j: orders[j].ranking)
@@ -80,7 +91,9 @@ def _encode(issues: tuple, ids: np.ndarray, orders: list) -> tuple:
         present = np.zeros(len(orders), dtype=bool)
         present[ranked[:, k]] = True
         codes[:, k] = (np.cumsum(present) - 1)[ranked[:, k]]
-        columns.append(tuple(orders[by_rank[r]] for r in np.flatnonzero(present)))
+        held = [orders[by_rank[r]].position for r in np.flatnonzero(present)]
+        columns.append(np.array(held, np.min_scalar_type(-n)))
+        columns[-1].flags.writeable = False
     codes = codes[np.lexsort(codes.T[::-1])]
     if (codes[1:] == codes[:-1]).all(axis=1).any():
         raise InvalidArgumentError(f"members of block {issues} must be distinct")
@@ -166,7 +179,7 @@ def _coded(variant: str, issue_space: IssueSpace, given, resolve, parse) -> "Can
         if bad is not None:
             assignment = {issue_of[key]: orders[index_of[value]] for key, value in entries[bad].items()}
             _check_profile(Profile(assignment), block, n)
-        blocks.append(_encode(issues, rows, orders))
+        blocks.append(_encode(issues, rows, orders, n))
     if seen != issue_space.id_set:
         raise InvalidArgumentError("blocks must partition the issue set")
     return CandidateSpace(variant, issue_space, tuple(blocks))
@@ -225,23 +238,22 @@ class CandidateSpace:
         return prod(len(codes) for _, _, codes in self.coded)
 
     def contains(self, profile: Profile) -> bool:
-        """Whether each block has a member with the code row of ``profile``'s orderings."""
+        """Whether each block has a member whose orderings, gathered by its codes, are ``profile``'s."""
         _check_profile(profile, self.issue_space.id_set, self.issue_space.n)
-        try:
-            return all(
-                (codes == [column.index(profile(i)) for i, column in zip(issues, columns)])
-                .all(axis=1).any()
-                for issues, columns, codes in self.coded
-            )
-        except ValueError:  # an ordering no member holds
-            return False
+        return all(
+            np.logical_and.reduce([
+                (column == profile(i).position).all(axis=1)[code]
+                for i, column, code in zip(issues, columns, codes.T)
+            ]).any()
+            for issues, columns, codes in self.coded
+        )
 
     @property
     def blocks(self) -> tuple | None:
         """The ``(issues, members)`` blocks, members built as profiles in member order;
         None for a full space."""
         if self.variant != "full":
-            return tuple((b[0], tuple(_profile((b,), (m,)) for m in range(len(b[2])))) for b in self.coded)
+            return tuple((b[0], tuple(_profile((b,), (m,)) for m in range(len(b[2])))) for b in _ordered(self.coded))
 
     @property
     def profiles(self) -> tuple | None:
@@ -249,29 +261,17 @@ class CandidateSpace:
         return self.blocks[0][1] if self.variant == "explicit" else None
 
     def _codes(self) -> tuple:
-        """The space's code blocks; a full space gives each issue alone over
-        ``all_linear_orders(n)``.  A block of more than ``DEFAULT_ENUMERATION_CAP``
-        members raises ``CapacityError``."""
+        """The space's code blocks; a full space gives each issue alone over the shared column
+        ``_full_positions(n)``.  A block of over ``DEFAULT_ENUMERATION_CAP`` members raises ``CapacityError``."""
         n, full = self.issue_space.n, self.variant == "full"
         largest = factorial(n) if full else max(len(codes) for _, _, codes in self.coded)
         if largest > DEFAULT_ENUMERATION_CAP:
             cap = DEFAULT_ENUMERATION_CAP
             raise CapacityError(f"candidate-space block has {largest} members, over the cap of {cap}")
         if full:
-            orders, codes = (all_linear_orders(n),), np.arange(largest)[:, None]
-            return tuple(((issue,), orders, codes) for issue in self.issue_space.sorted_ids())
+            columns, codes = (_full_positions(n),), np.arange(largest)[:, None]
+            return tuple(((issue,), columns, codes) for issue in self.issue_space.sorted_ids())
         return self.coded
-
-    @cached_property
-    def _positions(self) -> tuple:
-        """Per code block of :meth:`_codes` and per column, its orderings' positions as an
-        (orderings x N) int8 array (for N <= 128): entry ``[d, c]`` is the rank of outcome ``c``
-        in ``column[d]``, 0 = best.  Built on first use; a full space shares one per N."""
-        blocks, n = self._codes(), self.issue_space.n
-        if self.variant == "full":
-            return ((_full_positions(n),),) * len(blocks)
-        dtype = np.min_scalar_type(-n)
-        return tuple(tuple(np.array([o.position for o in c], dtype) for c in columns) for _, columns, _ in blocks)
 
     def enumerate_profiles(self) -> Iterator[Profile]:
         """Yield every member once, in rank-tuple order: by rankings issue by issue in
@@ -281,7 +281,7 @@ class CandidateSpace:
         cap = DEFAULT_ENUMERATION_CAP
         if self.size() > cap:
             raise CapacityError(f"candidate space has {self.size()} profiles, over the cap of {cap}")
-        blocks = self._codes()
+        blocks = _ordered(self._codes())
         combos = itertools.product(*(range(len(codes)) for _, _, codes in blocks))
         members = (_profile(blocks, combo) for combo in combos)
         if self.variant == "product":  # the blocks' issues may interleave in sorted-id order
@@ -295,7 +295,7 @@ class CandidateSpace:
 
 def _entries(block: tuple) -> list:
     """A code block's members as file entries, issue keys in text order as profiles list them."""
-    issues, columns, codes = block
+    issues, columns, codes = _ordered((block,))[0]
     keyed = sorted(range(len(issues)), key=lambda k: str(issues[k]))
     keys = [str(issues[k]) for k in keyed]
     texts = [[str(order) for order in columns[k]] for k in keyed]

@@ -3,8 +3,9 @@
 ``scoring_mechanism_from_counts`` decides one ``{issue: {ordering: count}}``
 tally with Python loops and exact integer points; the differential tests hold
 the batched ``repsoc.mechanisms.decide_tallies`` to its chosen profile,
-tie-set size and objective.  A :class:`SampleSet` lists (ordering, issue)
-pairs one by one, and :func:`scoring_mechanism` decides it through
+tie-set size and objective; :func:`ordered_codes` reads a space's code blocks
+back with their columns as orderings.  A :class:`SampleSet` lists (ordering,
+issue) pairs one by one, and :func:`scoring_mechanism` decides it through
 ``decide_tallies``.  The utility and score functions evaluate one profile
 against a sample or a population.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -81,8 +83,22 @@ def scoring_mechanism(sample: SampleSet, space: CandidateSpace, rule: ScoringRul
     decided = decide_tallies(row, cells, space, rule)
     ties = prod(decided.ties[0].tolist())
     objective = int(decided.points[0]) / (rule.top(space.issue_space.n) * total) if total else 0.0
-    chosen = _profile(space._codes(), decided.winners[0].tolist())
+    chosen = _profile(ordered_codes(space), decided.winners[0].tolist())
     return MechanismResult(chosen, objective, tie_set_size=ties, tie_broken=ties > 1)
+
+
+@lru_cache(maxsize=1)
+def ordered_codes(space: CandidateSpace) -> tuple:
+    """``space._codes()`` with each column, an (orderings x N) position array, read back as a
+    tuple of its ``LinearOrder``s in order: ordering ``d`` ranks outcome ``c`` at ``column[d, c]``.
+    The last space's is kept (spaces hash by identity): the per-call references read it per tally."""
+    return tuple(
+        (issues, tuple(
+            tuple(LinearOrder(tuple(sorted(range(len(row)), key=row.__getitem__))) for row in column.tolist())
+            for column in columns
+        ), codes)
+        for issues, columns, codes in space._codes()
+    )
 
 
 def weighted_points(rule: ScoringRule, weights: dict, target: LinearOrder):
@@ -164,7 +180,7 @@ def scoring_mechanism_from_counts(
     assignment = {}
     points = 0
     tie_set_size = 1
-    for issues, columns, codes in space._codes():
+    for issues, columns, codes in ordered_codes(space):
         tables = [
             [weighted_points(rule, counts.get(issue, {}), o) for o in column]
             for issue, column in zip(issues, columns)

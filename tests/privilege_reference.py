@@ -9,18 +9,22 @@ up in that set.  The differential tests hold the code-block closure test of
 
 from __future__ import annotations
 
+from functools import lru_cache
 
-def member_table(space, issue) -> set:
-    """The members that matter for ``issue``, as ``(rest, ranking)`` tuples."""
+
+@lru_cache(maxsize=8)
+def member_table(space, issue) -> frozenset:
+    """The members that matter for ``issue``, as ``(rest, ranking)`` tuples; kept for the last few
+    (space, issue) pairs (spaces hash by identity), as a test asks for many subsets of one issue."""
     issues, members = next(block for block in space.blocks if issue in block[0])
     others = [j for j in issues if j != issue]
-    return {
+    return frozenset(
         (tuple(member(j).ranking for j in others), member(issue).ranking)
         for member in members
-    }
+    )
 
 
-def closed(table: set, subset: tuple) -> bool:
+def closed(table: frozenset, subset: tuple) -> bool:
     """True iff re-sorting ``subset``'s outcomes into its order, in the rank
     slots they hold, maps every key of ``table`` to a key of ``table``."""
     for rest, ranking in table:

@@ -534,6 +534,19 @@ BAD_INPUTS = {
         None,
         "'0 > 1'",
     ),
+    "marginal-nan": (
+        _generalization_over_marginals({"i0": {"0>1": float("nan"), "1>0": 0.5}, "i1": {"0>1": 1.0}}), None, "'i0'"
+    ),
+    "saliency-nan": (
+        _over_file(
+            "bad_population.json",
+            {"issues": ["i0", "i1"], "N": 2, "saliency": {"i0": float("nan"), "i1": 1.0},
+             "marginals": {"i0": {"0>1": 1.0}, "i1": {"0>1": 1.0}}},
+            lambda s, path: _generalization(s, population=path),
+        ),
+        None,
+        "'i0'",
+    ),
     "population-text-mass": (
         _generalization_over_marginals({"i0": {"0>1": "most"}, "i1": {"0>1": 1.0}}), None, "'0>1'"
     ),
@@ -686,6 +699,13 @@ CAPACITY_INPUTS = {
     ),
     "sample-size-10-to-the-30": (
         lambda s: _rademacher(s, sample_size=10**30), f"sample_size = {10**30} with sign_draws = 200"
+    ),
+    # 20 two-outcome SCCs: 2**20 orderings, refused before any is built
+    "synthesis-2-to-the-20-orderings": (
+        _synthesis_over_graphs_file(
+            {"N": 40, "graphs": {"i": [edge for k in range(0, 40, 2) for edge in ([k, k + 1], [k + 1, k])]}}
+        ),
+        "issue 'i' has 1048576 orderings, over the cap of 1000000",
     ),
 }
 

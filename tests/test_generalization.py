@@ -32,7 +32,7 @@ from repsoc.spaces import DEFAULT_ENUMERATION_CAP
 from repsoc.population import _cells
 from repsoc.rng import derive_rng
 from tests.conftest import member_rows, random_explicit_space
-from tests.mechanism_reference import population_utility
+from tests.mechanism_reference import ordered_codes, population_utility
 
 
 def enumerated_generalization(space, saliency, population, sizes, trials, seed):
@@ -370,7 +370,7 @@ def padded_gather(rows, cells, space):
     return [
         padded[:, [[place.get((i, column[c]), -1) for i, column, c in zip(issues, columns, row)]
                    for row in codes.tolist()]].sum(axis=2)
-        for issues, columns, codes in space._codes()
+        for issues, columns, codes in ordered_codes(space)
     ]
 
 
@@ -379,7 +379,7 @@ def kendall_gather(rows, cells, space):
     ``KENDALL.points`` of each cell against the member's ordering on the cell's issue (0 for a
     cell on another block's issue)."""
     out = []
-    for issues, columns, codes in space._codes():
+    for issues, columns, codes in ordered_codes(space):
         members = [dict(zip(issues, map(tuple.__getitem__, columns, row))) for row in codes.tolist()]
         points = [[KENDALL.points(order, m[issue]) if issue in m else 0 for m in members] for issue, order in cells]
         out.append(rows @ np.array(points, dtype=np.int64).reshape(len(cells), len(members)))

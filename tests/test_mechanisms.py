@@ -22,10 +22,14 @@ from repsoc import (
     Profile,
     SaliencyDistribution,
     all_linear_orders,
+    build_privilege_graph,
     exact_match_score,
     decide_tallies,
+    empirical_rademacher,
+    generalization_experiment,
     load_candidate_space,
     make_mechanism,
+    sample_pairs,
     save_candidate_space,
     synthesize_acyclic,
 )
@@ -37,6 +41,7 @@ from tests.mechanism_reference import (
     SampleSet,
     counts_of_row,
     majority_vote,
+    ordered_codes,
     population_score,
     population_utility,
     sample_score,
@@ -44,6 +49,7 @@ from tests.mechanism_reference import (
     scoring_mechanism,
     scoring_mechanism_from_counts,
 )
+from tests.privilege_reference import closed, member_table
 
 
 def lo(text):
@@ -536,7 +542,7 @@ def wide_kendall_inputs(draw):
         space = CandidateSpace.product(blocks, IssueSpace(issues, n))
     else:
         space = CandidateSpace.full(IssueSpace(issues, n))
-    own = [order for _, columns, _ in space._codes() for column in columns for order in column]
+    own = [order for _, columns, _ in ordered_codes(space) for column in columns for order in column]
     order = st.one_of(st.sampled_from(own), st.permutations(range(n)).map(LinearOrder))
     cell = st.tuples(st.sampled_from(issues), order)
     cells = draw(st.lists(cell, unique_by=lambda c: (c[0], c[1].ranking), max_size=8))
@@ -582,20 +588,20 @@ def test_kernel_builds_each_points_table_once_while_it_fits_the_cap(monkeypatch)
     """Under caps of 2,500 and 1,000 entries, 40 Kendall tallies over the 720-member full
     N = 6 block are decided 3 and 1 at a time, with the same decisions as at the default cap;
     the column's position array, from which each chunk reads its outcome pairs, is built once
-    for the space, not once per chunk or per call."""
+    per N (one miss of its cache, which every ``_codes()`` call reads), not once per chunk or
+    per call."""
     orders = all_linear_orders(6)
     cells = [("i", orders[j]) for j in (0, 7, 100)]
     rows = np.random.default_rng(5).multinomial(30, [0.5, 0.3, 0.2], size=40)
     expected = decide_tallies(rows, cells, CandidateSpace.full(IssueSpace(("i",), 6)), KENDALL)
-    builds, full_positions = [], spaces._full_positions
-    monkeypatch.setattr(spaces, "_full_positions", lambda n: builds.append(n) or full_positions(n))
+    spaces._full_positions.cache_clear()
     space = CandidateSpace.full(IssueSpace(("i",), 6))
     for cap in (2500, 1000):
         monkeypatch.setattr(mechanisms, "DEFAULT_ENUMERATION_CAP", cap)
         decided = decide_tallies(rows, cells, space, KENDALL)
         assert (decided.winners == expected.winners).all()
         assert (decided.points == expected.points).all() and (decided.ties == expected.ties).all()
-    assert builds == [6]
+    assert spaces._full_positions.cache_info().misses == 1
 
 
 def test_kendall_kernel_over_a_full_eight_outcome_column_stays_within_a_forced_cap(monkeypatch):
@@ -745,3 +751,77 @@ def test_kernel_and_loading_build_no_members(monkeypatch, tmp_path):
     for _ in range(2):
         with pytest.raises(CapacityError):
             majority_vote(sample, too_big)
+
+
+def test_the_labs_build_and_hash_no_ordering_per_column_ordering(monkeypatch):
+    """Over a full N = 6 space (720 orderings per issue's column), the kernel under both rules,
+    the generalization lab, the Rademacher estimate and the privilege graph read the column as
+    positions: with ``all_linear_orders``' cache cleared, none of them builds a ``LinearOrder``,
+    and the orderings hashed are a few per cell, not one per column ordering."""
+    space = CandidateSpace.full(IssueSpace(("a", "b"), 6))
+    orders = [LinearOrder(ranking) for ranking in ((0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0), (2, 0, 1, 3, 5, 4))]
+    population = MarginalPopulation({issue: dict(zip(orders, (0.5, 0.3, 0.2))) for issue in ("a", "b")})
+    saliency = SaliencyDistribution({"a": 0.5, "b": 0.5})
+    cells, pairs = sample_pairs(saliency, population, 40, 0)
+    rows = np.random.default_rng(1).multinomial(30, [1 / len(cells)] * len(cells), size=5)
+    all_linear_orders.cache_clear()
+    counts = {"built": 0, "hashed": 0}
+    post_init, hash_of = LinearOrder.__post_init__, LinearOrder.__hash__
+
+    def counted(key, method):
+        return lambda order: counts.__setitem__(key, counts[key] + 1) or method(order)
+
+    monkeypatch.setattr(LinearOrder, "__post_init__", counted("built", post_init))
+    monkeypatch.setattr(LinearOrder, "__hash__", counted("hashed", hash_of))
+    runs = {
+        "exact": lambda: decide_tallies(rows, cells, space, EXACT_MATCH),
+        "kendall": lambda: decide_tallies(rows, cells, space, KENDALL),
+        "generalization": lambda: generalization_experiment(space, saliency, population, [10, 50], 20, 0),
+        "rademacher": lambda: empirical_rademacher(space, KENDALL, cells, pairs, 10, 0),
+        "privilege": lambda: build_privilege_graph(space, "a"),
+    }
+    for name, run in runs.items():
+        counts.update(built=0, hashed=0)
+        run()
+        assert counts["built"] == 0, name
+        assert counts["hashed"] <= 4 * len(cells), name
+
+
+def test_columns_over_more_than_128_outcomes_hold_int16_positions(per_call_reference, tmp_path):
+    """At N = 130 a position passes int8, so the columns and the kernel's cell positions are
+    int16.  Both rules decide as the per-call reference does (exact match finds its cells by
+    their int16 rows), the privilege graph is the member-table closure test's, ``contains``
+    agrees with the enumeration, and a saved space loads back to the same members and columns."""
+    n, rng = 130, np.random.default_rng(130)
+
+    def swapped(*pairs):
+        ranking = list(range(n))
+        for u, v in pairs:
+            ranking[u], ranking[v] = ranking[v], ranking[u]
+        return LinearOrder(tuple(ranking))
+
+    ups = [swapped(*pairs) for pairs in ((), ((0, 1),), ((128, 129),), ((0, 1), (128, 129)))]
+    b, c, strangers = ([LinearOrder(tuple(rng.permutation(n))) for _ in range(2)] for _ in range(3))
+    members = [Profile({"a": up, "b": b[k], "c": c[k]}) for up in ups for k in range(2)]
+    space = CandidateSpace.explicit(members, IssueSpace(("a", "b", "c"), n))
+    assert {column.dtype for _, columns, _ in space._codes() for column in columns} == {np.dtype(np.int16)}
+    cells = [("a", ups[1]), ("a", strangers[0]), ("b", b[1]), ("b", strangers[1]), ("c", c[0])]
+    assert mechanisms._placed(cells, n)[1].dtype == np.int16
+    rows = np.vstack([rng.integers(0, 4, size=(6, len(cells))), np.zeros((1, len(cells)), dtype=np.int64)])
+    for rule in (EXACT_MATCH, KENDALL):
+        assert kernel_disagreements(per_call_reference, space, rows, cells, rule) == []
+
+    table = member_table(space, "a")
+    expected = {pair for pair in itertools.permutations(range(n), 2) if closed(table, pair)}
+    assert build_privilege_graph(space, "a").edges == expected
+    assert {(1, 0), (129, 128)} <= expected and (2, 0) not in expected
+
+    enumerated = list(space.enumerate_profiles())
+    outside = [members[0].with_issue("c", c[1]), members[0].with_issue("a", strangers[0])]
+    assert [space.contains(profile) for profile in enumerated + outside] == [True] * len(enumerated) + [False] * 2
+    save_candidate_space(tmp_path / "space.json", space)
+    loaded = load_candidate_space(tmp_path / "space.json")
+    assert list(loaded.enumerate_profiles()) == enumerated
+    for (_, columns, codes), (_, loaded_columns, loaded_codes) in zip(space._codes(), loaded._codes()):
+        assert (codes == loaded_codes).all()
+        assert all(x.dtype == y.dtype and (x == y).all() for x, y in zip(columns, loaded_columns))

@@ -30,8 +30,9 @@ class TestSaliency:
             SaliencyDistribution({"a": 0.5, "b": 0.6})
 
     def test_negative_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            SaliencyDistribution({"a": -0.1, "b": 1.1})
+        for weight in (-0.1, math.nan):
+            with pytest.raises(InvalidArgumentError, match="'a' must be a non-negative number"):
+                SaliencyDistribution({"a": weight, "b": 1.1})
 
     def test_zero_weight_warns(self):
         with pytest.warns(UserWarning):
@@ -48,8 +49,9 @@ class TestMarginalPopulation:
     def test_validates_each_issue(self):
         with pytest.raises(InvalidArgumentError):
             MarginalPopulation({"i": {lo("0>1"): 0.7, lo("1>0"): 0.7}})
-        with pytest.raises(InvalidArgumentError):
-            MarginalPopulation({"i": {lo("0>1"): -0.5, lo("1>0"): 1.5}})
+        for mass in (-0.5, math.nan):
+            with pytest.raises(InvalidArgumentError, match="'i' must be non-negative numbers"):
+                MarginalPopulation({"i": {lo("0>1"): mass, lo("1>0"): 1.5}})
 
     def test_unknown_issue(self):
         pop = MarginalPopulation({"i": {lo("0>1>2"): 1.0}})
@@ -74,6 +76,8 @@ class TestMix:
         pop = MarginalPopulation({"i": {lo("0>1"): 1.0}})
         with pytest.raises(InvalidArgumentError):
             SubpopulationMixture(((0.4, pop), (0.4, pop)))
+        with pytest.raises(InvalidArgumentError, match="positive"):
+            SubpopulationMixture(((math.nan, pop), (1.0, pop)))
         with pytest.raises(InvalidArgumentError):
             SubpopulationMixture(())
 

@@ -21,7 +21,7 @@ from repsoc import (
 )
 from repsoc.spaces import DEFAULT_ENUMERATION_CAP
 from tests.conftest import candidate_spaces, member_rows
-from tests.mechanism_reference import SampleSet, majority_vote
+from tests.mechanism_reference import SampleSet, majority_vote, ordered_codes
 
 
 def lo(text):
@@ -192,11 +192,14 @@ def test_rank_tuple_order_with_eleven_outcomes():
 @settings(max_examples=150, deadline=None)
 @given(candidate_spaces(), st.data())
 def test_rows_recombine_to_the_enumeration(space, data):
-    """The code blocks are the stored form: sorted distinct columns, sorted distinct rows,
-    and their members' rows recombine to the enumeration."""
-    ids = space.issue_space.sorted_ids()
+    """The code blocks are the stored form: sorted distinct columns of positions in the smallest
+    signed int type that holds N, sorted distinct rows, and their members' rows recombine to the
+    enumeration."""
+    ids, n = space.issue_space.sorted_ids(), space.issue_space.n
     rank_key = lambda profile: [profile(issue).ranking for issue in ids]  # noqa: E731
-    for issues, columns, codes in space._codes():
+    for _, columns, _ in space._codes():
+        assert all(column.dtype == np.min_scalar_type(-n) and column.shape[1:] == (n,) for column in columns)
+    for issues, columns, codes in ordered_codes(space):
         assert list(issues) == [issue for issue in ids if issue in issues]
         for column in columns:
             rankings = [order.ranking for order in column]
