@@ -46,6 +46,7 @@ from .population import (
     load_population,
     read_json,
     sample_pairs,
+    write_json,
 )
 from .privilege import (
     PrivilegeGraph,
@@ -227,9 +228,10 @@ class GeneralizationResult:
 
 def _median(values: np.ndarray) -> float:
     """``np.median`` of a nonempty float array, bit for bit, without loading ``numpy.ma``:
-    the middle value or ``(a + b) / 2``, plus 0.0 to make a zero positive as it does."""
+    the middle value or ``(a + b) / 2``, summed from +0.0 first as numpy sums, so a zero's
+    sign comes out as it does (``[0.0, -5e-324]`` gives -0.0)."""
     ordered, k = np.sort(values).tolist(), len(values) // 2
-    return (ordered[k] if len(values) % 2 else (ordered[k - 1] + ordered[k]) / 2) + 0.0
+    return 0.0 + ordered[k] if len(values) % 2 else (0.0 + ordered[k - 1] + ordered[k]) / 2
 
 
 @dataclass(frozen=True)
@@ -507,20 +509,14 @@ def run_experiment(config: dict, out_dir, check: bool = False) -> RunReport:
         "seed": settings["seed"],
         "kind": kind,
     }
-    with open(out_dir / "metadata.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
+    write_json(out_dir / "metadata.json", meta)
     summary_path = out_dir / "summary.json"
-    with open(summary_path, "w") as fh:
-        json.dump(
-            {
-                "kind": kind,
-                "results": report.results,
-                "warnings": report.warnings,
-                "check_passed": report.check_passed,
-            },
-            fh,
-            indent=2,
-        )
+    write_json(summary_path, {
+        "kind": kind,
+        "results": report.results,
+        "warnings": report.warnings,
+        "check_passed": report.check_passed,
+    })
     report.outputs.append(str(summary_path))
     return report
 

@@ -164,8 +164,9 @@ def block_scores(
 
     blocks, exact, cap = space._codes(), rule is EXACT_MATCH, DEFAULT_ENUMERATION_CAP
     ends = [np.cumsum([0, *map(len, columns)]) for _, columns, _ in blocks]  # of the laid columns
-    x, y = np.nonzero(np.less.outer(np.arange(n), np.arange(n)))  # the outcome pairs x < y
     keys = _cell_index(placed, space) if exact else [columns for _, columns, _ in blocks]  # per column
+    if not exact:
+        x, y = np.nonzero(np.less.outer(np.arange(n), np.arange(n)))  # the outcome pairs x < y
     width = max(1, cap // max(1, top))  # orderings per slice of pairs
     most = max(1, cap // max(len(cells), sum(c.size for _, _, c in blocks), top))  # rows per chunk
     step = ceil(len(rows) / ceil(len(rows) / most)) if len(rows) else most

@@ -3,12 +3,15 @@
 Outcomes are 0-based indices ``0..N-1``.  A :class:`LinearOrder` stores its
 ranking best-first, so ``ranking[0]`` is the top outcome.  The text form used
 in all config and output files is a ``'>'``-separated index list, e.g.
-``"2>0>1"``.
+``"2>0>1"``.  A ranking is checked, inverted into positions and hashed once per
+process, in a bounded cache that holds every ordering of N <= 7: building an
+ordering seen before costs one cached lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping
 
 from .errors import InvalidArgumentError
@@ -25,31 +28,44 @@ __all__ = [
 ]
 
 
+_CHECKED_RANKINGS = 8192  # holds every ordering of N <= 7 (5,040 of them)
+
+
+@lru_cache(maxsize=_CHECKED_RANKINGS)
+def _checked(ranking: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The position tuple and hash of ``ranking``, a tuple of ints, once it is checked to be a
+    permutation of ``0..n-1``.  A bad ranking raises on every call, as no exception is cached."""
+    n = len(ranking)
+    if n < 1:
+        raise InvalidArgumentError("a linear order needs at least one outcome")
+    position = [-1] * n  # position[c] is the k with ranking[k] == c
+    try:
+        for k, c in enumerate(ranking):
+            position[c] = k
+        ok = min(ranking) >= 0 and -1 not in position  # n outcomes in range fill the n places
+    except IndexError:  # an outcome above n - 1
+        ok = False
+    if not ok:
+        raise InvalidArgumentError(f"ranking {ranking} is not a permutation of 0..{n - 1}")
+    return tuple(position), hash((ranking,))  # the hash is the dataclass's
+
+
 @dataclass(frozen=True, slots=True)
 class LinearOrder:
     """A strict total order over ``n`` outcomes, best first."""
 
     ranking: tuple[int, ...]
-    # position[c] is the rank of outcome c (0 = best); built once at construction
+    # position[c] is the rank of outcome c (0 = best); looked up once at construction
     position: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # the hash the dataclass would compute on every lookup, hash((ranking,)), kept once
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ranking = tuple(int(c) for c in self.ranking)
+        ranking = tuple(map(int, self.ranking))
+        position, hashed = _checked(ranking)
         object.__setattr__(self, "ranking", ranking)
-        n = len(ranking)
-        if n < 1:
-            raise InvalidArgumentError("a linear order needs at least one outcome")
-        if sorted(ranking) != list(range(n)):
-            raise InvalidArgumentError(
-                f"ranking {ranking} is not a permutation of 0..{n - 1}"
-            )
-        pos = [0] * n
-        for k, c in enumerate(ranking):
-            pos[c] = k
-        object.__setattr__(self, "position", tuple(pos))
-        object.__setattr__(self, "_hash", hash((ranking,)))
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "_hash", hashed)
 
     def __hash__(self) -> int:
         return self._hash

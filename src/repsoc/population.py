@@ -4,6 +4,8 @@ Populations are modeled through their per-issue marginals only: for each
 issue, a sparse distribution over linear orders.  A sampled pair is an
 (issue, ordering) cell, drawn i.i.d. with probability saliency(issue) times the
 ordering's mass; :func:`sample_pairs` returns each pair as its cell's index.
+Every JSON file the library writes goes through :func:`write_json`, and every
+one it reads through :func:`read_json`.
 """
 
 from __future__ import annotations
@@ -238,8 +240,7 @@ def save_population(
             for issue in space.issue_ids
         },
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+    write_json(path, doc)
 
 
 def read_json(path, what: str) -> dict:
@@ -257,6 +258,13 @@ def read_json(path, what: str) -> dict:
     if not isinstance(doc, dict):
         raise InvalidArgumentError(f"{what} file {path} must hold a JSON object")
     return doc
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` to ``path`` as JSON indented by 2, in one ``write``: the bytes that
+    ``json.dump(doc, fh, indent=2)`` streams one token at a time."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=2))
 
 
 def expect(value, kind: type, key, what: str):

@@ -11,14 +11,15 @@ member ``m`` holding ordering ``codes[m, k]``.  The rows are sorted, so
 members come in one order inside each block and across the space: by their
 rank tuples, issue by issue in sorted-id order, and every argmax tie-break is
 reproducible.  The labs read only codes and positions; ``LinearOrder``s and
-profiles are built only when asked, once per column.  The full space has closed
+profiles are built only when asked, once per column.  Given profiles are encoded
+by their orderings' ranking tuples, so the encoder hashes and compares tuples and
+builds one ``LinearOrder`` per distinct ranking.  The full space has closed
 forms instead; its issues share one read-only column per N.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import CapacityError, InvalidArgumentError
 from .orders import LinearOrder, Profile
-from .population import IssueSpace, expect, read_issue_space, read_json
+from .population import IssueSpace, expect, read_issue_space, read_json, write_json
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -226,9 +227,13 @@ class CandidateSpace:
 
     @classmethod
     def product(cls, blocks, issue_space: IssueSpace) -> "CandidateSpace":
-        """The product of ``(issues, member profiles)`` blocks."""
-        given = [(ids, [dict(member.items()) for member in members]) for ids, members in blocks]
-        return _coded("product", issue_space, given, lambda issue: issue, lambda _, order: order)
+        """The product of ``(issues, member profiles)`` blocks, each member read as the
+        ranking tuples of its orderings."""
+        given = [
+            (ids, [{issue: order.ranking for issue, order in member.items()} for member in members])
+            for ids, members in blocks
+        ]
+        return _coded("product", issue_space, given, lambda issue: issue, lambda _, ranking: LinearOrder(ranking))
 
     # -- basic queries ------------------------------------------------------
 
@@ -314,8 +319,7 @@ def save_candidate_space(path, space: CandidateSpace) -> None:
         doc["blocks"] = [
             {"issues": list(block[0]), "profiles": _entries(block)} for block in space.coded
         ]
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+    write_json(path, doc)
 
 
 _expect = partial(expect, what="candidate-space")

@@ -637,6 +637,7 @@ def test_saliency_issue_outside_the_space():
 @example([-0.0])
 @example([-0.0, 0.0, -0.0, 5.0])
 @example([1e308, 1.5e308])
+@example([0.0, -5e-324])
 def test_median_equals_numpy_bit_for_bit(values):
     """Odd and even lengths, signed zeros and sums that round or overflow included."""
     array = np.array(values)

@@ -1,5 +1,6 @@
-from itertools import combinations
+from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,10 +11,12 @@ from repsoc import (
     LinearOrder,
     Permutation,
     Profile,
+    all_linear_orders,
     apply_local_permutation,
     apply_permutation,
     exact_match_score,
 )
+from repsoc import orders as orders_module
 from repsoc.orders import concordant_pairs
 
 permutations_of = st.integers(2, 6).flatmap(
@@ -59,6 +62,34 @@ class TestLinearOrder:
         assert o == LinearOrder((2, 0, 1)) and o != lo("0>1>2") and o != (2, 0, 1)
         assert hash(o) == hash(LinearOrder([2, 0, 1])) == hash(((2, 0, 1),))
         assert {o: 1}[lo("2>0>1")] == 1
+
+    def test_a_bad_ranking_raises_on_every_call(self):
+        """No exception is cached: a bad ranking raises after good ones are cached, and again
+        when it is given a second time."""
+        for ranking in [(0, 1, 2), (2, 0, 1), (1, 0)]:
+            LinearOrder(ranking)
+        for bad in [(0, 0, 1), (0, 2), (1, 2, 3), (0, -1), (0, -3), ()]:
+            for _ in range(2):
+                with pytest.raises(InvalidArgumentError):
+                    LinearOrder(bad)
+        assert LinearOrder((2, 0, 1)).position == (1, 2, 0)
+
+    def test_numpy_and_list_rankings_read_as_tuples(self):
+        for ranking in [(2, 0, 3, 1), (0,), (1, 0)]:
+            expected = LinearOrder(ranking)
+            for given in (list(ranking), np.array(ranking), np.array(ranking, dtype=np.int8)):
+                o = LinearOrder(given)
+                assert type(o.ranking) is tuple and all(type(c) is int for c in o.ranking)
+                assert (o.ranking, o.position, hash(o)) == (expected.ranking, expected.position, hash(expected))
+                assert o == expected
+
+    def test_the_ranking_cache_stays_within_its_bound(self):
+        bound = orders_module._checked.cache_info().maxsize
+        assert bound == orders_module._CHECKED_RANKINGS >= len(all_linear_orders(7))
+        built = tuple(map(LinearOrder, permutations(range(8))))
+        assert len(built) == 40320 and len(set(built)) == 40320
+        assert orders_module._checked.cache_info().currsize <= bound
+        assert all(o.ranking[k] == c for o in built for c, k in enumerate(o.position))
 
     def test_rejects_non_permutation(self):
         with pytest.raises(InvalidArgumentError):

@@ -178,6 +178,23 @@ def test_population_file_roundtrip(tmp_path):
     assert pop2.distribution("j")[lo("1>0>2")] == 1.0
 
 
+def test_population_file_is_json_indented_by_two(tmp_path):
+    """A population file is the text of ``json.dumps(doc, indent=2)``, written in one piece;
+    each issue's orderings are listed by ranking."""
+    space = IssueSpace(("j", 3), 3)
+    saliency = SaliencyDistribution({"j": 0.25, 3: 0.75})
+    pop = MarginalPopulation({"j": {lo("2>1>0"): 0.5, lo("0>2>1"): 0.5}, 3: {lo("1>0>2"): 1.0}})
+    path = tmp_path / "population.json"
+    save_population(path, space, saliency, pop)
+    doc = {
+        "issues": ["j", 3],
+        "N": 3,
+        "saliency": {"j": 0.25, "3": 0.75},
+        "marginals": {"j": {"0>2>1": 0.5, "2>1>0": 0.5}, "3": {"1>0>2": 1.0}},
+    }
+    assert path.read_text() == json.dumps(doc, indent=2)
+
+
 def test_population_file_missing_key(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"issues": ["i"], "N": 2}')

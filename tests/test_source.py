@@ -1,5 +1,6 @@
 """Static checks of the library source, with the standard ``ast`` module: every import is
-used, and every private module-level name is read somewhere in the library."""
+used, every private module-level name is read somewhere in the library, and every JSON
+file is written through ``population.write_json``."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,16 @@ def test_every_private_module_level_name_is_read_in_the_library():
         if name not in read
     ]
     assert unread == []
+
+
+def test_no_module_streams_json_to_a_file():
+    """``json.dump`` writes one token at a time; every JSON file goes through ``write_json``,
+    which writes ``json.dumps`` text in one call."""
+    streamed = [
+        f"{module}:{node.lineno}"
+        for module, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "dump" and getattr(node.value, "id", None) == "json")
+        or (isinstance(node, ast.ImportFrom) and node.module == "json" and "dump" in {a.name for a in node.names})
+    ]
+    assert streamed == []

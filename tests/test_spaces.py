@@ -167,6 +167,25 @@ class TestFileFormat:
         assert loaded.variant == "product"
         assert set(loaded.enumerate_profiles()) == set(space.enumerate_profiles())
 
+    def test_saved_text_is_json_indented_by_two(self, tmp_path):
+        """A space file is the text of ``json.dumps(doc, indent=2)``, written in one piece."""
+        members = [Profile({"j": lo("2>0>1"), "i": lo(text)}) for text in ("1>0>2", "0>1>2")]
+        issue_space = IssueSpace(("j", "i"), 3)
+        factors = ((("i",), [Profile({"i": lo("1>0>2")})]), (("j",), [Profile({"j": lo("0>2>1")})]))
+        entries = [{"i": "0>1>2", "j": "2>0>1"}, {"i": "1>0>2", "j": "2>0>1"}]
+        for space, doc in [
+            (CandidateSpace.explicit(members, issue_space),
+             {"variant": "explicit", "issues": ["j", "i"], "N": 3, "profiles": entries}),
+            (CandidateSpace.product(factors, issue_space),
+             {"variant": "product", "issues": ["j", "i"], "N": 3, "blocks": [
+                 {"issues": ["i"], "profiles": [{"i": "1>0>2"}]},
+                 {"issues": ["j"], "profiles": [{"j": "0>2>1"}]}]}),
+            (CandidateSpace.full(issue_space), {"variant": "full", "issues": ["j", "i"], "N": 3}),
+        ]:
+            path = tmp_path / f"{space.variant}.json"
+            save_candidate_space(path, space)
+            assert path.read_text() == json.dumps(doc, indent=2)
+
     def test_missing_key(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"variant": "full", "issues": ["i"]}')
@@ -360,3 +379,60 @@ def test_loading_builds_one_order_per_distinct_text(tmp_path, monkeypatch):
     assert space.size() == 2000
     assert len(built) <= len(texts) == 24
     assert {str(order) for order in built} == texts
+
+
+def same_codes(a, b) -> bool:
+    """Whether two code-block tuples hold equal issues and arrays of equal dtypes."""
+    return len(a) == len(b) and all(
+        issues == other_issues
+        and len(columns) == len(other_columns)
+        and all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(columns, other_columns))
+        and codes.dtype == other_codes.dtype and np.array_equal(codes, other_codes)
+        for (issues, columns, codes), (other_issues, other_columns, other_codes) in zip(a, b)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_given_orderings_encode_as_their_saved_file_loads(data):
+    """Profiles that hold their own equal ``LinearOrder`` objects, in blocks whose issues
+    interleave in sorted-id order, give the codes their saved file loads to."""
+    n = data.draw(st.integers(2, 4), "n")
+    issues = tuple(f"i{j}" for j in range(data.draw(st.integers(1, 4), "issues")))
+    issue_space = IssueSpace(issues, n)
+    rankings = [order.ranking for order in all_linear_orders(n)]
+    label = data.draw(st.lists(st.integers(0, 2), min_size=len(issues), max_size=len(issues)), "blocks")
+    groups = [tuple(i for i, b in zip(issues, label) if b == g) for g in sorted(set(label))]
+
+    def members(block):
+        rows = data.draw(st.lists(
+            st.tuples(*(st.sampled_from(rankings) for _ in block)), min_size=1, max_size=8, unique=True,
+        ))
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=3))  # a repeat raises, as it must
+        # every (member, issue) holds its own ordering object, some built from numpy ints
+        return [Profile({i: LinearOrder(np.array(r) if k % 2 else list(r)) for i, r in zip(block, row)})
+                for k, row in enumerate(rows)]
+
+    explicit = data.draw(st.booleans(), "explicit")
+    given_blocks = [(issues, members(issues))] if explicit else [(block, members(block)) for block in groups]
+    build = (lambda: CandidateSpace.explicit(given_blocks[0][1], issue_space)) if explicit else (
+        lambda: CandidateSpace.product(given_blocks, issue_space))
+    distinct = all(len(set(ms)) == len(ms) for _, ms in given_blocks)
+    if not distinct:
+        with pytest.raises(InvalidArgumentError, match="must be distinct"):
+            build()
+        return
+    space = build()
+    shared = [(block, [Profile({i: all_linear_orders(n)[rankings.index(m(i).ranking)] for i in block})
+                       for m in ms]) for block, ms in given_blocks]
+    reference = CandidateSpace.product(shared, issue_space)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "space.json"
+        save_candidate_space(path, space)
+        loaded = load_candidate_space(path)
+    assert loaded.variant == space.variant
+    assert [(issues, set(ms)) for issues, ms in space.blocks] == [
+        (tuple(sorted(block)), set(ms)) for block, ms in given_blocks
+    ]
+    assert same_codes(space._codes(), loaded._codes())
+    assert same_codes(space._codes(), reference._codes())
