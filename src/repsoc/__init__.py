@@ -60,9 +60,7 @@ from .population import (
     IssueSpace,
     MarginalPopulation,
     SaliencyDistribution,
-    SubpopulationMixture,
     load_population,
-    mix,
     pair_marginal,
     sample_pairs,
     save_population,

@@ -5,8 +5,9 @@ in ``_axiom_event``: its premises, the populations to draw committees from
 and the test of their choices.  ``estimate_axiom`` is the one
 estimator of a failure curve.  The Arrow-like decisiveness and
 field-expansion arguments are PC scenarios of it: a coalition unanimous on
-c over c' (through a third outcome, for field expansion) mixed with a
-complement unanimous on the reverse.
+c over c' (through a third outcome, for field expansion) beside a
+complement unanimous on the reverse.  The Condorcet scenarios, whose pairwise
+majorities cycle, are built by one private builder.
 
 Axiom events are estimated by repeated seeded trials of
 (sample -> mechanism -> check).  Mechanisms are anonymous, so each trial
@@ -21,7 +22,6 @@ issue's column of orderings, as positions, gathered by the winner indices.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -33,14 +33,7 @@ import numpy as np
 from .errors import CapacityError, InvalidArgumentError, PreconditionError, VacuityError
 from .mechanisms import Mechanism, check_headroom, decide_tallies
 from .orders import LinearOrder, PartialOrder, Permutation, Profile, apply_local_permutation
-from .population import (
-    MarginalPopulation,
-    SaliencyDistribution,
-    SubpopulationMixture,
-    _cells,
-    mix,
-    pair_marginal,
-)
+from .population import MarginalPopulation, SaliencyDistribution, _cells, pair_marginal, write_csv
 from .privilege import is_privileged
 from .rng import derive_rng
 from .spaces import DEFAULT_ENUMERATION_CAP, CandidateSpace
@@ -114,18 +107,12 @@ class DecayCurve:
     notes: tuple = ()
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["size", "trials", "failures", "rate", "ci_low", "ci_high"])
-            for p in self.points:
-                writer.writerow([
-                    p.size,
-                    p.trials,
-                    p.failures,
-                    f"{p.rate:.9g}",
-                    f"{max(0.0, p.rate - p.ci_half_width):.9g}",
-                    f"{min(1.0, p.rate + p.ci_half_width):.9g}",
-                ])
+        rows = [
+            [p.size, p.trials, p.failures, p.rate,
+             max(0.0, p.rate - p.ci_half_width), min(1.0, p.rate + p.ci_half_width)]
+            for p in self.points
+        ]
+        write_csv(path, ["size", "trials", "failures", "rate", "ci_low", "ci_high"], rows)
 
     def summary(self) -> dict:
         return {
@@ -309,44 +296,32 @@ def estimate_axiom(
 # -- scenario constructors -------------------------------------------------
 
 
-def condorcet_scenario(
-    space: CandidateSpace,
-    mechanism: Mechanism,
-    outcomes: tuple = (0, 1, 2),
-) -> Scenario:
-    """The 2/9 - 4/9 - 1/3 three-coalition mixture on a single 3-outcome issue."""
-    if space.issue_space.n != 3:
-        raise InvalidArgumentError("the Condorcet mixture needs N = 3")
-    if len(space.issue_space.issue_ids) != 1:
-        raise InvalidArgumentError("the Condorcet mixture is a single-issue scenario")
-    issue = space.issue_space.issue_ids[0]
-    u, v, w = outcomes
-    # masses 2/9, 4/9, 1/3, written so the pairwise sums land exactly on the
-    # float values of 2/3 (u over v) and 7/9 (w over u) despite rounding
-    m1 = 2.0 / 9.0
-    m2 = 2.0 / 3.0 - m1
-    m3 = 7.0 / 9.0 - m2
-    coalitions = [
-        (m1, LinearOrder((u, v, w))),
-        (m2, LinearOrder((w, u, v))),
-        (m3, LinearOrder((v, w, u))),
-    ]
-    population = mix(
-        SubpopulationMixture(
-            tuple(
-                (mass, MarginalPopulation({issue: {order: 1.0}}))
-                for mass, order in coalitions
-            )
-        )
-    )
-    saliency = SaliencyDistribution({issue: 1.0})
+def _condorcet(space: CandidateSpace, mechanism: Mechanism, masses) -> Scenario:
+    """The scenario on the space's single 3-outcome issue whose population is three coalitions
+    of ``masses``, unanimous on 0>1>2, 2>0>1 and 1>2>0.  Each pair is ranked one way by two
+    coalitions, so the majorities cycle, 0 over 1 over 2 over 0, when every mass is below 1/2."""
+    issues, n = space.issue_space.issue_ids, space.issue_space.n
+    if n != 3:
+        raise InvalidArgumentError(f"the Condorcet demo needs N = 3, got N = {n}")
+    if len(issues) != 1:
+        raise InvalidArgumentError(f"the Condorcet demo needs a single issue, got {len(issues)} issues")
+    orders = (LinearOrder((0, 1, 2)), LinearOrder((2, 0, 1)), LinearOrder((1, 2, 0)))
     return Scenario(
-        saliency=saliency,
-        population=population,
+        saliency=SaliencyDistribution({issues[0]: 1.0}),
+        population=MarginalPopulation({issues[0]: dict(zip(orders, masses))}),
         space=space,
         mechanism=mechanism,
-        issue=issue,
+        issue=issues[0],
     )
+
+
+def condorcet_scenario(space: CandidateSpace, mechanism: Mechanism) -> Scenario:
+    """The 2/9 - 4/9 - 1/3 three-coalition population on a single 3-outcome issue."""
+    # masses 2/9, 4/9, 1/3, written so the pairwise sums land exactly on the
+    # float values of 2/3 (0 over 1) and 7/9 (2 over 0) despite rounding
+    m1 = 2.0 / 9.0
+    m2 = 2.0 / 3.0 - m1
+    return _condorcet(space, mechanism, (m1, m2, 7.0 / 9.0 - m2))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ go to a separate metadata file.
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import time
 from dataclasses import dataclass, field
@@ -24,6 +23,7 @@ import numpy as np
 from .axioms import (
     AXIOMS,
     Scenario,
+    _condorcet,
     check_sizes,
     cycle_violation_demo,
     decay_verdict,
@@ -46,6 +46,7 @@ from .population import (
     load_population,
     read_json,
     sample_pairs,
+    write_csv,
     write_json,
 )
 from .privilege import (
@@ -461,17 +462,6 @@ class RunReport:
     outputs: list = field(default_factory=list)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def _load_graphs(path) -> dict:
     """Read a graphs file; a malformed entry raises an error that names its key."""
     doc = read_json(path, "graphs")
@@ -548,14 +538,14 @@ def _run_generalization(settings: dict, out_dir: Path, report: RunReport, check:
             [
                 size,
                 trials,
-                _fmt(float(gaps.mean())),
-                _fmt(_median(gaps)),
-                _fmt(float(gaps.max())),
-                _fmt(result.exceed_fraction(size, epsilon)) if epsilon is not None else "",
+                float(gaps.mean()),
+                _median(gaps),
+                float(gaps.max()),
+                result.exceed_fraction(size, epsilon) if epsilon is not None else "",
             ]
         )
     csv_path = out_dir / "gaps.csv"
-    _write_csv(csv_path, ["size", "trials", "mean_gap", "median_gap", "max_gap", "frac_over_epsilon"], rows)
+    write_csv(csv_path, ["size", "trials", "mean_gap", "median_gap", "max_gap", "frac_over_epsilon"], rows)
     report.outputs.append(str(csv_path))
 
     regret_violations = sum(
@@ -620,10 +610,14 @@ def _run_axiom(settings: dict, out_dir: Path, report: RunReport, check: bool) ->
 
 def _run_privilege_analysis(settings: dict, out_dir: Path, report: RunReport, check: bool) -> None:
     space = load_candidate_space(settings["space"])
-    issues = settings["issues"]
+    listed = space.issue_space.issue_ids if settings["issues"] is None else settings["issues"]
+    files = [(issue, f"privilege_{issue}.dot") for issue in map(space.issue_space.resolve, listed)]
+    # each graph goes to its own file in out_dir, so no file is written unless every name is plain
+    if bad := [(issue, name) for issue, name in files if "\0" in name or Path(name).name != name]:
+        issue, name = bad[0]
+        raise InvalidArgumentError(f"config key 'space': issue {issue!r} gives {name!r}, not a plain file name")
     analysis = {}
-    for issue_raw in space.issue_space.issue_ids if issues is None else issues:
-        issue = space.issue_space.resolve(issue_raw)
+    for issue, name in files:
         graph = build_privilege_graph(space, issue)
         cond = scc_condensation(graph)
         analysis[str(issue)] = {
@@ -631,7 +625,7 @@ def _run_privilege_analysis(settings: dict, out_dir: Path, report: RunReport, ch
             "cyclically_privileged": is_cyclically_privileged(graph),
             "scc_sizes": [len(scc) for scc in cond.scc_members],
         }
-        dot_path = out_dir / f"privilege_{issue}.dot"
+        dot_path = out_dir / name
         dot_path.write_text(to_dot(graph))
         report.outputs.append(str(dot_path))
     report.results["privilege"] = analysis
@@ -658,33 +652,18 @@ def _run_synthesize(settings: dict, out_dir: Path, report: RunReport, check: boo
 
 def _run_condorcet(settings: dict, out_dir: Path, report: RunReport, check: bool) -> None:
     space = load_candidate_space(settings["space"])
-    if space.issue_space.n != 3:
-        raise InvalidArgumentError(
-            f"config key 'space': the Condorcet demo needs N = 3, got N = {space.issue_space.n}"
-        )
-    if len(space.issue_space.issue_ids) != 1:
-        raise InvalidArgumentError(
-            "config key 'space': the Condorcet demo needs a single issue, got "
-            f"{len(space.issue_space.issue_ids)} issues"
-        )
     mechanism = make_mechanism(settings["mechanism"], space=space)
-    issue = space.issue_space.issue_ids[0]
-    # the classic symmetric mixture: every pairwise majority is 2/3
-    orders = [LinearOrder((0, 1, 2)), LinearOrder((1, 2, 0)), LinearOrder((2, 0, 1))]
-    population = MarginalPopulation(
-        {issue: {order: 1.0 / 3.0 for order in orders}}
-    )
-    saliency = SaliencyDistribution({issue: 1.0})
-    scn = Scenario(
-        saliency=saliency, population=population, space=space, mechanism=mechanism, issue=issue
-    )
+    try:  # the classic symmetric population: every pairwise majority is 2/3
+        scn = _condorcet(space, mechanism, (1.0 / 3.0,) * 3)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"config key 'space': {exc}") from None
     demo = cycle_violation_demo(scn, settings["sizes"], settings["trials"], settings["seed"])
     rows = [
         [size, trials, min_v, json.dumps(hist, sort_keys=True)]
         for size, trials, min_v, hist in demo.per_size
     ]
     csv_path = out_dir / "violations.csv"
-    _write_csv(csv_path, ["size", "trials", "min_violations", "histogram"], rows)
+    write_csv(csv_path, ["size", "trials", "min_violations", "histogram"], rows)
     report.outputs.append(str(csv_path))
     report.results["majorities"] = sorted(list(m) for m in demo.majorities)
     report.results["always_violates"] = demo.always_violates()

@@ -1,15 +1,19 @@
 """Issue spaces, saliency distributions, per-issue preference marginals and sampling.
 
 Populations are modeled through their per-issue marginals only: for each
-issue, a sparse distribution over linear orders.  A sampled pair is an
+issue, a sparse distribution over linear orders.  Coalitions that are each
+unanimous on one ordering are the marginal with each coalition's mass on its
+ordering.  Files and configs name an issue by its text form, so the ids of an
+:class:`IssueSpace` are unique as text.  A sampled pair is an
 (issue, ordering) cell, drawn i.i.d. with probability saliency(issue) times the
 ordering's mass; :func:`sample_pairs` returns each pair as its cell's index.
 Every JSON file the library writes goes through :func:`write_json`, and every
-one it reads through :func:`read_json`.
+one it reads through :func:`read_json`; every result CSV goes through :func:`write_csv`.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import warnings
 from dataclasses import dataclass
@@ -28,8 +32,6 @@ __all__ = [
     "IssueSpace",
     "SaliencyDistribution",
     "MarginalPopulation",
-    "SubpopulationMixture",
-    "mix",
     "pair_marginal",
     "sample_pairs",
     "load_population",
@@ -57,6 +59,14 @@ class IssueSpace:
             raise InvalidArgumentError("issue space needs at least one issue")
         if len(set(ids)) != len(ids):
             raise InvalidArgumentError("issue ids must be unique")
+        by_key: dict = {}  # files and configs name an issue by its text form
+        for issue in ids:
+            if (key := _canonical_issue_key(issue)) in by_key:
+                raise InvalidArgumentError(
+                    f"issue ids must be unique as text: {by_key[key]!r} and {issue!r} are both {key!r}"
+                )
+            by_key[key] = issue
+        object.__setattr__(self, "_by_key", by_key)
         if self.n < 2:
             raise InvalidArgumentError("issues need at least 2 outcomes")
 
@@ -69,10 +79,6 @@ class IssueSpace:
 
     def sorted_ids(self) -> list:
         return sorted(self.issue_ids, key=_canonical_issue_key)
-
-    @cached_property
-    def _by_key(self) -> dict:
-        return {_canonical_issue_key(issue): issue for issue in self.issue_ids}
 
     def resolve(self, raw):
         """The issue id whose text form is ``str(raw)``, as files and configs name it."""
@@ -139,40 +145,6 @@ class MarginalPopulation:
     @property
     def issues(self):
         return self.per_issue.keys()
-
-
-@dataclass(frozen=True)
-class SubpopulationMixture:
-    """Mass-weighted coalitions, each with its own marginal population."""
-
-    components: tuple
-
-    def __post_init__(self):
-        components = tuple(
-            (float(mass), pop) for mass, pop in self.components
-        )
-        object.__setattr__(self, "components", components)
-        if not components:
-            raise InvalidArgumentError("mixture needs at least one component")
-        if not all(mass > 0 for mass, _ in components):  # NaN too
-            raise InvalidArgumentError("component masses must be positive")
-        if not abs((total := sum(mass for mass, _ in components)) - 1.0) <= PROB_TOL:
-            raise InvalidArgumentError(f"component masses sum to {total}, not 1")
-
-
-def mix(mixture: SubpopulationMixture) -> MarginalPopulation:
-    """Convex combination of coalition marginals, issue by issue."""
-    issues = set()
-    for _, pop in mixture.components:
-        issues.update(pop.issues)
-    per_issue = {}
-    for issue in issues:
-        combined: dict = {}
-        for mass, pop in mixture.components:
-            for order, p in pop.distribution(issue).items():
-                combined[order] = combined.get(order, 0.0) + mass * p
-        per_issue[issue] = combined
-    return MarginalPopulation(per_issue)
 
 
 def pair_marginal(population: MarginalPopulation, issue, pair) -> float:
@@ -267,9 +239,18 @@ def write_json(path, doc) -> None:
         fh.write(json.dumps(doc, indent=2))
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a result CSV: the ``header`` row, then ``rows``, each float cell as ``.9g`` text."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{cell:.9g}" if isinstance(cell, float) else cell for cell in row] for row in rows)
+
+
 def expect(value, kind: type, key, what: str):
-    """``value``, read from ``key`` of a ``what`` file, if it is a ``kind``."""
-    if isinstance(value, kind):
+    """``value``, read from ``key`` of a ``what`` file, if it is a ``kind``; JSON's true and
+    false are a ``bool`` only, not a number."""
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
         return value
     raise InvalidArgumentError(
         f"{what} file key {key!r}: expected {kind.__name__}, got {value!r}"
@@ -280,7 +261,12 @@ def read_issue_space(issues, n, what: str) -> IssueSpace:
     """A ``what`` file's issues and N; an issue id is text or an integer, like config key ``issue``."""
     if bad := [i for i in expect(issues, list, "issues", what) if type(i) not in (str, int)]:
         raise InvalidArgumentError(f"{what} file key 'issues': expected text or integers, got {bad[0]!r}")
-    return IssueSpace(tuple(issues), expect(n, int, "N", what))
+    if (n := expect(n, int, "N", what)) < 2:
+        raise InvalidArgumentError(f"{what} file key 'N': issues need at least 2 outcomes, got {n}")
+    try:
+        return IssueSpace(tuple(issues), n)
+    except InvalidArgumentError as exc:  # no issue, or two ids with one text form
+        raise InvalidArgumentError(f"{what} file key 'issues': {exc}") from None
 
 
 def load_population(path):

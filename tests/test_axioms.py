@@ -18,7 +18,6 @@ from repsoc import (
     Profile,
     SaliencyDistribution,
     Scenario,
-    SubpopulationMixture,
     VacuityError,
     all_linear_orders,
     apply_local_permutation,
@@ -31,7 +30,6 @@ from repsoc import (
     fit_decay,
     generalization_experiment,
     make_mechanism,
-    mix,
     pair_marginal,
     synthesize_acyclic,
 )
@@ -66,11 +64,9 @@ def binary_majority_setup(mass_01):
 def coalition_population(mass, coalition, complement):
     """On issue "i", a coalition of ``mass`` unanimous on ``coalition`` mixed with a
     complement unanimous on ``complement``; the coalition alone when ``mass`` is 1."""
-    unanimous = MarginalPopulation({"i": {coalition: 1.0}})
     if mass == 1.0:
-        return unanimous
-    rest = MarginalPopulation({"i": {complement: 1.0}})
-    return mix(SubpopulationMixture(((mass, unanimous), (1.0 - mass, rest))))
+        return MarginalPopulation({"i": {coalition: 1.0}})
+    return MarginalPopulation({"i": {coalition: mass, complement: 1.0 - mass}})
 
 
 def decisiveness_scenario(mass, coalition, complement, pair, mechanism="majority"):
@@ -360,9 +356,7 @@ class TestDecisiveness:
         assert curve.points[-1].rate < curve.points[0].rate + 0.05
 
     def test_invalid_mass(self):
-        # a coalition mass outside (0, 1] leaves one side a mass <= 0, which no mixture takes
-        with pytest.raises(InvalidArgumentError):
-            coalition_population(0.0, lo("0>1"), lo("1>0"))
+        # a coalition mass above 1 leaves its complement a negative mass
         with pytest.raises(InvalidArgumentError):
             coalition_population(1.5, lo("0>1"), lo("1>0"))
 

@@ -433,6 +433,10 @@ def _synthesis_over_graphs_file(doc):
     return _over_file("bad_graphs.json", doc, lambda s, path: {"kind": "synthesize-acyclic", "graphs": path})
 
 
+def _privilege_over_space(doc):
+    return _over_file("bad_space.json", doc, lambda s, path: {"kind": "privilege-analysis", "space": path})
+
+
 def _condorcet_over_space(doc):
     return _over_file(
         "space_n.json", doc,
@@ -502,6 +506,19 @@ BAD_INPUTS = {
     "space-n-text": (
         _vc_over_space_file({"variant": "full", "issues": ["a"], "N": "abc"}), None, "'N'"
     ),
+    "space-n-true": (_vc_over_space_file({"variant": "full", "issues": ["a"], "N": True}), None, "'N'"),
+    "space-n-one": (_vc_over_space_file({"variant": "full", "issues": ["a"], "N": 1}), None, "'N'"),
+    # files and configs name an issue by its text, so "1" and 1 could not be told apart
+    "space-issues-one-as-text": (
+        _privilege_over_space({"variant": "full", "issues": ["1", 1], "N": 2}), None, "'issues'"
+    ),
+    # privilege-analysis writes each issue's graph to privilege_<issue>.dot
+    "analysed-issue-a-path": (
+        _privilege_over_space({"variant": "full", "issues": ["a/b"], "N": 3}), None, "'space': issue 'a/b'"
+    ),
+    "analysed-issue-with-nul": (
+        _privilege_over_space({"variant": "full", "issues": ["a\0b"], "N": 3}), None, "'space': issue 'a\\x00b'"
+    ),
     "space-issues-not-list": (
         _vc_over_space_file({"variant": "full", "issues": 5, "N": 2}), None, "'issues'"
     ),
@@ -547,11 +564,25 @@ BAD_INPUTS = {
         None,
         "'i0'",
     ),
+    "population-mass-true": (
+        _generalization_over_marginals({"i0": {"0>1": True, "1>0": False}, "i1": {"0>1": 1.0}}), None, "'0>1'"
+    ),
+    "saliency-true": (
+        _over_file(
+            "bad_population.json",
+            {"issues": ["i0", "i1"], "N": 2, "saliency": {"i0": True, "i1": False},
+             "marginals": {"i0": {"0>1": 1.0}, "i1": {"0>1": 1.0}}},
+            lambda s, path: _generalization(s, population=path),
+        ),
+        None,
+        "'i0'",
+    ),
     "population-text-mass": (
         _generalization_over_marginals({"i0": {"0>1": "most"}, "i1": {"0>1": 1.0}}), None, "'0>1'"
     ),
     "graphs-without-n": (_synthesis_over_graphs_file({"graphs": {"i": [[0, 1]]}}), None, "'N'"),
     "graphs-not-object": (_synthesis_over_graphs_file({"N": 3, "graphs": [[0, 1]]}), None, "'graphs'"),
+    "graphs-edge-of-bools": (_synthesis_over_graphs_file({"N": 3, "graphs": {"i": [[True, False]]}}), None, "'i'"),
     "graphs-edge-of-length-1": (
         _synthesis_over_graphs_file({"N": 3, "graphs": {"i": [[0]]}}), None, "'i'"
     ),

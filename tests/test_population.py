@@ -10,9 +10,7 @@ from repsoc import (
     LinearOrder,
     MarginalPopulation,
     SaliencyDistribution,
-    SubpopulationMixture,
     load_population,
-    mix,
     pair_marginal,
     sample_pairs,
     save_population,
@@ -22,6 +20,17 @@ from tests.conftest import uniform_population
 
 def lo(text):
     return LinearOrder.from_string(text)
+
+
+class TestIssueSpace:
+    def test_ids_must_be_unique_as_text(self):
+        # files and configs name an issue by its text, which must pick out one id
+        with pytest.raises(InvalidArgumentError, match="'1' and 1 are both '1'"):
+            IssueSpace(("1", 1), 2)
+        with pytest.raises(InvalidArgumentError, match="unique"):
+            IssueSpace(("a", "b", "a"), 2)
+        space = IssueSpace(("1", 2), 2)
+        assert (space.resolve(1), space.resolve("2")) == ("1", 2)
 
 
 class TestSaliency:
@@ -58,38 +67,6 @@ class TestMarginalPopulation:
         assert pop.distribution("i") == {lo("0>1>2"): 1.0}
         with pytest.raises(InvalidArgumentError):
             pop.distribution("missing")
-
-
-class TestMix:
-    def test_single_component_unchanged(self):
-        pop = MarginalPopulation({"i": {lo("0>1"): 0.3, lo("1>0"): 0.7}})
-        mixed = mix(SubpopulationMixture(((1.0, pop),)))
-        assert mixed.distribution("i")[lo("0>1")] == pytest.approx(0.3)
-
-    def test_half_half_opposites(self):
-        a = MarginalPopulation({"i": {lo("0>1"): 1.0}})
-        b = MarginalPopulation({"i": {lo("1>0"): 1.0}})
-        mixed = mix(SubpopulationMixture(((0.5, a), (0.5, b))))
-        assert mixed.distribution("i") == {lo("0>1"): 0.5, lo("1>0"): 0.5}
-
-    def test_masses_must_sum_to_one(self):
-        pop = MarginalPopulation({"i": {lo("0>1"): 1.0}})
-        with pytest.raises(InvalidArgumentError):
-            SubpopulationMixture(((0.4, pop), (0.4, pop)))
-        with pytest.raises(InvalidArgumentError, match="positive"):
-            SubpopulationMixture(((math.nan, pop), (1.0, pop)))
-        with pytest.raises(InvalidArgumentError):
-            SubpopulationMixture(())
-
-    def test_three_coalition_pair_mass(self):
-        # 2/9 on u>v>w plus 4/9 on w>u>v puts mass 2/3 on u above v
-        coalitions = (
-            (2 / 9, MarginalPopulation({"i": {lo("0>1>2"): 1.0}})),
-            (4 / 9, MarginalPopulation({"i": {lo("2>0>1"): 1.0}})),
-            (1 / 3, MarginalPopulation({"i": {lo("1>2>0"): 1.0}})),
-        )
-        mixed = mix(SubpopulationMixture(coalitions))
-        assert pair_marginal(mixed, "i", (0, 1)) == pytest.approx(2 / 3)
 
 
 class TestPairMarginal:
