@@ -8,6 +8,7 @@ overrides the config's master seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -67,7 +68,9 @@ def _cmd_privilege(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="repsoc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -90,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (InvalidArgumentError, PreconditionError, UnsupportedError) as exc:

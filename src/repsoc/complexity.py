@@ -21,6 +21,7 @@ from .spaces import DEFAULT_ENUMERATION_CAP, CandidateSpace
 __all__ = [
     "vc_dimension_with_witness",
     "empirical_rademacher",
+    "is_shattered",
     "massart_bound",
 ]
 

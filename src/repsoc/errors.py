@@ -1,5 +1,15 @@
 """Exception hierarchy shared across the toolkit."""
 
+__all__ = [
+    "RepsocError",
+    "InvalidArgumentError",
+    "CapacityError",
+    "UnsupportedError",
+    "PreconditionError",
+    "VacuityError",
+    "CyclicityError",
+]
+
 
 class RepsocError(Exception):
     """Base class for all toolkit errors."""

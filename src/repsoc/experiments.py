@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -613,9 +614,18 @@ def _run_privilege_analysis(settings: dict, out_dir: Path, report: RunReport, ch
     listed = space.issue_space.issue_ids if settings["issues"] is None else settings["issues"]
     files = [(issue, f"privilege_{issue}.dot") for issue in map(space.issue_space.resolve, listed)]
     # each graph goes to its own file in out_dir, so no file is written unless every name is plain
-    if bad := [(issue, name) for issue, name in files if "\0" in name or Path(name).name != name]:
-        issue, name = bad[0]
-        raise InvalidArgumentError(f"config key 'space': issue {issue!r} gives {name!r}, not a plain file name")
+    name_max = os.pathconf(out_dir, "PC_NAME_MAX")
+    for issue, name in files:
+        try:
+            size = len(os.fsencode(name))
+        except UnicodeEncodeError:  # a lone surrogate has no bytes in a file name
+            size = None
+        if size is None or "\0" in name or Path(name).name != name:
+            raise InvalidArgumentError(f"config key 'space': issue {issue!r} gives {name!r}, not a plain file name")
+        if size > name_max:
+            raise InvalidArgumentError(
+                f"config key 'space': issue {issue!r} gives a file name of {size} bytes, over the limit of {name_max}"
+            )
     analysis = {}
     for issue, name in files:
         graph = build_privilege_graph(space, issue)

@@ -17,7 +17,7 @@ from repsoc import (
     save_population,
 )
 from repsoc import experiments
-from repsoc.cli import main
+from repsoc.cli import build_parser, main
 
 
 def lo(text):
@@ -519,6 +519,15 @@ BAD_INPUTS = {
     "analysed-issue-with-nul": (
         _privilege_over_space({"variant": "full", "issues": ["a\0b"], "N": 3}), None, "'space': issue 'a\\x00b'"
     ),
+    "analysed-issue-a-lone-surrogate": (
+        _privilege_over_space({"variant": "full", "issues": ["\ud800"], "N": 3}), None, "'space': issue '\\ud800'"
+    ),
+    # privilege_ + 300 bytes + .dot is over the 255-byte name limit of common file systems
+    "analysed-issue-too-long": (
+        _privilege_over_space({"variant": "full", "issues": ["x" * 300], "N": 3}),
+        None,
+        f"'space': issue '{'x' * 300}' gives a file name of 314 bytes",
+    ),
     "space-issues-not-list": (
         _vc_over_space_file({"variant": "full", "issues": 5, "N": 2}), None, "'issues'"
     ),
@@ -811,6 +820,33 @@ def test_validate_names_a_bad_env_seed(case, binary_setup, monkeypatch, capsys):
     assert main(["validate", write_config(binary_setup["tmp"], build(binary_setup))]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+def test_one_parser_serves_every_call(binary_setup, capsys):
+    """``main`` reuses the process's parser; each call exits and prints as it does with a
+    parser of its own, whatever the calls before it parsed."""
+    config = write_config(binary_setup["tmp"], _generalization(binary_setup))
+    calls = (
+        ["validate", config],
+        ["run", config, "--no-such-option"],  # argparse exits 2
+        ["run", config, "--out", str(binary_setup["tmp"] / "out")],
+    )
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [code for code, _, _ in fresh] == [0, 2, 0]
+    parser = build_parser()
+    assert [outcome(argv) for argv in calls] == fresh
+    assert build_parser() is parser
 
 
 # per experiment kind, the config keys it requires

@@ -1,7 +1,8 @@
 """Static checks of the library source, with the standard ``ast`` module: every import is
 used, every private module-level name is read somewhere in the library, every public one
-has a caller in the library, the demos or the benchmark, and every JSON file and result
-CSV is written through ``population.write_json`` or ``population.write_csv``."""
+has a caller in the library, the demos or the benchmark, every name of the package's lazy
+table is exported by its submodule, and every JSON file and result CSV is written through
+``population.write_json`` or ``population.write_csv``."""
 
 import ast
 from pathlib import Path
@@ -21,14 +22,32 @@ UNCALLED = {
 }
 
 
+def _assigned(tree: ast.Module, name: str):
+    """The syntax of the value assigned to the module-level ``name``, or None."""
+    return next(
+        (
+            node.value
+            for node in tree.body
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets)
+        ),
+        None,
+    )
+
+
+def _lazy_table(tree: ast.Module) -> dict:
+    """The package's lazy table: each submodule and the public names read from it; empty in
+    a module that has none."""
+    table = _assigned(tree, "_EXPORTS")
+    return {} if table is None else ast.literal_eval(table)
+
+
 def _exported(tree: ast.Module) -> set:
-    """The strings listed in the module's ``__all__``."""
-    return {
-        name
-        for node in tree.body
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
-        for name in ast.literal_eval(node.value)
-    }
+    """The strings listed in the module's ``__all__``; the package computes its ``__all__``
+    from its lazy table."""
+    if table := _lazy_table(tree):
+        return {name for names in table.values() for name in names}
+    listed = _assigned(tree, "__all__")
+    return set() if listed is None else set(ast.literal_eval(listed))
 
 
 def _loaded(tree: ast.Module) -> set:
@@ -74,11 +93,9 @@ def _private_definitions(tree: ast.Module):
 
 
 def test_every_import_is_used():
-    """The package's ``__init__`` is left out: its imports are the public API."""
     unused = [
         f"{module}:{line} {name}"
         for module, tree in MODULES.items()
-        if module != "__init__.py"
         for loaded in [_loaded(tree)]
         for name, line in _imported(tree)
         if name not in loaded
@@ -126,6 +143,18 @@ def test_only_population_writes_csv():
         if _calls("csv", node, "writer")
     ]
     assert writers == []
+
+
+def test_every_lazy_name_is_exported_by_its_module():
+    """The package reads each public name from a submodule whose ``__all__`` lists it, so a
+    name renamed or dropped there cannot leave a stale entry in the package's table."""
+    stale = [
+        f"{module}: {name}"
+        for module, names in _lazy_table(MODULES["__init__.py"]).items()
+        for name in names
+        if f"{module}.py" not in MODULES or name not in _exported(MODULES[f"{module}.py"])
+    ]
+    assert stale == []
 
 
 def test_every_exported_name_has_a_caller():
