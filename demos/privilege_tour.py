@@ -17,7 +17,6 @@ from repsoc import (
     Profile,
     build_privilege_graph,
     decide_tallies,
-    is_cyclically_privileged,
     is_privileged,
     scc_condensation,
     synthesize_acyclic,
@@ -34,7 +33,7 @@ def show(title, space, issue):
     print(f"\n== {title}")
     print(f"   members on {issue}: {[str(p(issue)) for p in space.profiles] if space.variant == 'explicit' else 'all 6 orders'}")
     print(f"   privileged pairs : {sorted(g.edges)}")
-    print(f"   SCCs             : {cond.scc_members}, cyclically privileged: {is_cyclically_privileged(g)}")
+    print(f"   SCCs             : {cond.scc_members}, cyclically privileged: {cond.cyclic}")
     return g
 
 

@@ -53,7 +53,6 @@ from .population import (
 from .privilege import (
     PrivilegeGraph,
     build_privilege_graph,
-    is_cyclically_privileged,
     scc_condensation,
     synthesize_acyclic,
     to_dot,
@@ -632,7 +631,7 @@ def _run_privilege_analysis(settings: dict, out_dir: Path, report: RunReport, ch
         cond = scc_condensation(graph)
         analysis[str(issue)] = {
             "edges": sorted(list(e) for e in graph.edges),
-            "cyclically_privileged": is_cyclically_privileged(graph),
+            "cyclically_privileged": cond.cyclic,
             "scc_sizes": [len(scc) for scc in cond.scc_members],
         }
         dot_path = out_dir / name

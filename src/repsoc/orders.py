@@ -3,9 +3,10 @@
 Outcomes are 0-based indices ``0..N-1``.  A :class:`LinearOrder` stores its
 ranking best-first, so ``ranking[0]`` is the top outcome.  The text form used
 in all config and output files is a ``'>'``-separated index list, e.g.
-``"2>0>1"``.  A ranking is checked, inverted into positions and hashed once per
-process, in a bounded cache that holds every ordering of N <= 7: building an
-ordering seen before costs one cached lookup.
+``"2>0>1"``.  Orderings are interned: a ranking is checked, inverted into
+positions and hashed once per process, and the one :class:`LinearOrder` built
+for it is held in a bounded cache that fits every ordering of N <= 7, so
+building an ordering seen before costs one cached lookup.
 """
 
 from __future__ import annotations
@@ -28,13 +29,14 @@ __all__ = [
 ]
 
 
-_CHECKED_RANKINGS = 8192  # holds every ordering of N <= 7 (5,040 of them)
+_INTERNED = 8192  # holds every ordering of N <= 7 (5,040 of them)
 
 
-@lru_cache(maxsize=_CHECKED_RANKINGS)
-def _checked(ranking: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """The position tuple and hash of ``ranking``, a tuple of ints, once it is checked to be a
-    permutation of ``0..n-1``.  A bad ranking raises on every call, as no exception is cached."""
+def _new(given: tuple) -> "LinearOrder":
+    """A new :class:`LinearOrder` for the ranking ``given`` as a tuple, once it is checked to
+    be a permutation of ``0..n-1``; its positions and hash are worked out here, once."""
+    # a tuple of Python ints is kept as it is, so the cache's key and the ranking are one tuple
+    ranking = given if all(type(c) is int for c in given) else tuple(map(int, given))
     n = len(ranking)
     if n < 1:
         raise InvalidArgumentError("a linear order needs at least one outcome")
@@ -47,25 +49,38 @@ def _checked(ranking: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
         ok = False
     if not ok:
         raise InvalidArgumentError(f"ranking {ranking} is not a permutation of 0..{n - 1}")
-    return tuple(position), hash((ranking,))  # the hash is the dataclass's
+    order = object.__new__(LinearOrder)
+    object.__setattr__(order, "ranking", ranking)
+    object.__setattr__(order, "position", tuple(position))
+    object.__setattr__(order, "_hash", hash((ranking,)))  # the hash a dataclass would compute
+    return order
 
 
-@dataclass(frozen=True, slots=True)
+# ranking -> its one LinearOrder; a bad ranking raises on every call, as no exception is cached
+_interned = lru_cache(maxsize=_INTERNED)(_new)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class LinearOrder:
-    """A strict total order over ``n`` outcomes, best first."""
+    """A strict total order over ``n`` outcomes, best first.
+
+    ``LinearOrder(ranking)`` takes any sequence of ints and returns the instance held for
+    that ranking, so building an ordering seen before costs one lookup.  Equality and hash
+    are by ranking: an ordering evicted from the bounded cache and built again is a new
+    instance, equal to the old one.
+    """
 
     ranking: tuple[int, ...]
-    # position[c] is the rank of outcome c (0 = best); looked up once at construction
-    position: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # the hash the dataclass would compute on every lookup, hash((ranking,)), kept once
-    _hash: int = field(init=False, repr=False, compare=False)
+    # position[c] is the rank of outcome c (0 = best)
+    position: tuple[int, ...] = field(repr=False, compare=False)
+    # hash((ranking,)), the hash the dataclass would compute on every lookup, kept once
+    _hash: int = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        ranking = tuple(map(int, self.ranking))
-        position, hashed = _checked(ranking)
-        object.__setattr__(self, "ranking", ranking)
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "_hash", hashed)
+    def __new__(cls, ranking):
+        return _interned(ranking if type(ranking) is tuple else tuple(ranking))
+
+    def __reduce__(self):  # copies and pickles are rebuilt through the cache
+        return LinearOrder, (self.ranking,)
 
     def __hash__(self) -> int:
         return self._hash

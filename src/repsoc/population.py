@@ -18,6 +18,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain, repeat
 from numbers import Real
 from typing import Mapping
 
@@ -232,11 +233,60 @@ def read_json(path, what: str) -> dict:
     return doc
 
 
+# Encodes on one line with the C encoder; NUL separates items, since JSON text holds a raw
+# control character nowhere else (a string escapes it, as it escapes a newline).
+_ONE_LINE = json.JSONEncoder(separators=("\0", ": "))
+_CONTAINERS = (list, tuple, dict)
+
+
+def _flat(items) -> bool:
+    """Whether every item is a scalar or an empty container, which JSON writes on one line."""
+    return not any(isinstance(item, _CONTAINERS) and item for item in items)
+
+
+def _rows(items) -> str:
+    """``"{}"`` when every item is a non-empty object, ``"[]"`` when every one is a non-empty
+    array, and no item holds a container; else ``""``.  The one-line text of such rows has
+    their closing bracket, NUL and opening bracket between two rows, and nowhere else."""
+    for brackets, kind in (("{}", dict), ("[]", (list, tuple))):
+        if all(map(isinstance, items, repeat(kind))) and all(items):
+            cells = chain.from_iterable(map(dict.values, items) if kind is dict else items)
+            return "" if any(issubclass(k, _CONTAINERS) for k in set(map(type, cells))) else brackets
+    return ""
+
+
+def _indented(value) -> str:
+    """``json.dumps(value, indent=2)``.  Flat containers, and lists of rows such as a space
+    file's profiles or a graph's edges, are encoded in one call to the C encoder, and lines
+    are broken at its NUL separators.  Other containers are laid out here, their items
+    encoded at the top level and re-indented by replacing each newline, which is exact as
+    no string holds one."""
+    if isinstance(value, (list, tuple)) and value:
+        if _flat(value):
+            return "[\n  " + _ONE_LINE.encode(value)[1:-1].replace("\0", ",\n  ") + "\n]"
+        if brackets := _rows(value):
+            start, end = brackets
+            text = _ONE_LINE.encode(value)[2:-2].replace(f"{end}\0{start}", f"\n  {end},\n  {start}\n    ")
+            return f"[\n  {start}\n    " + text.replace("\0", ",\n    ") + f"\n  {end}\n]"
+        return "[\n  " + ",\n  ".join(_indented(item).replace("\n", "\n  ") for item in value) + "\n]"
+    if isinstance(value, dict) and value:
+        if _flat(value.values()):
+            return "{\n  " + _ONE_LINE.encode(value)[1:-1].replace("\0", ",\n  ") + "\n}"
+        # the keys as the C encoder writes them: each with ": 0" after it, NUL between
+        keys = _ONE_LINE.encode(dict.fromkeys(value, 0))[1:-4].split(": 0\0")
+        pairs = (f"{key}: " + _indented(item).replace("\n", "\n  ") for key, item in zip(keys, value.values()))
+        return "{\n  " + ",\n  ".join(pairs) + "\n}"
+    return _ONE_LINE.encode(value)
+
+
 def write_json(path, doc) -> None:
-    """Write ``doc`` to ``path`` as JSON indented by 2, in one ``write``: the bytes that
-    ``json.dump(doc, fh, indent=2)`` streams one token at a time."""
+    """Write ``doc`` to ``path`` in one ``write``, as the bytes of ``json.dumps(doc, indent=2)``.
+
+    Under ``indent`` the ``json`` module encodes in pure Python; here each flat container,
+    and each list of rows such as a space file's ``profiles``, is encoded in one call to the
+    C encoder, so a space of thousands of members is written at C speed."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=2))
+        fh.write(_indented(doc))
 
 
 def write_csv(path, header, rows) -> None:

@@ -75,6 +75,12 @@ class Condensation:
     dag_edges: frozenset  # edges between SCC indices
     topo_order: tuple  # SCC indices, deterministic
 
+    @property
+    def cyclic(self) -> bool:
+        """True iff some SCC has 3 or more outcomes (2-cycles alone don't count): the
+        graph's issue is cyclically privileged."""
+        return any(len(scc) >= 3 for scc in self.scc_members)
+
 
 def _closure_test(space: CandidateSpace, issue):
     """The closure test of subsets of ``issue``'s outcomes, on the code block holding it.
@@ -168,9 +174,8 @@ def scc_condensation(graph: PrivilegeGraph) -> Condensation:
 
 
 def is_cyclically_privileged(graph: PrivilegeGraph) -> bool:
-    """True iff some SCC has 3 or more outcomes (2-cycles alone don't count)."""
-    cond = scc_condensation(graph)
-    return any(len(scc) >= 3 for scc in cond.scc_members)
+    """True iff some SCC has 3 or more outcomes (see :attr:`Condensation.cyclic`)."""
+    return scc_condensation(graph).cyclic
 
 
 def check_path_privilege(graph: PrivilegeGraph, o: PartialOrder) -> bool:
@@ -230,7 +235,7 @@ def synthesize_acyclic(phi: Mapping[object, PrivilegeGraph]) -> AcyclicPlan:
         if not graph.is_transitive():
             raise InvalidArgumentError(f"privilege graph for issue {issue!r} is not transitive")
         cond = scc_condensation(graph)
-        if any(len(scc) >= 3 for scc in cond.scc_members):
+        if cond.cyclic:
             raise CyclicityError(
                 f"issue {issue!r} is cyclically privileged; no acyclic construction exists"
             )

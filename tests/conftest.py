@@ -1,6 +1,7 @@
 """Shared helpers for building random spaces, populations and samples."""
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repsoc import (
     SaliencyDistribution,
     all_linear_orders,
 )
+from repsoc import orders as orders_module
 from tests.mechanism_reference import SampleSet, scoring_mechanism_from_counts
 from tests.privilege_reference import closure_verdict
 
@@ -114,6 +116,25 @@ def all_partial_sequences(n, min_len=2):
     for length in range(min_len, n + 1):
         out.extend(itertools.permutations(range(n), length))
     return out
+
+
+@pytest.fixture
+def count_new_orders(monkeypatch):
+    """``start()`` swaps the interning cache for an empty one of the same bound and returns
+    the list of ``LinearOrder`` instances built from then on, in order: every ranking the
+    code asks for counts once, whatever was built before the start."""
+
+    def start() -> list:
+        built = []
+
+        def counted(ranking):
+            built.append(orders_module._new(ranking))
+            return built[-1]
+
+        monkeypatch.setattr(orders_module, "_interned", lru_cache(maxsize=orders_module._INTERNED)(counted))
+        return built
+
+    return start
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from repsoc import (
     save_candidate_space,
     save_population,
 )
-from repsoc import experiments
+from repsoc import experiments, privilege
 from repsoc.cli import build_parser, main
 
 
@@ -376,6 +376,31 @@ class TestOtherKinds:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["results"]["privilege"]["i"]["cyclically_privileged"] is True
         assert (out / "privilege_i.dot").exists()
+
+    def test_privilege_analysis_condenses_each_graph_once(self, tmp_path, monkeypatch):
+        """One condensation per issue's graph gives both its SCC sizes and its cyclicity."""
+        orders = all_linear_orders(3)
+        space_path = tmp_path / "space.json"
+        save_candidate_space(  # every ordering on i, only 0>1>2 on j
+            space_path,
+            CandidateSpace.explicit([Profile({"i": o, "j": orders[0]}) for o in orders], IssueSpace(("i", "j"), 3)),
+        )
+        condensed, condense = [], privilege.scc_condensation
+
+        def counted(graph):
+            condensed.append(graph.issue)
+            return condense(graph)
+
+        monkeypatch.setattr(experiments, "scc_condensation", counted)
+        monkeypatch.setattr(privilege, "scc_condensation", counted)
+        config = write_config(tmp_path, {"kind": "privilege-analysis", "space": str(space_path)})
+        assert main(["run", config, "--out", str(tmp_path / "out")]) == 0
+        results = json.loads((tmp_path / "out" / "summary.json").read_text())["results"]["privilege"]
+        assert sorted(condensed) == ["i", "j"]
+        assert {issue: (r["cyclically_privileged"], r["scc_sizes"]) for issue, r in results.items()} == {
+            "i": (True, [3]),
+            "j": (False, [1, 1, 1]),
+        }
 
 
 def _axiom(setup, **extra):

@@ -753,11 +753,12 @@ def test_kernel_and_loading_build_no_members(monkeypatch, tmp_path):
             majority_vote(sample, too_big)
 
 
-def test_the_labs_build_and_hash_no_ordering_per_column_ordering(monkeypatch):
+def test_the_labs_build_and_hash_no_ordering_per_column_ordering(monkeypatch, count_new_orders):
     """Over a full N = 6 space (720 orderings per issue's column), the kernel under both rules,
     the generalization lab, the Rademacher estimate and the privilege graph read the column as
-    positions: with ``all_linear_orders``' cache cleared, none of them builds a ``LinearOrder``,
-    and the orderings hashed are a few per cell, not one per column ordering."""
+    positions: with ``all_linear_orders``' cache and the interning cache cleared, none of them
+    builds a ``LinearOrder``, and the orderings hashed are a few per cell, not one per column
+    ordering."""
     space = CandidateSpace.full(IssueSpace(("a", "b"), 6))
     orders = [LinearOrder(ranking) for ranking in ((0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0), (2, 0, 1, 3, 5, 4))]
     population = MarginalPopulation({issue: dict(zip(orders, (0.5, 0.3, 0.2))) for issue in ("a", "b")})
@@ -765,13 +766,12 @@ def test_the_labs_build_and_hash_no_ordering_per_column_ordering(monkeypatch):
     cells, pairs = sample_pairs(saliency, population, 40, 0)
     rows = np.random.default_rng(1).multinomial(30, [1 / len(cells)] * len(cells), size=5)
     all_linear_orders.cache_clear()
-    counts = {"built": 0, "hashed": 0}
-    post_init, hash_of = LinearOrder.__post_init__, LinearOrder.__hash__
+    counts = {"hashed": 0}
+    hash_of = LinearOrder.__hash__
 
     def counted(key, method):
         return lambda order: counts.__setitem__(key, counts[key] + 1) or method(order)
 
-    monkeypatch.setattr(LinearOrder, "__post_init__", counted("built", post_init))
     monkeypatch.setattr(LinearOrder, "__hash__", counted("hashed", hash_of))
     runs = {
         "exact": lambda: decide_tallies(rows, cells, space, EXACT_MATCH),
@@ -781,9 +781,9 @@ def test_the_labs_build_and_hash_no_ordering_per_column_ordering(monkeypatch):
         "privilege": lambda: build_privilege_graph(space, "a"),
     }
     for name, run in runs.items():
-        counts.update(built=0, hashed=0)
+        built, counts["hashed"] = count_new_orders(), 0
         run()
-        assert counts["built"] == 0, name
+        assert built == [], name
         assert counts["hashed"] <= 4 * len(cells), name
 
 

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 from itertools import combinations, permutations
 
 import numpy as np
@@ -57,8 +60,11 @@ class TestLinearOrder:
         assert LinearOrder.__slots__ == ("ranking", "position", "_hash")
         with pytest.raises((AttributeError, TypeError)):
             o.label = "x"
-        with pytest.raises(AttributeError):  # frozen
-            o.ranking = (0, 1, 2)
+        for name in ("ranking", "position", "_hash"):  # frozen, though one instance serves every caller
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(o, name, (0, 1, 2))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(o, name)
         assert o == LinearOrder((2, 0, 1)) and o != lo("0>1>2") and o != (2, 0, 1)
         assert hash(o) == hash(LinearOrder([2, 0, 1])) == hash(((2, 0, 1),))
         assert {o: 1}[lo("2>0>1")] == 1
@@ -75,21 +81,35 @@ class TestLinearOrder:
         assert LinearOrder((2, 0, 1)).position == (1, 2, 0)
 
     def test_numpy_and_list_rankings_read_as_tuples(self):
+        """A tuple, a list, numpy arrays and a tuple of numpy ints of one ranking give the one
+        instance held for it, whose ranking is a tuple of Python ints."""
         for ranking in [(2, 0, 3, 1), (0,), (1, 0)]:
             expected = LinearOrder(ranking)
-            for given in (list(ranking), np.array(ranking), np.array(ranking, dtype=np.int8)):
-                o = LinearOrder(given)
-                assert type(o.ranking) is tuple and all(type(c) is int for c in o.ranking)
-                assert (o.ranking, o.position, hash(o)) == (expected.ranking, expected.position, hash(expected))
-                assert o == expected
+            assert type(expected.ranking) is tuple and all(type(c) is int for c in expected.ranking)
+            for given in (list(ranking), np.array(ranking), np.array(ranking, dtype=np.int8), tuple(np.array(ranking))):
+                assert LinearOrder(given) is expected
+            assert LinearOrder.from_string(str(expected)) is expected
 
     def test_the_ranking_cache_stays_within_its_bound(self):
-        bound = orders_module._checked.cache_info().maxsize
-        assert bound == orders_module._CHECKED_RANKINGS >= len(all_linear_orders(7))
+        """The 40,320 orderings of N = 8 overflow the cache: an evicted ordering built again is
+        a new instance, equal to the one still held, with the same hash and positions."""
+        bound = orders_module._interned.cache_info().maxsize
+        assert bound == orders_module._INTERNED >= len(all_linear_orders(7))
         built = tuple(map(LinearOrder, permutations(range(8))))
         assert len(built) == 40320 and len(set(built)) == 40320
-        assert orders_module._checked.cache_info().currsize <= bound
+        assert orders_module._interned.cache_info().currsize <= bound
         assert all(o.ranking[k] == c for o in built for c, k in enumerate(o.position))
+        held, rebuilt = built[0], LinearOrder(tuple(range(8)))  # the first built, evicted since
+        assert rebuilt is not held and rebuilt == held and hash(rebuilt) == hash(held)
+        assert rebuilt.position == held.position and {held: 1}[rebuilt] == 1
+
+    def test_copy_deepcopy_and_pickle_round_trip(self):
+        for o in (LinearOrder((2, 0, 1)), LinearOrder(tuple(range(9))[::-1])):
+            for twin in (copy.copy(o), copy.deepcopy(o), pickle.loads(pickle.dumps(o)),
+                         pickle.loads(pickle.dumps(o, protocol=0))):
+                assert type(twin) is LinearOrder
+                assert (twin, twin.ranking, twin.position, hash(twin)) == (o, o.ranking, o.position, hash(o))
+            assert copy.copy(o) is o and pickle.loads(pickle.dumps(o)) is o  # held in the cache
 
     def test_rejects_non_permutation(self):
         with pytest.raises(InvalidArgumentError):

@@ -101,3 +101,16 @@ repsoc.load_candidate_space("space.json")
 print(sorted(m for m in ("axioms", "mechanisms", "complexity", "experiments", "cli") if f"repsoc.{m}" in sys.modules))
 """
     assert _fresh(script, tmp_path) == ["[]"]
+
+
+def test_importing_every_module_builds_no_ordering(tmp_path):
+    """The interning cache of orderings fills only on use: importing every library module,
+    the CLI included, leaves it empty."""
+    script = """
+import repsoc.cli
+for name in repsoc.__all__:
+    getattr(repsoc, name)
+from repsoc import orders
+print(orders._interned.cache_info().currsize)
+"""
+    assert _fresh(script, tmp_path) == ["0"]

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repsoc import (
     InvalidArgumentError,
@@ -15,6 +17,7 @@ from repsoc import (
     sample_pairs,
     save_population,
 )
+from repsoc.population import write_json
 from tests.conftest import uniform_population
 
 
@@ -200,3 +203,58 @@ def test_sampling_matches_marginals(rng):
     for order, p in pop.distribution("i").items():
         se = math.sqrt(p * (1 - p) / n)
         assert abs(counts.get(("i", order), 0) / n - p) <= 4 * se
+
+
+# Text that JSON must escape or may confuse a writer that splits and re-indents encoded text:
+# quotes, backslashes, newlines, NUL, braces, separators and non-ASCII.
+json_texts = st.text(st.sampled_from('a"\\\n\r\t\0{}[],: é€\U0001f600') | st.characters(), max_size=6)
+json_floats = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+json_keys = json_texts | st.integers() | json_floats | st.booleans() | st.none()
+json_scalars = json_texts | st.integers() | json_floats | st.booleans() | st.none()
+empty = st.sampled_from([[], (), {}])
+flat_objects = st.dictionaries(json_keys, json_scalars, min_size=1, max_size=4)
+flat_arrays = st.lists(json_scalars, min_size=1, max_size=4)
+json_docs = st.recursive(
+    json_scalars | empty,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(json_keys, inner, max_size=4)
+    | st.lists(flat_objects, max_size=4)  # a space file's profiles
+    | st.lists(flat_arrays, max_size=4)  # a graph's edges
+    | st.lists(flat_objects | flat_arrays | inner, max_size=4)  # rows mixed with other items
+    | st.lists(st.dictionaries(json_keys, json_scalars | empty, min_size=1, max_size=3), max_size=3)
+    | st.lists(st.lists(json_scalars | empty, min_size=1, max_size=3), max_size=3)
+    | st.tuples(inner, inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=json_docs)
+def test_write_json_writes_the_bytes_of_json_dumps_indented_by_two(doc, tmp_path):
+    """``write_json`` encodes flat containers and lists of rows with the C encoder and lays
+    them out; its bytes are those of ``json.dumps(doc, indent=2)`` for any document."""
+    path = tmp_path / "doc.json"
+    write_json(path, doc)
+    assert path.read_bytes() == json.dumps(doc, indent=2).encode()
+
+
+def test_write_json_covers_every_shape_of_the_differential(tmp_path):
+    """The cases the differential must reach, each spelled out: nested containers, empty
+    ones, lists of flat objects or arrays alone and mixed, rows that hold empty containers,
+    non-text keys and non-finite floats."""
+    docs = [
+        {},
+        [],
+        {"a": [], "b": {}, "c": [[]], "d": [{}]},
+        {"profiles": [{"a": "0>1", "b": "1>0"}, {"a": "1>0", "b": "0>1"}]},
+        [{"x": 1}, [1, {"y": None}], {"z": {}}, "}\0{", {"w": -0.0}],
+        {1: math.nan, 2.5: math.inf, True: -math.inf, None: -0.0, "\"\\\n{é": ["}\0{\n"]},
+        ({"k": ("t", 1)}, ({"a": 1}, {"b": False})),
+        {"edges": [[0, 3], (1, 0)], "rows": [[[], []], [[]]], "objects": [{"a": [], "b": {}}, {"c": 1}]},
+        [{"notes": [], "n": 1}, [{}], ["]\0["]],
+        "top", 3, None,
+    ]
+    for doc in docs:
+        path = tmp_path / "doc.json"
+        write_json(path, doc)
+        assert path.read_bytes() == json.dumps(doc, indent=2).encode(), doc

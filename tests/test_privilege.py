@@ -176,7 +176,7 @@ class TestIsPrivileged:
         assert checks >= 2000
 
 
-def test_oracle_builds_no_orders_or_profiles(monkeypatch):
+def test_oracle_builds_no_orders_or_profiles(monkeypatch, count_new_orders):
     """The oracle works on the space's code matrix and twin rankings as tuples: on a
     prebuilt space it constructs no LinearOrder and no Profile, however many members
     each check scans."""
@@ -185,28 +185,23 @@ def test_oracle_builds_no_orders_or_profiles(monkeypatch):
         [Profile({"i": a, "j": b}) for a in orders for b in orders[:2]],
         IssueSpace(("i", "j"), 3),
     )
-    built = []
+    profiles = []
     profile_init = Profile.__init__
-    order_post_init = LinearOrder.__post_init__
 
     def counting_profile_init(self, assignment):
-        built.append("Profile")
+        profiles.append(self)
         profile_init(self, assignment)
 
-    def counting_order_post_init(self):
-        built.append("LinearOrder")
-        order_post_init(self)
-
     monkeypatch.setattr(Profile, "__init__", counting_profile_init)
-    monkeypatch.setattr(LinearOrder, "__post_init__", counting_order_post_init)
+    built = count_new_orders()
     for issue in ("i", "j"):
         build_privilege_graph(space, issue)
         for seq in all_partial_sequences(3):
             is_privileged(space, issue, PartialOrder(seq, 3))
     assert len(build_privilege_graph(space, "i").edges) == 6
-    assert built == []
-    Profile({"i": LinearOrder((1, 0, 2))})
-    assert built == ["LinearOrder", "Profile"]
+    assert built == [] and profiles == []
+    made = Profile({"i": LinearOrder((1, 0, 2))})
+    assert built == [made("i")] and profiles == [made]
 
 
 @st.composite

@@ -2,7 +2,7 @@
 used, every private module-level name is read somewhere in the library, every public one
 has a caller in the library, the demos or the benchmark, every name of the package's lazy
 table is exported by its submodule, and every JSON file and result CSV is written through
-``population.write_json`` or ``population.write_csv``."""
+``population.write_json`` or ``population.write_csv``, the one place that indents JSON."""
 
 import ast
 from pathlib import Path
@@ -131,6 +131,32 @@ def test_no_module_streams_json_to_a_file():
         if _calls("json", node, "dump")
     ]
     assert streamed == []
+
+
+def _indenting_dumps(tree: ast.AST) -> set:
+    """The ``json.dumps(..., indent=...)`` calls under ``tree``."""
+    return {
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _calls("json", node.func, "dumps")
+        and any(keyword.arg == "indent" for keyword in node.keywords)
+    }
+
+
+def test_only_write_json_indents_json():
+    """JSON text is laid out in one place: ``json.dumps(..., indent=...)`` appears nowhere but
+    in ``write_json``, the one writer, whose fast path writes the same bytes."""
+    writer = next(
+        node
+        for node in ast.walk(MODULES["population.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "write_json"
+    )
+    indented = [
+        f"{module}:{node.lineno}"
+        for module, tree in MODULES.items()
+        for node in _indenting_dumps(tree) - _indenting_dumps(writer)
+    ]
+    assert indented == []
 
 
 def test_only_population_writes_csv():

@@ -358,7 +358,7 @@ def test_the_first_fault_in_file_order_raises_first(tmp_path, entries, named):
         load_candidate_space(path)
 
 
-def test_loading_builds_one_order_per_distinct_text(tmp_path, monkeypatch):
+def test_loading_builds_one_order_per_distinct_text(tmp_path, count_new_orders):
     rng = np.random.default_rng(14)
     orders = all_linear_orders(4)
     issues = ("a", "b", "c")
@@ -367,14 +367,7 @@ def test_loading_builds_one_order_per_distinct_text(tmp_path, monkeypatch):
     path = tmp_path / "space.json"
     save_candidate_space(path, CandidateSpace.explicit(profiles, IssueSpace(issues, 4)))
     texts = {text for entry in json.loads(path.read_text())["profiles"] for text in entry.values()}
-    built = []
-    order_post_init = LinearOrder.__post_init__
-
-    def counting_post_init(self):
-        built.append(self)
-        order_post_init(self)
-
-    monkeypatch.setattr(LinearOrder, "__post_init__", counting_post_init)
+    built = count_new_orders()
     space = load_candidate_space(path)
     assert space.size() == 2000
     assert len(built) <= len(texts) == 24
