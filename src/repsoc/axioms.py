@@ -34,7 +34,7 @@ from .errors import CapacityError, InvalidArgumentError, PreconditionError, Vacu
 from .mechanisms import Mechanism, check_headroom, decide_tallies
 from .orders import LinearOrder, PartialOrder, Permutation, Profile, apply_local_permutation
 from .population import MarginalPopulation, SaliencyDistribution, _cells, pair_marginal, write_csv
-from .privilege import is_privileged
+from .privilege import PrivilegeGraph, is_privileged, scc_condensation
 from .rng import derive_rng
 from .spaces import DEFAULT_ENUMERATION_CAP, CandidateSpace
 
@@ -182,11 +182,9 @@ def _of_choices(space: CandidateSpace, issue, value, winners: np.ndarray) -> np.
     """The value of each choice's ordering on ``issue``, for the (... x blocks) winner indices
     ``winners``: ``value(at)`` gives one per ordering of the issue's column from its (orderings
     x N) position array ``at``, and it is gathered by the chosen members' column codes."""
-    for b, (issues, columns, codes) in enumerate(space._codes()):
-        if issue in issues:
-            k = issues.index(issue)
-            return value(columns[k])[codes[winners[..., b], k]]
-    raise InvalidArgumentError(f"space has no issue {issue!r}")
+    b, k = space._locate(issue)
+    _, columns, codes = space._codes()[b]
+    return value(columns[k])[codes[winners[..., b], k]]
 
 
 # -- the axioms -------------------------------------------------------------
@@ -341,9 +339,9 @@ def cycle_violation_demo(
 ) -> CycleViolationReport:
     """Show that every output order contradicts some strict pairwise majority.
 
-    Requires cyclic pairwise marginals (a directed majority 3-cycle); a
-    linear order cannot contain a 3-cycle, so at least one majority loses in
-    every trial.
+    Requires cyclic pairwise marginals: any cycle of strict majorities, of any
+    length (``Condensation.cyclic`` of the majority digraph, which has no 2-cycle);
+    a linear order agrees with no cycle, so a majority loses in every trial.
     """
     issue = scn.issue
     n = scn.space.issue_space.n
@@ -353,15 +351,7 @@ def cycle_violation_demo(
         for b in range(n)
         if a != b and pair_marginal(scn.population, issue, (a, b)) > 0.5
     )
-    beats = {a: {b for (x, b) in majorities if x == a} for a in range(n)}
-    has_cycle = any(
-        b in beats.get(a, ()) and c in beats.get(b, ()) and a in beats.get(c, ())
-        for a in range(n)
-        for b in range(n)
-        for c in range(n)
-        if len({a, b, c}) == 3
-    )
-    if not has_cycle:
+    if not scc_condensation(PrivilegeGraph(issue, n, frozenset(majorities))).cyclic:
         raise PreconditionError("pairwise marginals are not cyclic; nothing to demonstrate")
 
     committees = _committees(scn, scn.population, sizes, trials_per_size, seed)

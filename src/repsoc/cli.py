@@ -1,8 +1,8 @@
 """Command-line experiment runner.
 
-Exit codes: 0 success, 2 config error, 3 capacity error, 4 acceptance-check
-failure (with ``--check``).  The environment variable ``REPSOC_SEED``
-overrides the config's master seed.
+Exit codes: 0 success, 3 capacity error, 2 any other library error, 4 a run
+whose verdict failed (with ``--check``).  The environment variable
+``REPSOC_SEED`` overrides the config's master seed.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import CapacityError, InvalidArgumentError, PreconditionError, UnsupportedError
+from .errors import CapacityError, RepsocError
 from .experiments import run_experiment, setting, validate_config
 from .population import read_json
 from .privilege import build_privilege_graph, is_cyclically_privileged, to_dot
@@ -36,7 +36,7 @@ def _load_config(path: str) -> dict:
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
     out_dir = args.out or validate_config(config)["out"]
-    report = run_experiment(config, out_dir, check=args.check)
+    report = run_experiment(config, out_dir)
     print(f"[{report.kind}] wrote {len(report.outputs)} files to {out_dir}")
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute an experiment config")
     run.add_argument("config")
-    run.add_argument("--check", action="store_true", help="turn thresholds into exit codes")
+    run.add_argument("--check", action="store_true", help="exit 4 when the run's verdict fails")
     run.add_argument("--out", default=None, help="output directory (overrides config)")
     run.set_defaults(fn=_cmd_run)
 
@@ -96,12 +96,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidArgumentError, PreconditionError, UnsupportedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except RepsocError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -46,17 +46,6 @@ def _shattered(codes: np.ndarray, cols) -> bool:
     return bool(np.bincount(values, minlength=2 ** len(cols)).all())
 
 
-def _by_block(blocks: list, issues) -> list:
-    """Group ``issues`` by block: per block, (position in ``issues``, column in the block)."""
-    where = {issue: (b, k) for b, (ids, *_) in enumerate(blocks) for k, issue in enumerate(ids)}
-    parts: list = [[] for _ in blocks]
-    for j, issue in enumerate(issues):
-        if issue not in where:
-            raise InvalidArgumentError(f"unknown issue {issue!r}")
-        parts[where[issue][0]].append((j, where[issue][1]))
-    return parts
-
-
 def vc_dimension_with_witness(space: CandidateSpace) -> tuple[int, tuple]:
     """Exact VC dimension of a binary space, plus a shattered witness set.
 
@@ -82,8 +71,10 @@ def vc_dimension_with_witness(space: CandidateSpace) -> tuple[int, tuple]:
 def is_shattered(space: CandidateSpace, issue_subset) -> bool:
     """Independent check, block by block, that every assignment over the subset is realized."""
     blocks = list(_block_patterns(space))
-    parts = _by_block(blocks, issue_subset)
-    return all(_shattered(codes, [k for _, k in part]) for (_, codes), part in zip(blocks, parts))
+    parts: list = [[] for _ in blocks]  # per block, the subset's columns in it
+    for b, k in map(space._locate, issue_subset):
+        parts[b].append(k)
+    return all(_shattered(codes, part) for (_, codes), part in zip(blocks, parts))
 
 
 def empirical_rademacher(
@@ -111,9 +102,7 @@ def empirical_rademacher(
         raise InvalidArgumentError("need at least one sign draw")
     blocks = space._codes()
     sampled, cell_of = np.unique(pairs, return_inverse=True)  # the distinct cells; each pair's
-    block_of = np.empty(len(sampled), dtype=np.intp)
-    for b, part in enumerate(_by_block(blocks, [cells[c][0] for c in sampled])):
-        block_of[[u for u, _ in part]] = b
+    block_of = np.array([space._locate(cells[c][0])[0] for c in sampled], dtype=np.intp)
     held: list = [[] for _ in blocks]  # per block: its distinct cells' points, in order
     step = isqrt(DEFAULT_ENUMERATION_CAP) or 1  # so that a slice's one-hot rows fit the cap
     for lo in range(0, len(sampled), step):

@@ -46,6 +46,7 @@ from .population import (
     expect,
     load_population,
     read_json,
+    read_outcome_count,
     sample_pairs,
     write_csv,
     write_json,
@@ -172,13 +173,15 @@ def validate_config(config: dict) -> dict:
     """The settings of ``config``: its kind, and each schema key parsed or defaulted.
 
     Checks the config alone, and that its file paths exist; what a file holds
-    is checked when a run reads it.  A bad value, or a key that the kind needs
-    and the config lacks, raises an InvalidArgumentError that names the key.
+    is checked when a run reads it.  A key outside the schema, a bad value, or a key
+    that the kind needs and the config lacks, raises an InvalidArgumentError naming it.
     """
     if "kind" not in config:
         raise InvalidArgumentError("config missing key 'kind'")
     if (kind := config["kind"]) not in tuple(_KINDS):  # a tuple: an unhashable kind is not in it
         raise InvalidArgumentError(f"config key 'kind': unknown experiment {kind!r}")
+    if unknown := [key for key in config if key != "kind" and key not in _KEYS]:
+        raise InvalidArgumentError(f"unknown config key {unknown[0]!r}")
     settings = {key: setting(key, config[key]) for key in _KEYS if key in config}
     _, required = _KINDS[kind]
     for key in required:
@@ -275,18 +278,16 @@ def _space_blocks(space: CandidateSpace, saliency, population, cells):
     Also returns the weighted issues in saliency order, as (block, column) pairs.
     """
     weighted = [issue for issue in saliency.issues if saliency(issue) != 0]
-    if lacking := [issue for issue in weighted if issue not in space.issue_space]:
-        raise InvalidArgumentError(f"saliency issue {lacking[0]!r} is not in the candidate space")
+    sequence = list(map(space._locate, weighted))  # a weighted issue the space lacks raises here
     w, mass = {i: saliency(i) for i in weighted}, {i: population.distribution(i) for i in weighted}
     cell_terms = np.array([w[i] * mass[i][o] for i, o in cells] + [0.0])  # index -1, off the cells, reads 0.0
-    place, blocks, cell_index = {}, [], _cell_index(_placed(cells, space.issue_space.n), space)
-    for (issues, _, codes), index in zip(space._codes(), cell_index):
-        place.update((issue, (len(blocks), j)) for j, issue in enumerate(issues))
+    blocks, cell_index = [], _cell_index(_placed(cells, space.issue_space.n), space)
+    for (_, _, codes), index in zip(space._codes(), cell_index):
         classes = np.stack([cell[code] for cell, code in zip(index, codes.T)], axis=1)
         classes = classes[_first_of_each_class(classes)]
         terms = cell_terms[classes]
         blocks.append(_Block(classes=classes, terms=terms, term_ids=_row_ids(terms), totals=terms.sum(axis=1)))
-    return blocks, [place[issue] for issue in weighted]
+    return blocks, sequence
 
 
 def _population_at(blocks, sequence, picks):
@@ -467,7 +468,7 @@ def _load_graphs(path) -> dict:
     doc = read_json(path, "graphs")
     _expect = partial(expect, what="graphs")
     try:
-        n, graphs = _expect(doc["N"], int, "N"), _expect(doc["graphs"], dict, "graphs")
+        n, graphs = read_outcome_count(doc["N"], "graphs"), _expect(doc["graphs"], dict, "graphs")
     except KeyError as exc:
         raise InvalidArgumentError(f"graphs file missing key {exc}") from exc
     out = {}
@@ -476,14 +477,18 @@ def _load_graphs(path) -> dict:
             tuple(_expect(u, int, issue) for u in _expect(edge, list, issue))
             for edge in _expect(edges, list, issue)
         ]
-        if any(len(pair) != 2 for pair in pairs):
-            raise InvalidArgumentError(f"graphs file key {issue!r}: each edge must be a pair [u, v]")
-        out[issue] = PrivilegeGraph(issue=issue, n=n, edges=frozenset(pairs))
+        try:
+            if any(len(pair) != 2 for pair in pairs):
+                raise InvalidArgumentError("each edge must be a pair [u, v]")
+            out[issue] = PrivilegeGraph(issue=issue, n=n, edges=frozenset(pairs))
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"graphs file key {issue!r}: {exc}") from None
     return out
 
 
-def run_experiment(config: dict, out_dir, check: bool = False) -> RunReport:
-    """Execute one experiment config; writes result files into ``out_dir``."""
+def run_experiment(config: dict, out_dir) -> RunReport:
+    """Execute one experiment config; writes result files into ``out_dir``.  The report's
+    ``check_passed`` is the run's verdict, true for a kind that has none."""
     settings = validate_config(config)
     kind = settings["kind"]
     out_dir = Path(out_dir)
@@ -492,7 +497,7 @@ def run_experiment(config: dict, out_dir, check: bool = False) -> RunReport:
     started = time.time()
 
     handler, _ = _KINDS[kind]
-    handler(settings, out_dir, report, check)
+    handler(settings, out_dir, report)
 
     meta = {
         "wall_clock_seconds": time.time() - started,
@@ -523,7 +528,7 @@ def _population(settings: dict, key: str, space: CandidateSpace) -> tuple:
     return saliency, population
 
 
-def _run_generalization(settings: dict, out_dir: Path, report: RunReport, check: bool) -> None:
+def _run_generalization(settings: dict, out_dir: Path, report: RunReport) -> None:
     space = load_candidate_space(settings["space"])
     saliency, population = _population(settings, "population", space)
     trials, epsilon, delta = settings["trials"], settings["epsilon"], settings["delta"]
@@ -559,16 +564,12 @@ def _run_generalization(settings: dict, out_dir: Path, report: RunReport, check:
         }
         for size in result.sizes
     }
-    if check:
-        ok = regret_violations == 0
-        if epsilon is not None:
-            ok = ok and all(
-                result.exceed_fraction(size, epsilon) <= delta for size in result.sizes
-            )
-        report.check_passed = ok
+    report.check_passed = regret_violations == 0 and (
+        epsilon is None or all(result.exceed_fraction(size, epsilon) <= delta for size in result.sizes)
+    )
 
 
-def _run_axiom(settings: dict, out_dir: Path, report: RunReport, check: bool) -> None:
+def _run_axiom(settings: dict, out_dir: Path, report: RunReport) -> None:
     space, pair = load_candidate_space(settings["space"]), tuple(settings["pair"])
     if (n := space.issue_space.n) <= max(pair) or min(pair) < 0:
         raise InvalidArgumentError(f"config key 'pair': outcomes must lie in 0..{n - 1} at N = {n}, got {list(pair)}")
@@ -604,11 +605,10 @@ def _run_axiom(settings: dict, out_dir: Path, report: RunReport, check: bool) ->
     verdict = decay_verdict(curve)
     report.results["decay"] = curve.summary()
     report.results["verdict"] = verdict
-    if check:
-        report.check_passed = verdict != "fail"
+    report.check_passed = verdict != "fail"
 
 
-def _run_privilege_analysis(settings: dict, out_dir: Path, report: RunReport, check: bool) -> None:
+def _run_privilege_analysis(settings: dict, out_dir: Path, report: RunReport) -> None:
     space = load_candidate_space(settings["space"])
     listed = space.issue_space.issue_ids if settings["issues"] is None else settings["issues"]
     files = [(issue, f"privilege_{issue}.dot") for issue in map(space.issue_space.resolve, listed)]
@@ -640,7 +640,7 @@ def _run_privilege_analysis(settings: dict, out_dir: Path, report: RunReport, ch
     report.results["privilege"] = analysis
 
 
-def _run_synthesize(settings: dict, out_dir: Path, report: RunReport, check: bool) -> None:
+def _run_synthesize(settings: dict, out_dir: Path, report: RunReport) -> None:
     graphs = _load_graphs(settings["graphs"])
     plan = synthesize_acyclic(graphs)
     space_path = out_dir / "synthesized_space.json"
@@ -654,12 +654,10 @@ def _run_synthesize(settings: dict, out_dir: Path, report: RunReport, check: boo
     report.results["factor_sizes"] = {
         str(issue): plan.factor_size(issue) for issue in graphs
     }
-    report.results["supergraph_ok"] = supergraph_ok
-    if check:
-        report.check_passed = supergraph_ok
+    report.results["supergraph_ok"] = report.check_passed = supergraph_ok
 
 
-def _run_condorcet(settings: dict, out_dir: Path, report: RunReport, check: bool) -> None:
+def _run_condorcet(settings: dict, out_dir: Path, report: RunReport) -> None:
     space = load_candidate_space(settings["space"])
     mechanism = make_mechanism(settings["mechanism"], space=space)
     try:  # the classic symmetric population: every pairwise majority is 2/3
@@ -675,23 +673,19 @@ def _run_condorcet(settings: dict, out_dir: Path, report: RunReport, check: bool
     write_csv(csv_path, ["size", "trials", "min_violations", "histogram"], rows)
     report.outputs.append(str(csv_path))
     report.results["majorities"] = sorted(list(m) for m in demo.majorities)
-    report.results["always_violates"] = demo.always_violates()
-    if check:
-        report.check_passed = demo.always_violates()
+    report.results["always_violates"] = report.check_passed = demo.always_violates()
 
 
-def _run_vc(settings: dict, out_dir: Path, report: RunReport, check: bool) -> None:
+def _run_vc(settings: dict, out_dir: Path, report: RunReport) -> None:
     space = load_candidate_space(settings["space"])
     dimension, witness = vc_dimension_with_witness(space)
     verified = dimension == 0 or is_shattered(space, witness)
     report.results["vc_dimension"] = dimension
     report.results["witness"] = [str(i) for i in witness]
-    report.results["witness_verified"] = verified
-    if check:
-        report.check_passed = verified
+    report.results["witness_verified"] = report.check_passed = verified
 
 
-def _run_rademacher(settings: dict, out_dir: Path, report: RunReport, check: bool) -> None:
+def _run_rademacher(settings: dict, out_dir: Path, report: RunReport) -> None:
     space = load_candidate_space(settings["space"])
     saliency, population = _population(settings, "population", space)
     seed, size, draws = settings["seed"], settings["sample_size"], settings["sign_draws"]
@@ -709,8 +703,7 @@ def _run_rademacher(settings: dict, out_dir: Path, report: RunReport, check: boo
     report.results["estimate"] = estimate
     report.results["stderr"] = stderr
     report.results["massart_bound"] = bound
-    if check:
-        report.check_passed = estimate <= bound + 3 * stderr
+    report.check_passed = estimate <= bound + 3 * stderr
 
 
 # experiment kind -> (handler, the config keys it needs)

@@ -11,6 +11,7 @@ building an ordering seen before costs one cached lookup.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
@@ -33,10 +34,14 @@ _INTERNED = 8192  # holds every ordering of N <= 7 (5,040 of them)
 
 
 def _new(given: tuple) -> "LinearOrder":
-    """A new :class:`LinearOrder` for the ranking ``given`` as a tuple, once it is checked to
-    be a permutation of ``0..n-1``; its positions and hash are worked out here, once."""
+    """A new :class:`LinearOrder` for the ranking ``given`` as a tuple, once it is checked to be a
+    permutation of the integers ``0..n-1`` (read by ``operator.index``, so no float or text passes);
+    its positions and hash are worked out here, once."""
     # a tuple of Python ints is kept as it is, so the cache's key and the ranking are one tuple
-    ranking = given if all(type(c) is int for c in given) else tuple(map(int, given))
+    try:
+        ranking = given if all(type(c) is int for c in given) else tuple(map(operator.index, given))
+    except TypeError:
+        raise InvalidArgumentError(f"ranking {given!r} holds an outcome that is not an integer") from None
     n = len(ranking)
     if n < 1:
         raise InvalidArgumentError("a linear order needs at least one outcome")

@@ -42,10 +42,6 @@ __all__ = [
 PROB_TOL = 1e-9
 
 
-def _canonical_issue_key(issue) -> str:
-    return str(issue)
-
-
 @dataclass(frozen=True)
 class IssueSpace:
     """A finite set of issues sharing a common outcome count ``n``."""
@@ -62,7 +58,7 @@ class IssueSpace:
             raise InvalidArgumentError("issue ids must be unique")
         by_key: dict = {}  # files and configs name an issue by its text form
         for issue in ids:
-            if (key := _canonical_issue_key(issue)) in by_key:
+            if (key := str(issue)) in by_key:
                 raise InvalidArgumentError(
                     f"issue ids must be unique as text: {by_key[key]!r} and {issue!r} are both {key!r}"
                 )
@@ -79,12 +75,12 @@ class IssueSpace:
         return frozenset(self.issue_ids)
 
     def sorted_ids(self) -> list:
-        return sorted(self.issue_ids, key=_canonical_issue_key)
+        return sorted(self.issue_ids, key=str)
 
     def resolve(self, raw):
         """The issue id whose text form is ``str(raw)``, as files and configs name it."""
         try:
-            return self._by_key[_canonical_issue_key(raw)]
+            return self._by_key[str(raw)]
         except KeyError:
             raise InvalidArgumentError(f"unknown issue {raw!r}") from None
 
@@ -164,7 +160,7 @@ def _cells(saliency: SaliencyDistribution, population: MarginalPopulation):
     """Positive-mass (issue, ordering) cells in canonical order, and their probabilities."""
     cells = []
     probs = []
-    for issue in sorted(saliency.issues, key=_canonical_issue_key):
+    for issue in sorted(saliency.issues, key=str):
         w = saliency(issue)
         if w == 0:
             continue
@@ -307,12 +303,18 @@ def expect(value, kind: type, key, what: str):
     )
 
 
+def read_outcome_count(n, what: str) -> int:
+    """A ``what`` file's N: an integer of at least 2."""
+    if (n := expect(n, int, "N", what)) < 2:
+        raise InvalidArgumentError(f"{what} file key 'N': issues need at least 2 outcomes, got {n}")
+    return n
+
+
 def read_issue_space(issues, n, what: str) -> IssueSpace:
     """A ``what`` file's issues and N; an issue id is text or an integer, like config key ``issue``."""
     if bad := [i for i in expect(issues, list, "issues", what) if type(i) not in (str, int)]:
         raise InvalidArgumentError(f"{what} file key 'issues': expected text or integers, got {bad[0]!r}")
-    if (n := expect(n, int, "N", what)) < 2:
-        raise InvalidArgumentError(f"{what} file key 'N': issues need at least 2 outcomes, got {n}")
+    n = read_outcome_count(n, what)
     try:
         return IssueSpace(tuple(issues), n)
     except InvalidArgumentError as exc:  # no issue, or two ids with one text form

@@ -91,12 +91,10 @@ def _closure_test(space: CandidateSpace, issue):
     each twin to its code (-1 when no member holds it), gathers that map by code,
     and looks the moved members' twin keys up in the set.
     """
-    if issue not in space.issue_space:
-        raise InvalidArgumentError(f"unknown issue {issue!r}")
+    b, k = space._locate(issue)
     if space.variant == "full":
         return lambda subset: True
-    issues, columns, codes = next(block for block in space._codes() if issue in block[0])
-    k = issues.index(issue)
+    issues, columns, codes = space._codes()[b]
     keys, bound = np.zeros(len(codes), dtype=np.int64), 1
     for j in [*range(k), *range(k + 1, len(issues)), k]:  # mixed radix, ``issue`` last
         if bound * len(columns[j]) >= 2**63:  # renumber the keys so far densely
@@ -135,15 +133,24 @@ def is_privileged(space: CandidateSpace, issue, o: PartialOrder) -> bool:
     return closed(o.subset)
 
 
+def _check_pairs(n: int) -> None:
+    """Raise ``CapacityError`` naming N when the n(n - 1) ordered outcome pairs, which the pair
+    filter tests and the reachability sets hold, are over ``DEFAULT_ENUMERATION_CAP``."""
+    if (pairs := n * (n - 1)) > DEFAULT_ENUMERATION_CAP:
+        raise CapacityError(f"N = {n} has {pairs} ordered outcome pairs, over the cap of {DEFAULT_ENUMERATION_CAP}")
+
+
 def build_privilege_graph(space: CandidateSpace, issue) -> PrivilegeGraph:
     """Edge (u, v) present iff the binary ordering u>v is privileged; the closure test is
     set up once and every ordered pair is tested with it."""
+    _check_pairs(space.issue_space.n)
     pairs = itertools.permutations(range(space.issue_space.n), 2)
     return PrivilegeGraph(issue, space.issue_space.n, frozenset(filter(_closure_test(space, issue), pairs)))
 
 
 def _reachable(graph: PrivilegeGraph) -> list:
     """reach[u] = set of vertices reachable from u via >= 1 edge (Warshall's closure)."""
+    _check_pairs(graph.n)
     reach = [{v for a, v in graph.edges if a == u} for u in range(graph.n)]
     for w in range(graph.n):
         for u in range(graph.n):

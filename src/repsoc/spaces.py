@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Hashable
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from math import factorial, prod
 from typing import Iterator, Sequence
 
@@ -264,6 +264,18 @@ class CandidateSpace:
     def profiles(self) -> tuple | None:
         """An explicit space's members, in member order."""
         return self.blocks[0][1] if self.variant == "explicit" else None
+
+    @cached_property
+    def _places(self) -> dict:
+        """Each issue's (block, column) in :meth:`_codes`, read without building a code block."""
+        blocks = [(i,) for i in self.issue_space.sorted_ids()] if self.variant == "full" else [b[0] for b in self.coded]
+        return {issue: (b, k) for b, issues in enumerate(blocks) for k, issue in enumerate(issues)}
+
+    def _locate(self, issue) -> tuple:
+        """The (block, column) of ``issue`` in :meth:`_codes`, the one map from an issue to its codes."""
+        if (place := self._places.get(issue)) is None:
+            raise InvalidArgumentError(f"unknown issue {issue!r}")
+        return place
 
     def _codes(self) -> tuple:
         """The space's code blocks; a full space gives each issue alone over the shared column

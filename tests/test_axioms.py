@@ -304,6 +304,25 @@ class TestCondorcet:
             assert min_v >= 1
             assert sum(hist.values()) == 300
 
+    def test_a_majority_4_cycle_qualifies(self):
+        """A quarter of the population on each cyclic shift of 0>1>2>3: the strict majorities
+        are exactly the 4-cycle 0>1>2>3>0 (3/4 each) and both diagonals tie at 1/2, so no
+        3-cycle exists.  Every chosen ordering, a shift, contradicts exactly one majority."""
+        space = CandidateSpace.full(IssueSpace(("i",), 4))
+        shifts = [LinearOrder(tuple((k + j) % 4 for j in range(4))) for k in range(4)]
+        scn = Scenario(
+            saliency=SaliencyDistribution({"i": 1.0}),
+            population=MarginalPopulation({"i": dict.fromkeys(shifts, 0.25)}),
+            space=space,
+            mechanism=make_mechanism("majority", space=space),
+            issue="i",
+        )
+        assert pair_marginal(scn.population, "i", (0, 2)) == pair_marginal(scn.population, "i", (1, 3)) == 0.5
+        report = cycle_violation_demo(scn, [4, 21, 80], 200, seed=3)
+        assert report.majorities == ((0, 1), (1, 2), (2, 3), (3, 0))
+        assert [min_v for _, _, min_v, _ in report.per_size] == [1, 1, 1]
+        assert report.always_violates()
+
     def test_acyclic_marginals_rejected(self):
         scn = Scenario(
             saliency=SaliencyDistribution({"i": 1.0}),

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from repsoc import (
     save_candidate_space,
     save_population,
 )
-from repsoc import experiments, privilege
+from repsoc import cli, errors, experiments, privilege
 from repsoc.cli import build_parser, main
 
 
@@ -140,8 +141,10 @@ class TestRunCommand:
         assert main(["run", config, "--out", str(out_b)]) == 0
         assert (out_a / "gaps.csv").read_bytes() != (out_b / "gaps.csv").read_bytes()
 
-    def test_check_failure_exit_code(self, binary_setup):
-        # epsilon so small that the exceedance fraction cannot stay under delta
+    def test_check_failure_exit_code(self, binary_setup, capsys):
+        """An epsilon so small that the exceedance fraction cannot stay under delta: the run
+        writes its failed verdict whether or not it is checked, and ``--check`` alone turns
+        that verdict into exit 4."""
         tmp = binary_setup["tmp"]
         config = write_config(
             tmp,
@@ -156,7 +159,11 @@ class TestRunCommand:
                 "delta": 0.05,
             },
         )
+        assert main(["run", config, "--out", str(tmp / "unchecked")]) == 0
         assert main(["run", config, "--check", "--out", str(tmp / "out")]) == 4
+        assert capsys.readouterr().err == "check: FAILED\n"
+        for out in ("unchecked", "out"):
+            assert json.loads((tmp / out / "summary.json").read_text())["check_passed"] is False
 
     def test_condorcet_run(self, tmp_path):
         space_path = tmp_path / "space.json"
@@ -620,6 +627,29 @@ BAD_INPUTS = {
     "graphs-edge-of-length-1": (
         _synthesis_over_graphs_file({"N": 3, "graphs": {"i": [[0]]}}), None, "'i'"
     ),
+    "graphs-edge-out-of-range": (
+        _synthesis_over_graphs_file({"N": 3, "graphs": {"i": [[0, 1]], "j": [[0, 5]]}}),
+        None,
+        "graphs file key 'j': edge (0,5) out of range for n=3",
+    ),
+    "graphs-self-loop": (
+        _synthesis_over_graphs_file({"N": 3, "graphs": {"i": [[1, 1]]}}),
+        None,
+        "graphs file key 'i': privilege graph has no self-loops",
+    ),
+    "graphs-n-one": (
+        _synthesis_over_graphs_file({"N": 1, "graphs": {"i": []}}),
+        None,
+        "graphs file key 'N': issues need at least 2 outcomes, got 1",
+    ),
+    # transitive, so it passes that check, and one SCC of all three outcomes
+    "graphs-cyclic": (
+        _synthesis_over_graphs_file(
+            {"N": 3, "graphs": {"i": [[0, 1]], "j": [[u, v] for u in range(3) for v in range(3) if u != v]}}
+        ),
+        None,
+        "issue 'j' is cyclically privileged",
+    ),
     "population-b-missing": (
         lambda s: _axiom(s, population_b=str(s["tmp"] / "nope.json")), None, "'population_b'"
     ),
@@ -684,6 +714,8 @@ BAD_INPUTS = {
     "env-seed-negative": (_generalization, "-1", "REPSOC_SEED"),
     "out-not-text": (lambda s: _generalization(s, out=5), None, "'out'"),
     "out-a-list": (lambda s: _generalization(s, out=["x"]), None, "'out'"),
+    # outside the schema: a misspelt key would otherwise be ignored, and its test never run
+    "config-key-misspelt": (lambda s: _generalization(s, epsilom=0.01), None, "unknown config key 'epsilom'"),
     "axiom-unknown": (lambda s: _axiom(s, axiom="nope"), None, "'axiom'"),
     "mechanism-unknown": (lambda s: _axiom(s, mechanism="bogus"), None, "'mechanism'"),
     "mechanism-acyclic": (lambda s: _axiom(s, mechanism="acyclic"), None, "'mechanism'"),
@@ -738,6 +770,7 @@ CONFIG_KEY_CASES = (
     "axiom-without-pair", "ppe-without-profile", "w-piia-without-population-b",
     "s-piia-without-population-b", "sign-draws-one", "delta-five", "delta-negative", "delta-zero",
     "delta-one", "epsilon-five", "epsilon-negative", "epsilon-zero", "epsilon-one",
+    "config-key-misspelt",
 )
 
 
@@ -745,6 +778,18 @@ def test_every_config_key_has_a_bad_input_row():
     """A config key without a row here could go unchecked at the boundary."""
     named = {text for _, _, text in BAD_INPUTS.values()}
     assert [key for key in experiments._KEYS if repr(key) not in named] == []
+
+
+PRIVILEGE_CAPACITY_INPUTS = {
+    "privilege-analysis-of-a-million-outcomes": (
+        _privilege_over_space({"variant": "full", "issues": ["i"], "N": 10**6}),
+        "N = 1000000 has 999999000000 ordered outcome pairs, over the cap of 1000000",
+    ),
+    "synthesis-of-a-million-outcomes": (
+        _synthesis_over_graphs_file({"N": 10**6, "graphs": {"i": []}}),
+        "N = 1000000 has 999999000000 ordered outcome pairs, over the cap of 1000000",
+    ),
+}
 
 
 # Beside BAD_INPUTS, the bad inputs that exit 3: (config builder, text the error must contain).
@@ -772,6 +817,9 @@ CAPACITY_INPUTS = {
         ),
         "issue 'i' has 1048576 orderings, over the cap of 1000000",
     ),
+    # the privilege work of N outcomes is bounded by their N(N - 1) ordered pairs, checked
+    # before any pair is tested (the pair filter) or any reachability set is built
+    **PRIVILEGE_CAPACITY_INPUTS,
 }
 
 
@@ -817,6 +865,32 @@ def test_capacity_input_exits_3_naming_it(case, binary_setup, capsys):
     assert main(["run", config, "--out", str(binary_setup["tmp"] / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("capacity error: ") and named in err
+
+
+@pytest.mark.parametrize("case", sorted(PRIVILEGE_CAPACITY_INPUTS))
+def test_privilege_capacity_is_refused_before_the_work(case, binary_setup, capsys):
+    """Both runs took over 20 s without the check; refused up front, each takes milliseconds."""
+    build, named = PRIVILEGE_CAPACITY_INPUTS[case]
+    config = write_config(binary_setup["tmp"], build(binary_setup))
+    started = time.perf_counter()
+    assert main(["run", config, "--out", str(binary_setup["tmp"] / "out")]) == 3
+    assert time.perf_counter() - started < 1.0
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", errors.__all__)
+def test_every_library_error_has_its_exit_code(error, binary_setup, monkeypatch, capsys):
+    """``main`` maps the error classes, not a list of them: ``CapacityError`` exits 3 and
+    every other ``RepsocError`` 2, each with its message."""
+    def run_experiment(*args, **kwargs):
+        raise getattr(errors, error)("the message")
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    config = write_config(binary_setup["tmp"], _generalization(binary_setup))
+    code = main(["run", config, "--out", str(binary_setup["tmp"] / "out")])
+    assert (code, capsys.readouterr().err) == (
+        (3, "capacity error: the message\n") if error == "CapacityError" else (2, "error: the message\n")
+    )
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

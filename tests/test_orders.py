@@ -90,6 +90,13 @@ class TestLinearOrder:
                 assert LinearOrder(given) is expected
             assert LinearOrder.from_string(str(expected)) is expected
 
+    @pytest.mark.parametrize("given", [(1.5, 0.2), "10", (0, np.float64(1.5)), ["2", "0", "1"]])
+    def test_a_non_integer_outcome_is_refused(self, given):
+        """Each outcome is read as an integer, not truncated: ``(1.5, 0.2)`` and the text
+        ``"10"`` are no ordering, where ``int()`` would have read both as ``1>0``."""
+        with pytest.raises(InvalidArgumentError, match="not an integer"):
+            LinearOrder(given)
+
     def test_the_ranking_cache_stays_within_its_bound(self):
         """The 40,320 orderings of N = 8 overflow the cache: an evicted ordering built again is
         a new instance, equal to the one still held, with the same hash and positions."""

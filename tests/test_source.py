@@ -201,3 +201,16 @@ def test_every_exported_name_has_a_caller():
     ]
     assert uncalled == []
     assert [name for name in UNCALLED if name in called] == []  # an exception with a caller goes
+
+
+def test_only_spaces_finds_an_issue_in_its_code_blocks():
+    """``CandidateSpace._locate`` is the one map from an issue to its (block, column): no
+    other library module searches a block's issues, as by ``issues.index(issue)``."""
+    searches = [
+        f"{module}:{node.lineno}"
+        for module, tree in MODULES.items()
+        if module != "spaces.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _calls("issues", node.func, "index")
+    ]
+    assert searches == []
