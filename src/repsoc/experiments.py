@@ -357,7 +357,9 @@ def _sup_gap(blocks, sequence, counts, size: int, delta: float) -> np.ndarray:
     """
     trials = np.arange(len(counts[0]))
     scale = max(size, 1)  # an empty committee has C = 0 and sample utility 0
-    parts = [count / scale - block.totals for block, count in zip(blocks, counts)]
+    parts = [np.true_divide(count, scale) for count in counts]  # count / scale - totals, in place
+    for part, block in zip(parts, blocks):
+        part -= block.totals
     by_sign = []
     for greatest in (True, False):
         picks, kept, mixed = [], [], np.zeros(len(trials), dtype=bool)
@@ -377,7 +379,7 @@ def _sup_gap(blocks, sequence, counts, size: int, delta: float) -> np.ndarray:
             candidates = []
             for keep, count, block in zip(kept, counts, blocks):
                 members = np.flatnonzero(keep[t])
-                key = count[t, members] * len(block.term_ids) + block.term_ids[members]
+                key = count[t, members].astype(np.int64) * len(block.term_ids) + block.term_ids[members]
                 _, first = np.unique(key, return_index=True)
                 candidates.append([(m, int(count[t, m])) for m in members[first]])
             gaps[t] = max(
@@ -410,7 +412,9 @@ def generalization_experiment(
     (:func:`_space_blocks`).  Members are kept in rank-tuple order, so every
     first argmax, tie and bound below is the full space's.  A kept member's
     count is the sum of its cells' columns of the tally matrix, with a zero
-    column at index -1, gathered a chunk of trials at a time.
+    column at index -1, gathered a chunk of trials at a time, in the least
+    unsigned type that holds the committee size: every count, and every sum
+    of counts over distinct issues, lies in ``[0, size]``.
     For each sign of the gap, a block keeps the members within a rounding
     guard ``delta = 4 * (k + 3) * 2**-52`` (``k`` issues) of its extreme.
     The float error of the expression, and of a block's part of it, is at
@@ -441,10 +445,11 @@ def generalization_experiment(
 
     gaps, regret_slack = {}, {}
     for size, rows in tallies:
+        narrow = np.min_scalar_type(size)  # counts, and their sums over distinct issues, lie in [0, size]
         gaps[size], regret_slack[size] = np.empty(trials), np.empty(trials)
         for lo in range(0, trials, step):
-            at, padded = slice(lo, lo + step), np.pad(rows[lo : lo + step], ((0, 0), (0, 1)))
-            counts = [sum(np.take(padded, c, axis=1) for c in block.classes.T) for block in blocks]
+            at, padded = slice(lo, lo + step), np.pad(rows[lo : lo + step].astype(narrow), ((0, 0), (0, 1)))
+            counts = [np.take(padded, block.classes.T, axis=1).sum(axis=1, dtype=narrow) for block in blocks]
             gaps[size][at] = gap = _sup_gap(blocks, sequence, counts, size, delta)
             winner = _population_at(blocks, sequence, [count.argmax(axis=1) for count in counts])
             regret_slack[size][at] = winner - (max_pop - 2.0 * gap)

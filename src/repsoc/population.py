@@ -229,58 +229,92 @@ def read_json(path, what: str) -> dict:
     return doc
 
 
+@dataclass(frozen=True, eq=False)
+class CodedRows:
+    """A JSON array of objects given as code columns, the way :func:`write_json` takes a space
+    file's ``profiles``: object ``m`` maps each of the one or more distinct ``keys``, in order, to
+    ``texts[k][codes[m, k]]``, for the (objects x keys) integer matrix ``codes``.  It is no
+    list, tuple or dict, so only :func:`_coded_rows` lays it out."""
+
+    keys: tuple
+    texts: tuple  # per key: its distinct JSON scalars, such as ordering texts
+    codes: np.ndarray
+
+
 # Encodes on one line with the C encoder; NUL separates items, since JSON text holds a raw
 # control character nowhere else (a string escapes it, as it escapes a newline).
 _ONE_LINE = json.JSONEncoder(separators=("\0", ": "))
-_CONTAINERS = (list, tuple, dict)
+_CONTAINERS = (list, tuple, dict, CodedRows)
 
 
 def _flat(items) -> bool:
-    """Whether every item is a scalar or an empty container, which JSON writes on one line."""
+    """Whether every item is a scalar or an empty container, which JSON writes on one line;
+    :class:`CodedRows` never counts as empty."""
     return not any(isinstance(item, _CONTAINERS) and item for item in items)
 
 
-def _rows(items) -> str:
-    """``"{}"`` when every item is a non-empty object, ``"[]"`` when every one is a non-empty
-    array, and no item holds a container; else ``""``.  The one-line text of such rows has
-    their closing bracket, NUL and opening bracket between two rows, and nowhere else."""
-    for brackets, kind in (("{}", dict), ("[]", (list, tuple))):
-        if all(map(isinstance, items, repeat(kind))) and all(items):
-            cells = chain.from_iterable(map(dict.values, items) if kind is dict else items)
-            return "" if any(issubclass(k, _CONTAINERS) for k in set(map(type, cells))) else brackets
-    return ""
+def _rows(items) -> bool:
+    """Whether every item is a non-empty array and no item holds a container, as in a graph's
+    ``edges``.  The one-line text of such rows has ``]``, NUL and ``[`` between two rows, and
+    nowhere else."""
+    if all(map(isinstance, items, repeat((list, tuple)))) and all(items):
+        return not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, chain.from_iterable(items))))
+    return False
+
+
+def _keys(keys) -> list:
+    """The object keys ``keys`` as the C encoder writes them: each with ``": 0"`` after it, NUL between."""
+    return _ONE_LINE.encode(dict.fromkeys(keys, 0))[1:-4].split(": 0\0")
+
+
+def _coded_rows(rows: CodedRows) -> str:
+    """``json.dumps`` of the objects of ``rows``, indented by two.  Each key's ``"key": text``
+    line is encoded once per distinct text, the lines are gathered by the objects' codes, and
+    the array is joined once on ``",\n"``, the separator between any two of its lines: each
+    object's opening and closing brackets are baked into its first and last line."""
+    if not len(rows.codes):
+        return "[]"
+    lines, offsets, last = [], [], len(rows.keys) - 1
+    for k, (key, texts) in enumerate(zip(_keys(rows.keys), rows.texts)):
+        start, end = "  {\n" if k == 0 else "", "\n  }" if k == last else ""
+        offsets.append(len(lines))
+        lines += [f"{start}    {key}: {text}{end}" for text in _ONE_LINE.encode(list(texts))[1:-1].split("\0")]
+    gathered = np.array(lines, dtype=object)[rows.codes + np.array(offsets)]
+    return "[\n" + ",\n".join(gathered.ravel().tolist()) + "\n]"
 
 
 def _indented(value) -> str:
-    """``json.dumps(value, indent=2)``.  Flat containers, and lists of rows such as a space
-    file's profiles or a graph's edges, are encoded in one call to the C encoder, and lines
-    are broken at its NUL separators.  Other containers are laid out here, their items
-    encoded at the top level and re-indented by replacing each newline, which is exact as
-    no string holds one."""
+    """``json.dumps(value, indent=2)``.  Flat containers, and lists of rows such as a graph's
+    edges, are encoded in one call to the C encoder, and lines are broken at its NUL
+    separators; :class:`CodedRows` is laid out by :func:`_coded_rows`.  Other containers are
+    laid out here, their items encoded at the top level and re-indented by replacing each
+    newline, which is exact as no string holds one."""
+    if isinstance(value, CodedRows):
+        return _coded_rows(value)
     if isinstance(value, (list, tuple)) and value:
         if _flat(value):
             return "[\n  " + _ONE_LINE.encode(value)[1:-1].replace("\0", ",\n  ") + "\n]"
-        if brackets := _rows(value):
-            start, end = brackets
-            text = _ONE_LINE.encode(value)[2:-2].replace(f"{end}\0{start}", f"\n  {end},\n  {start}\n    ")
-            return f"[\n  {start}\n    " + text.replace("\0", ",\n    ") + f"\n  {end}\n]"
+        if _rows(value):
+            text = _ONE_LINE.encode(value)[2:-2].replace("]\0[", "\n  ],\n  [\n    ")
+            return "[\n  [\n    " + text.replace("\0", ",\n    ") + "\n  ]\n]"
         return "[\n  " + ",\n  ".join(_indented(item).replace("\n", "\n  ") for item in value) + "\n]"
     if isinstance(value, dict) and value:
         if _flat(value.values()):
             return "{\n  " + _ONE_LINE.encode(value)[1:-1].replace("\0", ",\n  ") + "\n}"
-        # the keys as the C encoder writes them: each with ": 0" after it, NUL between
-        keys = _ONE_LINE.encode(dict.fromkeys(value, 0))[1:-4].split(": 0\0")
-        pairs = (f"{key}: " + _indented(item).replace("\n", "\n  ") for key, item in zip(keys, value.values()))
+        pairs = (f"{key}: " + _indented(item).replace("\n", "\n  ") for key, item in zip(_keys(value), value.values()))
         return "{\n  " + ",\n  ".join(pairs) + "\n}"
     return _ONE_LINE.encode(value)
 
 
 def write_json(path, doc) -> None:
-    """Write ``doc`` to ``path`` in one ``write``, as the bytes of ``json.dumps(doc, indent=2)``.
+    """Write ``doc`` to ``path`` in one ``write``, as the bytes of ``json.dumps(doc, indent=2)``,
+    with each :class:`CodedRows` in it read as its list of objects.
 
     Under ``indent`` the ``json`` module encodes in pure Python; here each flat container,
-    and each list of rows such as a space file's ``profiles``, is encoded in one call to the
-    C encoder, so a space of thousands of members is written at C speed."""
+    and each list of rows such as a graph's ``edges``, is encoded in one call to the C
+    encoder, and a space file's ``profiles`` come as :class:`CodedRows`, whose lines are
+    encoded once per distinct ordering, so a space of thousands of members is written at C
+    speed with no object built per member."""
     with open(path, "w") as fh:
         fh.write(_indented(doc))
 

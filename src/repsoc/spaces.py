@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CapacityError, InvalidArgumentError
 from .orders import LinearOrder, Profile
-from .population import IssueSpace, expect, read_issue_space, read_json, write_json
+from .population import CodedRows, IssueSpace, expect, read_issue_space, read_json, write_json
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -310,13 +310,11 @@ class CandidateSpace:
 # -- file format -----------------------------------------------------------
 
 
-def _entries(block: tuple) -> list:
-    """A code block's members as file entries, issue keys in text order as profiles list them."""
+def _members(block: tuple) -> CodedRows:
+    """A code block's members as a space file lists them, each column's orderings as text;
+    the block's issues are in sorted-id order, which is text order, as profiles list them."""
     issues, columns, codes = _ordered((block,))[0]
-    keyed = sorted(range(len(issues)), key=lambda k: str(issues[k]))
-    keys = [str(issues[k]) for k in keyed]
-    texts = [[str(order) for order in columns[k]] for k in keyed]
-    return [dict(zip(keys, map(list.__getitem__, texts, row))) for row in codes[:, keyed].tolist()]
+    return CodedRows(tuple(map(str, issues)), tuple([str(order) for order in column] for column in columns), codes)
 
 
 def save_candidate_space(path, space: CandidateSpace) -> None:
@@ -326,10 +324,10 @@ def save_candidate_space(path, space: CandidateSpace) -> None:
         "N": space.issue_space.n,
     }
     if space.variant == "explicit":
-        doc["profiles"] = _entries(space.coded[0])
+        doc["profiles"] = _members(space.coded[0])
     elif space.variant == "product":
         doc["blocks"] = [
-            {"issues": list(block[0]), "profiles": _entries(block)} for block in space.coded
+            {"issues": list(block[0]), "profiles": _members(block)} for block in space.coded
         ]
     write_json(path, doc)
 

@@ -27,6 +27,7 @@ from repsoc import (
     generalization_experiment,
 )
 from repsoc import EXACT_MATCH, KENDALL, SCORING_RULES, experiments
+from repsoc.axioms import draw_tallies
 from repsoc.mechanisms import block_scores
 from repsoc.spaces import DEFAULT_ENUMERATION_CAP
 from repsoc.population import _cells
@@ -630,6 +631,68 @@ def test_saliency_issue_outside_the_space():
     saliency = SaliencyDistribution({"a": 0.5, "b": 0.5})
     with pytest.raises(InvalidArgumentError, match="'b'"):
         generalization_experiment(space, saliency, population, [4], 2, seed=0)
+
+
+WIDENING_SIZES = [0, 127, 128, 255, 256, 65535, 65536]  # where np.min_scalar_type(size) widens
+
+
+@pytest.mark.parametrize("variant", ("explicit", "full"))
+@pytest.mark.parametrize("weights", ((1.0, 0.0), (0.5, 0.5)))
+def test_narrow_counts_give_the_bytes_of_int64_counts(variant, weights):
+    """The lab holds counts in the least unsigned type that holds the size.  Issue ``a`` puts
+    its whole mass on one ordering, so under saliency (1, 0) one count reaches the size,
+    the top of its type, and every member of its block ties within the guard: each trial
+    is mixed.  ``_sup_gap`` gives equal bytes on the int64 counts and on the narrow ones, and
+    the lab gives the enumeration's bytes."""
+    orders = all_linear_orders(3)
+    issue_space = IssueSpace(("a", "b"), 3)
+    space = CandidateSpace.full(issue_space)
+    if variant == "explicit":
+        space = CandidateSpace.explicit(list(space.enumerate_profiles()), issue_space)
+    population = MarginalPopulation({"a": {orders[2]: 1.0}, "b": {orders[0]: 0.5, orders[4]: 0.5}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero saliency warns
+        saliency = SaliencyDistribution(dict(zip("ab", weights)))
+    cells, tallies = draw_tallies(saliency, population, WIDENING_SIZES, 3, 5, least=0)
+    blocks, sequence = experiments._space_blocks(space, saliency, population, cells)
+    delta = 4 * (2 + 3) * 2.0**-52
+    for size, rows in tallies:
+        padded = np.pad(rows, ((0, 0), (0, 1)))
+        wide = [sum(np.take(padded, c, axis=1) for c in block.classes.T) for block in blocks]
+        narrow = [count.astype(np.min_scalar_type(size)) for count in wide]
+        assert [count.dtype for count in narrow] == [np.min_scalar_type(size)] * len(blocks)
+        assert max(int(count.max()) for count in wide) <= size
+        expected = experiments._sup_gap(blocks, sequence, wide, size, delta).tobytes()
+        assert experiments._sup_gap(blocks, sequence, narrow, size, delta).tobytes() == expected
+    result = generalization_experiment(space, saliency, population, WIDENING_SIZES, 3, 5)
+    gaps, regret_slack = enumerated_generalization(space, saliency, population, WIDENING_SIZES, 3, 5)
+    for size in WIDENING_SIZES:
+        assert result.gaps[size].tobytes() == gaps[size].tobytes()
+        assert result.regret_slack[size].tobytes() == regret_slack[size].tobytes()
+
+
+def test_mixed_trial_keys_do_not_wrap_in_narrow_counts():
+    """Issue ``a`` splits its mass 1/3 : 1 - 1/3, and each trial is one split of the committee
+    between those two orderings.  Where the split is exact, as 85 of 255, the three classes
+    of ``a`` tie within the guard and the trial is mixed; in the narrow type
+    ``count * 3 + term id`` would wrap onto the unheld class's key 0, drop that class from
+    the search and change the gap by one rounding."""
+    orders = all_linear_orders(3)
+    space = CandidateSpace.full(IssueSpace(("a", "b"), 3))
+    population = MarginalPopulation({"a": {orders[2]: 1 / 3, orders[4]: 1 - 1 / 3}, "b": {orders[0]: 1.0}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero saliency warns
+        saliency = SaliencyDistribution({"a": 1.0, "b": 0.0})
+    cells, _ = draw_tallies(saliency, population, [1], 1, 0)
+    blocks, sequence = experiments._space_blocks(space, saliency, population, cells)
+    held = [k for k, (issue, _) in enumerate(cells) if issue == "a"]
+    for size in WIDENING_SIZES[1:]:
+        padded = np.zeros((size + 1, len(cells) + 1), dtype=np.int64)
+        padded[:, held] = np.stack([np.arange(size + 1), size - np.arange(size + 1)], axis=1)
+        wide = [sum(np.take(padded, c, axis=1) for c in block.classes.T) for block in blocks]
+        narrow = [count.astype(np.min_scalar_type(size)) for count in wide]
+        expected = experiments._sup_gap(blocks, sequence, wide, size, 4 * (2 + 3) * 2.0**-52).tobytes()
+        assert experiments._sup_gap(blocks, sequence, narrow, size, 4 * (2 + 3) * 2.0**-52).tobytes() == expected
 
 
 @settings(max_examples=300, deadline=None)

@@ -17,7 +17,7 @@ from repsoc import (
     sample_pairs,
     save_population,
 )
-from repsoc.population import write_json
+from repsoc.population import CodedRows, write_json
 from tests.conftest import uniform_population
 
 
@@ -214,11 +214,35 @@ json_scalars = json_texts | st.integers() | json_floats | st.booleans() | st.non
 empty = st.sampled_from([[], (), {}])
 flat_objects = st.dictionaries(json_keys, json_scalars, min_size=1, max_size=4)
 flat_arrays = st.lists(json_scalars, min_size=1, max_size=4)
+
+
+@st.composite
+def coded_rows(draw):
+    """A space file's ``profiles`` as ``write_json`` takes them: zero to four objects over one
+    to three distinct keys, each key's value one of its texts."""
+    keys = draw(st.lists(json_texts, min_size=1, max_size=3, unique=True))
+    texts = [draw(st.lists(json_texts, min_size=1, max_size=3)) for _ in keys]
+    rows = draw(st.lists(st.tuples(*(st.integers(0, len(column) - 1) for column in texts)), max_size=4))
+    dtype = draw(st.sampled_from([np.uint8, np.intp]))
+    return CodedRows(tuple(keys), tuple(texts), np.array(rows, dtype=dtype).reshape(len(rows), len(keys)))
+
+
+def expanded(doc):
+    """``doc`` with each ``CodedRows`` in it read as its list of objects."""
+    if isinstance(doc, CodedRows):
+        return [dict(zip(doc.keys, map(list.__getitem__, doc.texts, row))) for row in doc.codes.tolist()]
+    if isinstance(doc, dict):
+        return {key: expanded(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(map(expanded, doc))
+    return doc
+
+
 json_docs = st.recursive(
-    json_scalars | empty,
+    json_scalars | empty | coded_rows(),  # alone, or nested as a product file nests them
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(json_keys, inner, max_size=4)
-    | st.lists(flat_objects, max_size=4)  # a space file's profiles
+    | st.lists(flat_objects, max_size=4)  # objects, as rows once were
     | st.lists(flat_arrays, max_size=4)  # a graph's edges
     | st.lists(flat_objects | flat_arrays | inner, max_size=4)  # rows mixed with other items
     | st.lists(st.dictionaries(json_keys, json_scalars | empty, min_size=1, max_size=3), max_size=3)
@@ -232,16 +256,18 @@ json_docs = st.recursive(
 @given(doc=json_docs)
 def test_write_json_writes_the_bytes_of_json_dumps_indented_by_two(doc, tmp_path):
     """``write_json`` encodes flat containers and lists of rows with the C encoder and lays
-    them out; its bytes are those of ``json.dumps(doc, indent=2)`` for any document."""
+    them out, and renders ``CodedRows`` from its codes; its bytes are those of
+    ``json.dumps(doc, indent=2)`` for any document, each ``CodedRows`` read as its objects."""
     path = tmp_path / "doc.json"
     write_json(path, doc)
-    assert path.read_bytes() == json.dumps(doc, indent=2).encode()
+    assert path.read_bytes() == json.dumps(expanded(doc), indent=2).encode()
 
 
 def test_write_json_covers_every_shape_of_the_differential(tmp_path):
     """The cases the differential must reach, each spelled out: nested containers, empty
     ones, lists of flat objects or arrays alone and mixed, rows that hold empty containers,
-    non-text keys and non-finite floats."""
+    non-text keys, non-finite floats, and ``CodedRows`` of zero, one and several objects,
+    alone and nested as an explicit and a product space file nest them."""
     docs = [
         {},
         [],
@@ -253,8 +279,16 @@ def test_write_json_covers_every_shape_of_the_differential(tmp_path):
         {"edges": [[0, 3], (1, 0)], "rows": [[[], []], [[]]], "objects": [{"a": [], "b": {}}, {"c": 1}]},
         [{"notes": [], "n": 1}, [{}], ["]\0["]],
         "top", 3, None,
+        CodedRows(("a",), (["0>1"],), np.zeros((0, 1), dtype=np.uint8)),
+        CodedRows(("a",), (["0>1", "1>0"],), np.array([[1]], dtype=np.uint8)),
+        {"profiles": CodedRows(("a", "b"), (["0>1", "1>0"], ["1>0"]), np.array([[0, 0], [1, 0], [1, 0]]))},
+        {"blocks": [
+            {"issues": ["k\"é"], "profiles": CodedRows(("k\"é",), (["}\0{", "\n"],), np.array([[1], [0]]))},
+            {"issues": [3], "profiles": CodedRows(("3",), (["2>0>1"],), np.zeros((1, 1), dtype=np.uint8))},
+        ]},
+        [CodedRows(("x",), (["€"],), np.zeros((2, 1), dtype=np.uint8)), [], {"rows": [[1, 2]]}],
     ]
     for doc in docs:
         path = tmp_path / "doc.json"
         write_json(path, doc)
-        assert path.read_bytes() == json.dumps(doc, indent=2).encode(), doc
+        assert path.read_bytes() == json.dumps(expanded(doc), indent=2).encode(), doc

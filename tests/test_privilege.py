@@ -1,4 +1,5 @@
 import itertools
+import time
 from math import prod
 
 import numpy as np
@@ -335,6 +336,24 @@ class TestBuildGraph:
             graph({(0, 0)})
         with pytest.raises(InvalidArgumentError):
             graph({(0, 5)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])))))
+def test_is_transitive_matches_the_pairwise_definition(digraph):
+    """Every two chained edges (u, v) and (v, w) with u != w have their shortcut (u, w)."""
+    n, edges = digraph
+    pairwise = all((u, w) in edges for u, v in edges for vv, w in edges if v == vv and u != w)
+    assert graph(edges, n).is_transitive() == pairwise
+
+
+def test_is_transitive_is_quick_on_the_complete_graph():
+    """The complete graph at N = 200 has 39,800 edges: E² pairs of edges would be 1.6·10⁹ steps."""
+    complete = graph({(u, v) for u in range(200) for v in range(200) if u != v}, n=200)
+    started = time.perf_counter()
+    assert complete.is_transitive()
+    assert time.perf_counter() - started < 1.0
 
 
 class TestCondensation:

@@ -181,6 +181,15 @@ class TestFileFormat:
                  {"issues": ["i"], "profiles": [{"i": "1>0>2"}]},
                  {"issues": ["j"], "profiles": [{"j": "0>2>1"}]}]}),
             (CandidateSpace.full(issue_space), {"variant": "full", "issues": ["j", "i"], "N": 3}),
+            # an integer id, an id that JSON escapes, and one-member blocks
+            (CandidateSpace.explicit([Profile({7: lo("0>1"), 'q"é': lo("1>0")})], IssueSpace((7, 'q"é'), 2)),
+             {"variant": "explicit", "issues": [7, 'q"é'], "N": 2, "profiles": [{"7": "0>1", 'q"é': "1>0"}]}),
+            (CandidateSpace.product(
+                (((7,), [Profile({7: lo("1>0")})]), (('q"é',), [Profile({'q"é': lo(t)}) for t in ("1>0", "0>1")])),
+                IssueSpace(('q"é', 7), 2)),
+             {"variant": "product", "issues": ['q"é', 7], "N": 2, "blocks": [
+                 {"issues": [7], "profiles": [{"7": "1>0"}]},
+                 {"issues": ['q"é'], "profiles": [{'q"é': "0>1"}, {'q"é': "1>0"}]}]}),
         ]:
             path = tmp_path / f"{space.variant}.json"
             save_candidate_space(path, space)
