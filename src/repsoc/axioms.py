@@ -130,7 +130,9 @@ class DecayCurve:
 
 
 def check_sizes(sizes, least: int = 0) -> None:
-    """Raise unless the committee ``sizes`` are nonempty, strictly increasing and >= ``least``."""
+    """Raise unless the committee ``sizes`` are integers, not bools, nonempty, strictly increasing and >= ``least``."""
+    if bad := [size for size in sizes if isinstance(size, bool) or not hasattr(type(size), "__index__")]:
+        raise InvalidArgumentError(f"committee size {bad[0]!r} is not an integer")
     if not sizes or list(sizes) != sorted(set(sizes)):
         raise InvalidArgumentError("sizes must be nonempty and strictly increasing")
     if sizes[0] < least:

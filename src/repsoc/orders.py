@@ -33,15 +33,16 @@ __all__ = [
 _INTERNED = 8192  # holds every ordering of N <= 7 (5,040 of them)
 
 
-def _new(given: tuple) -> "LinearOrder":
-    """A new :class:`LinearOrder` for the ranking ``given`` as a tuple, once it is checked to be a
-    permutation of the integers ``0..n-1`` (read by ``operator.index``, so no float or text passes);
-    its positions and hash are worked out here, once."""
-    # a tuple of Python ints is kept as it is, so the cache's key and the ranking are one tuple
-    try:
-        ranking = given if all(type(c) is int for c in given) else tuple(map(operator.index, given))
-    except TypeError:
-        raise InvalidArgumentError(f"ranking {given!r} holds an outcome that is not an integer") from None
+def _new(*ranking) -> "LinearOrder":
+    """The :class:`LinearOrder` for ``ranking``, on a miss of the cache.  A ranking of Python ints is
+    checked to be a permutation of ``0..n-1`` and built, its positions and hash worked out once; any
+    other is read by ``operator.index`` (so no float or text passes) and looked up as its ints."""
+    if not all(type(c) is int for c in ranking):
+        try:
+            ints = tuple(map(operator.index, ranking))
+        except TypeError:
+            raise InvalidArgumentError(f"ranking {ranking!r} holds an outcome that is not an integer") from None
+        return _interned(*ints)
     n = len(ranking)
     if n < 1:
         raise InvalidArgumentError("a linear order needs at least one outcome")
@@ -61,8 +62,8 @@ def _new(given: tuple) -> "LinearOrder":
     return order
 
 
-# ranking -> its one LinearOrder; a bad ranking raises on every call, as no exception is cached
-_interned = lru_cache(maxsize=_INTERNED)(_new)
+# outcomes -> their one LinearOrder, keyed by type too (as 1.0 == 1); no exception is cached
+_interned = lru_cache(maxsize=_INTERNED, typed=True)(_new)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -82,7 +83,7 @@ class LinearOrder:
     _hash: int = field(repr=False, compare=False)
 
     def __new__(cls, ranking):
-        return _interned(ranking if type(ranking) is tuple else tuple(ranking))
+        return _interned(*ranking)
 
     def __reduce__(self):  # copies and pickles are rebuilt through the cache
         return LinearOrder, (self.ranking,)

@@ -18,7 +18,6 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, repeat
 from numbers import Real
 from typing import Mapping
 
@@ -233,8 +232,8 @@ def read_json(path, what: str) -> dict:
 class CodedRows:
     """A JSON array of objects given as code columns, the way :func:`write_json` takes a space
     file's ``profiles``: object ``m`` maps each of the one or more distinct ``keys``, in order, to
-    ``texts[k][codes[m, k]]``, for the (objects x keys) integer matrix ``codes``.  It is no
-    list, tuple or dict, so only :func:`_coded_rows` lays it out."""
+    ``texts[k][codes[m, k]]``, for the (objects x keys) integer matrix ``codes``.  ``json.dumps``
+    refuses it, so :func:`write_json` lays it out with :func:`_coded_rows`."""
 
     keys: tuple
     texts: tuple  # per key: its distinct JSON scalars, such as ordering texts
@@ -244,22 +243,6 @@ class CodedRows:
 # Encodes on one line with the C encoder; NUL separates items, since JSON text holds a raw
 # control character nowhere else (a string escapes it, as it escapes a newline).
 _ONE_LINE = json.JSONEncoder(separators=("\0", ": "))
-_CONTAINERS = (list, tuple, dict, CodedRows)
-
-
-def _flat(items) -> bool:
-    """Whether every item is a scalar or an empty container, which JSON writes on one line;
-    :class:`CodedRows` never counts as empty."""
-    return not any(isinstance(item, _CONTAINERS) and item for item in items)
-
-
-def _rows(items) -> bool:
-    """Whether every item is a non-empty array and no item holds a container, as in a graph's
-    ``edges``.  The one-line text of such rows has ``]``, NUL and ``[`` between two rows, and
-    nowhere else."""
-    if all(map(isinstance, items, repeat((list, tuple)))) and all(items):
-        return not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, chain.from_iterable(items))))
-    return False
 
 
 def _keys(keys) -> list:
@@ -283,40 +266,30 @@ def _coded_rows(rows: CodedRows) -> str:
     return "[\n" + ",\n".join(gathered.ravel().tolist()) + "\n]"
 
 
-def _indented(value) -> str:
-    """``json.dumps(value, indent=2)``.  Flat containers, and lists of rows such as a graph's
-    edges, are encoded in one call to the C encoder, and lines are broken at its NUL
-    separators; :class:`CodedRows` is laid out by :func:`_coded_rows`.  Other containers are
-    laid out here, their items encoded at the top level and re-indented by replacing each
-    newline, which is exact as no string holds one."""
-    if isinstance(value, CodedRows):
-        return _coded_rows(value)
-    if isinstance(value, (list, tuple)) and value:
-        if _flat(value):
-            return "[\n  " + _ONE_LINE.encode(value)[1:-1].replace("\0", ",\n  ") + "\n]"
-        if _rows(value):
-            text = _ONE_LINE.encode(value)[2:-2].replace("]\0[", "\n  ],\n  [\n    ")
-            return "[\n  [\n    " + text.replace("\0", ",\n    ") + "\n  ]\n]"
-        return "[\n  " + ",\n  ".join(_indented(item).replace("\n", "\n  ") for item in value) + "\n]"
-    if isinstance(value, dict) and value:
-        if _flat(value.values()):
-            return "{\n  " + _ONE_LINE.encode(value)[1:-1].replace("\0", ",\n  ") + "\n}"
-        pairs = (f"{key}: " + _indented(item).replace("\n", "\n  ") for key, item in zip(_keys(value), value.values()))
-        return "{\n  " + ",\n  ".join(pairs) + "\n}"
-    return _ONE_LINE.encode(value)
-
-
 def write_json(path, doc) -> None:
     """Write ``doc`` to ``path`` in one ``write``, as the bytes of ``json.dumps(doc, indent=2)``,
-    with each :class:`CodedRows` in it read as its list of objects.
+    with each :class:`CodedRows` in it read as its list of objects, rendered by :func:`_coded_rows`
+    with no object built per member.  ``json.dumps`` refuses a ``CodedRows``, so a container that
+    holds one is laid out here item by item, each item re-indented by replacing its newlines
+    (exact, as no string holds one); any other value it refuses raises its ``TypeError``, and
+    nothing is written."""
 
-    Under ``indent`` the ``json`` module encodes in pure Python; here each flat container,
-    and each list of rows such as a graph's ``edges``, is encoded in one call to the C
-    encoder, and a space file's ``profiles`` come as :class:`CodedRows`, whose lines are
-    encoded once per distinct ordering, so a space of thousands of members is written at C
-    speed with no object built per member."""
+    def indented(value) -> str:
+        try:
+            return json.dumps(value, indent=2)
+        except TypeError:
+            if isinstance(value, CodedRows):
+                return _coded_rows(value)
+            if isinstance(value, dict):
+                pairs = zip(_keys(value), map(indented, value.values()))
+                return "{\n  " + ",\n  ".join(f"{key}: " + text.replace("\n", "\n  ") for key, text in pairs) + "\n}"
+            if isinstance(value, (list, tuple)):
+                return "[\n  " + ",\n  ".join(indented(item).replace("\n", "\n  ") for item in value) + "\n]"
+            raise
+
+    text = indented(doc)  # before the file is opened, so a refused value writes nothing
     with open(path, "w") as fh:
-        fh.write(_indented(doc))
+        fh.write(text)
 
 
 def write_csv(path, header, rows) -> None:

@@ -127,11 +127,13 @@ def count_new_orders(monkeypatch):
     def start() -> list:
         built = []
 
-        def counted(ranking):
-            built.append(orders_module._new(ranking))
-            return built[-1]
+        def counted(*outcomes):
+            order = orders_module._new(*outcomes)
+            if all(type(c) is int for c in outcomes):  # other outcomes are looked up as ints
+                built.append(order)
+            return order
 
-        monkeypatch.setattr(orders_module, "_interned", lru_cache(maxsize=orders_module._INTERNED)(counted))
+        monkeypatch.setattr(orders_module, "_interned", lru_cache(maxsize=orders_module._INTERNED, typed=True)(counted))
         return built
 
     return start

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -162,6 +163,47 @@ class TestValidation:
         )
         with pytest.raises(PreconditionError):
             estimate_axiom(scn, [10, 20, 30], 5, seed=0)
+
+
+def ppe_scenario(**changes):
+    """PPE on the full binary space, for a population unanimous on 0>1 with C = 0>1 and
+    C' = 1>0, with ``changes``."""
+    scn = replace(
+        binary_majority_setup(1.0), axiom="ppe", pair=(0, 1),
+        profile=Profile({"i": lo("0>1")}), profile_against=Profile({"i": lo("1>0")}),
+    )
+    return replace(scn, **changes)
+
+
+def ppe_outside_the_space():
+    """PPE over the space {C}, which does not hold C'."""
+    space = CandidateSpace.explicit([Profile({"i": lo("0>1")})], IssueSpace(("i",), 2))
+    return ppe_scenario(space=space, mechanism=make_mechanism("majority", space=space))
+
+
+MISSED_PREMISES = [
+    pytest.param(lambda: replace(binary_majority_setup(0.75), axiom="w-pc", pair=(0, 1), issue=None),
+                 InvalidArgumentError, "target issue", id="no-issue"),
+    pytest.param(lambda: replace(binary_majority_setup(0.75), axiom="w-pc"),
+                 InvalidArgumentError, "target pair", id="no-pair"),
+    pytest.param(lambda: ppe_scenario(profile=None, profile_against=None),
+                 InvalidArgumentError, "neighbor profiles", id="ppe-without-profiles"),
+    pytest.param(lambda: ppe_scenario(profile=Profile({"i": lo("1>0")}), profile_against=Profile({"i": lo("0>1")})),
+                 InvalidArgumentError, "C to rank c above c'", id="ppe-c-ranks-the-pair-reversed"),
+    pytest.param(ppe_outside_the_space, PreconditionError, "candidate space", id="ppe-outside-the-space"),
+    pytest.param(lambda: replace(binary_majority_setup(0.75), axiom="w-piia", pair=(0, 1)),
+                 InvalidArgumentError, "second population", id="piia-without-a-second-population"),
+]
+
+
+@pytest.mark.parametrize("scenario, error, named", MISSED_PREMISES)
+def test_a_missed_premise_raises_before_any_committee_is_drawn(monkeypatch, scenario, error, named):
+    """Each argument error of ``_axiom_event`` names what is missing, and no tally is drawn."""
+    drawn = []
+    monkeypatch.setattr("repsoc.axioms.draw_tallies", lambda *args, **kwargs: drawn.append(args))
+    with pytest.raises(error, match=named):
+        estimate_axiom(scenario(), [10], 5, seed=0)
+    assert drawn == []
 
 
 class TestPPE:
@@ -422,6 +464,14 @@ class TestDecayVerdict:
 
     def test_sparse_tail_dies_out(self):
         assert decay_verdict(self._curve([0.3, 0.01, 0.0, 0.0])) == "pass-saturated"
+
+    @pytest.mark.parametrize("rates", [[0.3, 0.4], [0.0, 0.3, 0.3]])
+    def test_too_few_points_to_fit_and_no_fall_fails(self, rates):
+        """A curve with fewer than three usable points, whose last point fails and whose
+        nonzero rate does not fall, fails."""
+        curve = self._curve(rates)
+        assert curve.fit.verdict == "saturated"
+        assert decay_verdict(curve) == "fail"
 
 
 # -- the per-trial reference ------------------------------------------------
@@ -753,6 +803,10 @@ BAD_COMMITTEE_PLANS = [
     pytest.param([4, 4], 5, "sizes", id="repeated"),
     pytest.param([5], 0, "trial", id="no-trials"),
     pytest.param([-5], 5, "sizes", id="negative"),
+    pytest.param([2.9, 10.5], 5, "committee size 2.9 is not an integer", id="fractional"),
+    pytest.param([3.0, 9], 5, "committee size 3.0 is not an integer", id="integral-float"),
+    pytest.param([np.float64(3.0), 9], 5, "is not an integer", id="numpy-float"),
+    pytest.param([True, 3], 5, "committee size True is not an integer", id="bool"),
 ]
 
 # bad in the axiom lab only: an empty committee is decided by the tie-break alone
@@ -780,6 +834,18 @@ class TestCommitteePlanChecks:
         scn = binary_majority_setup(0.75)
         with pytest.raises(InvalidArgumentError, match=named):
             generalization_experiment(scn.space, scn.saliency, scn.population, sizes, trials, seed=0)
+
+    def test_numpy_integer_sizes_read_as_ints(self):
+        """Sizes of numpy integer types give each lab the results of the equal Python ints."""
+        scn = replace(binary_majority_setup(0.75), axiom="w-pc", pair=(0, 1))
+        sizes = [np.int64(3), np.uint8(20)]
+        assert estimate_axiom(scn, sizes, 50, seed=0) == estimate_axiom(scn, [3, 20], 50, seed=0)
+        lab = partial(generalization_experiment, scn.space, scn.saliency, scn.population, trials=50, seed=0)
+        given, ints = lab(sizes), lab([3, 20])
+        assert given.sizes == ints.sizes == (3, 20)
+        for size in ints.sizes:
+            assert given.gaps[size].tobytes() == ints.gaps[size].tobytes()
+            assert given.regret_slack[size].tobytes() == ints.regret_slack[size].tobytes()
 
     def test_kendall_scores_over_int64_rejected_before_any_draw(self, monkeypatch):
         calls = counting_kernel(monkeypatch)

@@ -90,10 +90,14 @@ class TestLinearOrder:
                 assert LinearOrder(given) is expected
             assert LinearOrder.from_string(str(expected)) is expected
 
-    @pytest.mark.parametrize("given", [(1.5, 0.2), "10", (0, np.float64(1.5)), ["2", "0", "1"]])
+    @pytest.mark.parametrize("given", [
+        (1.5, 0.2), "10", (0, np.float64(1.5)), ["2", "0", "1"], (1.0, 0.0), (np.float64(1.0), np.float64(0.0)),
+    ])
     def test_a_non_integer_outcome_is_refused(self, given):
         """Each outcome is read as an integer, not truncated: ``(1.5, 0.2)`` and the text
-        ``"10"`` are no ordering, where ``int()`` would have read both as ``1>0``."""
+        ``"10"`` are no ordering, where ``int()`` would have read both as ``1>0``.  Neither is
+        ``(1.0, 0.0)``, though it equals the ranking ``(1, 0)`` held in the cache."""
+        LinearOrder((1, 0))
         with pytest.raises(InvalidArgumentError, match="not an integer"):
             LinearOrder(given)
 

@@ -255,9 +255,10 @@ json_docs = st.recursive(
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=json_docs)
 def test_write_json_writes_the_bytes_of_json_dumps_indented_by_two(doc, tmp_path):
-    """``write_json`` encodes flat containers and lists of rows with the C encoder and lays
-    them out, and renders ``CodedRows`` from its codes; its bytes are those of
-    ``json.dumps(doc, indent=2)`` for any document, each ``CodedRows`` read as its objects."""
+    """``write_json`` gives ``json.dumps`` every value that holds no ``CodedRows``, renders
+    ``CodedRows`` from its codes and lays out the containers that hold one; its bytes are
+    those of ``json.dumps(doc, indent=2)`` for any document, each ``CodedRows`` read as its
+    objects."""
     path = tmp_path / "doc.json"
     write_json(path, doc)
     assert path.read_bytes() == json.dumps(expanded(doc), indent=2).encode()
@@ -292,3 +293,17 @@ def test_write_json_covers_every_shape_of_the_differential(tmp_path):
         path = tmp_path / "doc.json"
         write_json(path, doc)
         assert path.read_bytes() == json.dumps(expanded(doc), indent=2).encode(), doc
+
+
+@pytest.mark.parametrize("doc", [
+    {"profiles": CodedRows(("a",), (["0>1"],), np.zeros((1, 1), dtype=np.uint8)), "n": np.int64(1)},
+    [CodedRows(("a",), (["0>1"],), np.zeros((1, 1), dtype=np.uint8)), {"n": np.int64(1)}],
+    {(0, 1): CodedRows(("a",), (["0>1"],), np.zeros((1, 1), dtype=np.uint8))},
+])
+def test_write_json_refuses_what_json_dumps_refuses_beside_coded_rows(doc, tmp_path):
+    """A value ``json`` cannot encode, or a key it cannot write, in a container that also
+    holds ``CodedRows`` raises ``TypeError`` as ``json.dumps`` would, and no file is written."""
+    path = tmp_path / "doc.json"
+    with pytest.raises(TypeError):
+        write_json(path, doc)
+    assert not path.exists()

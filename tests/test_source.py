@@ -1,11 +1,16 @@
 """Static checks of the library source, with the standard ``ast`` module: every import is
 used, every private module-level name is read somewhere in the library, every public one
 has a caller in the library, the demos or the benchmark, every name of the package's lazy
-table is exported by its submodule, and every JSON file and result CSV is written through
-``population.write_json`` or ``population.write_csv``, the one place that indents JSON."""
+table is exported by its submodule, the runtime dependencies are the third-party modules it
+imports, and every JSON file and result CSV is written through ``population.write_json`` or
+``population.write_csv``, the one place that indents JSON."""
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "repsoc"
@@ -103,6 +108,25 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def test_the_runtime_dependencies_are_the_third_party_modules_the_library_imports():
+    """``pyproject.toml`` declares as runtime dependencies exactly the third-party modules that
+    the library imports; one that only the tests import belongs in the ``test`` extra."""
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    declared = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    imported = {
+        name.split(".")[0]
+        for tree in MODULES.values()
+        for node in ast.walk(tree)
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0
+            else []
+        )
+    }
+    third_party = imported - set(sys.stdlib_module_names)
+    assert third_party == {re.split(r"[\s\[<>=!~;]", spec, maxsplit=1)[0].lower() for spec in declared}
+
+
 def test_every_private_module_level_name_is_read_in_the_library():
     read = set().union(*map(_read, MODULES.values()))
     unread = [
@@ -145,7 +169,7 @@ def _indenting_dumps(tree: ast.AST) -> set:
 
 def test_only_write_json_indents_json():
     """JSON text is laid out in one place: ``json.dumps(..., indent=...)`` appears nowhere but
-    in ``write_json``, the one writer, whose fast path writes the same bytes."""
+    in ``write_json``, the one writer, which lays out by hand only a space file's rows."""
     writer = next(
         node
         for node in ast.walk(MODULES["population.py"])
