@@ -133,7 +133,7 @@ def check_sizes(sizes, least: int = 0) -> None:
     """Raise unless the committee ``sizes`` are integers, not bools, nonempty, strictly increasing and >= ``least``."""
     if bad := [size for size in sizes if isinstance(size, bool) or not hasattr(type(size), "__index__")]:
         raise InvalidArgumentError(f"committee size {bad[0]!r} is not an integer")
-    if not sizes or list(sizes) != sorted(set(sizes)):
+    if len(sizes) == 0 or list(sizes) != sorted(set(sizes)):
         raise InvalidArgumentError("sizes must be nonempty and strictly increasing")
     if sizes[0] < least:
         raise InvalidArgumentError(f"committee sizes must be >= {least}, got {list(sizes)}")

@@ -5,13 +5,13 @@ candidate profile that can be re-sorted into agreement with it (by permuting
 only that subset, only on that issue) stays inside the candidate space.
 :func:`is_privileged` decides this as a closure test on the code block that
 holds the issue, with no limit on the outcome count: the issue's column is
-re-sorted as one position array, and the members' twins are looked up among
-the block's exact integer row keys, so no order or profile is built.
-:func:`build_privilege_graph` sets the keys up once per issue for all of its
-n(n-1) pair checks.  The privilege graph collects the binary privileged
-orderings of one issue; its strongly connected components drive both the
-cyclicity test and the constructive synthesis of candidate spaces from
-acyclic graphs.
+re-sorted as one position array, and the members' twins are checked against
+the block's exact integer row keys, so no order or profile is built.  One
+call of the test decides a whole batch of subsets in a fixed number of array
+passes, so :func:`build_privilege_graph` decides all n(n-1) pairs of an issue
+at once.  The privilege graph collects the binary privileged orderings of one
+issue; its strongly connected components drive both the cyclicity test and
+the constructive synthesis of candidate spaces from acyclic graphs.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CapacityError, CyclicityError, InvalidArgumentError
-from .orders import LinearOrder, PartialOrder, Profile
+from .orders import LinearOrder, PartialOrder
 from .population import IssueSpace
-from .spaces import DEFAULT_ENUMERATION_CAP, CandidateSpace, _row_keys
+from .spaces import DEFAULT_ENUMERATION_CAP, CandidateSpace, _encode, _row_keys
 
 __all__ = [
     "PrivilegeGraph",
@@ -84,33 +84,50 @@ class Condensation:
 
 
 def _closure_test(space: CandidateSpace, issue):
-    """The closure test of subsets of ``issue``'s outcomes, on the code block holding it.
+    """The closure test of an (S x L) array of subsets of ``issue``'s outcomes, on the code
+    block holding it: their S verdicts in a fixed number of array passes.
 
-    Re-sorting changes a member's code on ``issue`` alone, so each member gets
-    an exact integer key whose last digit is that code, and the keys form one
-    set.  A test re-sorts the subset in the whole column's positions at once, maps
-    each twin to its code (-1 when no member holds it), gathers that map by code,
-    and looks the moved members' twin keys up in the set.
+    Re-sorting changes a member's code on ``issue`` alone, so each member gets an exact
+    integer key whose last digit is that code.  The test re-sorts each subset in every
+    ordering of the column that it moves (a pair and its reverse move complementary ones),
+    maps all the twins to codes (-1 when none is held) with one lookup, and searches the
+    member keys, sorted once, for each moved member's twin key while its subset is still
+    closed (keys filling their range hold every twin).  Slices of subsets keep each array
+    within ``DEFAULT_ENUMERATION_CAP`` entries, unless the block alone is larger.
     """
     b, k = space._locate(issue)
     if space.variant == "full":
-        return lambda subset: True
+        return lambda subsets: np.ones(len(subsets), dtype=bool)
     issues, columns, codes = space._codes()[b]
     keys, bound = np.zeros(len(codes), dtype=np.int64), 1
     for j in [*range(k), *range(k + 1, len(issues)), k]:  # mixed radix, ``issue`` last
         if bound * len(columns[j]) >= 2**63:  # renumber the keys so far densely
             keys, bound = np.unique(keys, return_inverse=True)[1], len(codes)
         keys, bound = keys * len(columns[j]) + codes[:, j], bound * len(columns[j])
-    code, members, column = codes[:, k].astype(np.int64), set(keys.tolist()), columns[k]
+    code, column = codes[:, k], columns[k]
     code_of = dict(zip(_row_keys(column), range(len(column))))  # a position row -> its code
+    members = np.sort(keys) if bound > len(keys) else None  # None: keys filling their range hold all twins
+    step = max(1, DEFAULT_ENUMERATION_CAP // max(len(code), column.size))  # subsets per slice
 
-    def closed(subset: tuple) -> bool:
-        twins, slots = column.copy(), column.take(subset, axis=1)  # per code, the slots subset holds
-        slots.sort(axis=1)
-        twins[:, subset] = slots  # per code: its ordering with subset re-sorted in the slots it holds
-        twin = np.fromiter(map(code_of.get, _row_keys(twins), itertools.repeat(-1)), np.intp, len(twins))[code]
-        moved = twin != code  # the moved members' twin keys are looked up only if every twin is held
-        return not (twin < 0).any() and members.issuperset((keys[moved] + (twin[moved] - code[moved])).tolist())
+    def closed(subsets: np.ndarray) -> np.ndarray:
+        verdicts = np.ones(len(subsets), dtype=bool)
+        for lo in range(0, len(subsets), step):
+            batch, verdict = subsets[lo : lo + step], verdicts[lo : lo + step]
+            slots = column.take(batch, axis=1)  # per ordering and subset, the slots the subset holds
+            ranked = np.sort(slots, axis=2)
+            d, s = (slots != ranked).any(axis=2).nonzero()  # the orderings each subset moves
+            twins = column.take(d, axis=0)
+            twins[np.arange(len(d))[:, None], batch.take(s, axis=0)] = ranked[d, s]
+            twin = np.fromiter(map(code_of.get, _row_keys(twins), itertools.repeat(-1)), np.intp, len(d))
+            verdict[s[twin < 0]] = False
+            if members is not None and verdict.any():
+                live, shift = verdict.nonzero()[0], np.zeros((len(column), len(batch)), dtype=np.int64)
+                shift[d, s] = twin - d
+                shift = shift.take(live, axis=1).take(code, axis=0)  # per member and live subset: twin key - key
+                m, t = shift.nonzero()  # the moved members, per live subset
+                twin_keys = keys.take(m) + shift[m, t]
+                verdict[live[t[members.take(members.searchsorted(twin_keys), mode="clip") != twin_keys]]] = False
+        return verdicts
 
     return closed
 
@@ -131,22 +148,23 @@ def is_privileged(space: CandidateSpace, issue, o: PartialOrder) -> bool:
         raise InvalidArgumentError("a privileged-ordering candidate needs >= 2 outcomes")
     if o.n != space.issue_space.n:
         raise InvalidArgumentError(f"partial order over n={o.n}, space has n={space.issue_space.n}")
-    return closed(o.subset)
+    return bool(closed(np.array([o.subset]))[0])
 
 
 def _check_pairs(n: int) -> None:
-    """Raise ``CapacityError`` naming N when the n(n - 1) ordered outcome pairs, which the pair
-    filter tests and the reachability sets hold, are over ``DEFAULT_ENUMERATION_CAP``."""
+    """Raise ``CapacityError`` naming N when the n(n - 1) ordered outcome pairs, which the closure
+    test decides at once and the reachability sets hold, are over ``DEFAULT_ENUMERATION_CAP``."""
     if (pairs := n * (n - 1)) > DEFAULT_ENUMERATION_CAP:
         raise CapacityError(f"N = {n} has {pairs} ordered outcome pairs, over the cap of {DEFAULT_ENUMERATION_CAP}")
 
 
 def build_privilege_graph(space: CandidateSpace, issue) -> PrivilegeGraph:
-    """Edge (u, v) present iff the binary ordering u>v is privileged; the closure test is
-    set up once and every ordered pair is tested with it."""
-    _check_pairs(space.issue_space.n)
-    pairs = itertools.permutations(range(space.issue_space.n), 2)
-    return PrivilegeGraph(issue, space.issue_space.n, frozenset(filter(_closure_test(space, issue), pairs)))
+    """Edge (u, v) present iff the binary ordering u>v is privileged; one call of the closure
+    test decides every ordered pair."""
+    n = space.issue_space.n
+    _check_pairs(n)
+    pairs = np.argwhere(~np.eye(n, dtype=bool))
+    return PrivilegeGraph(issue, n, frozenset(map(tuple, pairs[_closure_test(space, issue)(pairs)].tolist())))
 
 
 def _reachable(graph: PrivilegeGraph) -> list:
@@ -262,10 +280,9 @@ def synthesize_acyclic(phi: Mapping[object, PrivilegeGraph]) -> AcyclicPlan:
             orientations=scc_orientations,
             factor=tuple(factor),
         )
-        blocks.append(((issue,), [Profile({issue: order}) for order in factor]))
+        blocks.append(_encode((issue,), np.arange(len(factor))[:, None], factor, n))
 
-    space = CandidateSpace.product(blocks, issue_space)
-    return AcyclicPlan(issue_plans=issue_plans, space=space)
+    return AcyclicPlan(issue_plans=issue_plans, space=CandidateSpace("product", issue_space, tuple(blocks)))
 
 
 def to_dot(graph: PrivilegeGraph) -> str:

@@ -847,6 +847,25 @@ class TestCommitteePlanChecks:
             assert given.gaps[size].tobytes() == ints.gaps[size].tobytes()
             assert given.regret_slack[size].tobytes() == ints.regret_slack[size].tobytes()
 
+    def test_an_array_of_sizes_reads_as_the_list(self, tmp_path):
+        """A numpy array of sizes, once refused with numpy's raw ``ValueError``, gives each lab
+        the results and bytes of the equal list."""
+        scn = replace(binary_majority_setup(0.75), axiom="w-pc", pair=(0, 1))
+        given, listed = estimate_axiom(scn, np.array([3, 20]), 50, seed=0), estimate_axiom(scn, [3, 20], 50, seed=0)
+        given.to_csv(tmp_path / "given.csv")
+        listed.to_csv(tmp_path / "listed.csv")
+        assert given == listed and (tmp_path / "given.csv").read_bytes() == (tmp_path / "listed.csv").read_bytes()
+        space = CandidateSpace.full(IssueSpace(("i",), 3))
+        demo = partial(cycle_violation_demo, condorcet_scenario(space, make_mechanism("majority", space=space)))
+        given, listed = demo(np.array([3, 20], dtype=np.uint8), 50, seed=0), demo([3, 20], 50, seed=0)
+        assert given == listed and repr(given) == repr(listed)
+        lab = partial(generalization_experiment, scn.space, scn.saliency, scn.population, trials=50, seed=0)
+        given, listed = lab(np.array([3, 20])), lab([3, 20])
+        assert given.sizes == listed.sizes == (3, 20)
+        for size in listed.sizes:
+            assert given.gaps[size].tobytes() == listed.gaps[size].tobytes()
+            assert given.regret_slack[size].tobytes() == listed.regret_slack[size].tobytes()
+
     def test_kendall_scores_over_int64_rejected_before_any_draw(self, monkeypatch):
         calls = counting_kernel(monkeypatch)
         space = CandidateSpace.full(IssueSpace(("i",), 3))

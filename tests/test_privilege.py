@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 from math import prod
 
 import numpy as np
@@ -18,13 +19,16 @@ from repsoc import (
     Profile,
     all_linear_orders,
     apply_local_permutation,
+    apply_permutation,
     build_privilege_graph,
     check_path_privilege,
     is_cyclically_privileged,
     is_privileged,
     scc_condensation,
+    save_candidate_space,
     synthesize_acyclic,
 )
+from repsoc import privilege
 from repsoc.privilege import PrivilegeGraph, to_dot
 from tests.conftest import (
     all_partial_sequences,
@@ -180,7 +184,7 @@ class TestIsPrivileged:
 def test_oracle_builds_no_orders_or_profiles(monkeypatch, count_new_orders):
     """The oracle works on the space's code matrix and twin rankings as tuples: on a
     prebuilt space it constructs no LinearOrder and no Profile, however many members
-    each check scans."""
+    each check scans; acyclic synthesis builds its factors' orderings and no Profile."""
     orders = all_linear_orders(3)
     space = CandidateSpace.explicit(
         [Profile({"i": a, "j": b}) for a in orders for b in orders[:2]],
@@ -194,9 +198,14 @@ def test_oracle_builds_no_orders_or_profiles(monkeypatch, count_new_orders):
         profile_init(self, assignment)
 
     monkeypatch.setattr(Profile, "__init__", counting_profile_init)
+    plan = synthesize_acyclic(
+        {"i": graph({(0, 1), (1, 0), (0, 2), (1, 2)}), "j": graph({(0, 2), (2, 1), (0, 1)}, issue="j")}
+    )
+    assert profiles == []  # each factor is encoded straight from its orderings
     built = count_new_orders()
     for issue in ("i", "j"):
         build_privilege_graph(space, issue)
+        build_privilege_graph(plan.space, issue)
         for seq in all_partial_sequences(3):
             is_privileged(space, issue, PartialOrder(seq, 3))
     assert len(build_privilege_graph(space, "i").edges) == 6
@@ -206,8 +215,8 @@ def test_oracle_builds_no_orders_or_profiles(monkeypatch, count_new_orders):
 
 
 @st.composite
-def synthesized_spaces(draw):
-    """Spaces of ``synthesize_acyclic``: per issue, outcomes laid out in blocks of one or two."""
+def synthesized_plans(draw):
+    """Plans of ``synthesize_acyclic``: per issue, outcomes laid out in blocks of one or two."""
     n = draw(st.integers(2, 5))
     graphs = {}
     for issue in ("s0", "s1")[: draw(st.integers(1, 2))]:
@@ -225,7 +234,12 @@ def synthesized_spaces(draw):
             if u != v
         }
         graphs[issue] = PrivilegeGraph(issue=issue, n=n, edges=frozenset(edges))
-    return synthesize_acyclic(graphs).space
+    return synthesize_acyclic(graphs)
+
+
+def synthesized_spaces():
+    """The spaces of :func:`synthesized_plans`."""
+    return synthesized_plans().map(lambda plan: plan.space)
 
 
 @settings(max_examples=200, deadline=None)
@@ -259,6 +273,106 @@ def test_closure_is_exact_where_row_keys_overflow_int64(closure_reference):
     for issue in issues:
         expected = {pair for pair in ((0, 1), (1, 0)) if closure_reference(space, issue, pair)}
         assert build_privilege_graph(space, issue).edges == expected
+
+
+def test_closure_searches_the_keys_of_a_sparse_block(closure_reference):
+    """A four-issue N = 4 block of 138 members whose key range, the product of its column
+    lengths, is over a thousand times the member count, so the twins' keys are searched
+    among the sorted member keys.  Issue a's column holds all 24 orderings, so no twin is
+    missing from it and each verdict on a turns on the member keys alone: one rest holds
+    every ordering, and each other rest two orderings and their 0-1 swaps."""
+    rng = np.random.default_rng(20261021)
+    orders, swap = all_linear_orders(4), Permutation.transposition(4, 0, 1)
+    rests = sorted(set(map(tuple, rng.integers(24, size=(30, 3)).tolist())))
+    members = {(a, *rests[0]) for a in orders}
+    for rest in rests[1:]:
+        for a in (orders[k] for k in rng.integers(24, size=2)):
+            members |= {(a, *rest), (apply_permutation(a, swap), *rest)}
+    space = CandidateSpace.explicit(
+        [Profile({"a": a, "b": orders[b], "c": orders[c], "d": orders[d]}) for a, b, c, d in members],
+        IssueSpace(("a", "b", "c", "d"), 4),
+    )
+    ((_, columns, codes),) = space._codes()
+    assert len(columns[0]) == 24
+    assert prod(map(len, columns)) > 1000 * len(codes)
+    verdicts = set()
+    for issue in "abcd":
+        for subset in all_partial_sequences(4):
+            expected = closure_reference(space, issue, subset)
+            assert is_privileged(space, issue, PartialOrder(subset, 4)) == expected, (issue, subset)
+            verdicts.add((issue == "a", expected))
+        pairs = {pair for pair in itertools.permutations(range(4), 2) if closure_reference(space, issue, pair)}
+        assert build_privilege_graph(space, issue).edges == pairs
+    assert {(0, 1), (1, 0)} <= build_privilege_graph(space, "a").edges
+    assert {(True, True), (True, False)} <= verdicts
+
+
+def test_a_graph_is_one_call_of_the_closure_test(monkeypatch, rng):
+    """``build_privilege_graph`` sets the closure test up once per issue and asks it every
+    ordered pair in one call, not one call per pair."""
+    calls = []
+    set_up = privilege._closure_test
+
+    def counting(space, issue):
+        closed = set_up(space, issue)
+
+        def counted(subsets):
+            calls.append((issue, subsets.tolist()))
+            return closed(subsets)
+
+        return counted
+
+    monkeypatch.setattr(privilege, "_closure_test", counting)
+    space = random_explicit_space(rng, ("i", "j"), 4, 30)
+    for issue in ("i", "j"):
+        build_privilege_graph(space, issue)
+    pairs = [list(pair) for pair in itertools.permutations(range(4), 2)]
+    assert calls == [("i", pairs), ("j", pairs)]
+
+
+def test_pair_slices_stay_within_a_forced_cap(monkeypatch):
+    """Every ordering of N = 7 on issue i, beside j's 0>1>...>6 where i ranks 0 over 1 and
+    j's 1>0>2>...>6 elsewhere: 5,040 members and a column of 35,280 entries.  Under a cap of
+    10,000 entries the 42 pairs come one per slice, with a peak under 1.5 MB (0.9 MB measured,
+    against 7.3 MB in two slices under the default cap), and the same edges: the 20 pairs of
+    outcomes 2-6, whose swaps leave the order of 0 and 1 alone."""
+    orders, j = all_linear_orders(7), (lo("0>1>2>3>4>5>6"), lo("1>0>2>3>4>5>6"))
+    space = CandidateSpace.explicit(
+        [Profile({"i": o, "j": j[not o.prefers(0, 1)]}) for o in orders], IssueSpace(("i", "j"), 7)
+    )
+    expected = build_privilege_graph(space, "i").edges
+    assert expected == {(u, v) for u in range(2, 7) for v in range(2, 7) if u != v}
+    monkeypatch.setattr(privilege, "DEFAULT_ENUMERATION_CAP", 10_000)
+    tracemalloc.start()
+    try:
+        got = build_privilege_graph(space, "i").edges
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000
+    assert got == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(synthesized_plans())
+def test_synthesized_space_is_the_product_of_its_factors(tmp_path_factory, plan):
+    """Each factor, encoded straight from its orderings, gives the code blocks, dtypes and
+    file bytes of ``CandidateSpace.product`` over the factor's orderings as profiles."""
+    factors = [
+        ((issue,), [Profile({issue: order}) for order in issue_plan.factor])
+        for issue, issue_plan in plan.issue_plans.items()
+    ]
+    product = CandidateSpace.product(factors, plan.space.issue_space)
+    assert plan.space.variant == product.variant
+    assert len(plan.space.coded) == len(product.coded)
+    for (issues, columns, codes), (want_issues, want_columns, want_codes) in zip(plan.space.coded, product.coded):
+        assert issues == want_issues and len(columns) == len(want_columns)
+        for got, want in [*zip(columns, want_columns), (codes, want_codes)]:
+            assert got.dtype == want.dtype and np.array_equal(got, want) and not got.flags.writeable
+    directory = tmp_path_factory.mktemp("synthesized")
+    save_candidate_space(directory / "plan.json", plan.space)
+    save_candidate_space(directory / "product.json", product)
+    assert (directory / "plan.json").read_bytes() == (directory / "product.json").read_bytes()
 
 
 class TestBuildGraph:
