@@ -34,7 +34,7 @@ from .errors import CapacityError, InvalidArgumentError, PreconditionError, Vacu
 from .mechanisms import Mechanism, check_headroom, decide_tallies
 from .orders import LinearOrder, PartialOrder, Permutation, Profile, apply_local_permutation
 from .population import MarginalPopulation, SaliencyDistribution, _cells, pair_marginal, write_csv
-from .privilege import PrivilegeGraph, is_privileged, scc_condensation
+from .privilege import PrivilegeGraph, _closure_test, scc_condensation
 from .rng import derive_rng
 from .spaces import DEFAULT_ENUMERATION_CAP, CandidateSpace
 
@@ -213,12 +213,9 @@ def _axiom_event(scn: Scenario):
 
     if axiom in {"s-piia", "s-pc"}:
         c, cp = pair
-        forward = is_privileged(scn.space, issue, PartialOrder((c, cp), n))
-        backward = is_privileged(scn.space, issue, PartialOrder((cp, c), n))
-        if not (forward and backward):
-            raise PreconditionError(
-                f"pair ({c},{cp}) is not bidirectionally privileged on issue {issue!r}"
-            )
+        both = np.array([PartialOrder(seq, n).subset for seq in ((c, cp), (cp, c))])
+        if not _closure_test(scn.space, issue)(both).all():
+            raise PreconditionError(f"pair ({c},{cp}) is not bidirectionally privileged on issue {issue!r}")
 
     if axiom == "ppe":
         # fails when the mechanism picks C' although everyone ranks c above c'

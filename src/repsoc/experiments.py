@@ -61,6 +61,7 @@ from .privilege import (
 from .spaces import (
     DEFAULT_ENUMERATION_CAP,
     CandidateSpace,
+    _first_seen,
     load_candidate_space,
     save_candidate_space,
 )
@@ -244,26 +245,13 @@ class _Block:
 
     classes: np.ndarray  # the cell index of each (member, issue)'s ordering, -1 off the cells
     terms: np.ndarray  # population term w * mass of each (member, issue)
-    term_ids: np.ndarray  # per member: the id of its distinct row of terms
+    term_ids: np.ndarray  # per member: the index of the first member with equal terms
     totals: np.ndarray  # per member: its terms summed (approximately)
-
-
-def _row_ids(rows: np.ndarray) -> np.ndarray:
-    """Each row's id among the distinct rows of ``rows`` in lexicographic order, the inverse of
-    ``np.unique(rows, axis=0)``: a lexsort, and a compare against each sorted row's neighbour."""
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    starts = np.ones(len(rows), dtype=np.intp)  # 1 where a sorted row differs from the one before
-    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    ids = np.empty(len(rows), dtype=np.intp)
-    ids[order] = np.cumsum(starts) - 1
-    return ids
 
 
 def _first_of_each_class(classes: np.ndarray) -> np.ndarray:
     """The index of the first row of each distinct row of ``classes``, in row order."""
-    _, first = np.unique(_row_ids(classes), return_index=True)
-    return np.sort(first)
+    return np.flatnonzero(_first_seen(classes) == np.arange(len(classes)))
 
 
 def _space_blocks(space: CandidateSpace, saliency, population, cells):
@@ -286,7 +274,7 @@ def _space_blocks(space: CandidateSpace, saliency, population, cells):
         classes = np.stack([cell[code] for cell, code in zip(index, codes.T)], axis=1)
         classes = classes[_first_of_each_class(classes)]
         terms = cell_terms[classes]
-        blocks.append(_Block(classes=classes, terms=terms, term_ids=_row_ids(terms), totals=terms.sum(axis=1)))
+        blocks.append(_Block(classes=classes, terms=terms, term_ids=_first_seen(terms), totals=terms.sum(axis=1)))
     return blocks, sequence
 
 

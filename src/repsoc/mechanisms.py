@@ -1,22 +1,17 @@
-"""Scoring rules and the one exact kernel that scores mechanisms.
+"""Scoring rules, each with its own kernel, and the one exact path that scores mechanisms.
 
-A :class:`Mechanism` is a scoring rule maximized over a candidate space.  It is
-anonymous: it sees only tallies, the number of sampled pairs in each (issue,
-ordering) cell.  Majority vote is exact-match scoring.  ``rule.points`` scores one pair
-of orderings, the tests' reference.  :func:`block_scores` is the one path from a (tallies x
-cells) count matrix to each member's exact int64 points.  The objective is a sum over
-issues, so each block of the space is scored on its own, one score per distinct ordering of
-each block column, and the members' points are gathered by their column codes.  Under
-``EXACT_MATCH`` an ordering scores its own cell's count, through the one cell index, which
-matches the cells' position rows to the columns' (the generalization lab also builds from it
-the class matrix whose rows it counts).  Under ``KENDALL`` a member's points are
-``sum_c count_c * (top + s_c . t) / 2`` over the +-1 signs per outcome pair of the cells and
-of the member, so they need only the committee's pairwise margins ``sum_c count_c * s_c``
-and the column's pairs, read from its positions a slice at a time.  No array
-the kernel makes holds more than ``DEFAULT_ENUMERATION_CAP`` entries.  :func:`decide_tallies`
-reduces the scores to each block's first maximum in ``enumerate_profiles`` (rank-tuple)
-order and its tie count, as member indices, on which the axiom lab tests its failure
-events.  The Rademacher estimate reads its points from one one-hot row per sampled cell.
+A :class:`Mechanism` is a scoring rule maximized over a candidate space.  It is anonymous: it sees
+only tallies, the number of sampled pairs in each (issue, ordering) cell.  Majority vote is
+exact-match scoring.  ``rule.points`` scores one pair of orderings, the tests' reference.
+:func:`block_scores` is the one path from a (tallies x cells) count matrix to each member's exact
+int64 points.  The objective is a sum over issues, so each block of the space is scored on its own,
+one score per distinct ordering of each block column, and the members' points are gathered by
+their column codes.  Each column is scored by the rule's own kernel, ``rule.scorer``: exact match
+reads the cell counts, Kendall the committee's pairwise margins.  No array the kernel makes holds
+more than ``DEFAULT_ENUMERATION_CAP`` entries.  :func:`decide_tallies` reduces the scores to each
+block's first maximum in ``enumerate_profiles`` (rank-tuple) order and its tie count, as member
+indices, on which the axiom lab tests its failure events.  The Rademacher estimate reads its points
+from one one-hot row per sampled cell.
 
 The acyclic-plan mechanism is Kendall scoring over the synthesized space
 (``make_mechanism("acyclic", plan=plan)``).  The members of a synthesized
@@ -53,23 +48,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScoringRule:
-    """Integer agreement points of two linear orders, in ``[0, top(n)]``; higher means closer.
-    The kernel scores the ``KENDALL`` and ``EXACT_MATCH`` objects alone, not an equal copy."""
+    """Integer agreement points of two linear orders, in ``[0, top(n)]``; higher means closer.  Its kernel
+    ``scorer(placed, space)`` returns ``write(chunk, b, k, out)``, which writes into ``out`` (zeros) the int64
+    points of a chunk of (tallies x cells) counts against each ordering of column ``k`` of code block ``b``."""
 
     name: str
     points: Callable[[LinearOrder, LinearOrder], int]
     top: Callable[[int], int]
+    scorer: Callable[[tuple, CandidateSpace], Callable]
 
     def evaluate(self, a: LinearOrder, b: LinearOrder) -> float:
         """The points as a score in [0, 1]: 1 on full agreement."""
         top = self.top(a.n)
         return 1.0 - (top - self.points(a, b)) / top
-
-
-KENDALL = ScoringRule("kendall", concordant_pairs, lambda n: n * (n - 1) // 2)
-EXACT_MATCH = ScoringRule("exact", lambda o, other: int(exact_match_score(o, other)), lambda n: 1)
-
-SCORING_RULES = {rule.name: rule for rule in (KENDALL, EXACT_MATCH)}
 
 
 @dataclass(frozen=True)
@@ -126,70 +117,88 @@ def _cell_index(placed: tuple, space: CandidateSpace) -> list:
     ]
 
 
+def _exact_scorer(placed: tuple, space: CandidateSpace) -> Callable:
+    """Exact match's kernel: an ordering scores its own cell's count, through the one cell index, which
+    matches the cells' position rows to the columns'; an ordering off the cells scores 0."""
+    index = _cell_index(placed, space)
+
+    def write(chunk: np.ndarray, b: int, k: int, out: np.ndarray) -> None:
+        hit = np.flatnonzero(index[b][k] >= 0)
+        out[:, hit] = chunk.take(index[b][k][hit], axis=1)
+
+    return write
+
+
 def _above(positions: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per ordering and outcome pair ``(x[p], y[p])``, from its row of ``positions``, whether
     it ranks ``x[p]`` above ``y[p]``."""
     return positions[:, x] < positions[:, y]
 
 
+def _kendall_scorer(placed: tuple, space: CandidateSpace) -> Callable:
+    """Kendall's kernel.  A member's points are ``sum_c count_c * (top + s_c . t) / 2`` over the +-1 signs per
+    outcome pair of the cells and of the member: the votes against every pair ``x < y`` plus the margin
+    ``sum_c count_c * s_c``, for minus against, of each pair it ranks ``x`` above ``y``.  A chunk's margins are
+    read once per issue, a column's pairs a slice of orderings at a time: no (tallied x column) table is built."""
+    (by_issue, positions), blocks, n = placed, space._codes(), space.issue_space.n
+    x, y = np.nonzero(np.less.outer(np.arange(n), np.arange(n)))  # the outcome pairs x < y
+    width = max(1, DEFAULT_ENUMERATION_CAP // max(1, len(x)))  # orderings per slice of pairs
+
+    def write(chunk: np.ndarray, b: int, k: int, out: np.ndarray) -> None:
+        issues, columns, _ = blocks[b]
+        if js := by_issue.get(issues[k]):
+            counts, held = chunk[:, js], positions.take(js, axis=0)
+            wins = sum(  # per outcome pair x < y, the chunk's votes for x above y
+                counts[:, s : s + width] @ _above(held[s : s + width], x, y)
+                for s in range(0, len(js), width)
+            )
+            losses = counts.sum(axis=1)[:, None] - wins
+            margins = wins - losses
+            for s in range(0, len(columns[k]), width):
+                above = _above(columns[k][s : s + width], x, y)
+                np.matmul(margins, above.T, out=out[:, s : s + len(above)])
+            out += losses.sum(axis=1)[:, None]  # the votes against every pair
+
+    return write
+
+
+KENDALL = ScoringRule("kendall", concordant_pairs, lambda n: n * (n - 1) // 2, _kendall_scorer)
+EXACT_MATCH = ScoringRule("exact", lambda o, other: int(exact_match_score(o, other)), lambda n: 1, _exact_scorer)
+
+SCORING_RULES = {rule.name: rule for rule in (KENDALL, EXACT_MATCH)}
+
+
 def block_scores(
     rows: np.ndarray, cells: Sequence, space: CandidateSpace, rule: ScoringRule
 ):
-    """Yield ``(at, scores)`` for consecutive chunks ``rows[at]`` of the nonnegative int64
-    (tallies x cells) count matrix ``rows``, whose column ``j`` counts ``cells[j] = (issue,
-    order)``: ``scores[b]`` holds block ``b``'s members' int64 (chunk x members) points, a
-    C-ordered array.
+    """Yield ``(at, scores)`` for consecutive chunks ``rows[at]`` of the nonnegative int64 (tallies x cells)
+    count matrix ``rows``, whose column ``j`` counts ``cells[j] = (issue, order)``: ``scores[b]`` holds block
+    ``b``'s members' int64 (chunk x members) points, a C-ordered array.
 
-    A block's issues are laid side by side, one score per ordering of each column, and
-    summed by the members' column codes one issue at a time.  Under ``EXACT_MATCH`` an
-    ordering scores its own cell's count, through the cell index.  Under ``KENDALL`` the
-    chunk's counts on an issue give its votes for and against each outcome pair ``x < y``
-    once; an ordering scores the votes against every pair plus the margin, for minus against,
-    of each pair it ranks ``x`` above ``y``.  Its pairs are read from the column's positions
-    a slice of orderings at a time, so no table of (tallied x column) points is built.
-    Raises for another rule, a repeated cell, a cell ordering over other than the space's N
-    outcomes, a count on an issue the space lacks, or a tally whose scores could overflow
-    int64; no partial sum can wrap below that."""
-    if rule is not KENDALL and rule is not EXACT_MATCH:
-        raise InvalidArgumentError(f"the kernel scores KENDALL and EXACT_MATCH only, not rule {rule.name!r}")
+    A block's issues are laid side by side, each column scored by the rule's kernel, one score per ordering,
+    and summed by the members' column codes one issue at a time.  Raises for a repeated cell, a cell ordering
+    over other than the space's N outcomes, a count on an issue the space lacks, or a tally whose scores
+    could overflow int64; no partial sum can wrap below that."""
     if len({(issue, order.ranking) for issue, order in cells}) < len(cells):
         raise InvalidArgumentError("each tallied (issue, order) cell must be listed once")
     n, top = space.issue_space.n, rule.top(space.issue_space.n)
-    by_issue, positions = placed = _placed(cells, n)
+    by_issue, _ = placed = _placed(cells, n)
     for issue, js in by_issue.items():
         if issue not in space.issue_space and rows[:, js].any():
             raise InvalidArgumentError(f"sample references unknown issue {issue!r}")
     if int(rows.max(initial=0)) * rows.shape[1] * top >= 2**63:
         check_headroom(max(map(sum, rows.tolist())), rule, n)  # exact, as int64 sums could wrap
 
-    blocks, exact, cap = space._codes(), rule is EXACT_MATCH, DEFAULT_ENUMERATION_CAP
+    blocks, write, cap = space._codes(), rule.scorer(placed, space), DEFAULT_ENUMERATION_CAP
     ends = [np.cumsum([0, *map(len, columns)]) for _, columns, _ in blocks]  # of the laid columns
-    keys = _cell_index(placed, space) if exact else [columns for _, columns, _ in blocks]  # per column
-    if not exact:
-        x, y = np.nonzero(np.less.outer(np.arange(n), np.arange(n)))  # the outcome pairs x < y
-    width = max(1, cap // max(1, top))  # orderings per slice of pairs
     most = max(1, cap // max(len(cells), sum(c.size for _, _, c in blocks), top))  # rows per chunk
     step = ceil(len(rows) / ceil(len(rows) / most)) if len(rows) else most
     for lo in range(0, len(rows), step):
         chunk, out = rows[lo : lo + step], []
-        for (issues, _, codes), end, key in zip(blocks, ends, keys):
+        for b, ((issues, _, codes), end) in enumerate(zip(blocks, ends)):
             laid = np.zeros((len(chunk), end[-1]), dtype=np.int64)
-            for issue, column, a, z in zip(issues, key, end, end[1:]):
-                if exact:  # an ordering scores its own cell's count; one off the cells, 0
-                    hit = np.flatnonzero(column >= 0)
-                    laid[:, a + hit] = chunk.take(column[hit], axis=1)
-                elif js := by_issue.get(issue):
-                    counts, held = chunk[:, js], positions.take(js, axis=0)
-                    wins = sum(  # per outcome pair x < y, the chunk's votes for x above y
-                        counts[:, s : s + width] @ _above(held[s : s + width], x, y)
-                        for s in range(0, len(js), width)
-                    )
-                    losses = counts.sum(axis=1)[:, None] - wins
-                    margins = wins - losses
-                    for s in range(a, z, width):
-                        above = _above(column[s - a : s - a + width], x, y)
-                        np.matmul(margins, above.T, out=laid[:, s : s + len(above)])
-                    laid[:, a:z] += losses.sum(axis=1)[:, None]  # the votes against every pair
+            for k in range(len(issues)):
+                write(chunk, b, k, laid[:, end[k] : end[k + 1]])
             # a one-issue block's members are its column, in order
             gathered = (np.take(laid, codes[:, k] + end[k], axis=1) for k in range(len(issues)))
             out.append(laid if len(issues) == 1 else sum(gathered))

@@ -170,7 +170,9 @@ def build_privilege_graph(space: CandidateSpace, issue) -> PrivilegeGraph:
 def _reachable(graph: PrivilegeGraph) -> list:
     """reach[u] = set of vertices reachable from u via >= 1 edge (Warshall's closure)."""
     _check_pairs(graph.n)
-    reach = [{v for a, v in graph.edges if a == u} for u in range(graph.n)]
+    reach = [set() for _ in range(graph.n)]
+    for u, v in graph.edges:  # the successor sets, in one pass over the edges
+        reach[u].add(v)
     for w in range(graph.n):
         for u in range(graph.n):
             if w in reach[u]:

@@ -59,9 +59,15 @@ def _full_positions(n: int) -> np.ndarray:
 
 
 def _row_keys(positions: np.ndarray) -> list:
-    """Each row of an (orderings x N) position array as a ``bytes`` key, equal for equal rows of one dtype."""
+    """Each row of a 2-D array as a ``bytes`` key, equal for equal rows of one dtype (floats: equal bits)."""
     rows = np.ascontiguousarray(positions)
     return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel().tolist()
+
+
+def _first_seen(rows: np.ndarray) -> np.ndarray:
+    """Each row's id in the 2-D array ``rows``: the index of its first equal row, by :func:`_row_keys`."""
+    first: dict = {}  # row key -> the index of its first row
+    return np.fromiter(map(first.setdefault, _row_keys(rows), itertools.count()), np.intp, len(rows))
 
 
 def _ordered(blocks) -> tuple:

@@ -637,6 +637,46 @@ def test_committee_path_matches_per_trial_reference():
     assert disagreements == 0
 
 
+def test_a_strong_premise_sets_the_closure_test_up_once(monkeypatch):
+    """The s-PC and s-PIIA premise asks one closure test both orientations of the pair at once,
+    whether it holds or not; a repeated or out-of-range pair is refused before the test."""
+    from repsoc import axioms, privilege
+
+    set_up, calls = privilege._closure_test, []
+
+    def counting(space, issue):
+        closed = set_up(space, issue)
+
+        def counted(subsets):
+            calls.append(subsets.tolist())
+            return closed(subsets)
+
+        return counted
+
+    monkeypatch.setattr(privilege, "_closure_test", counting)
+    monkeypatch.setattr(axioms, "_closure_test", counting, raising=False)
+    plan = synthesize_acyclic({"q": PrivilegeGraph(issue="q", n=4, edges=frozenset({(0, 1), (1, 0), (2, 3), (3, 2)}))})
+    mechanism, orders = make_mechanism("acyclic", plan=plan), all_linear_orders(4)
+    profile = Profile({"q": plan.issue_plans["q"].factor[0]})
+    rng = np.random.default_rng(5)
+    strong = [
+        scn for scn in _axiom_scenarios(rng, plan.space, mechanism, "q", (0, 1), profile, orders)
+        if scn.axiom in {"s-pc", "s-piia"}
+    ]
+    assert sorted(scn.axiom for scn in strong) == ["s-pc", "s-piia"]
+    for scn in strong:
+        calls.clear()
+        estimate_axiom(scn, [3], 2, seed=0)
+        assert calls == [[[0, 1], [1, 0]]]
+        calls.clear()
+        with pytest.raises(PreconditionError, match="bidirectionally"):
+            estimate_axiom(replace(scn, pair=(0, 2)), [3], 2, seed=0)
+        assert calls == [[[0, 2], [2, 0]]]
+        for pair in ((1, 1), (0, 4)):
+            with pytest.raises(InvalidArgumentError, match="distinct|out of range"):
+                estimate_axiom(replace(scn, pair=pair), [3], 2, seed=0)
+
+
 def test_cycle_histograms_match_per_trial_reference():
     rng = np.random.default_rng(20261019)
     space = CandidateSpace.full(IssueSpace(("i",), 3))

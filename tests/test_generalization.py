@@ -26,7 +26,7 @@ from repsoc import (
     all_linear_orders,
     generalization_experiment,
 )
-from repsoc import EXACT_MATCH, KENDALL, SCORING_RULES, experiments
+from repsoc import EXACT_MATCH, KENDALL, SCORING_RULES, experiments, spaces
 from repsoc.axioms import draw_tallies
 from repsoc.mechanisms import block_scores
 from repsoc.spaces import DEFAULT_ENUMERATION_CAP
@@ -205,9 +205,8 @@ def member_space_blocks(space, saliency, population, cells):
         place.update((issue, (len(blocks), j)) for j, issue in enumerate(issues))
         tables = [term_of[issue] for issue in issues]
         terms = np.array([[table.get(order, 0.0) for table, order in zip(tables, row)] for row in kept.values()])
-        _, term_ids = np.unique(terms, axis=0, return_inverse=True)
         classes = np.array(list(kept), dtype=np.intp)
-        blocks.append((classes, terms, term_ids.ravel(), terms.sum(axis=1)))
+        blocks.append((classes, terms, terms.sum(axis=1)))
     return blocks, [place[issue] for issue in weighted]
 
 
@@ -223,19 +222,27 @@ def test_space_blocks_match_the_per_member_reference(inputs):
     assert sequence == expected_sequence
     assert len(blocks) == len(expected_blocks)
     for block, expected in zip(blocks, expected_blocks):
-        got = (block.classes, block.terms, block.term_ids, block.totals)
+        got = (block.classes, block.terms, block.totals)
         for array, reference in zip(got, expected):
             assert array.dtype == reference.dtype and np.array_equal(array, reference)
+        assert block.term_ids.dtype == np.intp and same_rows(block.term_ids, block.terms)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda k: st.lists(
     st.lists(st.sampled_from((0.0, 0.1, 0.2, 0.1 + 0.2, 0.3, 1 / 3)), min_size=k, max_size=k), min_size=1, max_size=40)))
-def test_row_ids_are_the_inverse_of_unique_rows(rows):
-    """Tied rows, and terms one ulp apart (0.1 + 0.2 and 0.3), get the ids ``np.unique`` gives."""
+@example([[0.1 + 0.2, 0.0], [0.3, 0.0], [0.1 + 0.2, 0.0], [0.3, 0.0]])
+def test_first_seen_numbers_each_row_by_its_first_equal_row(rows):
+    """Tied rows get one id, the index of the first of them; terms one ulp apart (0.1 + 0.2 and
+    0.3) are told apart."""
     terms = np.array(rows, dtype=float).reshape(len(rows), -1)
-    _, expected = np.unique(terms, axis=0, return_inverse=True)
-    assert np.array_equal(experiments._row_ids(terms), expected.ravel())
+    expected = [next(j for j in range(len(rows)) if rows[j] == row) for row in rows]
+    assert spaces._first_seen(terms).tolist() == expected
+
+
+def same_rows(ids: np.ndarray, rows: np.ndarray) -> bool:
+    """Whether ``ids`` are equal exactly where the rows of ``rows`` are."""
+    return np.array_equal(ids[:, None] == ids[None, :], (rows[:, None] == rows[None, :]).all(axis=2))
 
 
 def first_of_each_class(space, cells):

@@ -671,14 +671,24 @@ def test_points_tables_reject_orderings_of_different_sizes(n, data, rule):
         decide_tallies(np.ones((2, len(tallied)), dtype=np.int64), [("i", o) for o in tallied], space, rule)
 
 
-def test_an_unknown_rule_is_refused():
-    """The kernel scores ``KENDALL`` and ``EXACT_MATCH`` themselves: a rule equal to one of
-    them, but another object, is refused by name."""
-    space = CandidateSpace.full(IssueSpace(("i",), 3))
-    copy = mechanisms.ScoringRule("exact", EXACT_MATCH.points, EXACT_MATCH.top)
-    assert copy == EXACT_MATCH and copy is not EXACT_MATCH
-    with pytest.raises(InvalidArgumentError, match="'exact'"):
-        next(block_scores(np.ones((1, 1), dtype=np.int64), [("i", lo("0>1>2"))], space, copy))
+@settings(max_examples=100, deadline=None)
+@given(kernel_inputs(), st.sampled_from((EXACT_MATCH, KENDALL)))
+def test_a_rule_is_scored_by_its_own_kernel(inputs, rule):
+    """A rule carries its kernel: one built without it is refused, and an equal copy of
+    ``KENDALL`` or ``EXACT_MATCH``, another object, scores and decides byte for byte as the
+    original does."""
+    with pytest.raises(TypeError, match="scorer"):
+        mechanisms.ScoringRule(rule.name, rule.points, rule.top)
+    space, rows, cells = inputs
+    copy = mechanisms.ScoringRule(rule.name, rule.points, rule.top, rule.scorer)
+    assert copy == rule and copy is not rule
+    for (at, scores), (at_copy, scores_copy) in zip(
+        block_scores(rows, cells, space, rule), block_scores(rows, cells, space, copy), strict=True
+    ):
+        assert at == at_copy
+        assert [s.tobytes() for s in scores] == [s.tobytes() for s in scores_copy]
+    decided, decided_copy = decide_tallies(rows, cells, space, rule), decide_tallies(rows, cells, space, copy)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(decided, decided_copy, strict=True))
 
 
 def test_kernel_int64_boundary():

@@ -470,6 +470,34 @@ def test_is_transitive_is_quick_on_the_complete_graph():
     assert time.perf_counter() - started < 1.0
 
 
+def test_reachability_reads_the_edges_in_one_pass():
+    """The successor sets are built in one pass over the edge set, not one pass per outcome
+    (O(N·E), which dominated ``scc_condensation`` on dense graphs), and the closure is the
+    transitive closure of the edges."""
+    passes = []
+
+    class CountingEdges(frozenset):
+        def __iter__(self):
+            passes.append(1)
+            return super().__iter__()
+
+    rng = np.random.default_rng(11)
+    for n in (1, 5, 30):
+        edges = {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.1}
+        g = graph(edges, n=n)
+        object.__setattr__(g, "edges", CountingEdges(g.edges))
+        passes.clear()
+        reach = privilege._reachable(g)
+        assert len(passes) == 1
+        for u in range(n):  # a depth-first search from u, as reference
+            seen, stack = set(), [v for a, v in edges if a == u]
+            while stack:
+                if (v := stack.pop()) not in seen:
+                    seen.add(v)
+                    stack.extend(b for a, b in edges if a == v)
+            assert reach[u] == seen
+
+
 class TestCondensation:
     def test_complete_digraph_single_scc(self):
         cond = scc_condensation(graph({(a, b) for a in range(3) for b in range(3) if a != b}))

@@ -2,8 +2,9 @@
 used, every private module-level name is read somewhere in the library, every public one
 has a caller in the library, the demos or the benchmark, every name of the package's lazy
 table is exported by its submodule, the runtime dependencies are the third-party modules it
-imports, and every JSON file and result CSV is written through ``population.write_json`` or
-``population.write_csv``, the one place that indents JSON."""
+imports, no module tells a scoring rule by identity, and every JSON file and result CSV is
+written through ``population.write_json`` or ``population.write_csv``, the one place that
+indents JSON."""
 
 import ast
 import re
@@ -238,3 +239,18 @@ def test_only_spaces_finds_an_issue_in_its_code_blocks():
         if isinstance(node, ast.Call) and _calls("issues", node.func, "index")
     ]
     assert searches == []
+
+
+def test_no_module_tells_a_rule_by_identity():
+    """A scoring rule carries its own kernel: no library module compares a value with ``KENDALL``
+    or ``EXACT_MATCH`` by ``is`` or ``is not``, so an equal copy of a rule scores as the rule."""
+    rules = {"KENDALL", "EXACT_MATCH"}
+    named = lambda node: (getattr(node, "id", None) or getattr(node, "attr", None)) in rules  # noqa: E731
+    by_identity = [
+        f"{module}:{node.lineno}"
+        for module, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+        and any(map(named, [node.left, *node.comparators]))
+    ]
+    assert by_identity == []
