@@ -35,7 +35,8 @@ _EXPORTS = {
         "UnsupportedError",
         "VacuityError",
     ),
-    "experiments": ("GeneralizationResult", "generalization_experiment", "make_mechanism", "run_experiment"),
+    "experiments": ("make_mechanism", "run_experiment"),
+    "generalization": ("GeneralizationResult", "generalization_experiment"),
     "mechanisms": ("EXACT_MATCH", "KENDALL", "SCORING_RULES", "Mechanism", "ScoringRule", "decide_tallies"),
     "orders": (
         "LinearOrder",

@@ -199,11 +199,8 @@ class Profile:
         return Profile(updated)
 
     def serialize(self) -> str:
-        """Canonical text form: ``issue:order`` pairs joined by ``;``, in sorted-issue order."""
-        return ";".join(
-            f"{issue}:{order}" for issue, order in
-            sorted(self._assignment.items(), key=lambda kv: str(kv[0]))
-        )
+        """Canonical text form: ``issue:order`` pairs joined by ``;``, in the sorted-issue order ``__init__`` keeps."""
+        return ";".join(f"{issue}:{order}" for issue, order in self._assignment.items())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Profile) and self._key == other._key

@@ -26,7 +26,7 @@ from repsoc import (
     all_linear_orders,
     generalization_experiment,
 )
-from repsoc import EXACT_MATCH, KENDALL, SCORING_RULES, experiments, spaces
+from repsoc import EXACT_MATCH, KENDALL, SCORING_RULES, generalization, spaces
 from repsoc.axioms import draw_tallies
 from repsoc.mechanisms import block_scores
 from repsoc.spaces import DEFAULT_ENUMERATION_CAP
@@ -130,7 +130,7 @@ def test_block_sup_matches_enumeration_bit_for_bit(inputs):
 def lab_max_utility(space, saliency, population):
     """The max U of a lab run over committees of size 1: the one gap the lab finds at size 0,
     that of the empty committee."""
-    found, sup_gap = [], experiments._sup_gap
+    found, sup_gap = [], generalization._sup_gap
 
     def spy(blocks, sequence, counts, size, delta):
         gaps = sup_gap(blocks, sequence, counts, size, delta)
@@ -138,7 +138,7 @@ def lab_max_utility(space, saliency, population):
         return gaps
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(experiments, "_sup_gap", spy)
+        patch.setattr(generalization, "_sup_gap", spy)
         generalization_experiment(space, saliency, population, [1], 2, seed=0)
     (max_u,) = found
     return max_u
@@ -191,7 +191,7 @@ def test_max_utility_over_interleaved_product_blocks():
 
 
 def member_space_blocks(space, saliency, population, cells):
-    """``experiments._space_blocks`` one member at a time: per block, the rows of cell indices
+    """``generalization._space_blocks`` one member at a time: per block, the rows of cell indices
     of :func:`first_of_each_class` and each kept member's population terms, looked up one by
     one."""
     weighted = [issue for issue in saliency.issues if saliency(issue) != 0]
@@ -217,7 +217,7 @@ def test_space_blocks_match_the_per_member_reference(inputs):
     whole-space enumeration by ``test_block_sup_matches_enumeration_bit_for_bit``."""
     space, saliency, population = inputs[:3]
     cells = _cells(saliency, population)[0]
-    blocks, sequence = experiments._space_blocks(space, saliency, population, cells)
+    blocks, sequence = generalization._space_blocks(space, saliency, population, cells)
     expected_blocks, expected_sequence = member_space_blocks(space, saliency, population, cells)
     assert sequence == expected_sequence
     assert len(blocks) == len(expected_blocks)
@@ -264,7 +264,7 @@ def first_of_each_class(space, cells):
 def test_quotient_keeps_the_first_member_of_each_class(inputs):
     space, saliency, population = inputs[:3]
     cells, _ = _cells(saliency, population)
-    blocks, _ = experiments._space_blocks(space, saliency, population, cells)
+    blocks, _ = generalization._space_blocks(space, saliency, population, cells)
     assert [block.classes.tolist() for block in blocks] == [
         [list(row) for row in kept] for kept in first_of_each_class(space, cells)
     ]
@@ -284,16 +284,16 @@ def test_quotient_class_counts_on_known_spaces():
         saliency = SaliencyDistribution({"a": 0.5, "b": 0.5, "c": 0.0})
     cells, _ = _cells(saliency, population)
     full = CandidateSpace.full(IssueSpace(("a", "b", "c"), 3))
-    blocks, _ = experiments._space_blocks(full, saliency, population, cells)
+    blocks, _ = generalization._space_blocks(full, saliency, population, cells)
     assert [block.classes.ravel().tolist() for block in blocks] == [[0, 1, -1], [2, -1], [-1]]
     two = IssueSpace(("a", "b"), 3)
     pairs = CandidateSpace.explicit(list(CandidateSpace.full(two).enumerate_profiles()), two)
-    (block,), _ = experiments._space_blocks(pairs, saliency, population, cells)
+    (block,), _ = generalization._space_blocks(pairs, saliency, population, cells)
     assert block.classes.tolist() == [[a, b] for a in (0, 1, -1) for b in (2, -1)]
 
 
 def every_member(classes):
-    """A stand-in for ``experiments._first_of_each_class`` that keeps every member."""
+    """A stand-in for ``generalization._first_of_each_class`` that keeps every member."""
     return np.arange(len(classes))
 
 
@@ -305,7 +305,7 @@ def test_identity_quotient_gives_the_same_bytes(inputs):
     space, saliency, population, sizes, trials, seed = inputs
     result = generalization_experiment(space, saliency, population, sizes, trials, seed)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(experiments, "_first_of_each_class", every_member)
+        patch.setattr(generalization, "_first_of_each_class", every_member)
         whole = generalization_experiment(space, saliency, population, sizes, trials, seed)
     for size in sizes:
         assert result.gaps[size].tobytes() == whole.gaps[size].tobytes()
@@ -346,9 +346,17 @@ def _three_issue_setup(variant, n=3, members=40, seed=7, partial=False):
 SETUPS = [pytest.param(v, p, id=v + "-partial" * p) for p in (False, True) for v in ("explicit", "product", "full")]
 
 
+def _sup_gap_calls(patch) -> list:
+    """Record each call of the lab's ``_sup_gap``: one for the empty committee, then one per chunk
+    of trials of each size."""
+    calls, sup_gap = [], generalization._sup_gap
+    patch.setattr(generalization, "_sup_gap", lambda *args: calls.append(1) or sup_gap(*args))
+    return calls
+
+
 def _class_count(space, saliency, population):
     """The number of profiles of one member per class."""
-    blocks, _ = experiments._space_blocks(space, saliency, population, _cells(saliency, population)[0])
+    blocks, _ = generalization._space_blocks(space, saliency, population, _cells(saliency, population)[0])
     return int(np.prod([len(block.classes) for block in blocks]))
 
 
@@ -363,8 +371,14 @@ def test_forced_caps_match_the_default_cap_bit_for_bit(monkeypatch, variant, par
     expected = generalization_experiment(space, saliency, population, sizes, trials, seed=9)
     for cap in (1, 7, 60, DEFAULT_ENUMERATION_CAP):
         with monkeypatch.context() as patch:
-            patch.setattr("repsoc.experiments.DEFAULT_ENUMERATION_CAP", cap)
+            patch.setattr(generalization, "DEFAULT_ENUMERATION_CAP", cap)
+            calls = _sup_gap_calls(patch)
             result = generalization_experiment(space, saliency, population, sizes, trials, seed=9)
+        chunks = len(calls) - 1  # after the empty committee's call, one per chunk of trials
+        if cap == 1:
+            assert chunks == len(sizes) * trials
+        else:
+            assert (chunks > len(sizes)) == (cap < DEFAULT_ENUMERATION_CAP)
         for size in sizes:
             assert result.gaps[size].tobytes() == expected.gaps[size].tobytes()
             assert result.regret_slack[size].tobytes() == expected.regret_slack[size].tobytes()
@@ -421,8 +435,9 @@ def test_lab_arrays_stay_within_a_forced_cap(monkeypatch):
     assert _class_count(space, saliency, population) == space.size()
     args = (space, saliency, population, [20, 200], 250)
     expected = generalization_experiment(*args, seed=1)
-    for module in ("repsoc.experiments", "repsoc.axioms"):  # the lab's chunks, the plan check
+    for module in ("repsoc.generalization", "repsoc.axioms"):  # the lab's chunks, the plan check
         monkeypatch.setattr(f"{module}.DEFAULT_ENUMERATION_CAP", 20_000)
+    calls = _sup_gap_calls(monkeypatch)
     tracemalloc.start()
     try:
         result = generalization_experiment(*args, seed=1)
@@ -430,6 +445,7 @@ def test_lab_arrays_stay_within_a_forced_cap(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 750_000
+    assert len(calls) - 1 == 2 * 20  # after the empty committee, 20 chunks of at most 13 trials per size
     for size in result.sizes:
         assert result.gaps[size].tobytes() == expected.gaps[size].tobytes()
         assert result.regret_slack[size].tobytes() == expected.regret_slack[size].tobytes()
@@ -467,14 +483,14 @@ def test_full_eight_outcome_space_under_a_small_support_is_quick(monkeypatch):
         for issue in "ab"
     })
     space, saliency = CandidateSpace.full(IssueSpace(("a", "b"), 8)), SaliencyDistribution({"a": 0.6, "b": 0.4})
-    blocks, _ = experiments._space_blocks(space, saliency, population, _cells(saliency, population)[0])
+    blocks, _ = generalization._space_blocks(space, saliency, population, _cells(saliency, population)[0])
     assert [len(block.classes) for block in blocks] == [6, 6]
     args = (space, saliency, population, [0, 1, 8, 64, 512], 20)
     started = time.perf_counter()
     result = generalization_experiment(*args, seed=2)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
-    monkeypatch.setattr(experiments, "_first_of_each_class", every_member)
+    monkeypatch.setattr(generalization, "_first_of_each_class", every_member)
     whole = generalization_experiment(*args, seed=2)
     for size in result.sizes:
         assert result.gaps[size].tobytes() == whole.gaps[size].tobytes()
@@ -483,8 +499,8 @@ def test_full_eight_outcome_space_under_a_small_support_is_quick(monkeypatch):
 
 def test_one_cell_index_per_run(monkeypatch):
     """The classes, the population terms and every size's counts read one cell index."""
-    calls, cell_index = [], experiments._cell_index
-    monkeypatch.setattr(experiments, "_cell_index", lambda cells, space: calls.append(1) or cell_index(cells, space))
+    calls, cell_index = [], generalization._cell_index
+    monkeypatch.setattr(generalization, "_cell_index", lambda cells, space: calls.append(1) or cell_index(cells, space))
     space, saliency, population = _three_issue_setup("product", partial=True)
     generalization_experiment(space, saliency, population, [0, 2, 9, 40], 5, seed=1)
     assert len(calls) == 1
@@ -515,13 +531,13 @@ def _tied_setup():
 def _widest_choices(monkeypatch) -> list:
     """Record the most candidates of any block in each call of ``_utility_ranges``."""
     widths = []
-    original = experiments._utility_ranges
+    original = generalization._utility_ranges
 
     def spy(blocks, sequence, candidates):
         widths.append(max(len(c) for c in candidates))
         return original(blocks, sequence, candidates)
 
-    monkeypatch.setattr(experiments, "_utility_ranges", spy)
+    monkeypatch.setattr(generalization, "_utility_ranges", spy)
     return widths
 
 
@@ -661,7 +677,7 @@ def test_narrow_counts_give_the_bytes_of_int64_counts(variant, weights):
         warnings.simplefilter("ignore")  # zero saliency warns
         saliency = SaliencyDistribution(dict(zip("ab", weights)))
     cells, tallies = draw_tallies(saliency, population, WIDENING_SIZES, 3, 5, least=0)
-    blocks, sequence = experiments._space_blocks(space, saliency, population, cells)
+    blocks, sequence = generalization._space_blocks(space, saliency, population, cells)
     delta = 4 * (2 + 3) * 2.0**-52
     for size, rows in tallies:
         padded = np.pad(rows, ((0, 0), (0, 1)))
@@ -669,8 +685,8 @@ def test_narrow_counts_give_the_bytes_of_int64_counts(variant, weights):
         narrow = [count.astype(np.min_scalar_type(size)) for count in wide]
         assert [count.dtype for count in narrow] == [np.min_scalar_type(size)] * len(blocks)
         assert max(int(count.max()) for count in wide) <= size
-        expected = experiments._sup_gap(blocks, sequence, wide, size, delta).tobytes()
-        assert experiments._sup_gap(blocks, sequence, narrow, size, delta).tobytes() == expected
+        expected = generalization._sup_gap(blocks, sequence, wide, size, delta).tobytes()
+        assert generalization._sup_gap(blocks, sequence, narrow, size, delta).tobytes() == expected
     result = generalization_experiment(space, saliency, population, WIDENING_SIZES, 3, 5)
     gaps, regret_slack = enumerated_generalization(space, saliency, population, WIDENING_SIZES, 3, 5)
     for size in WIDENING_SIZES:
@@ -691,15 +707,15 @@ def test_mixed_trial_keys_do_not_wrap_in_narrow_counts():
         warnings.simplefilter("ignore")  # zero saliency warns
         saliency = SaliencyDistribution({"a": 1.0, "b": 0.0})
     cells, _ = draw_tallies(saliency, population, [1], 1, 0)
-    blocks, sequence = experiments._space_blocks(space, saliency, population, cells)
+    blocks, sequence = generalization._space_blocks(space, saliency, population, cells)
     held = [k for k, (issue, _) in enumerate(cells) if issue == "a"]
     for size in WIDENING_SIZES[1:]:
         padded = np.zeros((size + 1, len(cells) + 1), dtype=np.int64)
         padded[:, held] = np.stack([np.arange(size + 1), size - np.arange(size + 1)], axis=1)
         wide = [sum(np.take(padded, c, axis=1) for c in block.classes.T) for block in blocks]
         narrow = [count.astype(np.min_scalar_type(size)) for count in wide]
-        expected = experiments._sup_gap(blocks, sequence, wide, size, 4 * (2 + 3) * 2.0**-52).tobytes()
-        assert experiments._sup_gap(blocks, sequence, narrow, size, 4 * (2 + 3) * 2.0**-52).tobytes() == expected
+        expected = generalization._sup_gap(blocks, sequence, wide, size, 4 * (2 + 3) * 2.0**-52).tobytes()
+        assert generalization._sup_gap(blocks, sequence, narrow, size, 4 * (2 + 3) * 2.0**-52).tobytes() == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -714,7 +730,7 @@ def test_median_equals_numpy_bit_for_bit(values):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # np.median's own overflow
         expected = float(np.median(array))
-    assert np.array(experiments._median(array)).tobytes() == np.array(expected).tobytes()
+    assert np.array(generalization._median(array)).tobytes() == np.array(expected).tobytes()
 
 
 def test_generalization_run_leaves_numpy_ma_unloaded(tmp_path):

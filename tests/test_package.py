@@ -24,7 +24,8 @@ EXPORTED = {
         "CapacityError", "CyclicityError", "InvalidArgumentError", "PreconditionError", "RepsocError",
         "UnsupportedError", "VacuityError",
     ),
-    "experiments": ("GeneralizationResult", "generalization_experiment", "make_mechanism", "run_experiment"),
+    "experiments": ("make_mechanism", "run_experiment"),
+    "generalization": ("GeneralizationResult", "generalization_experiment"),
     "mechanisms": ("EXACT_MATCH", "KENDALL", "SCORING_RULES", "Mechanism", "ScoringRule", "decide_tallies"),
     "orders": (
         "LinearOrder", "PartialOrder", "Permutation", "Profile", "apply_local_permutation", "apply_permutation",
@@ -98,9 +99,23 @@ repsoc.save_population("population.json", issues, repsoc.SaliencyDistribution({"
 repsoc.save_candidate_space("space.json", repsoc.CandidateSpace.full(issues))
 repsoc.load_population("population.json")
 repsoc.load_candidate_space("space.json")
-print(sorted(m for m in ("axioms", "mechanisms", "complexity", "experiments", "cli") if f"repsoc.{m}" in sys.modules))
+print(sorted(m for m in ("axioms", "mechanisms", "complexity", "generalization", "experiments", "cli")
+             if f"repsoc.{m}" in sys.modules))
 """
     assert _fresh(script, tmp_path) == ["[]"]
+
+
+def test_the_generalization_lab_loads_no_runner(tmp_path):
+    """The lab is a library module: importing it loads neither the runners nor the CLI, and
+    the runners keep no alias of its names."""
+    script = """
+import sys
+import repsoc.generalization
+print(sorted(m for m in ("experiments", "cli") if f"repsoc.{m}" in sys.modules))
+"""
+    assert _fresh(script, tmp_path) == ["[]"]
+    experiments = importlib.import_module("repsoc.experiments")
+    assert [name for name in EXPORTED["generalization"] if hasattr(experiments, name)] == []
 
 
 def test_importing_every_module_builds_no_ordering(tmp_path):

@@ -2,9 +2,9 @@
 used, every private module-level name is read somewhere in the library, every public one
 has a caller in the library, the demos or the benchmark, every name of the package's lazy
 table is exported by its submodule, the runtime dependencies are the third-party modules it
-imports, no module tells a scoring rule by identity, and every JSON file and result CSV is
-written through ``population.write_json`` or ``population.write_csv``, the one place that
-indents JSON."""
+imports, no module tells a scoring rule by identity, only the CLI imports the runners, and
+every JSON file and result CSV is written through ``population.write_json`` or
+``population.write_csv``, the one place that indents JSON."""
 
 import ast
 import re
@@ -81,6 +81,18 @@ def _imported(tree: ast.Module):
             yield from ((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             yield from ((alias.asname or alias.name, node.lineno) for alias in node.names)
+
+
+def _submodules_imported(tree: ast.Module) -> set:
+    """The package's submodules that a module imports, relatively or by the package's name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("repsoc."))
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "repsoc"):
+            module = (node.module or "") if node.level else node.module.partition(".")[2]
+            found.update([module.split(".")[0]] if module else (alias.name for alias in node.names))
+    return found
 
 
 def _private_definitions(tree: ast.Module):
@@ -254,3 +266,11 @@ def test_no_module_tells_a_rule_by_identity():
         and any(map(named, [node.left, *node.comparators]))
     ]
     assert by_identity == []
+
+
+def test_only_the_cli_imports_the_runners():
+    """``experiments`` holds the config schema and the runners: ``cli`` is the one library module
+    that imports it, and none imports ``cli``, so importing a lab loads no runner."""
+    imported = {module: _submodules_imported(tree) for module, tree in MODULES.items()}
+    assert [module for module, names in imported.items() if "experiments" in names] == ["cli.py"]
+    assert [module for module, names in imported.items() if "cli" in names] == []
